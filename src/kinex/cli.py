@@ -408,7 +408,9 @@ def _cmd_sweep(args) -> int:
                         "",
                     )
                 )
-        except Exception as exc:  # per-row failure must not kill the sweep
+        # A bad configuration or an invariant breach in one row must not kill
+        # the sweep; any other exception is a bug and propagates.
+        except (ValueError, OSError, ContractViolation) as exc:
             rows.append((args.param, value, "", "", gini_max, -1, str(exc)))
     _write_csv(args.out, SWEEP_CSV_HEADER, rows)
     _write_metadata(

@@ -291,9 +291,13 @@ class DiscreteKernel:
     Stores, per ordered cell pair (a, b) and delta atom: the atom's value
     and probability and the two-point splits of both post-exchange wealths.
     Derived arrays feed the integrator: ``gain`` (sparse, maps the outer
-    product of masses to per-cell gain), ``abs_delta`` (per-pair expected
-    |delta|, the mobility integrand), and the precomputed post-wealth
-    lookups for the Gini-rate functional.
+    product of masses to per-cell gain) and ``abs_delta`` (per-pair expected
+    |delta|, the mobility integrand). The Gini-rate functional reads
+    ``gain`` as well: for any function that is linear between grid points,
+    such as phi(y) = sum_k m_k |y - c_k|, the mean-exact split makes a
+    pair's column of ``gain`` applied to phi at the grid points equal the
+    probability-weighted sum of phi at the pair's represented post-wealths,
+    so no per-atom post-wealth lookup is kept.
     """
 
     def __init__(self, rule: RuleSpec, grid: WealthGrid, entries: dict):
@@ -317,9 +321,6 @@ class DiscreteKernel:
         # Represented gain of the tagged agent (equals the atom delta except
         # where the post-wealth was truncated at the top cell).
         over1 = entries["over1"]
-        over2 = entries["over2"]
-        post1 = c[self.pair_a] + self.delta
-        self.post_repr = np.where(over1 > 0.0, c[-1], post1)
         self.repr_delta = np.where(over1 > 0.0, c[-1] - c[self.pair_a], self.delta)
 
         pair_q = self.pair_a.astype(np.int64) * n + self.pair_b
@@ -358,11 +359,6 @@ class DiscreteKernel:
                 int(self.truncated_pairs.sum()),
                 n * n,
             )
-
-        # Gini-rate lookups: position of each represented post-wealth in the
-        # sorted center axis, for prefix-sum evaluation of the inner
-        # |x + delta - x1| integral.
-        self.post_idx = np.searchsorted(c, self.post_repr, side="right")
 
     def joint_entries(self, a: int, b: int) -> list[tuple[tuple[int, int], float]]:
         """Destination-pair probabilities for ordered source pair (a, b)."""
@@ -445,7 +441,7 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     post1 = c[pa] + delta
     post2 = c[pb] - delta
     d1_lo, d1_hi, d1_w, over1 = _split_points(c, post1)
-    d2_lo, d2_hi, d2_w, over2 = _split_points(c, post2)
+    d2_lo, d2_hi, d2_w, _ = _split_points(c, post2)
 
     return DiscreteKernel(
         rule,
@@ -462,7 +458,6 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
             "d2_hi": d2_hi,
             "d2_w": d2_w,
             "over1": over1,
-            "over2": over2,
         },
     )
 
@@ -551,30 +546,41 @@ def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
-    """dG/dt: quadrature of the triple sum of the Gini evolution functional.
+    """dG/dt: the triple sum of the Gini evolution functional.
 
-    The inner integral over x1 is evaluated exactly via prefix sums of the
-    sorted cell masses (phi(y) = sum_k m_k |y - c_k| is piecewise linear
-    with kinks only at grid points, so this is an algebraic regrouping of
-    the triple sum, not an approximation). Non-negative for unbiased
-    kernels up to rounding error.
+    With phi(y) = sum_k m_k |y - c_k| the functional is
+    sum_e prob_e m_a m_b [phi(post_e) - phi(c_a)] / M1 over the delta atoms e
+    of every ordered pair (a, b), post_e being the tagged agent's represented
+    post-wealth. phi is linear between neighbouring grid points, and the
+    mean-exact split sends weights w and 1 - w to the two points bracketing
+    post_e with post_e as their weighted mean, so
+    phi(post_e) = w phi(c_lo) + (1 - w) phi(c_hi) exactly. The atom sum of a
+    pair is therefore the pair's column of ``gain`` applied to phi at the
+    grid points, and the functional equals
+    sum_ab m_a m_b [(gain^T phi_c)_ab - phi_c[a]] / M1 in exact arithmetic:
+    one transposed sparse matvec plus O(cells^2) dense work. Each pair's
+    difference is formed before the sum over pairs, which keeps the
+    cancellation local. Non-negative for unbiased kernels up to rounding
+    error.
     """
     return _gini_rate_masses(kernel, grid.masses)
 
 
-def _gini_rate_masses(kernel: DiscreteKernel, m: np.ndarray) -> float:
+def _gini_rate_masses(
+    kernel: DiscreteKernel, m: np.ndarray, v: np.ndarray | None = None
+) -> float:
+    """``gini_rate`` of masses ``m``; ``v`` is outer(m, m).ravel() if known."""
     c = kernel.centers
-    cum_m = np.concatenate(([0.0], np.cumsum(m)))
-    cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))
+    cum_m = np.cumsum(m)
+    cum_mc = np.cumsum(m * c)
     m_tot = cum_m[-1]
     m1_tot = cum_mc[-1]
-
-    idx = kernel.post_idx
-    post = kernel.post_repr
-    phi_post = post * (2.0 * cum_m[idx] - m_tot) + (m1_tot - 2.0 * cum_mc[idx])
-    phi_c = c * (2.0 * cum_m[1:] - m_tot) + (m1_tot - 2.0 * cum_mc[1:])
-    weight = kernel.prob * m[kernel.pair_a] * m[kernel.pair_b]
-    return float(np.dot(weight, phi_post - phi_c[kernel.pair_a]) / m1_tot)
+    phi_c = c * (2.0 * cum_m - m_tot) + (m1_tot - 2.0 * cum_mc)
+    if v is None:
+        v = np.multiply.outer(m, m).ravel()
+    n = kernel.cells
+    per_pair = (kernel.gain.T @ phi_c).reshape(n, n) - phi_c[:, None]
+    return float(np.dot(v, per_pair.ravel()) / m1_tot)
 
 
 def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -607,6 +613,10 @@ class IntegrationReport:
     non_conservative: bool = False
     stopped_early: bool = False
     steps: int = 0
+    # Step halvings taken to keep every cell mass non-negative, and to keep
+    # the Gini index of an unbiased rule from decreasing.
+    positivity_halvings: int = 0
+    gini_halvings: int = 0
 
 
 def integrate(
@@ -682,7 +692,7 @@ def integrate(
 
         v = np.multiply.outer(m, m).ravel()
         r = kernel.gain @ v - m * m.sum()
-        rate = _gini_rate_masses(kernel, m)
+        rate = _gini_rate_masses(kernel, m, v)
         trunc_rate = float(v @ kernel.trunc_coef.ravel()) if kernel.has_truncation else 0.0
 
         norm1 = float(np.abs(r).sum())
@@ -701,6 +711,7 @@ def integrate(
                 )
             for _ in range(100):
                 dt_eff *= 0.5
+                report.positivity_halvings += 1
                 candidate = m + dt_eff * r
                 if candidate.min() >= 0.0:
                     break
@@ -718,6 +729,7 @@ def integrate(
                 candidate = m + dt_eff * r
                 g_new = _weighted_gini(candidate, c)
                 halvings += 1
+            report.gini_halvings += halvings
             if g_new < g_prev - 1e-12:
                 _finish(rows)
                 raise IntegrationAbort(

@@ -45,7 +45,8 @@ _DEGENERATE = DeltaDistribution(atoms=((0.0, 1.0),))
 def harmonic_transfer(x_i, x_j):
     """x_i * x_j / (x_i + x_j) for scalars or arrays, 0 when both are 0.
 
-    Evaluated so that subnormal wealths do not underflow the product and the
+    Evaluated so that a product below the normal range (zero or subnormal,
+    where it keeps too few significant bits) is never divided, and the
     result never exceeds min(x_i, x_j), keeping every delta atom inside the
     admissible support.
     """
@@ -56,7 +57,7 @@ def harmonic_transfer(x_i, x_j):
     prod = xi * xj
     with np.errstate(under="ignore"):
         d = np.where(
-            (prod == 0.0) & (xi > 0.0) & (xj > 0.0),
+            (prod < np.finfo(np.float64).tiny) & (xi > 0.0) & (xj > 0.0),
             xi * (xj / safe),
             prod / safe,
         )

@@ -265,6 +265,20 @@ class TestSweepCommand:
         for ln in lines[1:]:
             assert "No such file" in ln or "nonexistent" in ln
 
+    def test_engine_bug_propagates(self, tmp_path, monkeypatch):
+        def broken_run(cfg):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr("kinex.cli.run", broken_run)
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(RuntimeError, match="engine bug"):
+            run_cli(
+                "sweep", "--param", "lambda", "--values", "0.2,0.5",
+                "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "10",
+                "--out", str(out),
+            )
+        assert not out.exists()
+
     def test_empty_values_rejected(self, tmp_path):
         code, _, _ = run_cli(
             "sweep", "--param", "lambda", "--values", "",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kinex import (
+    UNIFORM_LAMBDA,
     RuleKind,
     RuleSpec,
     build_grid,
@@ -244,7 +245,51 @@ def gini_rate_bruteforce(grid, rule, lam=None):
     return total / mean
 
 
+def gini_rate_per_entry(grid, kernel):
+    """Per-atom evaluation of the Gini evolution functional: phi at each
+    atom's represented post-wealth by prefix sums, rebuilt from the kernel's
+    per-entry arrays (pair_a, pair_b, prob, repr_delta) instead of ``gain``."""
+    c = kernel.centers
+    m = grid.masses
+    cum_m = np.concatenate(([0.0], np.cumsum(m)))
+    cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))
+    m_tot = cum_m[-1]
+    m1_tot = cum_mc[-1]
+    post = c[kernel.pair_a] + kernel.repr_delta
+    idx = np.searchsorted(c, post, side="right")
+    phi_post = post * (2.0 * cum_m[idx] - m_tot) + (m1_tot - 2.0 * cum_mc[idx])
+    phi_c = c * (2.0 * cum_m[1:] - m_tot) + (m1_tot - 2.0 * cum_mc[1:])
+    weight = kernel.prob * m[kernel.pair_a] * m[kernel.pair_b]
+    return float(np.dot(weight, phi_post - phi_c[kernel.pair_a]) / m1_tot)
+
+
 class TestGiniRate:
+    @pytest.mark.parametrize(
+        "rule",
+        [YS(0.3), UL(0.6), UL(UNIFORM_LAMBDA), IA, CL(0.5)],
+        ids=[
+            "yardsale", "unbiased-loser", "unbiased-loser-uniform",
+            "iglesias-almeida", "loser",
+        ],
+    )
+    @pytest.mark.parametrize("truncating", [False, True], ids=["on-grid", "truncating"])
+    def test_matches_per_entry_reference(self, rule, truncating):
+        gen = np.random.Generator(np.random.PCG64(41))
+        grid0 = build_grid(LogScheme(1e-3, 60.0, 70), Exponential(1.0))
+        kernel = build_kernel(rule, grid0)
+        # the truncating states put mass on the top cells, whose pairs send
+        # wealth past the top point; the others stay below its reach
+        support = grid0.centers <= (np.inf if truncating else grid0.centers[-1] / 2.0)
+        for _ in range(4):
+            masses = np.zeros(grid0.cells)
+            masses[support] = gen.dirichlet(np.full(int(support.sum()), 0.5))
+            grid = grid0.with_masses(masses)
+            lost = float((kernel.trunc_coef * np.outer(masses, masses)).sum())
+            assert (lost > 0.0) == truncating
+            assert gini_rate(grid, kernel) == pytest.approx(
+                gini_rate_per_entry(grid, kernel), rel=1e-10
+            )
+
     @pytest.mark.parametrize("rule", [YS(0.5), UL(0.5), IA])
     def test_matches_bruteforce_triple_sum(self, rule):
         gen = np.random.Generator(np.random.PCG64(17))
@@ -399,6 +444,26 @@ class TestIntegrate:
         assert report.stopped_early
         assert report.gini[-1] >= 0.99
         assert report.liquidity[-1] <= 0.01
+
+    def test_positivity_halvings_counted(self):
+        # coarse grid, large dt: once the mass cap lets h*M exceed 1, the
+        # Euler step overshoots and only halving keeps the masses >= 0
+        grid = build_grid(LogScheme(1e-3, 1e3, 40), PointMass(1.0))
+        kernel = build_kernel(YS(0.5), grid)
+        _, report = integrate(grid, kernel, dt=50.0, t_end=200.0)
+        assert report.positivity_halvings > 0
+        assert report.gini_halvings == 0
+
+    def test_condensation_run_needs_no_gini_halvings(self):
+        # the flags of the slowest criterion-5 configuration
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        kernel = build_kernel(YS(0.1), grid)
+        _, report = integrate(
+            grid, kernel, dt=50.0, t_end=1e5, stop_gini=0.995, stop_liquidity=0.005
+        )
+        assert report.stopped_early
+        assert report.gini_halvings == 0
+        assert report.positivity_halvings > 0
 
     def test_rejects_mismatched_kernel(self):
         g1 = build_grid(LogScheme(1e-3, 100.0, 64), PointMass(1.0))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinex import (
@@ -111,6 +111,7 @@ def test_unbiased_rules_have_zero_mean(x_i, x_j, lam):
 
 
 @given(x_i=wealth_st, x_j=wealth_st, lam=lam_st)
+@example(x_i=3.663685537297814e-159, x_j=3.663685537297814e-159, lam=1.0)
 @settings(max_examples=200, deadline=None)
 def test_moments_match_atom_summation(x_i, x_j, lam):
     for rule in ALL_RULES:
