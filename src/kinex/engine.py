@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,10 @@ __all__ = [
     "run_ensemble",
     "parse_initial",
 ]
+
+# Smallest normal float: the Iglesias-Almeida sweep divides a product below
+# it factor by factor.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,13 @@ def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
             wi = w[i]
             wj = w[j]
             tot = wi + wj
-            d = wi * wj / tot if tot > 0.0 else 0.0
+            d = wi * wj
+            # a product below the normal range keeps too few bits to divide
+            # (the guard of rules.harmonic_transfer)
+            if d >= _TINY:
+                d /= tot
+            elif tot > 0.0:
+                d = wi * (wj / tot)
             # rounding at extreme wealth ratios can overshoot min(wi, wj)
             # by an ulp; clamp to keep the loser's wealth non-negative
             mn = wi if wi < wj else wj

@@ -1,12 +1,15 @@
 """Thermodynamic-limit dynamics of binary wealth exchange on a wealth grid.
 
 The transfer kernel of each rule is discretized per ordered cell pair: each
-delta atom maps the two post-exchange wealths onto the grid by conservative
-two-point splitting (mass is shared between the two representative points
-bracketing a post-wealth so that both the split's total mass and its total
-wealth are exact). Normalization and zero expected gain therefore survive
-discretization to rounding error, which is what makes the monotone-Gini and
-condensation statements hold for the discrete system as well.
+delta atom maps the tagged agent's post-exchange wealth onto the grid by
+conservative two-point splitting (mass is shared between the two
+representative points bracketing a post-wealth so that both the split's
+total mass and its total wealth are exact). Normalization and zero expected
+gain therefore survive discretization to rounding error, which is what makes
+the monotone-Gini and condensation statements hold for the discrete system
+as well. Gain and loss of every pair are stored together in one net gain
+operator, so a single sparse product gives dm/dt, and the Gini rate is a dot
+product with it.
 
 Time stepping is explicit Euler with adaptive step control: the step is
 capped so at most 10% of total mass moves per step, halved whenever a cell
@@ -179,7 +182,7 @@ def _split_points(centers: np.ndarray, post: np.ndarray):
     denom = np.where(exact, 1.0, centers[hi] - centers[lo])
     w_lo = np.where(exact, 1.0, (centers[hi] - post) / denom)
     overshoot = np.where(over, post - centers[-1], 0.0)
-    return lo.astype(np.int64), hi.astype(np.int64), w_lo, overshoot
+    return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False), w_lo, overshoot
 
 
 def _mean_correct(masses: np.ndarray, centers: np.ndarray, target: float) -> None:
@@ -281,7 +284,13 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
         return [(1.0, 1.0)]
     if rule.random_lambda:
         x, wgt = np.polynomial.legendre.leggauss(LAMBDA_NODES)
-        return [(0.5 * (xi + 1.0), wi / 2.0) for xi, wi in zip(x, wgt)]
+        # Weights on a 2^-40 lattice with the last one closing the sum, so
+        # they add up to exactly 1 in any order: the atoms of a pair that
+        # transfers nothing then cancel the pair's loss entry exactly and
+        # zero wealth stays exactly absorbing.
+        weights = [round(math.ldexp(wi / 2.0, 40)) / 2.0**40 for wi in wgt[:-1]]
+        weights.append(1.0 - math.fsum(weights))
+        return [(0.5 * (xi + 1.0), wi) for xi, wi in zip(x, weights)]
     return [(float(rule.lam), 1.0)]
 
 
@@ -289,15 +298,24 @@ class DiscreteKernel:
     """Discretized transfer kernel on a wealth grid.
 
     Stores, per ordered cell pair (a, b) and delta atom: the atom's value
-    and probability and the two-point splits of both post-exchange wealths.
-    Derived arrays feed the integrator: ``gain`` (sparse, maps the outer
-    product of masses to per-cell gain) and ``abs_delta`` (per-pair expected
-    |delta|, the mobility integrand). The Gini-rate functional reads
-    ``gain`` as well: for any function that is linear between grid points,
-    such as phi(y) = sum_k m_k |y - c_k|, the mean-exact split makes a
-    pair's column of ``gain`` applied to phi at the grid points equal the
-    probability-weighted sum of phi at the pair's represented post-wealths,
-    so no per-atom post-wealth lookup is kept.
+    and probability and the two-point split of the tagged agent's
+    post-wealth. Derived arrays feed the integrator:
+
+    - ``gain`` is the net gain operator N = G - L (sparse, cells x cells^2).
+      G sends the outer product of masses to the cells where the tagged
+      agent lands; L[a, (a, b)] = 1 removes it from its source cell, so
+      ``gain @ vec(m m^T)`` is dm/dt. A pair's column sums to zero to
+      rounding; for a pair that transfers nothing the tagged agent's
+      entries cancel the -1 exactly and the column stores nothing.
+    - ``abs_delta`` is the per-pair expected |delta|, the mobility
+      integrand.
+    - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
+      and time.
+
+    The partner's post-wealth needs no encoding of its own: the outcome of
+    the partner in pair (a, b) is the tagged outcome of pair (b, a), which
+    the ordered double sum already covers. ``joint_entries`` recomputes it
+    for one pair on demand.
     """
 
     def __init__(self, rule: RuleSpec, grid: WealthGrid, entries: dict):
@@ -310,9 +328,6 @@ class DiscreteKernel:
         self.d1_lo = entries["d1_lo"]
         self.d1_hi = entries["d1_hi"]
         self.d1_w = entries["d1_w"]
-        self.d2_lo = entries["d2_lo"]
-        self.d2_hi = entries["d2_hi"]
-        self.d2_w = entries["d2_w"]
 
         n = self.centers.size
         self.cells = n
@@ -323,16 +338,24 @@ class DiscreteKernel:
         over1 = entries["over1"]
         self.repr_delta = np.where(over1 > 0.0, c[-1] - c[self.pair_a], self.delta)
 
-        pair_q = self.pair_a.astype(np.int64) * n + self.pair_b
-        rows = np.concatenate([self.d1_lo, self.d1_hi])
-        cols = np.concatenate([pair_q, pair_q])
+        # COO triplets of G (both split points of each atom) and -L (one per
+        # pair); the CSR conversion sums them and zeros are dropped after.
+        # 32-bit indices are what scipy keeps for this shape (cells^2 stays
+        # below 2^31 on any grid whose per-pair arrays fit in memory), so it
+        # needs no converted copy, and the temporaries are dropped as soon
+        # as they are used: both keep the build's peak memory down.
+        pair_q = self.pair_a * n + self.pair_b
+        rows = np.concatenate(
+            [self.d1_lo, self.d1_hi, np.repeat(np.arange(n), n)], dtype=np.int32
+        )
+        cols = np.concatenate([pair_q, pair_q, np.arange(n * n)], dtype=np.int32)
+        del pair_q
         vals = np.concatenate(
-            [self.prob * self.d1_w, self.prob * (1.0 - self.d1_w)]
+            [self.prob * self.d1_w, self.prob * (1.0 - self.d1_w), np.full(n * n, -1.0)]
         )
-        keep = vals != 0.0
-        self.gain = sparse.csr_matrix(
-            (vals[keep], (rows[keep], cols[keep])), shape=(n, n * n)
-        )
+        self.gain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n * n))
+        del rows, cols, vals
+        self.gain.eliminate_zeros()
 
         self.abs_delta = np.zeros((n, n))
         np.add.at(
@@ -353,31 +376,33 @@ class DiscreteKernel:
         self.truncated_pairs = self.trunc_coef > 0.0
         self.has_truncation = bool(np.any(trunc > 0.0))
         if self.has_truncation:
-            log.warning(
-                "kernel truncates wealth at the top cell for %d of %d pairs; "
-                "integration will track the lost wealth",
+            log.debug(
+                "kernel truncates wealth at the top cell for %d of %d pairs",
                 int(self.truncated_pairs.sum()),
                 n * n,
             )
 
     def joint_entries(self, a: int, b: int) -> list[tuple[tuple[int, int], float]]:
         """Destination-pair probabilities for ordered source pair (a, b)."""
-        mask = (self.pair_a == a) & (self.pair_b == b)
+        e = np.nonzero((self.pair_a == a) & (self.pair_b == b))[0]
+        c = self.centers
+        split1 = zip(self.d1_lo[e], self.d1_hi[e], self.d1_w[e])
+        split2 = zip(*_split_points(c, c[b] - self.delta[e])[:3])
         out: dict[tuple[int, int], float] = {}
-        for e in np.nonzero(mask)[0]:
-            p = self.prob[e]
-            d1 = [(int(self.d1_lo[e]), self.d1_w[e])]
-            if self.d1_hi[e] != self.d1_lo[e]:
-                d1.append((int(self.d1_hi[e]), 1.0 - self.d1_w[e]))
-            d2 = [(int(self.d2_lo[e]), self.d2_w[e])]
-            if self.d2_hi[e] != self.d2_lo[e]:
-                d2.append((int(self.d2_hi[e]), 1.0 - self.d2_w[e]))
-            for m1, w1 in d1:
-                for m2, w2 in d2:
+        for p, s1, s2 in zip(self.prob[e], split1, split2):
+            for m1, w1 in _destinations(*s1):
+                for m2, w2 in _destinations(*s2):
                     pv = p * w1 * w2
                     if pv != 0.0:
                         out[(m1, m2)] = out.get((m1, m2), 0.0) + pv
         return sorted(out.items())
+
+
+def _destinations(lo, hi, w_lo) -> list[tuple[int, float]]:
+    """(cell, weight) of one two-point split."""
+    if hi == lo:
+        return [(int(lo), w_lo)]
+    return [(int(lo), w_lo), (int(hi), 1.0 - w_lo)]
 
 
 def _rule_atoms(rule: RuleSpec, ca: np.ndarray, cb: np.ndarray):
@@ -408,58 +433,44 @@ def _rule_atoms(rule: RuleSpec, ca: np.ndarray, cb: np.ndarray):
 def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     """Discretize the rule's transfer kernel on the grid.
 
-    Each delta atom of each ordered cell pair maps both post-exchange
-    wealths to grid cells by the mean-exact two-point split, so per-pair
-    normalization is exact and the represented expected gain is zero to
-    rounding error for the unbiased rules. Post-wealths above the top
+    Each delta atom of each ordered cell pair maps the tagged agent's
+    post-exchange wealth to grid cells by the mean-exact two-point split, so
+    per-pair normalization is exact and the represented expected gain is
+    zero to rounding error for the unbiased rules. Post-wealths above the top
     representative point are assigned to the top cell; the resulting wealth
     loss is tracked by the integrator and flags the run non-conservative
     beyond 1e-8 relative.
     """
     c = grid.centers
-    n = c.size
-    ca = np.repeat(c, n)
-    cb = np.tile(c, n)
-    pair_a = np.repeat(np.arange(n, dtype=np.int64), n)
-    pair_b = np.tile(np.arange(n, dtype=np.int64), n)
-
-    deltas = []
-    probs = []
-    pas = []
-    pbs = []
-    for d, p in _rule_atoms(rule, ca, cb):
-        keep = p != 0.0
-        deltas.append(d[keep])
-        probs.append(p[keep])
-        pas.append(pair_a[keep])
-        pbs.append(pair_b[keep])
-    delta = np.concatenate(deltas)
-    prob = np.concatenate(probs)
-    pa = np.concatenate(pas)
-    pb = np.concatenate(pbs)
-
-    post1 = c[pa] + delta
-    post2 = c[pb] - delta
-    d1_lo, d1_hi, d1_w, over1 = _split_points(c, post1)
-    d2_lo, d2_hi, d2_w, _ = _split_points(c, post2)
-
+    pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
+    d1_lo, d1_hi, d1_w, over1 = _split_points(c, c[pair_a] + delta)
     return DiscreteKernel(
         rule,
         grid,
         {
-            "pair_a": pa,
-            "pair_b": pb,
+            "pair_a": pair_a,
+            "pair_b": pair_b,
             "prob": prob,
             "delta": delta,
             "d1_lo": d1_lo,
             "d1_hi": d1_hi,
             "d1_w": d1_w,
-            "d2_lo": d2_lo,
-            "d2_hi": d2_hi,
-            "d2_w": d2_w,
             "over1": over1,
         },
     )
+
+
+def _pair_atoms(rule: RuleSpec, c: np.ndarray) -> list[np.ndarray]:
+    """(pair_a, pair_b, delta, prob) of every atom with non-zero probability,
+    over all ordered cell pairs."""
+    n = c.size
+    pair_a = np.repeat(np.arange(n, dtype=np.int64), n)
+    pair_b = np.tile(np.arange(n, dtype=np.int64), n)
+    parts = []
+    for d, p in _rule_atoms(rule, c[pair_a], c[pair_b]):
+        keep = p != 0.0
+        parts.append((pair_a[keep], pair_b[keep], d[keep], p[keep]))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 @dataclass
@@ -521,17 +532,18 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
 def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
     """Gain-minus-loss bilinear form: dm_k/dt over all cells.
 
-    Total mass of the result is zero to rounding (per-pair probabilities
-    and split weights both sum to one) and total wealth is zero within
-    1e-12 relative for unbiased kernels (mean-exact splitting).
+    One product of the net gain operator N = G - L with vec(m m^T). Each
+    pair's gain and loss meet in the same column of N, so a pair that moves
+    no wealth contributes exactly nothing and zero wealth is exactly
+    absorbing. Total mass of the result is zero to rounding (per-pair
+    probabilities and split weights both sum to one) and total wealth is
+    zero within 1e-12 relative for unbiased kernels (mean-exact splitting).
     """
-    m = grid.masses
-    return _rhs_masses(kernel, m)
+    return _rhs_masses(kernel, grid.masses)
 
 
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    v = np.multiply.outer(m, m).ravel()
-    return kernel.gain @ v - m * m.sum()
+    return kernel.gain @ np.multiply.outer(m, m).ravel()
 
 
 def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
@@ -555,32 +567,34 @@ def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     mean-exact split sends weights w and 1 - w to the two points bracketing
     post_e with post_e as their weighted mean, so
     phi(post_e) = w phi(c_lo) + (1 - w) phi(c_hi) exactly. The atom sum of a
-    pair is therefore the pair's column of ``gain`` applied to phi at the
-    grid points, and the functional equals
-    sum_ab m_a m_b [(gain^T phi_c)_ab - phi_c[a]] / M1 in exact arithmetic:
-    one transposed sparse matvec plus O(cells^2) dense work. Each pair's
-    difference is formed before the sum over pairs, which keeps the
-    cancellation local. Non-negative for unbiased kernels up to rounding
+    pair is therefore the pair's column of G applied to phi at the grid
+    points, the loss term phi(c_a) is its column of L, and the functional is
+    phi_c^T N vec(m m^T) / M1 = phi_c . (dm/dt) / M1 in exact arithmetic.
+    It is the time derivative of the grid Gini
+    sum_jk m_j m_k |c_j - c_k| / (2 M1), whose numerator changes at
+    2 phi_c . dm/dt while M1 stays fixed (up to tracked truncation).
+    Because N cancels gain against loss inside each pair's column, a pair
+    that moves no wealth (any pair with a member at zero) adds exactly
+    nothing, so the dominant zero-cell mass of a condensing state leaves
+    no rounding residue. Non-negative for unbiased kernels up to rounding
     error.
     """
     return _gini_rate_masses(kernel, grid.masses)
 
 
 def _gini_rate_masses(
-    kernel: DiscreteKernel, m: np.ndarray, v: np.ndarray | None = None
+    kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray | None = None
 ) -> float:
-    """``gini_rate`` of masses ``m``; ``v`` is outer(m, m).ravel() if known."""
+    """``gini_rate`` of masses ``m``; ``r`` is ``_rhs_masses(kernel, m)`` if known."""
     c = kernel.centers
     cum_m = np.cumsum(m)
     cum_mc = np.cumsum(m * c)
     m_tot = cum_m[-1]
     m1_tot = cum_mc[-1]
     phi_c = c * (2.0 * cum_m - m_tot) + (m1_tot - 2.0 * cum_mc)
-    if v is None:
-        v = np.multiply.outer(m, m).ravel()
-    n = kernel.cells
-    per_pair = (kernel.gain.T @ phi_c).reshape(n, n) - phi_c[:, None]
-    return float(np.dot(v, per_pair.ravel()) / m1_tot)
+    if r is None:
+        r = _rhs_masses(kernel, m)
+    return float(np.dot(phi_c, r) / m1_tot)
 
 
 def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -660,6 +674,7 @@ def integrate(
     snapshots: list[tuple[float, WealthGrid]] = [(0.0, grid.with_masses(m))]
     t = 0.0
     cum_trunc = 0.0
+    trunc_warned = False
     g_prev = _weighted_gini(m, c)
     mass_prev = mass0
     mean_prev = mean0
@@ -690,10 +705,9 @@ def integrate(
             raise IntegrationAbort(f"step budget {max_steps} exceeded", report)
         step_no += 1
 
-        v = np.multiply.outer(m, m).ravel()
-        r = kernel.gain @ v - m * m.sum()
-        rate = _gini_rate_masses(kernel, m, v)
-        trunc_rate = float(v @ kernel.trunc_coef.ravel()) if kernel.has_truncation else 0.0
+        r = _rhs_masses(kernel, m)
+        rate = _gini_rate_masses(kernel, m, r)
+        trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
 
         norm1 = float(np.abs(r).sum())
         dt_eff = min(dt, t_end - t)
@@ -738,11 +752,20 @@ def integrate(
 
         m = candidate
         t += dt_eff
-        cum_trunc += dt_eff * trunc_rate
+        step_trunc = dt_eff * trunc_rate
+        cum_trunc += step_trunc
+        if not trunc_warned and cum_trunc > 0.5 * TRUNCATION_TOL * mean0:
+            trunc_warned = True
+            log.warning(
+                "truncated wealth %.3e at t=%.6g has passed half the "
+                "non-conservative threshold %.1e of the initial mean",
+                cum_trunc / mean0,
+                t,
+                TRUNCATION_TOL,
+            )
 
         mass = math.fsum(m)
         mean = float(np.dot(m, c))
-        step_trunc = dt_eff * trunc_rate
         if abs(mass - mass_prev) > STEP_MASS_TOL:
             _finish(rows)
             raise IntegrationAbort(

@@ -35,3 +35,27 @@ def make_grid(centers, masses):
     mids = 0.5 * (c[:-1] + c[1:])
     edges = np.concatenate(([0.0], mids, [c[-1] + 1.0]))
     return WealthGrid(edges, masses, centers=c)
+
+
+# The four CLI commands of acceptance criterion 12 (each run adds --out).
+CRITERION_12_COMMANDS = {
+    "simulate": [
+        "simulate", "--rule", "yardsale:lambda=0.5", "--n", "64",
+        "--sweeps", "200", "--seed", "42", "--record-every", "20",
+    ],
+    "ensemble": [
+        "ensemble", "--rule", "unbiased-loser:lambda=uniform", "--n", "16",
+        "--sweeps", "40", "--record-every", "10", "--replicas", "4",
+        "--seed", "7",
+    ],
+    "integrate": [
+        "integrate", "--rule", "iglesias-almeida",
+        "--grid", "log:1e-3:200:96", "--init", "exp:1",
+        "--dt", "5", "--t-end", "40",
+    ],
+    "sweep": [
+        "sweep", "--param", "lambda", "--values", "0.1,0.5,1.0",
+        "--rule", "yardsale:lambda=0.5", "--n", "32", "--sweeps", "100",
+        "--record-every", "20", "--seed", "5",
+    ],
+}

@@ -34,7 +34,7 @@ from kinex import (
 from kinex.master_eq import Exponential, LogScheme, PointMass
 from kinex.metrics import gini_population_bruteforce
 
-from conftest import make_grid
+from conftest import CRITERION_12_COMMANDS, make_grid
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UL = lambda lam: RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=lam)
@@ -258,28 +258,7 @@ def test_criterion_11_biased_baseline_contrast():
 def test_criterion_12_cli_determinism(tmp_path):
     from kinex.cli import main
 
-    cases = {
-        "simulate": [
-            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "64",
-            "--sweeps", "200", "--seed", "42", "--record-every", "20",
-        ],
-        "ensemble": [
-            "ensemble", "--rule", "unbiased-loser:lambda=uniform", "--n", "16",
-            "--sweeps", "40", "--record-every", "10", "--replicas", "4",
-            "--seed", "7",
-        ],
-        "integrate": [
-            "integrate", "--rule", "iglesias-almeida",
-            "--grid", "log:1e-3:200:96", "--init", "exp:1",
-            "--dt", "5", "--t-end", "40",
-        ],
-        "sweep": [
-            "sweep", "--param", "lambda", "--values", "0.1,0.5,1.0",
-            "--rule", "yardsale:lambda=0.5", "--n", "32", "--sweeps", "100",
-            "--record-every", "20", "--seed", "5",
-        ],
-    }
-    for name, args in cases.items():
+    for name, args in CRITERION_12_COMMANDS.items():
         outputs = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}_{attempt}.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 import kinex
 from kinex import Population, gini_population, write_snapshot
 from kinex.cli import emit_metadata, ExperimentConfig, main
+
+from conftest import CRITERION_12_COMMANDS
 
 
 def run_cli(*args):
@@ -296,6 +299,37 @@ class TestGiniCommand:
         code, stdout, _ = run_cli("gini", str(path))
         assert code == 0
         assert float(stdout.strip()) == pytest.approx(gini_population(pop), rel=1e-12)
+
+
+# sha256 of (CSV, .meta.json) for each criterion-12 command. A change that
+# moves one of these changes output bytes and must say so in CHANGES.md.
+GOLDEN_SHA256 = {
+    "simulate": (
+        "ccb29a0cf61524695bf7f22098d7280ef8ff98cb7fcd6b4d3033d52d6093dff9",
+        "828e7506522f94a0edf1476a9ea61698bb1cfdafa16c50c6940d44fe62799480",
+    ),
+    "ensemble": (
+        "a462615b397aedc29b4819b890bd1b7cddb74288dc12de2f0a22b61a8f2a4cb0",
+        "4531e2517b7b302844ab24a9968a1dfd79046693b258658cfc18a5b775636c33",
+    ),
+    "integrate": (
+        "4de8e69e8cea6eeb1e3e4051e65ee7f99e2838acf312655ea0c909eb0a47fe51",
+        "eb018562ed6b325c3d888a472e7d8b4db2186f17ea3c1e4f1ee38b859e99dd1e",
+    ),
+    "sweep": (
+        "5f8c788aa33cc874bb797ee677c209c0eefa529816c95c8a3745bee52c48ea84",
+        "bdd8df570a2f6490cc6beb8b44779a48a187ef5625d6417936d2c9d0f0b6412d",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output_hashes(command, tmp_path):
+    out = tmp_path / f"{command}.csv"
+    assert run_cli(*CRITERION_12_COMMANDS[command], "--out", str(out))[0] == 0
+    meta = tmp_path / f"{command}.csv.meta.json"
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, meta))
+    assert digests == GOLDEN_SHA256[command]
 
 
 class TestEntryPoint:

@@ -14,7 +14,8 @@ from kinex import (
     run_ensemble,
     step,
 )
-from kinex.engine import Initial, parse_initial
+from kinex.engine import Initial, _sweep, parse_initial
+from kinex.rules import harmonic_transfer
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UNBIASED = [
@@ -155,6 +156,14 @@ class TestAbsorbingStateInSimulation:
         )
         traj = run(cfg, initial_population=init)
         assert np.all(traj.final_population.wealth >= 0.0)
+
+    def test_iglesias_almeida_subnormal_product_matches_law(self):
+        # x*x is subnormal here; dividing it by 2x loses 7e-8 relative, so
+        # the sweep must divide factor by factor like the exact law does
+        x = 3.663685537297814e-159
+        gen = np.random.Generator(np.random.PCG64(3))
+        moved = _sweep([x, x], RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA), gen)
+        assert moved == float(harmonic_transfer(x, x))
 
     def test_classic_loser_violates_absorbing_state(self):
         init = Population([0.0] + [1.0] * 15)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from kinex.master_eq import (
     IntegrationAbort,
     LinearScheme,
     LogScheme,
+    TRUNCATION_TOL,
     PointMass,
     UniformBand,
     _split_points,
@@ -173,6 +175,18 @@ class TestBuildKernel:
         # biased baseline is exempt from the bias gate but not normalization
         assert report.passed
 
+    @pytest.mark.parametrize("rule", [YS(0.5), YS(UNIFORM_LAMBDA), UL(UNIFORM_LAMBDA), IA])
+    def test_net_gain_columns_cancel(self, rule):
+        # one column per ordered pair; gain and loss of the pair meet there
+        grid = small_grid()
+        n = grid.cells
+        kernel = build_kernel(rule, grid)
+        col_sums = np.asarray(kernel.gain.sum(axis=0)).ravel()
+        assert np.abs(col_sums).max() <= 1e-15
+        # pairs with a member at zero wealth move nothing and store nothing
+        stored = np.diff(kernel.gain.tocsc().indptr).reshape(n, n)
+        assert not stored[0, :].any() and not stored[:, 0].any()
+
     def test_random_lambda_mixture_valid(self):
         from kinex import UNIFORM_LAMBDA
 
@@ -183,14 +197,55 @@ class TestBuildKernel:
         assert report.passed
 
 
+def rhs_longdouble(kernel, m):
+    """Gain minus loss in long double, rebuilt from the kernel's per-entry
+    arrays (pair_a, pair_b, prob, d1_*) instead of ``gain``."""
+    m = m.astype(np.longdouble)
+    weight = kernel.prob.astype(np.longdouble) * m[kernel.pair_a] * m[kernel.pair_b]
+    w_lo = kernel.d1_w.astype(np.longdouble)
+    r = np.zeros(kernel.cells, dtype=np.longdouble)
+    np.add.at(r, kernel.d1_lo, weight * w_lo)
+    np.add.at(r, kernel.d1_hi, weight * (1.0 - w_lo))
+    return r - m * m.sum()
+
+
 class TestRhs:
     def test_absorbing_state_is_stationary(self):
-        grid = small_grid()
-        masses = np.zeros(grid.cells)
-        masses[0] = 1.0
-        grid = grid.with_masses(masses)
-        kernel = build_kernel(YS(0.5), grid)
-        assert np.all(rhs(grid, kernel) == 0.0)
+        # the grid size sets the order in which a column's entries are
+        # summed; the lambda-mixture weights must cancel in every order
+        grids = [small_grid()] + [
+            build_grid(LogScheme(1e-3, 100.0, cells), PointMass(1.0))
+            for cells in (19, 28, 46)
+        ]
+        for grid in grids:
+            masses = np.zeros(grid.cells)
+            masses[0] = 1.0
+            grid = grid.with_masses(masses)
+            for rule in [YS(0.5), YS(UNIFORM_LAMBDA), UL(UNIFORM_LAMBDA), IA]:
+                kernel = build_kernel(rule, grid)
+                assert np.all(rhs(grid, kernel) == 0.0), (grid.cells, rule)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [YS(0.3), UL(0.6), UL(UNIFORM_LAMBDA), IA, CL(0.5)],
+        ids=[
+            "yardsale", "unbiased-loser", "unbiased-loser-uniform",
+            "iglesias-almeida", "loser",
+        ],
+    )
+    def test_near_condensed_matches_longdouble_reference(self, rule):
+        # nearly all mass at zero wealth: the zero cell's self-pairs move
+        # nothing and must not leave a rounding residue of size m_0^2
+        gen = np.random.Generator(np.random.PCG64(5))
+        grid0 = build_grid(LogScheme(1e-3, 60.0, 70), Exponential(1.0))
+        kernel = build_kernel(rule, grid0)
+        for _ in range(4):
+            masses = np.zeros(grid0.cells)
+            masses[0] = 0.99
+            masses[1:] = 0.01 * gen.dirichlet(np.full(grid0.cells - 1, 0.5))
+            ref = rhs_longdouble(kernel, masses)
+            err = np.abs(rhs(grid0.with_masses(masses), kernel) - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max()
 
     def test_conservation(self):
         grid = build_grid(LogScheme(1e-3, 200.0, 80), Exponential(1.0))
@@ -464,6 +519,44 @@ class TestIntegrate:
         assert report.stopped_early
         assert report.gini_halvings == 0
         assert report.positivity_halvings > 0
+
+    def test_condensation_drift_stays_at_rounding_level(self):
+        # each pair's gain and loss cancel inside one column of the net
+        # operator, so dm/dt carries no m_0^2-sized rounding residue
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        kernel = build_kernel(YS(0.5), grid)
+        _, report = integrate(
+            grid, kernel, dt=50.0, t_end=1e5, stop_gini=0.995, stop_liquidity=0.005
+        )
+        assert report.stopped_early
+        assert np.abs(report.mass_drift).max() <= 1e-13
+        assert np.abs(report.mean_drift).max() <= 1e-13
+
+    def test_truncation_counted_quietly_when_negligible(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="kinex.master_eq")
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        kernel = build_kernel(YS(0.5), grid)
+        count = int(kernel.truncated_pairs.sum())
+        assert count > 0
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert any(str(count) in r.getMessage() for r in debug)
+        _, report = integrate(grid, kernel, dt=50.0, t_end=500.0)
+        assert 0.0 < report.truncated_wealth <= 0.5 * TRUNCATION_TOL * grid.mean
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_truncation_warns_once_near_tolerance(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="kinex.master_eq")
+        centers = sorted({0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 9.1, 12.0, 20.0, 30.0, 45.0})
+        masses = np.zeros(len(centers))
+        masses[centers.index(0.1)] = 0.9
+        masses[centers.index(9.1)] = 0.1
+        grid = make_grid(centers, masses)
+        kernel = build_kernel(CL(0.5), grid)
+        _, report = integrate(grid, kernel, dt=0.2, t_end=10.0)
+        assert report.truncated_wealth > 0.5 * TRUNCATION_TOL * grid.mean
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert "truncated wealth" in warnings[0].getMessage()
 
     def test_rejects_mismatched_kernel(self):
         g1 = build_grid(LogScheme(1e-3, 100.0, 64), PointMass(1.0))
