@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 
 from .core import (
     ContractViolation,
-    ExchangeOutcome,
     Population,
     RngStream,
     RuleKind,
     RuleSpec,
     UNIFORM_LAMBDA,
     WealthGrid,
-    apply_exchange,
     read_snapshot,
     validate_population,
     write_snapshot,
@@ -30,7 +28,6 @@ from .engine import (
     Trajectory,
     run,
     run_ensemble,
-    step,
 )
 from .master_eq import (
     DiscreteKernel,
@@ -63,20 +60,18 @@ from .rules import (
     expected_delta,
     format_rule,
     parse_rule,
-    sample_delta,
+    two_point_law,
 )
 
 __all__ = [
     "__version__",
     "ContractViolation",
-    "ExchangeOutcome",
     "Population",
     "RngStream",
     "RuleKind",
     "RuleSpec",
     "UNIFORM_LAMBDA",
     "WealthGrid",
-    "apply_exchange",
     "read_snapshot",
     "validate_population",
     "write_snapshot",
@@ -87,7 +82,6 @@ __all__ = [
     "Trajectory",
     "run",
     "run_ensemble",
-    "step",
     "DiscreteKernel",
     "IntegrationAbort",
     "IntegrationReport",
@@ -114,5 +108,5 @@ __all__ = [
     "expected_delta",
     "format_rule",
     "parse_rule",
-    "sample_delta",
+    "two_point_law",
 ]

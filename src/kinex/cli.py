@@ -121,6 +121,14 @@ def _cell(x) -> str:
     return format_float(float(x))
 
 
+def _is_config_flag(token: str) -> bool:
+    """True for every spelling argparse reads as --config: the flag or an
+    abbreviation of it (no other option starts with --c), alone or as
+    ``--flag=PATH``."""
+    name = token.partition("=")[0]
+    return len(name) > 2 and "--config".startswith(name)
+
+
 def _load_config_file(path: str) -> list[str]:
     """Flat key=value file -> synthetic flag list (prepended, so real flags win)."""
     flags: list[str] = []
@@ -134,6 +142,8 @@ def _load_config_file(path: str) -> list[str]:
                 if not sep:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 flag = "--" + key.strip().replace("_", "-")
+                if _is_config_flag(flag):
+                    raise ConfigError(f"{path}:{line_no}: cannot name a config file")
                 flags.extend([flag, value.strip()])
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -445,14 +455,20 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if not argv or argv[0].startswith("-"):
         return argv
     rest = argv[1:]
-    if "--config" not in rest:
+    found = [k for k, token in enumerate(rest) if _is_config_flag(token)]
+    if not found:
         return argv
-    idx = rest.index("--config")
-    if idx + 1 >= len(rest):
-        raise ConfigError("--config requires a path")
-    path = rest[idx + 1]
-    remaining = rest[:idx] + rest[idx + 2 :]
-    return [argv[0]] + _load_config_file(path) + remaining
+    if len(found) > 1:
+        raise ConfigError("--config given more than once")
+    idx = found[0]
+    _, sep, path = rest[idx].partition("=")
+    end = idx + 1
+    if not sep:
+        if end >= len(rest):
+            raise ConfigError("--config requires a path")
+        path = rest[end]
+        end += 1
+    return [argv[0]] + _load_config_file(path) + rest[:idx] + rest[end:]
 
 
 def main(argv: list[str] | None = None) -> int:

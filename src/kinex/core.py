@@ -9,17 +9,10 @@ non-negativity, fixed normalization, and a conserved first moment.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger("kinex.core")
-
-# Relative threshold below which a negative post-exchange wealth is treated
-# as floating-point cancellation and snapped to exactly 0.
-SNAP_TOL = 1e-15
 
 # Marker for a per-exchange resampled lambda (Uniform[0,1]).
 UNIFORM_LAMBDA = "uniform"
@@ -28,8 +21,7 @@ UNIFORM_LAMBDA = "uniform"
 class ContractViolation(RuntimeError):
     """An operation received values that a correct caller can never produce.
 
-    Raised e.g. when an exchange delta lies outside the admissible support;
-    this signals a buggy rule implementation and is never clamped silently.
+    It signals a bug, never a bad configuration, and the CLI exits 3 on it.
     """
 
 
@@ -77,23 +69,6 @@ class RuleSpec:
     def unbiased(self) -> bool:
         """True for the three rules with zero expected gain for both agents."""
         return self.kind is not RuleKind.CLASSIC_LOSER
-
-
-@dataclass(frozen=True)
-class ExchangeOutcome:
-    """One realized pairwise exchange: agent ``i`` gains ``delta``, ``j`` loses it.
-
-    ``coin`` is the sampled fair-coin / win-probability draw (0/1 for the
-    loser-rule epsilon, -1/+1 for the coin-flip eta); ``lambda_used`` is the
-    lambda value in effect for this exchange (1.0 recorded for the
-    parameter-free Iglesias-Almeida rule).
-    """
-
-    i: int
-    j: int
-    delta: float
-    coin: int
-    lambda_used: float
 
 
 class Population:
@@ -159,49 +134,14 @@ def validate_population(pop: Population, rel_tol: float = 1e-12) -> CheckReport:
     return report
 
 
-def apply_exchange(pop: Population, out: ExchangeOutcome) -> Population:
-    """Apply one exchange in place: ``w[i] += delta``, ``w[j] -= delta``.
-
-    The delta must lie in [-x_i, x_j] evaluated at pre-exchange wealths.
-    Values outside that support by more than SNAP_TOL * mean wealth raise
-    ContractViolation; sub-SNAP_TOL overshoot is cancellation noise and the
-    losing side is snapped to exactly 0 (the absorbing-state tests depend on
-    exact zeros). Returns ``pop`` for convenience.
-    """
-    w = pop.wealth
-    i, j, delta = out.i, out.j, out.delta
-    if i == j:
-        raise ContractViolation("exchange requires two distinct agents")
-    xi = w[i]
-    xj = w[j]
-    snap = SNAP_TOL * max(pop.mean, 1e-300)
-    if delta < -xi:
-        if -xi - delta > snap:
-            raise ContractViolation(
-                f"delta {delta!r} below -x_i = {-xi!r} (agents {i},{j})"
-            )
-        log.debug("snapping agent %d to exact 0 (delta overshoot %.3e)", i, -xi - delta)
-        delta = -xi
-    elif delta > xj:
-        if delta - xj > snap:
-            raise ContractViolation(
-                f"delta {delta!r} above x_j = {xj!r} (agents {i},{j})"
-            )
-        log.debug("snapping agent %d to exact 0 (delta overshoot %.3e)", j, delta - xj)
-        delta = xj
-    w[i] = xi + delta
-    w[j] = xj - delta
-    return pop
-
-
 class RngStream:
     """Deterministic random stream: PCG64 keyed by (seed, stream id).
 
-    Identical (seed, stream) pairs reproduce bitwise-identical sample
-    sequences; distinct stream ids are statistically independent (numpy
-    SeedSequence spawn keys). The generator family is fixed repo-wide so
-    that every stochastic path in the artifact shares one reproducibility
-    contract.
+    Samples are drawn from the numpy Generator ``gen``. Identical
+    (seed, stream) pairs reproduce bitwise-identical sample sequences;
+    distinct stream ids are statistically independent (numpy SeedSequence
+    spawn keys). The generator family is fixed repo-wide so that every
+    stochastic path in the artifact shares one reproducibility contract.
     """
 
     __slots__ = ("seed", "stream", "gen")
@@ -211,13 +151,6 @@ class RngStream:
         self.stream = int(stream)
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
-
-    def uniform(self) -> float:
-        return float(self.gen.random())
-
-    def integer(self, n: int) -> int:
-        """One draw uniform on {0, ..., n-1}."""
-        return int(self.gen.integers(0, n))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ExchangeOutcome, Population, RngStream, RuleKind, RuleSpec
+from .core import Population, RngStream, RuleKind, RuleSpec
 from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
-from .rules import exchange_outcome
 
 __all__ = [
     "Initial",
@@ -33,7 +32,6 @@ __all__ = [
     "StopReason",
     "Trajectory",
     "EnsembleSummary",
-    "step",
     "run",
     "run_ensemble",
     "parse_initial",
@@ -127,24 +125,6 @@ class EnsembleSummary:
     replicas: int
 
 
-def step(pop: Population, rule: RuleSpec, rng: RngStream) -> ExchangeOutcome:
-    """One exchange between a uniformly drawn ordered pair; applied in place.
-
-    Draw order on the stream: i, then j (uniform over the other N-1 agents),
-    then the rule's own draws (lambda if random, then coin).
-    """
-    n = pop.size
-    i = rng.integer(n)
-    j = rng.integer(n - 1)
-    if j >= i:
-        j += 1
-    out = exchange_outcome(rule, pop.wealth, i, j, rng)
-    w = pop.wealth
-    w[i] += out.delta
-    w[j] -= out.delta
-    return out
-
-
 def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     if config.initial.kind == "equal":
         return np.ones(config.n)
@@ -162,7 +142,12 @@ def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
 
 
 def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
-    """Run N/2 exchanges in place; returns sum of |delta| over the sweep."""
+    """Run N/2 exchanges in place; returns sum of |delta| over the sweep.
+
+    Each rule's branch restates ``rules.two_point_law`` for one exchange:
+    a per-exchange call to the vectorised law would dominate this loop. A
+    test pins every branch, and the draw layout, to the law.
+    """
     n = len(w)
     s = n // 2
     ii = gen.integers(0, n, size=s).tolist()

@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .core import RuleKind, RuleSpec, WealthGrid
-from .rules import harmonic_transfer
+from .metrics import _weighted_gini
+from .rules import two_point_law
 
 log = logging.getLogger("kinex.master_eq")
 
@@ -295,101 +296,53 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
 
 
 class DiscreteKernel:
-    """Discretized transfer kernel on a wealth grid.
-
-    Stores, per ordered cell pair (a, b) and delta atom: the atom's value
-    and probability and the two-point split of the tagged agent's
-    post-wealth. Derived arrays feed the integrator:
+    """Discretized transfer kernel on a wealth grid: what the integrator reads.
 
     - ``gain`` is the net gain operator N = G - L (sparse, cells x cells^2).
       G sends the outer product of masses to the cells where the tagged
-      agent lands; L[a, (a, b)] = 1 removes it from its source cell, so
+      agent lands: each delta atom of pair (a, b) splits the agent's
+      post-wealth between the two grid points bracketing it.
+      L[a, (a, b)] = 1 removes the agent from its source cell, so
       ``gain @ vec(m m^T)`` is dm/dt. A pair's column sums to zero to
       rounding; for a pair that transfers nothing the tagged agent's
       entries cancel the -1 exactly and the column stores nothing.
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
       integrand.
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
-      and time.
+      and time; ``truncated_pairs`` marks the pairs where it is positive.
 
-    The partner's post-wealth needs no encoding of its own: the outcome of
-    the partner in pair (a, b) is the tagged outcome of pair (b, a), which
-    the ordered double sum already covers. ``joint_entries`` recomputes it
-    for one pair on demand.
+    The per-atom arrays the build works from are not kept. The partner's
+    post-wealth needs no encoding of its own: the outcome of the partner in
+    pair (a, b) is the tagged outcome of pair (b, a), which the ordered
+    double sum already covers. ``joint_entries`` recomputes both for one
+    pair on demand.
     """
 
-    def __init__(self, rule: RuleSpec, grid: WealthGrid, entries: dict):
+    def __init__(
+        self, rule: RuleSpec, centers: np.ndarray, gain, abs_delta, trunc_coef
+    ):
         self.rule = rule
-        self.centers = grid.centers.copy()
-        self.pair_a = entries["pair_a"]
-        self.pair_b = entries["pair_b"]
-        self.prob = entries["prob"]
-        self.delta = entries["delta"]
-        self.d1_lo = entries["d1_lo"]
-        self.d1_hi = entries["d1_hi"]
-        self.d1_w = entries["d1_w"]
-
-        n = self.centers.size
-        self.cells = n
-        c = self.centers
-
-        # Represented gain of the tagged agent (equals the atom delta except
-        # where the post-wealth was truncated at the top cell).
-        over1 = entries["over1"]
-        self.repr_delta = np.where(over1 > 0.0, c[-1] - c[self.pair_a], self.delta)
-
-        # COO triplets of G (both split points of each atom) and -L (one per
-        # pair); the CSR conversion sums them and zeros are dropped after.
-        # 32-bit indices are what scipy keeps for this shape (cells^2 stays
-        # below 2^31 on any grid whose per-pair arrays fit in memory), so it
-        # needs no converted copy, and the temporaries are dropped as soon
-        # as they are used: both keep the build's peak memory down.
-        pair_q = self.pair_a * n + self.pair_b
-        rows = np.concatenate(
-            [self.d1_lo, self.d1_hi, np.repeat(np.arange(n), n)], dtype=np.int32
-        )
-        cols = np.concatenate([pair_q, pair_q, np.arange(n * n)], dtype=np.int32)
-        del pair_q
-        vals = np.concatenate(
-            [self.prob * self.d1_w, self.prob * (1.0 - self.d1_w), np.full(n * n, -1.0)]
-        )
-        self.gain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n * n))
-        del rows, cols, vals
-        self.gain.eliminate_zeros()
-
-        self.abs_delta = np.zeros((n, n))
-        np.add.at(
-            self.abs_delta,
-            (self.pair_a, self.pair_b),
-            self.prob * np.abs(self.repr_delta),
-        )
-
-        # Wealth lost by the evolved density per unit (pair-mass * time).
-        # Only the tagged agent's overshoot counts: the gain operator uses
-        # agent-1 destinations alone (agent-2 outcomes of pair (a, b) are
-        # agent-1 outcomes of pair (b, a), which the ordered double sum
-        # already covers).
-        self.trunc_coef = np.zeros((n, n))
-        trunc = self.prob * over1
-        if np.any(trunc > 0.0):
-            np.add.at(self.trunc_coef, (self.pair_a, self.pair_b), trunc)
-        self.truncated_pairs = self.trunc_coef > 0.0
-        self.has_truncation = bool(np.any(trunc > 0.0))
-        if self.has_truncation:
-            log.debug(
-                "kernel truncates wealth at the top cell for %d of %d pairs",
-                int(self.truncated_pairs.sum()),
-                n * n,
-            )
+        self.centers = centers
+        self.cells = centers.size
+        self.gain = gain
+        self.abs_delta = abs_delta
+        self.trunc_coef = trunc_coef
+        self.truncated_pairs = trunc_coef > 0.0
+        self.has_truncation = bool(self.truncated_pairs.any())
 
     def joint_entries(self, a: int, b: int) -> list[tuple[tuple[int, int], float]]:
         """Destination-pair probabilities for ordered source pair (a, b)."""
-        e = np.nonzero((self.pair_a == a) & (self.pair_b == b))[0]
         c = self.centers
-        split1 = zip(self.d1_lo[e], self.d1_hi[e], self.d1_w[e])
-        split2 = zip(*_split_points(c, c[b] - self.delta[e])[:3])
+        delta, prob = (
+            np.concatenate(column)
+            for column in zip(*_rule_atoms(self.rule, c[[a]], c[[b]]))
+        )
+        keep = prob != 0.0
+        delta, prob = delta[keep], prob[keep]
+        split1 = zip(*_split_points(c, c[a] + delta)[:3])
+        split2 = zip(*_split_points(c, c[b] - delta)[:3])
         out: dict[tuple[int, int], float] = {}
-        for p, s1, s2 in zip(self.prob[e], split1, split2):
+        for p, s1, s2 in zip(prob, split1, split2):
             for m1, w1 in _destinations(*s1):
                 for m2, w2 in _destinations(*s2):
                     pv = p * w1 * w2
@@ -406,27 +359,13 @@ def _destinations(lo, hi, w_lo) -> list[tuple[int, float]]:
 
 
 def _rule_atoms(rule: RuleSpec, ca: np.ndarray, cb: np.ndarray):
-    """Delta atoms for all ordered pairs: list of (delta, prob) array pairs."""
+    """Delta atoms for all ordered pairs: list of (delta, prob) array pairs,
+    the rule's ``two_point_law`` at every node of its lambda mixture."""
     atoms = []
     for lam, wnode in _lambda_mixture(rule):
-        kind = rule.kind
-        if kind is RuleKind.YARD_SALE:
-            d = lam * np.minimum(ca, cb)
-            atoms.append((d, np.full_like(d, 0.5 * wnode)))
-            atoms.append((-d + 0.0, np.full_like(d, 0.5 * wnode)))
-        elif kind is RuleKind.CLASSIC_LOSER:
-            atoms.append((lam * cb, np.full_like(ca, 0.5 * wnode)))
-            atoms.append((-(lam * ca) + 0.0, np.full_like(ca, 0.5 * wnode)))
-        elif kind is RuleKind.UNBIASED_LOSER:
-            s = ca + cb
-            safe = np.where(s > 0.0, s, 1.0)
-            p_win = np.where(s > 0.0, ca / safe, 0.0)
-            atoms.append((lam * cb, p_win * wnode))
-            atoms.append((-(lam * ca) + 0.0, (1.0 - p_win) * wnode))
-        else:  # Iglesias-Almeida: lambda mixture collapses to one node
-            d = harmonic_transfer(ca, cb)
-            atoms.append((d, np.full_like(d, 0.5 * wnode)))
-            atoms.append((-d + 0.0, np.full_like(d, 0.5 * wnode)))
+        d_plus, p_plus, d_minus = two_point_law(rule, ca, cb, lam)
+        atoms.append((d_plus, p_plus * wnode))
+        atoms.append((d_minus, (1.0 - p_plus) * wnode))
     return atoms
 
 
@@ -441,23 +380,56 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     loss is tracked by the integrator and flags the run non-conservative
     beyond 1e-8 relative.
     """
-    c = grid.centers
+    c = grid.centers.copy()
+    n = c.size
     pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
-    d1_lo, d1_hi, d1_w, over1 = _split_points(c, c[pair_a] + delta)
-    return DiscreteKernel(
-        rule,
-        grid,
-        {
-            "pair_a": pair_a,
-            "pair_b": pair_b,
-            "prob": prob,
-            "delta": delta,
-            "d1_lo": d1_lo,
-            "d1_hi": d1_hi,
-            "d1_w": d1_w,
-            "over1": over1,
-        },
-    )
+    lo, hi, w_lo, over = _split_points(c, c[pair_a] + delta)
+
+    # Represented gain of the tagged agent (equals the atom delta except
+    # where the post-wealth was truncated at the top cell).
+    repr_delta = np.where(over > 0.0, c[-1] - c[pair_a], delta)
+    del delta
+    abs_delta = np.zeros((n, n))
+    np.add.at(abs_delta, (pair_a, pair_b), prob * np.abs(repr_delta))
+    del repr_delta
+
+    # Wealth lost by the evolved density per unit (pair-mass * time).
+    # Only the tagged agent's overshoot counts: the gain operator uses
+    # agent-1 destinations alone (agent-2 outcomes of pair (a, b) are
+    # agent-1 outcomes of pair (b, a), which the ordered double sum
+    # already covers).
+    trunc_coef = np.zeros((n, n))
+    trunc = prob * over
+    if np.any(trunc > 0.0):
+        np.add.at(trunc_coef, (pair_a, pair_b), trunc)
+    del trunc, over
+
+    # COO triplets of G (both split points of each atom) and -L (one per
+    # pair); the CSR conversion sums them and zeros are dropped after.
+    # 32-bit indices are what scipy keeps for this shape (cells^2 stays
+    # below 2^31 on any grid whose per-pair arrays fit in memory), so it
+    # needs no converted copy, and every per-atom array is dropped as soon
+    # as it is used: both keep the build's peak memory down.
+    pair_q = pair_a * n + pair_b
+    del pair_a, pair_b
+    rows = np.concatenate([lo, hi, np.repeat(np.arange(n), n)], dtype=np.int32)
+    del lo, hi
+    cols = np.concatenate([pair_q, pair_q, np.arange(n * n)], dtype=np.int32)
+    del pair_q
+    vals = np.concatenate([prob * w_lo, prob * (1.0 - w_lo), np.full(n * n, -1.0)])
+    del prob, w_lo
+    gain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n * n))
+    del rows, cols, vals
+    gain.eliminate_zeros()
+
+    kernel = DiscreteKernel(rule, c, gain, abs_delta, trunc_coef)
+    if kernel.has_truncation:
+        log.debug(
+            "kernel truncates wealth at the top cell for %d of %d pairs",
+            int(kernel.truncated_pairs.sum()),
+            n * n,
+        )
+    return kernel
 
 
 def _pair_atoms(rule: RuleSpec, c: np.ndarray) -> list[np.ndarray]:
@@ -475,7 +447,7 @@ def _pair_atoms(rule: RuleSpec, c: np.ndarray) -> list[np.ndarray]:
 
 @dataclass
 class KernelCheckReport:
-    """Exhaustive per-pair normalization and bias audit of a kernel."""
+    """Exhaustive per-pair normalization and bias audit of a kernel's N."""
 
     max_norm_error: float
     max_bias: float
@@ -491,25 +463,22 @@ class KernelCheckReport:
 
 
 def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
-    """Sum every pair's probabilities and represented first moment.
+    """Audit the net gain operator N that the integrator uses, pair by pair.
 
-    Passes iff all pair rows are normalized within 1e-12 and, for unbiased
-    rules, the represented expected gain is within 1e-10 * (x_k + x_k') of
-    zero on every pair whose post-wealths fit the grid. Pairs truncated at
-    the top cell are necessarily biased; they are excluded from the pass
-    gate, counted in the report, and their wealth loss is tracked by the
-    integrator. The classic loser rule reports its bias but is exempt from
-    the bias gate.
+    Column (a, b) of N holds the pair's atoms split onto the grid minus one
+    unit at c_a, so its sum 1^T N is the pair's normalization error and its
+    first moment c^T N is the represented expected gain (the bias). Passes
+    iff every pair is normalized within 1e-12 and, for unbiased rules, the
+    bias is within 1e-10 * (x_k + x_k') of zero on every pair whose
+    post-wealths fit the grid. Pairs truncated at the top cell are
+    necessarily biased; they are excluded from the pass gate, counted in the
+    report, and their wealth loss is tracked by the integrator. The classic
+    loser rule reports its bias but is exempt from the bias gate.
     """
     n = kernel.cells
     c = kernel.centers
-    norm = np.zeros((n, n))
-    np.add.at(norm, (kernel.pair_a, kernel.pair_b), kernel.prob)
-    bias = np.zeros((n, n))
-    np.add.at(
-        bias, (kernel.pair_a, kernel.pair_b), kernel.prob * kernel.repr_delta
-    )
-    norm_error = np.abs(norm - 1.0)
+    norm_error = np.abs(np.ones(n) @ kernel.gain).reshape(n, n)
+    bias = (c @ kernel.gain).reshape(n, n)
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
     passed = bool(norm_error.max() <= KernelCheckReport.NORM_TOL)
@@ -544,17 +513,6 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
 
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
     return kernel.gain @ np.multiply.outer(m, m).ravel()
-
-
-def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
-    """Gini of masses at sorted points; normalized by the current mean."""
-    mean = float(np.dot(m, c))
-    if mean <= 0.0:  # all mass at zero wealth: no pairwise differences
-        return 0.0
-    cum_m = np.concatenate(([0.0], np.cumsum(m)))[:-1]
-    cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))[:-1]
-    pair_sum = 2.0 * float(np.dot(m, c * cum_m - cum_mc))
-    return pair_sum / (2.0 * mean)
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:

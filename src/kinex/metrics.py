@@ -71,12 +71,21 @@ def gini_grid(grid: WealthGrid) -> float:
     double integral becomes the same double sum over representative points.
     """
     _require_normalized(grid)
-    mean = grid.mean
-    if mean <= 0.0:
+    if grid.mean <= 0.0:
         raise ValueError("degenerate: zero mean wealth")
-    m = grid.masses
-    c = grid.centers
-    # Centers are sorted, so sum_{k,k'} m m' |c - c'| folds into prefix sums.
+    return _weighted_gini(grid.masses, grid.centers)
+
+
+def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
+    """Gini of masses ``m`` at sorted points ``c``, normalized by their mean.
+
+    The unchecked core of ``gini_grid``, which the integrator calls on every
+    candidate state; all mass at zero wealth has Gini 0.
+    """
+    mean = float(np.dot(m, c))
+    if mean <= 0.0:
+        return 0.0
+    # Points are sorted, so sum_{k,k'} m m' |c - c'| folds into prefix sums.
     cum_m = np.concatenate(([0.0], np.cumsum(m)))[:-1]
     cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))[:-1]
     pair_sum = 2.0 * float(np.dot(m, c * cum_m - cum_mc))

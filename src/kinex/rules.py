@@ -8,8 +8,12 @@ degenerate one-point) law for agent i's gain:
     unbiased loser     +lam*x_j w.p. x_i/(x_i+x_j),    -lam*x_i w.p. x_j/(x_i+x_j)
     iglesias-almeida   +x_i*x_j/(x_i+x_j) w.p. 1/2,    -x_i*x_j/(x_i+x_j) w.p. 1/2
 
-Exposing the exact laws (not just samplers) lets kernel builders and metrics
-use closed forms, and makes unbiasedness checkable to rounding error.
+``two_point_law`` is the one encoding of this table. The exact distribution
+(``delta_distribution``), the closed-form moments and the master equation's
+kernel atoms are all derived from it. The Monte Carlo sweep loop
+(``engine._sweep``) restates it per exchange for speed, and a test pins the
+two together. Exposing the exact laws lets kernel builders and metrics use
+closed forms, and makes unbiasedness checkable to rounding error.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIFORM_LAMBDA, ExchangeOutcome, RngStream, RuleKind, RuleSpec
+from .core import UNIFORM_LAMBDA, RuleKind, RuleSpec
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,6 @@ class DeltaDistribution:
 
     def mean_abs(self) -> float:
         return sum(abs(d) * p for d, p in self.atoms)
-
-
-_DEGENERATE = DeltaDistribution(atoms=((0.0, 1.0),))
 
 
 def harmonic_transfer(x_i, x_j):
@@ -80,22 +81,39 @@ def _resolve_lambda(rule: RuleSpec, lam: float | None) -> float:
     return lam
 
 
+def two_point_law(rule: RuleSpec, x_i, x_j, lam: float | None = None):
+    """Agent i's gain for one exchange as (d_plus, p_plus, d_minus) arrays.
+
+    Agent i gains d_plus >= 0 with probability p_plus and d_minus <= 0
+    otherwise (the table in the module docstring). Accepts scalars or numpy
+    arrays and broadcasts them. ``lam`` overrides the rule's fixed lambda
+    and is required when the rule carries the random-lambda marker. Two
+    zero-wealth agents (0/0 win probability in the unbiased loser rule)
+    exchange nothing: both atoms are 0.
+    """
+    xi = np.asarray(x_i, dtype=np.float64)
+    xj = np.asarray(x_j, dtype=np.float64)
+    lam = _resolve_lambda(rule, lam)
+    kind = rule.kind
+    p_plus = np.full(np.broadcast(xi, xj).shape, 0.5)
+    if kind is RuleKind.YARD_SALE:
+        d = lam * np.minimum(xi, xj)
+        d_plus, d_minus = d, -d + 0.0
+    elif kind is RuleKind.CLASSIC_LOSER:
+        d_plus, d_minus = lam * xj, -(lam * xi) + 0.0
+    elif kind is RuleKind.UNBIASED_LOSER:
+        s = xi + xj
+        p_plus = np.where(s > 0.0, xi / np.where(s > 0.0, s, 1.0), 0.0)
+        d_plus, d_minus = lam * xj, -(lam * xi) + 0.0
+    else:  # Iglesias-Almeida
+        d = harmonic_transfer(xi, xj)
+        d_plus, d_minus = d, -d + 0.0
+    return tuple(np.broadcast_arrays(d_plus, p_plus, d_minus))
+
+
 def _check_wealths(x_i: float, x_j: float) -> None:
     if x_i < 0.0 or x_j < 0.0:
         raise ValueError(f"wealths must be non-negative, got ({x_i}, {x_j})")
-
-
-def _two_point(d_plus: float, p_plus: float, d_minus: float) -> DeltaDistribution:
-    # Canonicalize: drop zero-probability atoms, merge equal deltas.
-    d_plus += 0.0
-    d_minus += 0.0
-    if d_plus == d_minus:
-        return DeltaDistribution(atoms=((d_plus, 1.0),))
-    if p_plus == 0.0:
-        return DeltaDistribution(atoms=((d_minus, 1.0),))
-    if p_plus == 1.0:
-        return DeltaDistribution(atoms=((d_plus, 1.0),))
-    return DeltaDistribution(atoms=((d_plus, p_plus), (d_minus, 1.0 - p_plus)))
 
 
 def delta_distribution(
@@ -103,99 +121,41 @@ def delta_distribution(
 ) -> DeltaDistribution:
     """Exact conditional law of agent i's gain for one exchange.
 
-    ``lam`` overrides the rule's fixed lambda and is required when the rule
-    carries the random-lambda marker. Two zero-wealth agents (0/0 win
-    probability in the unbiased loser rule) exchange nothing by definition.
+    The atoms of ``two_point_law``, canonicalized: zero-probability atoms
+    are dropped and equal deltas merged.
     """
     _check_wealths(x_i, x_j)
-    lam = _resolve_lambda(rule, lam)
-    kind = rule.kind
-    if kind is RuleKind.YARD_SALE:
-        d = lam * min(x_i, x_j)
-        return _two_point(d, 0.5, -d)
-    if kind is RuleKind.CLASSIC_LOSER:
-        return _two_point(lam * x_j, 0.5, -(lam * x_i))
-    if kind is RuleKind.UNBIASED_LOSER:
-        s = x_i + x_j
-        if s == 0.0:
-            return _DEGENERATE
-        return _two_point(lam * x_j, x_i / s, -(lam * x_i))
-    # Iglesias-Almeida
-    d = float(harmonic_transfer(x_i, x_j))
-    return _two_point(d, 0.5, -d)
-
-
-def sample_delta(
-    rule: RuleSpec, x_i: float, x_j: float, rng: RngStream
-) -> tuple[float, int, float]:
-    """Draw one exchange: returns (delta, coin, lambda_used).
-
-    Draw order on the stream is fixed: lambda first (only when the rule is
-    random-lambda), then the coin. The coin is the epsilon in {0,1} for the
-    loser rules and the eta in {-1,+1} for the coin-flip rules.
-    """
-    _check_wealths(x_i, x_j)
-    if rule.random_lambda:
-        lam = rng.uniform()
-    else:
-        lam = _resolve_lambda(rule, None)
-    kind = rule.kind
-    if kind is RuleKind.YARD_SALE:
-        eta = 1 if rng.integer(2) else -1
-        return eta * lam * min(x_i, x_j) + 0.0, eta, lam
-    if kind is RuleKind.CLASSIC_LOSER:
-        eps = rng.integer(2)
-        delta = lam * x_j if eps else -(lam * x_i)
-        return delta + 0.0, eps, lam
-    if kind is RuleKind.UNBIASED_LOSER:
-        s = x_i + x_j
-        p_win = x_i / s if s > 0.0 else 0.0
-        eps = 1 if rng.uniform() < p_win else 0
-        delta = lam * x_j if eps else -(lam * x_i)
-        return delta + 0.0, eps, lam
-    d = float(harmonic_transfer(x_i, x_j))
-    eta = 1 if rng.integer(2) else -1
-    return eta * d + 0.0, eta, 1.0
-
-
-def exchange_outcome(
-    rule: RuleSpec, pop_wealth, i: int, j: int, rng: RngStream
-) -> ExchangeOutcome:
-    """Sample a full ExchangeOutcome for agents (i, j) of a wealth vector."""
-    delta, coin, lam = sample_delta(rule, float(pop_wealth[i]), float(pop_wealth[j]), rng)
-    return ExchangeOutcome(i=i, j=j, delta=delta, coin=coin, lambda_used=lam)
+    law = two_point_law(rule, x_i, x_j, lam)
+    d_plus, p_plus, d_minus = (float(v) + 0.0 for v in law)
+    if d_plus == d_minus or p_plus == 1.0:
+        return DeltaDistribution(atoms=((d_plus, 1.0),))
+    if p_plus == 0.0:
+        return DeltaDistribution(atoms=((d_minus, 1.0),))
+    return DeltaDistribution(atoms=((d_plus, p_plus), (d_minus, 1.0 - p_plus)))
 
 
 def expected_delta(rule: RuleSpec, x_i, x_j, lam: float | None = None):
-    """E[delta]: lam*(x_j - x_i)/2 for the classic loser rule, 0 otherwise.
-
-    Accepts scalars or numpy arrays (broadcast).
+    """E[delta] of ``two_point_law``: lam*(x_j - x_i)/2 for the classic loser
+    rule, exactly 0 for the unbiased rules; accepts scalars or numpy arrays.
     """
-    if rule.kind is RuleKind.CLASSIC_LOSER:
-        lam = _resolve_lambda(rule, lam)
-        return lam * (np.asarray(x_j) - np.asarray(x_i)) / 2.0
-    _resolve_lambda(rule, lam)
-    return np.zeros(np.broadcast(np.asarray(x_i), np.asarray(x_j)).shape)[()]
+    d_plus, p_plus, d_minus = two_point_law(rule, x_i, x_j, lam)
+    if rule.unbiased:
+        return np.zeros(p_plus.shape)[()]
+    return (p_plus * d_plus + (1.0 - p_plus) * d_minus)[()]
 
 
 def expected_abs_delta(rule: RuleSpec, x_i, x_j, lam: float | None = None):
-    """E[|delta|] in closed form; accepts scalars or numpy arrays (broadcast).
+    """E[|delta|] of ``two_point_law``; accepts scalars or numpy arrays.
 
     classic loser: lam*(x_i+x_j)/2; yard sale: lam*min; unbiased loser:
     2*lam*x_i*x_j/(x_i+x_j); iglesias-almeida: x_i*x_j/(x_i+x_j).
     """
-    xi = np.asarray(x_i, dtype=np.float64)
-    xj = np.asarray(x_j, dtype=np.float64)
-    lam = _resolve_lambda(rule, lam)
-    kind = rule.kind
-    if kind is RuleKind.CLASSIC_LOSER:
-        return (lam * (xi + xj) / 2.0)[()]
-    if kind is RuleKind.YARD_SALE:
-        return (lam * np.minimum(xi, xj))[()]
-    harm = harmonic_transfer(xi, xj)
-    if kind is RuleKind.UNBIASED_LOSER:
-        return (2.0 * lam * harm)[()]
-    return harm[()]
+    d_plus, p_plus, d_minus = two_point_law(rule, x_i, x_j, lam)
+    if rule.unbiased:
+        # Both atoms carry the same |delta| mass; the winner's term alone
+        # avoids the cancellation in 1 - p_plus at extreme wealth ratios.
+        return (2.0 * p_plus * d_plus)[()]
+    return (p_plus * d_plus - (1.0 - p_plus) * d_minus)[()]
 
 
 def metrics_lambda(rule: RuleSpec) -> float | None:

@@ -138,6 +138,45 @@ class TestConfigFile:
         assert len(out.read_text().splitlines()) == 3
 
 
+    @pytest.mark.parametrize(
+        "spelling", ["--config", "--config=", "--conf", "--conf=", "--c", "--c="]
+    )
+    def test_every_spelling_reads_the_file(self, tmp_path, spelling):
+        # argparse accepts each of these for --config; none may skip the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rule=yardsale:lambda=0.5\nn=16\nsweeps=20\nseed=3\n")
+        out = tmp_path / "a.csv"
+        if spelling.endswith("="):
+            flag = [spelling + str(cfg)]
+        else:
+            flag = [spelling, str(cfg)]
+        code, _, err = run_cli("simulate", *flag, "--out", str(out))
+        assert code == 0, err
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert meta["parameters"]["seed"] == 3
+        assert meta["parameters"]["n"] == 16
+
+    @pytest.mark.parametrize(
+        "flags, file_text",
+        [
+            (["--config", "{cfg}", "--conf={cfg}"], "seed=3\n"),
+            (["--config"], "seed=3\n"),
+            (["--config", "{cfg}"], "config=other.cfg\n"),
+        ],
+        ids=["given-twice", "no-path", "nested"],
+    )
+    def test_config_that_cannot_be_read_exits_2(self, tmp_path, flags, file_text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        code, _, err = run_cli(
+            "simulate", "--rule", "iglesias-almeida", "--n", "8", "--sweeps", "5",
+            "--out", str(tmp_path / "a.csv"),
+            *[f.format(cfg=cfg) for f in flags],
+        )
+        assert code == 2
+        assert "config" in err
+
+
 class TestEnsembleCommand:
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "ens.csv"

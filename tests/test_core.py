@@ -6,56 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinex import (
-    ContractViolation,
-    ExchangeOutcome,
     Population,
     RngStream,
     RuleKind,
     RuleSpec,
-    apply_exchange,
+    SimConfig,
     read_snapshot,
+    run,
     validate_population,
     write_snapshot,
 )
-from kinex.rules import exchange_outcome
+from kinex.engine import _sweep
 
-
-def out(i, j, delta):
-    return ExchangeOutcome(i=i, j=j, delta=delta, coin=1, lambda_used=0.5)
-
-
-class TestApplyExchange:
-    def test_moves_delta(self):
-        pop = Population([2.0, 4.0])
-        apply_exchange(pop, out(0, 1, 1.0))
-        assert pop.wealth.tolist() == [3.0, 3.0]
-        assert pop.total == 6.0
-
-    def test_identity(self):
-        pop = Population([2.0, 4.0])
-        apply_exchange(pop, out(0, 1, 0.0))
-        assert pop.wealth.tolist() == [2.0, 4.0]
-
-    def test_rejects_delta_outside_support(self):
-        pop = Population([0.0, 5.0])
-        with pytest.raises(ContractViolation):
-            apply_exchange(pop, out(0, 1, -0.1))
-
-    def test_rejects_overdraw_from_j(self):
-        pop = Population([1.0, 2.0])
-        with pytest.raises(ContractViolation):
-            apply_exchange(pop, out(0, 1, 2.5))
-
-    def test_snaps_cancellation_noise_to_exact_zero(self):
-        pop = Population([1.0, 1.0])
-        apply_exchange(pop, out(0, 1, -1.0 - 1e-16))
-        assert pop.wealth[0] == 0.0
-        assert pop.wealth[0] + pop.wealth[1] == 2.0
-
-    def test_other_entries_untouched(self):
-        pop = Population([1.0, 2.0, 3.0])
-        apply_exchange(pop, out(0, 2, 0.5))
-        assert pop.wealth[1] == 2.0
+ALL_RULES = [
+    RuleSpec(kind=RuleKind.YARD_SALE, lam=0.7),
+    RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.7),
+    RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.7),
+    RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA),
+]
 
 
 class TestValidatePopulation:
@@ -92,54 +60,45 @@ class TestValidatePopulation:
 def test_conservation_under_random_exchanges(wealths, seed):
     if math.fsum(wealths) <= 0:
         wealths = [w + 1.0 for w in wealths]
-    pop = Population(wealths)
-    total0 = pop.total
-    rng = RngStream(seed)
-    rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=0.7)
-    n = pop.size
-    for _ in range(200):
-        i = rng.integer(n)
-        j = rng.integer(n - 1)
-        if j >= i:
-            j += 1
-        apply_exchange(pop, exchange_outcome(rule, pop.wealth, i, j, rng))
-    assert math.fsum(pop.wealth) == pytest.approx(total0, rel=1e-12)
-    assert validate_population(pop).ok
-    assert np.all(pop.wealth >= 0.0)
+    n = len(wealths)
+    total0 = math.fsum(wealths)
+    sweeps = 400 // n + 1  # at least 200 exchanges
+    for rule in ALL_RULES:
+        cfg = SimConfig(
+            n=n, rule=rule, max_sweeps=sweeps, record_every=sweeps, seed=seed
+        )
+        pop = run(cfg, initial_population=Population(wealths)).final_population
+        assert math.fsum(pop.wealth) == pytest.approx(total0, rel=1e-12)
+        assert validate_population(pop).ok
+        assert np.all(pop.wealth >= 0.0)
 
 
 class TestRngStream:
     def test_identical_seed_and_stream_replays_bitwise(self):
-        a = RngStream(1234, 7)
-        b = RngStream(1234, 7)
-        assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
-        assert [a.integer(10) for _ in range(100)] == [
-            b.integer(10) for _ in range(100)
-        ]
+        a = RngStream(1234, 7).gen
+        b = RngStream(1234, 7).gen
+        assert np.array_equal(a.random(100), b.random(100))
+        assert np.array_equal(a.integers(0, 10, size=100), b.integers(0, 10, size=100))
 
     def test_distinct_streams_differ(self):
-        a = RngStream(1234, 0)
-        b = RngStream(1234, 1)
-        assert [a.uniform() for _ in range(16)] != [b.uniform() for _ in range(16)]
+        a = RngStream(1234, 0).gen
+        b = RngStream(1234, 1).gen
+        assert not np.array_equal(a.random(16), b.random(16))
 
     def test_replay_reproduces_populations_at_every_step(self):
         rule = RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.3)
 
         def trace(seed, stream):
-            pop = Population([1.0, 2.0, 3.0, 4.0])
-            rng = RngStream(seed, stream)
+            w = [1.0, 2.0, 3.0, 4.0]
+            gen = RngStream(seed, stream).gen
             states = []
             for _ in range(50):
-                i = rng.integer(4)
-                j = rng.integer(3)
-                if j >= i:
-                    j += 1
-                apply_exchange(pop, exchange_outcome(rule, pop.wealth, i, j, rng))
-                states.append(pop.wealth.copy())
+                _sweep(w, rule, gen)
+                states.append(list(w))
             return states
 
-        for s1, s2 in zip(trace(99, 3), trace(99, 3)):
-            assert np.array_equal(s1, s2)
+        assert trace(99, 3) == trace(99, 3)
+        assert trace(99, 3) != trace(99, 4)
 
 
 class TestSnapshotIO:

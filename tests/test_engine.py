@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from kinex import (
+    UNIFORM_LAMBDA,
     Population,
-    RngStream,
     RuleKind,
     RuleSpec,
     SimConfig,
     StopReason,
+    format_rule,
     run,
     run_ensemble,
-    step,
+    two_point_law,
 )
 from kinex.engine import Initial, _sweep, parse_initial
 from kinex.rules import harmonic_transfer
+
+from conftest import one_exchange, seed_with, sweep_draws
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UNBIASED = [
@@ -25,30 +28,69 @@ UNBIASED = [
 ]
 
 
+ALL_RULES = UNBIASED + [
+    RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.5),
+    YS(UNIFORM_LAMBDA),
+    RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=UNIFORM_LAMBDA),
+    RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=UNIFORM_LAMBDA),
+]
+
+
 class TestStep:
-    def test_forced_pair_and_coin(self, forced_stream):
-        # draws: i=0, j=0 (shifted to 1), eta coin = 0 -> eta=-1, delta=-1
-        pop = Population([1.0, 3.0])
-        rng = forced_stream(integers=[0, 0, 0])
-        out = step(pop, YS(1.0), rng)
-        assert (out.i, out.j, out.delta) == (0, 1, -1.0)
-        assert pop.wealth.tolist() == [0.0, 4.0]
+    """One exchange step: with two agents a sweep is exactly one exchange."""
+
+    def test_forced_pair_and_coin(self):
+        # the seed forces i=0, j=1 and the coin 0 (eta=-1): delta=-1
+        rule = YS(1.0)
+        w, moved = one_exchange(rule, [1.0, 3.0], seed_with(rule, 0, 0))
+        assert w == [0.0, 4.0]
+        assert moved == 1.0
 
     @pytest.mark.parametrize("rule", UNBIASED)
-    def test_zero_agent_untouched(self, rule, forced_stream):
-        pop = Population([0.0, 5.0])
-        rng = forced_stream(integers=[0, 0, 1], uniforms=[0.3])
-        step(pop, rule, rng)
-        assert pop.wealth[0] == 0.0
-        assert pop.wealth[1] == 5.0
+    def test_zero_agent_untouched(self, rule):
+        for seed in range(20):
+            w, moved = one_exchange(rule, [0.0, 5.0], seed)
+            assert w == [0.0, 5.0]
+            assert moved == 0.0
 
     def test_repeated_steps_reproducible(self):
-        def outcomes(seed):
-            pop = Population([1.0, 2.0, 3.0])
-            rng = RngStream(seed)
-            return [step(pop, YS(0.3), rng).delta for _ in range(64)]
+        def states(seed):
+            w = [1.0, 2.0, 3.0]
+            gen = np.random.Generator(np.random.PCG64(seed))
+            out = []
+            for _ in range(64):
+                _sweep(w, YS(0.3), gen)
+                out.append(list(w))
+            return out
 
-        assert outcomes(42) == outcomes(42)
+        assert states(42) == states(42)
+
+
+class TestSweepFollowsLaw:
+    """``_sweep`` restates ``two_point_law`` per exchange; pin the two."""
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize(
+        "wealth",
+        # at the extreme ratio the raw harmonic transfer rounds above the
+        # poorer wealth; the product of the last pair is subnormal
+        [(2.0, 5.0), (5.0, 2.0), (0.0, 3.0), (0.0, 0.0),
+         (5.289786656422299e-17, 176.37038341643014),
+         (3.663685537297814e-159, 3.663685537297814e-159)],
+        ids=["2-5", "5-2", "zero", "both-zero", "extreme-ratio", "subnormal-product"],
+    )
+    def test_one_exchange_takes_the_drawn_atom(self, rule, wealth):
+        # the replayed draws pick the atom; the outcome must be it, bitwise
+        for seed in range(40):
+            i, lam, coin = sweep_draws(rule, seed)
+            j = 1 - i
+            d_plus, p_plus, d_minus = two_point_law(rule, wealth[i], wealth[j], lam)
+            win = coin < p_plus if rule.kind is RuleKind.UNBIASED_LOSER else coin
+            delta = float(d_plus if win else d_minus)
+            w, moved = one_exchange(rule, wealth, seed)
+            assert w[i] == wealth[i] + delta
+            assert w[j] == wealth[j] - delta
+            assert moved == abs(delta)
 
 
 class TestRunBasics:

@@ -1,0 +1,63 @@
+"""Guards for names that code outside the package looks up by string.
+
+The benchmark in ``perfbench/`` reads each per-layer metric from hooks that
+wrap module attributes by name (``DEPENDS`` in ``perfbench/run.py``); a hook
+whose target is gone makes its metric read null instead of failing. These
+tests turn such a rename into a failure, and check the package's exports.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import kinex
+from kinex import RuleKind, RuleSpec, build_grid, build_kernel
+from kinex.master_eq import LinearScheme, PointMass
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_hooks() -> list[str]:
+    """Every hook name in the benchmark's DEPENDS table."""
+    saved_path = list(sys.path)
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_run", BENCH_DIR / "run.py"
+    )
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        # run.py puts its own directory on sys.path to import its siblings
+        sys.path[:] = saved_path
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == BENCH_DIR:
+                del sys.modules[name]
+    return sorted({hook for needed in run.DEPENDS.values() for hook in needed})
+
+
+HOOKS = _benchmark_hooks()
+
+
+@pytest.mark.parametrize("hook", [h for h in HOOKS if h.startswith("kinex.")])
+def test_benchmark_hook_resolves(hook):
+    module_name, _, attr = hook.rpartition(".")
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr, None)), hook
+
+
+def test_benchmark_kernel_attributes_exist():
+    grid = build_grid(LinearScheme(10.0, 16), PointMass(1.0))
+    kernel = build_kernel(RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), grid)
+    kernel_hooks = [h for h in HOOKS if h.startswith("DiscreteKernel.")]
+    assert kernel_hooks
+    for hook in kernel_hooks:
+        assert getattr(kernel, hook.partition(".")[2], None) is not None, hook
+
+
+@pytest.mark.parametrize("name", kinex.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(kinex, name), name

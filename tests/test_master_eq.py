@@ -28,6 +28,7 @@ from kinex.master_eq import (
     TRUNCATION_TOL,
     PointMass,
     UniformBand,
+    _pair_atoms,
     _split_points,
     parse_density,
     parse_grid_scheme,
@@ -137,10 +138,21 @@ class TestBuildKernel:
         kernel = build_kernel(YS(0.5), grid)
         a = 2  # cell at 1.0
         b = 4  # cell at 3.0
-        mask = (kernel.pair_a == a) & (kernel.pair_b == b)
-        assert sorted(kernel.delta[mask].tolist()) == [-0.5, 0.5]
-        assert kernel.prob[mask].tolist() == [0.5, 0.5]
-        assert math.fsum(kernel.prob[mask] * kernel.repr_delta[mask]) == 0.0
+        c = grid.centers
+        pair_a, pair_b, delta, prob = _pair_atoms(YS(0.5), c)
+        mask = (pair_a == a) & (pair_b == b)
+        assert sorted(delta[mask].tolist()) == [-0.5, 0.5]
+        assert prob[mask].tolist() == [0.5, 0.5]
+        lo, hi, w_lo, _ = _split_points(c, c[a] + delta[mask])
+        represented = w_lo * c[lo] + (1.0 - w_lo) * c[hi] - c[a]
+        assert math.fsum(prob[mask] * represented) == 0.0
+        # the kernel's column of the pair holds exactly these atoms
+        column = np.zeros(grid.cells)
+        np.add.at(column, lo, prob[mask] * w_lo)
+        np.add.at(column, hi, prob[mask] * (1.0 - w_lo))
+        column[a] -= 1.0
+        n = grid.cells
+        assert kernel.gain[:, a * n + b].toarray().ravel().tolist() == column.tolist()
 
     def test_zero_wealth_row_is_identity(self):
         grid = small_grid()
@@ -156,8 +168,9 @@ class TestBuildKernel:
 
     def test_corrupted_row_flagged(self):
         kernel = build_kernel(YS(0.5), small_grid())
-        mask = (kernel.pair_a == 2) & (kernel.pair_b == 3)
-        kernel.prob[mask] *= 0.9
+        column = 2 * kernel.cells + 3  # pair (2, 3)
+        stored = np.nonzero(kernel.gain.indices == column)[0]
+        kernel.gain.data[stored[0]] += 0.1
         report = check_kernel(kernel)
         assert not report.passed
         assert report.max_norm_error == pytest.approx(0.1, rel=1e-12)
@@ -198,14 +211,17 @@ class TestBuildKernel:
 
 
 def rhs_longdouble(kernel, m):
-    """Gain minus loss in long double, rebuilt from the kernel's per-entry
-    arrays (pair_a, pair_b, prob, d1_*) instead of ``gain``."""
+    """Gain minus loss in long double, rebuilt from the rule's per-atom
+    arrays (``_pair_atoms`` and ``_split_points``) instead of ``gain``."""
+    c = kernel.centers
+    pair_a, pair_b, delta, prob = _pair_atoms(kernel.rule, c)
+    lo, hi, w_lo, _ = _split_points(c, c[pair_a] + delta)
     m = m.astype(np.longdouble)
-    weight = kernel.prob.astype(np.longdouble) * m[kernel.pair_a] * m[kernel.pair_b]
-    w_lo = kernel.d1_w.astype(np.longdouble)
+    weight = prob.astype(np.longdouble) * m[pair_a] * m[pair_b]
+    w_lo = w_lo.astype(np.longdouble)
     r = np.zeros(kernel.cells, dtype=np.longdouble)
-    np.add.at(r, kernel.d1_lo, weight * w_lo)
-    np.add.at(r, kernel.d1_hi, weight * (1.0 - w_lo))
+    np.add.at(r, lo, weight * w_lo)
+    np.add.at(r, hi, weight * (1.0 - w_lo))
     return r - m * m.sum()
 
 
@@ -302,20 +318,24 @@ def gini_rate_bruteforce(grid, rule, lam=None):
 
 def gini_rate_per_entry(grid, kernel):
     """Per-atom evaluation of the Gini evolution functional: phi at each
-    atom's represented post-wealth by prefix sums, rebuilt from the kernel's
-    per-entry arrays (pair_a, pair_b, prob, repr_delta) instead of ``gain``."""
+    atom's represented post-wealth by prefix sums, rebuilt from the rule's
+    per-atom arrays (``_pair_atoms`` and ``_split_points``) instead of
+    ``gain``."""
     c = kernel.centers
+    pair_a, pair_b, delta, prob = _pair_atoms(kernel.rule, c)
+    over = _split_points(c, c[pair_a] + delta)[3]
+    repr_delta = np.where(over > 0.0, c[-1] - c[pair_a], delta)
     m = grid.masses
     cum_m = np.concatenate(([0.0], np.cumsum(m)))
     cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))
     m_tot = cum_m[-1]
     m1_tot = cum_mc[-1]
-    post = c[kernel.pair_a] + kernel.repr_delta
+    post = c[pair_a] + repr_delta
     idx = np.searchsorted(c, post, side="right")
     phi_post = post * (2.0 * cum_m[idx] - m_tot) + (m1_tot - 2.0 * cum_mc[idx])
     phi_c = c * (2.0 * cum_m[1:] - m_tot) + (m1_tot - 2.0 * cum_mc[1:])
-    weight = kernel.prob * m[kernel.pair_a] * m[kernel.pair_b]
-    return float(np.dot(weight, phi_post - phi_c[kernel.pair_a]) / m1_tot)
+    weight = prob * m[pair_a] * m[pair_b]
+    return float(np.dot(weight, phi_post - phi_c[pair_a]) / m1_tot)
 
 
 class TestGiniRate:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinex import (
-    RngStream,
     RuleKind,
     RuleSpec,
     UNIFORM_LAMBDA,
@@ -15,8 +15,11 @@ from kinex import (
     expected_delta,
     format_rule,
     parse_rule,
-    sample_delta,
+    two_point_law,
 )
+from kinex.engine import _sweep
+
+from conftest import one_exchange, seed_with
 
 YS = RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5)
 CL = RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.5)
@@ -110,6 +113,19 @@ def test_unbiased_rules_have_zero_mean(x_i, x_j, lam):
         assert abs(dist.mean()) <= 1e-14 * (x_i + x_j + 1e-300)
 
 
+def closed_form_moments(rule, x_i, x_j, lam):
+    """(E[delta], E[|delta|]) written out per rule, independent of the law."""
+    s = x_i + x_j
+    harm = x_i * (x_j / s) if s > 0.0 else 0.0  # no subnormal product
+    if rule.kind is RuleKind.CLASSIC_LOSER:
+        return lam * (x_j - x_i) / 2.0, lam * (x_i + x_j) / 2.0
+    if rule.kind is RuleKind.YARD_SALE:
+        return 0.0, lam * min(x_i, x_j)
+    if rule.kind is RuleKind.UNBIASED_LOSER:
+        return 0.0, 2.0 * lam * harm
+    return 0.0, harm
+
+
 @given(x_i=wealth_st, x_j=wealth_st, lam=lam_st)
 @example(x_i=3.663685537297814e-159, x_j=3.663685537297814e-159, lam=1.0)
 @settings(max_examples=200, deadline=None)
@@ -117,11 +133,12 @@ def test_moments_match_atom_summation(x_i, x_j, lam):
     for rule in ALL_RULES:
         dist = delta_distribution(rule, x_i, x_j, lam=lam)
         scale = max(x_i + x_j, 1e-300)
-        assert abs(expected_delta(rule, x_i, x_j, lam=lam) - dist.mean()) <= 1e-14 * scale
-        assert (
-            abs(expected_abs_delta(rule, x_i, x_j, lam=lam) - dist.mean_abs())
-            <= 1e-14 * scale
-        )
+        tol = 1e-14 * scale
+        mean, mean_abs = closed_form_moments(rule, x_i, x_j, lam)
+        assert abs(expected_delta(rule, x_i, x_j, lam=lam) - mean) <= tol
+        assert abs(dist.mean() - mean) <= tol
+        assert abs(expected_abs_delta(rule, x_i, x_j, lam=lam) - mean_abs) <= tol
+        assert abs(dist.mean_abs() - mean_abs) <= tol
 
 
 class TestExpectedDelta:
@@ -156,39 +173,71 @@ class TestExpectedAbsDelta:
         assert got[0, 2] == 0.5
 
 
-class TestSampleDelta:
-    def test_yard_sale_forced_positive(self, forced_stream):
-        rng = forced_stream(integers=[1])  # eta = +1
-        delta, coin, lam = sample_delta(YS, 1.0, 3.0, rng)
-        assert (delta, coin, lam) == (0.5, 1, 0.5)
+DRAWS = 10**5
 
-    def test_classic_loser_forced_epsilon_zero(self, forced_stream):
+
+@functools.lru_cache(maxsize=None)
+def sweep_gains(rule, x_0, x_1):
+    """Agent 0's gain in DRAWS independent exchanges from (x_0, x_1), each a
+    2-agent ``engine._sweep`` on one stream. Agent 0 is the tagged agent i
+    or the partner j; the rules are exchangeable, so its gain follows
+    ``two_point_law(rule, x_0, x_1)`` either way."""
+    gen = np.random.Generator(np.random.PCG64(7))
+    gains = np.empty(DRAWS)
+    for k in range(DRAWS):
+        w = [x_0, x_1]
+        _sweep(w, rule, gen)
+        gains[k] = w[0] - x_0
+    return gains
+
+
+class TestSampleDelta:
+    """delta as the engine samples it: with two agents a sweep is exactly
+    one exchange."""
+
+    def test_yard_sale_forced_positive(self):
+        # the seed tags agent 0 and draws eta = +1
+        w, moved = one_exchange(YS, [1.0, 3.0], seed_with(YS, 0, 1))
+        assert (w, moved) == ([1.5, 2.5], 0.5)
+
+    def test_classic_loser_forced_epsilon_zero(self):
+        # the seed tags agent 0 and draws epsilon = 0: lose 0.25 * x_i
         rule = RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.25)
-        rng = forced_stream(integers=[0])  # epsilon = 0: lose 0.25 * x_i
-        delta, coin, lam = sample_delta(rule, 2.0, 4.0, rng)
-        assert (delta, coin, lam) == (-0.5, 0, 0.25)
+        w, moved = one_exchange(rule, [2.0, 4.0], seed_with(rule, 0, 0))
+        assert (w, moved) == ([1.5, 4.5], 0.5)
 
     def test_unbiased_loser_positive_frequency(self):
         # oracle: exact atom probability x_i/(x_i+x_j) = 1/4
         rule = RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.5)
-        rng = RngStream(2024)
-        n = 10**5
-        wins = sum(sample_delta(rule, 1.0, 3.0, rng)[0] > 0 for _ in range(n))
-        assert wins / n == pytest.approx(0.25, abs=0.005)
+        wins = np.count_nonzero(sweep_gains(rule, 1.0, 3.0) > 0)
+        assert wins / DRAWS == pytest.approx(0.25, abs=0.005)
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_gains_take_only_the_law_atoms(self, rule):
+        gains = sweep_gains(rule, 2.0, 5.0)
+        d_plus, _, d_minus = two_point_law(rule, 2.0, 5.0)
+        win = gains > 0
+        assert np.allclose(gains[win], d_plus, rtol=1e-12, atol=0)
+        assert np.allclose(gains[~win], d_minus, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_win_frequency_within_four_standard_errors(self, rule):
+        _, p_plus, _ = two_point_law(rule, 2.0, 5.0)
+        freq = np.count_nonzero(sweep_gains(rule, 2.0, 5.0) > 0) / DRAWS
+        se = math.sqrt(p_plus * (1.0 - p_plus) / DRAWS)
+        assert abs(freq - p_plus) <= 4 * se
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_monte_carlo_mean_within_four_standard_errors(self, rule):
-        rng = RngStream(7, 1)
-        x_i, x_j = 2.0, 5.0
-        n = 10**5
-        draws = np.array([sample_delta(rule, x_i, x_j, rng)[0] for _ in range(n)])
-        se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean() - expected_delta(rule, x_i, x_j)) <= 4 * se
+        draws = sweep_gains(rule, 2.0, 5.0)
+        se = draws.std(ddof=1) / math.sqrt(DRAWS)
+        assert abs(draws.mean() - expected_delta(rule, 2.0, 5.0)) <= 4 * se
 
     def test_random_lambda_recorded(self):
+        # from equal wealth 1 the sweep moves |delta| = lambda, and reports it
         rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=UNIFORM_LAMBDA)
-        rng = RngStream(3)
-        lams = {sample_delta(rule, 1.0, 1.0, rng)[2] for _ in range(50)}
+        gen = np.random.Generator(np.random.PCG64(3))
+        lams = {_sweep([1.0, 1.0], rule, gen) for _ in range(50)}
         assert len(lams) == 50
         assert all(0.0 <= l < 1.0 for l in lams)
 
