@@ -6,10 +6,26 @@ pairs with i != j; all four rule laws are exchangeable in (i, j), so ordered
 selection is observationally equivalent to unordered and simpler.
 
 A single trajectory is strictly sequential (the model is a sequential
-Markov chain). For speed the sweep loop draws its pair indices, coins and
-lambda values in one batch per sweep from the trajectory's RngStream, in a
-fixed order (i block, j block, lambda block, coin block), so a run is fully
+Markov chain). For speed a sweep draws its pair indices, coins and lambda
+values in one batch per sweep from the trajectory's RngStream, in a fixed
+order (i block, j block, lambda block, coin block), so a run is fully
 reproducible from (seed, stream id).
+
+A sweep takes one of two paths with the same draws. Below
+``_ROUNDS_MIN_N`` agents a Python loop applies one exchange at a time on a
+list. From there on the sweep runs in conflict-free rounds on an array: a
+round applies, vectorised over ``rules.two_point_law``, every remaining
+exchange that is the earliest remaining one of both its agents. These
+share no agent with each other or with any pending exchange before them,
+so they read exactly the wealths the loop would, and the two paths give
+bitwise the same wealths and sums of |delta|. The crossover is measured:
+at N=65536 the rounds take a quarter to a third of the loop's time per
+exchange, at N=2048 they take longer for every rule, since a sweep needs
+about ten rounds of fixed-cost numpy calls whatever its size.
+
+Each record, and the final state, is audited: a negative wealth or a
+wealth sum drifting from the initial total beyond rounding raises
+ContractViolation.
 """
 
 from __future__ import annotations
@@ -23,8 +39,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Population, RngStream, RuleKind, RuleSpec
+from .core import ContractViolation, Population, RngStream, RuleKind, RuleSpec
 from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
+from .rules import two_point_law
 
 __all__ = [
     "Initial",
@@ -40,6 +57,17 @@ __all__ = [
 # Smallest normal float: the Iglesias-Almeida sweep divides a product below
 # it factor by factor.
 _TINY = sys.float_info.min
+
+# Relative drift of the wealth sum from its initial total that the audit
+# of each record accepts. Rounding alone drifted by at most 1.6e-14 in the
+# runs measured (2e5 classic-loser exchanges at N=2; 3.9e-15 in 20k sweeps
+# at N=128); one lost exchange at N=65536 moves the sum by about 1e-5.
+_DRIFT_TOL = 1e-9
+
+# Populations at least this large sweep in conflict-free rounds (see
+# ``_sweep_rounds``); smaller ones one exchange at a time, where a round's
+# fixed numpy cost outweighs the few exchanges in it.
+_ROUNDS_MIN_N = 4096
 
 
 @dataclass(frozen=True)
@@ -141,30 +169,59 @@ def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     return pop.wealth
 
 
-def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
+def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator):
+    """One sweep's draws, in the fixed layout (i block, j block, lambda block,
+    coin block): the N/2 pairs (i, j) with j != i, the per-exchange lambdas
+    (None for a fixed lambda) and the coins, uniforms for the unbiased loser
+    rule and 0/1 integers for the others."""
+    s = n // 2
+    ii = gen.integers(0, n, size=s)
+    jj = gen.integers(0, n - 1, size=s)
+    jj += jj >= ii
+    lams = gen.random(size=s) if rule.random_lambda else None
+    if rule.kind is RuleKind.UNBIASED_LOSER:
+        coins = gen.random(size=s)
+    else:
+        coins = gen.integers(0, 2, size=s)
+    return ii, jj, lams, coins
+
+
+def _sweep(w, rule: RuleSpec, gen: np.random.Generator) -> float:
     """Run N/2 exchanges in place; returns sum of |delta| over the sweep.
+
+    ``w`` is a list below ``_ROUNDS_MIN_N`` agents, where the scalar loop
+    runs, and a float64 array from there on, where the sweep runs in
+    conflict-free rounds. Both paths take the same draws and give bitwise
+    the same wealth and sum.
+    """
+    if len(w) >= _ROUNDS_MIN_N:
+        return _sweep_rounds(w, rule, gen)
+    return _sweep_scalar(w, rule, gen)
+
+
+def _sweep_scalar(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
+    """``_sweep`` one exchange at a time, on a list.
 
     Each rule's branch restates ``rules.two_point_law`` for one exchange:
     a per-exchange call to the vectorised law would dominate this loop. A
     test pins every branch, and the draw layout, to the law.
     """
-    n = len(w)
-    s = n // 2
-    ii = gen.integers(0, n, size=s).tolist()
-    jj = gen.integers(0, n - 1, size=s).tolist()
+    ii, jj, lams, coins = _draw_exchanges(len(w), rule, gen)
+    s = len(ii)
+    ii = ii.tolist()
+    jj = jj.tolist()
+    coins = coins.tolist()
     kind = rule.kind
-    random_lam = rule.random_lambda
+    random_lam = lams is not None
     lam = 0.0 if random_lam else (1.0 if rule.lam is None else float(rule.lam))
-    lams = gen.random(size=s).tolist() if random_lam else None
+    if random_lam:
+        lams = lams.tolist()
     sum_abs = 0.0
 
     if kind is RuleKind.YARD_SALE:
-        coins = gen.integers(0, 2, size=s).tolist()
         for k in range(s):
             i = ii[k]
             j = jj[k]
-            if j >= i:
-                j += 1
             wi = w[i]
             wj = w[j]
             mn = wi if wi < wj else wj
@@ -179,12 +236,9 @@ def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
                 w[i] = wi - d
                 w[j] = wj + d
     elif kind is RuleKind.CLASSIC_LOSER:
-        coins = gen.integers(0, 2, size=s).tolist()
         for k in range(s):
             i = ii[k]
             j = jj[k]
-            if j >= i:
-                j += 1
             wi = w[i]
             wj = w[j]
             if random_lam:
@@ -197,18 +251,15 @@ def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
             w[i] = wi + d
             w[j] = wj - d
     elif kind is RuleKind.UNBIASED_LOSER:
-        us = gen.random(size=s).tolist()
         for k in range(s):
             i = ii[k]
             j = jj[k]
-            if j >= i:
-                j += 1
             wi = w[i]
             wj = w[j]
             tot = wi + wj
             if random_lam:
                 lam = lams[k]
-            if tot > 0.0 and us[k] < wi / tot:
+            if tot > 0.0 and coins[k] < wi / tot:
                 d = lam * wj
             else:
                 d = -(lam * wi)
@@ -216,12 +267,9 @@ def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
             w[i] = wi + d
             w[j] = wj - d
     else:  # Iglesias-Almeida
-        coins = gen.integers(0, 2, size=s).tolist()
         for k in range(s):
             i = ii[k]
             j = jj[k]
-            if j >= i:
-                j += 1
             wi = w[i]
             wj = w[j]
             tot = wi + wj
@@ -247,11 +295,78 @@ def _sweep(w: list, rule: RuleSpec, gen: np.random.Generator) -> float:
     return sum_abs
 
 
+def _sweep_rounds(w: np.ndarray, rule: RuleSpec, gen: np.random.Generator) -> float:
+    """``_sweep`` in conflict-free rounds of vectorised exchanges, on an array.
+
+    A round applies every remaining exchange that is the earliest remaining
+    one of both its agents. Such exchanges share no agent with each other or
+    with any exchange still pending before them, so each reads the wealths
+    the sequential loop would read, and applying them at once gives its
+    wealths bitwise. The atoms come from ``rules.two_point_law``; agent i
+    takes d_plus when its coin shows 1, or, for the unbiased loser rule, when
+    its uniform falls below p_plus. On wealths without -0.0 (``run`` clears
+    it), adding d_minus = -d + 0.0 equals subtracting d, as the loop does.
+    """
+    n = len(w)
+    ii, jj, lams, coins = _draw_exchanges(n, rule, gen)
+    s = ii.size
+    uniform_coin = rule.kind is RuleKind.UNBIASED_LOSER
+    if not uniform_coin:
+        coins = coins.astype(bool)
+    abs_d = np.empty(s)
+    # the earliest remaining exchange of each agent (s: none), kept by
+    # lowering; only an agent whose earliest one was applied goes back up
+    first = np.full(n, s, dtype=ii.dtype)
+    # the exchanges not yet applied, in order, and their agents
+    left, a_left, b_left = np.arange(s), ii, jj
+    while left.size:
+        np.minimum.at(first, a_left, left)
+        np.minimum.at(first, b_left, left)
+        ready = (first[a_left] == left) & (first[b_left] == left)
+        # index arrays: a boolean mask gathers several times slower
+        go = np.flatnonzero(ready)
+        wait = np.flatnonzero(~ready)
+        now, a, b = left[go], a_left[go], b_left[go]
+        left, a_left, b_left = left[wait], a_left[wait], b_left[wait]
+        first[a] = s
+        first[b] = s
+        wa = w[a]
+        wb = w[b]
+        d_plus, p_plus, d_minus = two_point_law(
+            rule, wa, wb, None if lams is None else lams[now]
+        )
+        win = coins[now] < p_plus if uniform_coin else coins[now]
+        d = np.where(win, d_plus, d_minus)
+        w[a] = wa + d
+        w[b] = wb - d
+        abs_d[now] = np.abs(d)
+    # in exchange order, as the loop adds them (np.sum would pair them up);
+    # the loop's leading 0.0 changes no sum of non-negative terms
+    return float(np.add.accumulate(abs_d)[-1])
+
+
+def _audit(arr: np.ndarray, total: float) -> None:
+    """Raise ContractViolation on negative wealth or a drifted wealth sum.
+
+    Every exchange moves one delta between two agents, so only rounding may
+    move the sum away from the initial ``total``.
+    """
+    low = float(arr.min())
+    if not low >= 0.0:
+        raise ContractViolation(f"negative wealth {low!r} in the population")
+    drift = abs(float(arr.sum()) - total)
+    if not drift <= _DRIFT_TOL * total:
+        raise ContractViolation(
+            f"wealth sum drifted by {drift!r} from the total {total!r}"
+        )
+
+
 def _record(
-    w: list, total: float, eps_zero: float, t: int, sweep_abs: float
+    w, total: float, eps_zero: float, t: int, sweep_abs: float
 ) -> MetricsRecord:
     n = len(w)
     arr = np.asarray(w)
+    _audit(arr, total)
     pop = Population(arr, total=total)
     g = gini_population(pop)
     mean = total / n
@@ -276,8 +391,11 @@ def run(
     Metrics are recorded every ``record_every`` sweeps; the recorded
     liquidity is the empirical estimator over the just-completed sweep.
     The run stops Condensed when every configured stop threshold is met on
-    a recorded sweep, else at max_sweeps. ``initial_population`` injects a
-    starting state programmatically (the API analog of a file initial).
+    a recorded sweep, else at max_sweeps. Each record, and the final state,
+    is audited: negative wealth or a wealth sum off the initial total by
+    more than rounding raises ContractViolation. ``initial_population``
+    injects a starting state programmatically (the API analog of a file
+    initial).
     ``snapshot_every`` > 0 additionally stores wealth-vector copies every
     that many sweeps.
     """
@@ -292,7 +410,10 @@ def run(
     total = math.fsum(w0)
     if total <= 0.0:
         raise ValueError("degenerate: zero total wealth")
-    w = [float(x) for x in w0]
+    # a fresh copy, with -0.0 made 0.0 (see _sweep_rounds)
+    w = np.array(w0, dtype=np.float64) + 0.0
+    if config.n < _ROUNDS_MIN_N:
+        w = w.tolist()
 
     records: list[MetricsRecord] = []
     snapshots: list[tuple[int, np.ndarray]] = []
@@ -320,10 +441,11 @@ def run(
                 stop_reason = StopReason.CONDENSED
                 break
 
-    final = Population(np.asarray(w), total=total)
+    arr = np.asarray(w)
+    _audit(arr, total)
     return Trajectory(
         records=records,
-        final_population=final,
+        final_population=Population(arr, total=total),
         stop_reason=stop_reason,
         snapshots=snapshots,
     )

@@ -382,16 +382,11 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     """
     c = grid.centers.copy()
     n = c.size
+    # before the per-atom arrays exist, so its temporaries add no peak memory
+    abs_delta = _abs_delta(rule, c)
     pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
     lo, hi, w_lo, over = _split_points(c, c[pair_a] + delta)
-
-    # Represented gain of the tagged agent (equals the atom delta except
-    # where the post-wealth was truncated at the top cell).
-    repr_delta = np.where(over > 0.0, c[-1] - c[pair_a], delta)
     del delta
-    abs_delta = np.zeros((n, n))
-    np.add.at(abs_delta, (pair_a, pair_b), prob * np.abs(repr_delta))
-    del repr_delta
 
     # Wealth lost by the evolved density per unit (pair-mass * time).
     # Only the tagged agent's overshoot counts: the gain operator uses
@@ -430,6 +425,30 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
             n * n,
         )
     return kernel
+
+
+def _abs_delta(rule: RuleSpec, c: np.ndarray) -> np.ndarray:
+    """Per-pair expected |delta| on the grid, the mobility integrand.
+
+    The winner's gain is the one truncated at the top cell, as in ``gain``.
+    For an unbiased rule the loser's atom carries the winner's |delta| mass,
+    (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
+    1 - p_plus cancels at extreme wealth ratios of the unbiased loser rule.
+    For the other rules this sums the same products in the same order as
+    the per-atom sum p |delta| over the kernel's atoms.
+    """
+    ca = c[:, None]
+    room = c[-1] - ca
+    out = np.zeros((c.size, c.size))
+    for lam, wnode in _lambda_mixture(rule):
+        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
+        p_win = p_plus * wnode
+        out += p_win * np.abs(np.where(ca + d_plus > c[-1], room, d_plus))
+        if rule.unbiased:
+            out += p_win * d_plus
+        else:
+            out += ((1.0 - p_plus) * wnode) * np.abs(d_minus)
+    return out
 
 
 def _pair_atoms(rule: RuleSpec, c: np.ndarray) -> list[np.ndarray]:
@@ -555,10 +574,18 @@ def _gini_rate_masses(
     return float(np.dot(phi_c, r) / m1_tot)
 
 
+def _mobility_ratios(
+    kernel: DiscreteKernel, m: np.ndarray, two_mean: float
+) -> tuple[float, float]:
+    """(liquidity, bound ratio) of masses ``m``: the mass-weighted mobility
+    and the largest mobility max_k l(x_k), each over ``two_mean`` = 2 <x>."""
+    l = kernel.abs_delta @ m
+    return float(np.dot(m, l)) / two_mean, float(l.max()) / two_mean
+
+
 def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     """max_k l(x_k) / (2 <x>) from kernel atoms; <= 1 for unbiased kernels."""
-    l = kernel.abs_delta @ grid.masses
-    return float(l.max() / (2.0 * grid.mean))
+    return _mobility_ratios(kernel, grid.masses, 2.0 * grid.mean)[1]
 
 
 class IntegrationAbort(RuntimeError):
@@ -735,9 +762,7 @@ def integrate(
                 f"unexplained mean drift {mean - mean_prev!r} at t={t!r}", report
             )
 
-        l = kernel.abs_delta @ m
-        liquidity = float(np.dot(m, l)) / two_mean0
-        bound_ratio = float(l.max()) / two_mean0
+        liquidity, bound_ratio = _mobility_ratios(kernel, m, two_mean0)
         rows.append(
             (
                 t,

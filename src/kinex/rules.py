@@ -9,10 +9,11 @@ degenerate one-point) law for agent i's gain:
     iglesias-almeida   +x_i*x_j/(x_i+x_j) w.p. 1/2,    -x_i*x_j/(x_i+x_j) w.p. 1/2
 
 ``two_point_law`` is the one encoding of this table. The exact distribution
-(``delta_distribution``), the closed-form moments and the master equation's
-kernel atoms are all derived from it. The Monte Carlo sweep loop
-(``engine._sweep``) restates it per exchange for speed, and a test pins the
-two together. Exposing the exact laws lets kernel builders and metrics use
+(``delta_distribution``), the closed-form moments, the master equation's
+kernel atoms and the Monte Carlo sweep of large populations (vectorised
+over each round of exchanges) are all derived from it. The sweep loop for
+small populations (``engine._sweep_scalar``) restates it per exchange for
+speed, and a test pins the two together. Exposing the exact laws lets kernel builders and metrics use
 closed forms, and makes unbiasedness checkable to rounding error.
 """
 
@@ -66,7 +67,7 @@ def harmonic_transfer(x_i, x_j):
     return np.where(s > 0.0, d, 0.0)[()]
 
 
-def _resolve_lambda(rule: RuleSpec, lam: float | None) -> float:
+def _resolve_lambda(rule: RuleSpec, lam):
     if rule.kind is RuleKind.IGLESIAS_ALMEIDA:
         return 1.0
     if lam is None:
@@ -75,21 +76,27 @@ def _resolve_lambda(rule: RuleSpec, lam: float | None) -> float:
                 "rule has per-exchange random lambda; pass an explicit value"
             )
         return float(rule.lam)
+    if np.ndim(lam):
+        lam = np.asarray(lam, dtype=np.float64)
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):
+            raise ValueError("every lambda must be in [0, 1]")
+        return lam
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     return lam
 
 
-def two_point_law(rule: RuleSpec, x_i, x_j, lam: float | None = None):
+def two_point_law(rule: RuleSpec, x_i, x_j, lam=None):
     """Agent i's gain for one exchange as (d_plus, p_plus, d_minus) arrays.
 
     Agent i gains d_plus >= 0 with probability p_plus and d_minus <= 0
     otherwise (the table in the module docstring). Accepts scalars or numpy
-    arrays and broadcasts them. ``lam`` overrides the rule's fixed lambda
-    and is required when the rule carries the random-lambda marker. Two
-    zero-wealth agents (0/0 win probability in the unbiased loser rule)
-    exchange nothing: both atoms are 0.
+    arrays and broadcasts them. ``lam`` (a value or an array of values in
+    [0, 1]) overrides the rule's fixed lambda and is required when the rule
+    carries the random-lambda marker. Two zero-wealth agents (0/0 win
+    probability in the unbiased loser rule) exchange nothing: both atoms
+    are 0.
     """
     xi = np.asarray(x_i, dtype=np.float64)
     xj = np.asarray(x_j, dtype=np.float64)

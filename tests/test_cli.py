@@ -8,6 +8,7 @@ import pytest
 import kinex
 from kinex import Population, gini_population, write_snapshot
 from kinex.cli import emit_metadata, ExperimentConfig, main
+from kinex.engine import _sweep
 
 from conftest import CRITERION_12_COMMANDS
 
@@ -330,6 +331,60 @@ class TestSweepCommand:
         assert code == 2
 
 
+def _leaking_sweep(w, rule, gen):
+    """A sweep that creates wealth: the sum drifts from the total."""
+    moved = _sweep(w, rule, gen)
+    w[0] += 1.0
+    return moved
+
+
+def _negative_sweep(w, rule, gen):
+    """A sweep that keeps the sum but leaves agent 0 with negative wealth."""
+    moved = _sweep(w, rule, gen)
+    w[1] += w[0] + 0.5
+    w[0] = -0.5
+    return moved
+
+
+class TestRecordAudit:
+    """Each record is audited; a breach is an invariant breach (exit 3)."""
+
+    FAULTS = {"leak": _leaking_sweep, "negative": _negative_sweep}
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "16"),
+            ("simulate", "--n", "8192"),
+            ("ensemble", "--n", "16", "--replicas", "2"),
+        ],
+        ids=["simulate", "simulate-large", "ensemble"],
+    )
+    def test_breach_exits_3(self, fault, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("KINEX_THREADS", "1")  # replicas in this process
+        monkeypatch.setattr("kinex.engine._sweep", self.FAULTS[fault])
+        code, _, err = run_cli(
+            *argv, "--rule", "yardsale:lambda=0.5", "--sweeps", "4",
+            "--record-every", "2", "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 3
+        assert "invariant breach" in err
+
+    def test_sweep_reports_breach_in_its_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kinex.engine._sweep", _negative_sweep)
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.2,0.5",
+            "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "4",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("negative wealth -0.5" in row for row in rows)
+
+
 class TestGiniCommand:
     def test_matches_library(self, tmp_path):
         pop = Population([0.0, 1.0, 2.0, 5.0])
@@ -340,8 +395,9 @@ class TestGiniCommand:
         assert float(stdout.strip()) == pytest.approx(gini_population(pop), rel=1e-12)
 
 
-# sha256 of (CSV, .meta.json) for each criterion-12 command. A change that
-# moves one of these changes output bytes and must say so in CHANGES.md.
+# sha256 of (CSV, .meta.json) for each criterion-12 command and each
+# large-N command below. A change that moves one of these changes output
+# bytes and must say so in CHANGES.md.
 GOLDEN_SHA256 = {
     "simulate": (
         "ccb29a0cf61524695bf7f22098d7280ef8ff98cb7fcd6b4d3033d52d6093dff9",
@@ -362,10 +418,69 @@ GOLDEN_SHA256 = {
 }
 
 
+# Commands at N=8192, on the sweep path for large populations: every rule
+# variant, two of them from a uniform initial wealth, and one ensemble.
+LARGE_N_COMMANDS = {
+    f"simulate-n8192-{rule.replace(':lambda=', '-')}": [
+        "simulate", "--rule", rule, "--n", "8192", "--sweeps", "3",
+        "--record-every", "1", "--seed", "11", *init,
+    ]
+    for rule, init in [
+        ("yardsale:lambda=0.5", ()),
+        ("yardsale:lambda=uniform", ()),
+        ("loser:lambda=0.5", ()),
+        ("loser:lambda=uniform", ()),
+        ("unbiased-loser:lambda=0.5", ("--init", "uniform")),
+        ("unbiased-loser:lambda=uniform", ()),
+        ("iglesias-almeida", ("--init", "uniform")),
+    ]
+}
+LARGE_N_COMMANDS["ensemble-n8192"] = [
+    "ensemble", "--rule", "yardsale:lambda=uniform", "--n", "8192",
+    "--sweeps", "3", "--record-every", "1", "--replicas", "2", "--seed", "13",
+]
+
+GOLDEN_SHA256.update({
+    "simulate-n8192-yardsale-0.5": (
+        "47caa1195c37621805e74c3f1590e9529830f3209951a14dd5de50c756d85443",
+        "a5166887dcbbc99855b643e159e135408caf85cc53e6132ce77fb646298c91aa",
+    ),
+    "simulate-n8192-yardsale-uniform": (
+        "55df6f5a5b7b798dddc848b3cc9bbb9b105710168827ccd1263c610bf31bad4e",
+        "c3c2bbbade1ebbaa2de03c7512880f3add70bccb92d706f3760ad70be98197f0",
+    ),
+    "simulate-n8192-loser-0.5": (
+        "a469a317245111d7c5e57ff010a909fd380198df3fb6497bf3ebf86491de3b51",
+        "6014c4965ced1e92363e5190414a8406225e09827209b3d85678412679769761",
+    ),
+    "simulate-n8192-loser-uniform": (
+        "7cb1a32ecf0c4f28adcc03997714cc3c87154fbfceefed63b24b1f3857e02ebd",
+        "046c4a5447445f9defa0d8b4332ab120db1987a940e096854e2d020cb7a83d40",
+    ),
+    "simulate-n8192-unbiased-loser-0.5": (
+        "7db76507aaa76de82d51917ae58d5abe2d82eaf394809279120f48459bada898",
+        "37ed25375a0b922a3442227a568e9787235f1ca6b33448ae050e61df5018d6bb",
+    ),
+    "simulate-n8192-unbiased-loser-uniform": (
+        "dc0bdf97f0dfa282cb280bd483fdec39501a92efb4af07faebe247e2b1079171",
+        "1567c555a90d7d28efa7bbac2f47e29d0d9dd44f0751c67f0913a9bb0243beb2",
+    ),
+    "simulate-n8192-iglesias-almeida": (
+        "63206d83c27186eda403e86c301000e7773d1a569c8410ddd57216e457527532",
+        "8700c173d6448e387dedc70e309ddeb94fb8d0abd8bce94e69ed85dcdeb6ce7d",
+    ),
+    "ensemble-n8192": (
+        "3aa0ff3548c80c6cc0844771abbc4476cf5cc4c63977d7a512e2b8d11bbb8bf3",
+        "7c8d0f2ebc2b68304cb91ff0cc7670925cc190e902d8a742badbe36bce9a2325",
+    ),
+})
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_golden_output_hashes(command, tmp_path):
+    argv = {**CRITERION_12_COMMANDS, **LARGE_N_COMMANDS}[command]
     out = tmp_path / f"{command}.csv"
-    assert run_cli(*CRITERION_12_COMMANDS[command], "--out", str(out))[0] == 0
+    assert run_cli(*argv, "--out", str(out))[0] == 0
     meta = tmp_path / f"{command}.csv.meta.json"
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, meta))
     assert digests == GOLDEN_SHA256[command]

@@ -15,7 +15,14 @@ from kinex import (
     run_ensemble,
     two_point_law,
 )
-from kinex.engine import Initial, _sweep, parse_initial
+from kinex.engine import (
+    _ROUNDS_MIN_N,
+    Initial,
+    _sweep,
+    _sweep_rounds,
+    _sweep_scalar,
+    parse_initial,
+)
 from kinex.rules import harmonic_transfer
 
 from conftest import one_exchange, seed_with, sweep_draws
@@ -91,6 +98,61 @@ class TestSweepFollowsLaw:
             assert w[i] == wealth[i] + delta
             assert w[j] == wealth[j] - delta
             assert moved == abs(delta)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestSweepPathsAgree:
+    """The scalar loop and the conflict-free rounds give bitwise one sweep."""
+
+    @staticmethod
+    def adversarial_wealth(n: int) -> np.ndarray:
+        # zeros (so some pairs are both zero), the extreme ratio at which
+        # the raw harmonic transfer rounds above the poorer wealth, a wealth
+        # whose square is subnormal, and ordinary wealths, shuffled
+        special = [0.0, 5.289786656422299e-17, 176.37038341643014,
+                   3.663685537297814e-159]
+        gen = np.random.Generator(np.random.PCG64(n))
+        w = gen.uniform(0.0, 2.0, size=n)
+        w[: 4 * (n // 5)] = np.repeat(special, n // 5)
+        if n == 2:
+            w[:] = special[1:3]
+        return gen.permutation(w)
+
+    # population sizes below and above the crossover
+    SMALL, LARGE = (2, 65), 4097
+
+    def test_sizes_straddle_the_crossover(self):
+        assert max(self.SMALL) < _ROUNDS_MIN_N <= self.LARGE
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize("n", [*SMALL, LARGE])
+    def test_same_wealth_and_sums(self, rule, n):
+        w0 = self.adversarial_wealth(n)
+        scalar, rounds = w0.tolist(), w0.copy()
+        gen_s = np.random.Generator(np.random.PCG64(17))
+        gen_r = np.random.Generator(np.random.PCG64(17))
+        for _ in range(6):
+            moved_s = _sweep_scalar(scalar, rule, gen_s)
+            moved_r = _sweep_rounds(rounds, rule, gen_r)
+            assert _bits(moved_s) == _bits(moved_r)
+        np.testing.assert_array_equal(_bits(scalar), _bits(rounds))
+        assert not np.array_equal(_bits(w0), _bits(rounds))
+        # both generators drew the same stream
+        assert gen_s.random() == gen_r.random()
+
+    def test_run_clears_negative_zero(self):
+        # the rounds path equals the loop only on wealths without -0.0
+        wealth = self.adversarial_wealth(self.LARGE)
+        cfg = SimConfig(n=wealth.size, rule=YS(0.5), max_sweeps=3, seed=2)
+        finals = []
+        for zero in (0.0, -0.0):
+            init = np.where(wealth == 0.0, zero, wealth)
+            traj = run(cfg, initial_population=Population(init))
+            finals.append(_bits(traj.final_population.wealth))
+        np.testing.assert_array_equal(*finals)
 
 
 class TestRunBasics:

@@ -61,3 +61,26 @@ def test_benchmark_kernel_attributes_exist():
 @pytest.mark.parametrize("name", kinex.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(kinex, name), name
+
+
+def test_large_run_calls_sweep_once_per_sweep(monkeypatch):
+    # the benchmark counts sweeps at engine._sweep; the rounds path for
+    # large populations must still enter through it, once per sweep
+    import kinex.engine as engine
+
+    calls = {"_sweep": 0, "_sweep_rounds": 0}
+    for name in calls:
+        inner = getattr(engine, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    n = 8192
+    assert n >= engine._ROUNDS_MIN_N
+    config = engine.SimConfig(
+        n=n, rule=RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), max_sweeps=3
+    )
+    engine.run(config)
+    assert calls == {"_sweep": 3, "_sweep_rounds": 3}

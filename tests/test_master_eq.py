@@ -12,6 +12,8 @@ from kinex import (
     build_kernel,
     check_kernel,
     delta_distribution,
+    expected_abs_delta,
+    format_rule,
     gini_grid,
     gini_rate,
     integrate,
@@ -479,6 +481,46 @@ class TestMobilityBound:
                 rtol=1e-12, atol=1e-15,
             )
             assert np.all(internal <= external * (1 + 1e-12) + 1e-15)
+
+
+class TestAbsDelta:
+    """``abs_delta``, the per-pair E|delta| behind liquidity and bound_ratio."""
+
+    @pytest.mark.parametrize("rule", [YS(0.5), CL(0.5), UL(0.5), IA], ids=format_rule)
+    def test_matches_expected_abs_delta(self, rule):
+        # at (77283, 1.05e-4) the unbiased loser's 1 - p_plus keeps 8 digits;
+        # summing the loser's |delta| from it was off by 4.9e-8 relative
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        c = grid.centers
+        kernel = build_kernel(rule, grid)
+        exact = expected_abs_delta(rule, c[:, None], c[None, :])
+        faithful = ~kernel.truncated_pairs
+        np.testing.assert_allclose(
+            kernel.abs_delta[faithful], exact[faithful], rtol=1e-15, atol=0.0
+        )
+        a, b = np.argmin(abs(c - 77283.0)), np.argmin(abs(c - 1.05e-4))
+        assert faithful[a, b]
+        assert kernel.abs_delta[a, b] == exact[a, b]
+
+    @pytest.mark.parametrize(
+        "rule", [YS(0.5), YS(UNIFORM_LAMBDA), CL(0.5), CL(UNIFORM_LAMBDA), IA],
+        ids=format_rule,
+    )
+    def test_other_rules_keep_the_atom_sum(self, rule):
+        # the sum of p |represented delta| over the kernel's atoms, in atom
+        # order, bitwise: these rules have no cancellation to avoid
+        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
+        c = grid.centers
+        pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
+        over = _split_points(c, c[pair_a] + delta)[3]
+        represented = np.where(over > 0.0, c[-1] - c[pair_a], delta)
+        atom_sum = np.zeros((grid.cells, grid.cells))
+        np.add.at(atom_sum, (pair_a, pair_b), prob * np.abs(represented))
+        kernel = build_kernel(rule, grid)
+        assert kernel.has_truncation
+        np.testing.assert_array_equal(
+            kernel.abs_delta.view(np.int64), atom_sum.view(np.int64)
+        )
 
 
 class TestIntegrate:

@@ -86,6 +86,21 @@ class TestDeltaDistribution:
         with pytest.raises(ValueError):
             delta_distribution(YS, 1.0, 2.0, lam=1.5)
 
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    def test_lambda_array_acts_per_exchange(self, rule):
+        # the vectorised sweep passes one lambda per exchange
+        x_i, x_j = np.array([2.0, 0.0, 7.0]), np.array([5.0, 3.0, 1e-3])
+        lam = np.array([0.0, 0.3, 1.0])
+        law = two_point_law(rule, x_i, x_j, lam)
+        for k in range(3):
+            one = two_point_law(rule, x_i[k], x_j[k], lam[k])
+            assert [float(v[k]) for v in law] == [float(v) for v in one]
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]])
+    def test_rejects_bad_lambda_array(self, bad):
+        with pytest.raises(ValueError):
+            two_point_law(YS, np.ones(2), np.ones(2), np.array(bad))
+
     def test_both_agents_broke_unbiased_loser(self):
         # 0/0 win probability resolved as "nothing to exchange"
         dist = delta_distribution(RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.5), 0.0, 0.0)
