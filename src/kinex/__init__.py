@@ -17,7 +17,6 @@ from .core import (
     UNIFORM_LAMBDA,
     WealthGrid,
     read_snapshot,
-    validate_population,
     write_snapshot,
 )
 from .engine import (
@@ -44,12 +43,9 @@ from .master_eq import (
     rhs,
 )
 from .metrics import (
-    CondensationReport,
     MetricsRecord,
-    condensation_report,
     gini_grid,
     gini_population,
-    liquidity_empirical,
     liquidity_grid,
     mobility_profile,
 )
@@ -73,7 +69,6 @@ __all__ = [
     "UNIFORM_LAMBDA",
     "WealthGrid",
     "read_snapshot",
-    "validate_population",
     "write_snapshot",
     "EnsembleSummary",
     "Initial",
@@ -94,12 +89,9 @@ __all__ = [
     "mobility_bound_check",
     "oligarchy_surrogate",
     "rhs",
-    "CondensationReport",
     "MetricsRecord",
-    "condensation_report",
     "gini_grid",
     "gini_population",
-    "liquidity_empirical",
     "liquidity_grid",
     "mobility_profile",
     "DeltaDistribution",

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .core import (
     ContractViolation,
-    RuleSpec,
     format_float,
     read_snapshot,
     write_snapshot,
@@ -379,7 +378,7 @@ def _cmd_sweep(args) -> int:
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:
         if args.param == "lambda":
-            cfg = replace(base, rule=RuleSpec(kind=base.rule.kind, lam=float(v)))
+            cfg = replace(base, rule=parse_rule(f"{base.rule.kind.value}:lambda={v}"))
         elif args.param == "N":
             cfg = replace(base, n=int(v))
         else:

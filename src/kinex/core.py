@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class Population:
 
     The cached total is set at construction and never recomputed during a
     run; exchanges move a single delta between two entries, so the sum is
-    preserved to within accumulated rounding. ``validate_population`` audits
-    the drift on demand.
+    preserved to within accumulated rounding, which the engine audits at
+    every record.
     """
 
     __slots__ = ("wealth", "total")
@@ -99,39 +100,8 @@ class Population:
     def mean(self) -> float:
         return self.total / self.wealth.size
 
-    def copy(self) -> "Population":
-        return Population(self.wealth, total=self.total)
-
     def __repr__(self):
         return f"Population(N={self.size}, total={self.total!r})"
-
-
-@dataclass
-class CheckReport:
-    """Result of a population audit; empty ``violations`` means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_population(pop: Population, rel_tol: float = 1e-12) -> CheckReport:
-    """Report non-negativity and cached-total consistency violations."""
-    report = CheckReport()
-    neg = np.nonzero(pop.wealth < 0.0)[0]
-    for idx in neg:
-        report.violations.append(
-            f"non-negativity violation at index {idx}: {pop.wealth[idx]!r}"
-        )
-    actual = math.fsum(pop.wealth)
-    scale = max(abs(pop.total), abs(actual), 1e-300)
-    if abs(actual - pop.total) > rel_tol * scale:
-        report.violations.append(
-            f"total mismatch: cached {pop.total!r}, actual {actual!r}"
-        )
-    return report
 
 
 class RngStream:
@@ -208,9 +178,6 @@ class WealthGrid:
     def with_masses(self, masses) -> "WealthGrid":
         return WealthGrid(self.edges, masses, centers=self.centers)
 
-    def copy(self) -> "WealthGrid":
-        return self.with_masses(self.masses)
-
     def __repr__(self):
         return (
             f"WealthGrid(cells={self.cells}, x_max={self.edges[-1]!r}, "
@@ -237,10 +204,21 @@ def write_snapshot(path, pop: Population, t: float = 0) -> None:
 
 
 def read_snapshot(path) -> Population:
-    """Read a population snapshot written by ``write_snapshot``."""
+    """Read a population snapshot written by ``write_snapshot``.
+
+    The header's agent count must match the number of wealth lines, so a
+    truncated or overlong file is rejected.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# kinex population"):
-        raise ValueError(f"{path}: not a kinex population snapshot")
+    header = lines[0] if lines else ""
+    match = re.fullmatch(r"# kinex population N=(\d+) t=\S+", header)
+    if match is None:
+        raise ValueError(f"{path}: not a kinex population snapshot (bad header)")
     values = [float(ln) for ln in lines[1:]]
+    if len(values) != int(match.group(1)):
+        raise ValueError(
+            f"{path}: header says N={match.group(1)} but the file holds "
+            f"{len(values)} wealths"
+        )
     return Population(values)

@@ -11,11 +11,11 @@ as well. Gain and loss of every pair are stored together in one net gain
 operator, so a single sparse product gives dm/dt, and the Gini rate is a dot
 product with it.
 
-Time stepping is explicit Euler with adaptive step control: the step is
-capped so at most 10% of total mass moves per step, halved whenever a cell
-mass would go negative, and halved whenever the Gini index would decrease
-(it is a Lyapunov function of the exact dynamics, so a decrease is pure
-time-discretization error).
+Time stepping is explicit Euler. The step is capped so at most 10% of
+total mass moves per step and halved whenever a cell mass would go
+negative. For an unbiased rule every step is then audited: the Gini index
+is a Lyapunov function of the dynamics, so a decrease aborts the run
+instead of being stepped around.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ STEP_MEAN_TOL = 1e-10
 # Cumulative truncated wealth (relative) beyond which a run is flagged
 # non-conservative.
 TRUNCATION_TOL = 1e-8
+# Gini decrease in one step that the audit of an unbiased run accepts as
+# rounding.
+GINI_DECREASE_TOL = 1e-12
+# Steps one integration may take before it aborts.
+MAX_STEPS = 2_000_000
 # Nodes of the Gauss-Legendre mixture standing in for Uniform[0,1] lambda.
 LAMBDA_NODES = 8
 
@@ -147,14 +152,14 @@ def _grid_axes(scheme) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(scheme, LinearScheme):
         if scheme.cells < MIN_CELLS:
             raise ValueError(f"need at least {MIN_CELLS} cells")
-        if scheme.x_max <= 0:
-            raise ValueError("x_max must be positive")
+        if not 0.0 < scheme.x_max < math.inf:
+            raise ValueError("x_max must be positive and finite")
         edges = np.linspace(0.0, scheme.x_max, scheme.cells + 1)
     elif isinstance(scheme, LogScheme):
         if scheme.cells < MIN_CELLS:
             raise ValueError(f"need at least {MIN_CELLS} cells")
-        if not 0.0 < scheme.x_min < scheme.x_max:
-            raise ValueError("need 0 < x_min < x_max")
+        if not 0.0 < scheme.x_min < scheme.x_max < math.inf:
+            raise ValueError("need 0 < x_min < x_max < inf")
         edges = np.concatenate(
             ([0.0], np.geomspace(scheme.x_min, scheme.x_max, scheme.cells + 1))
         )
@@ -162,6 +167,8 @@ def _grid_axes(scheme) -> tuple[np.ndarray, np.ndarray]:
         raise TypeError(f"unknown grid scheme {scheme!r}")
     centers = 0.5 * (edges[:-1] + edges[1:])
     centers[0] = 0.0
+    if not np.isfinite(centers[-1]):
+        raise ValueError("x_max too large: the top grid point overflows")
     return edges, centers
 
 
@@ -216,8 +223,8 @@ def build_grid(scheme, density) -> WealthGrid:
     """
     edges, centers = _grid_axes(scheme)
     target_mean = _density_mean(density)
-    if target_mean <= 0:
-        raise ValueError("initial density must have positive mean")
+    if not 0.0 < target_mean < math.inf:
+        raise ValueError("initial density must have a positive finite mean")
     if edges[-1] < 10.0 * target_mean:
         raise ValueError("x_max must be at least 10 * mean of the initial density")
 
@@ -230,6 +237,9 @@ def build_grid(scheme, density) -> WealthGrid:
         masses[lo[0]] += w[0]
         if hi[0] != lo[0]:
             masses[hi[0]] += 1.0 - w[0]
+        if not np.dot(masses, centers) > 0.0:
+            # the point lies closer to 0 than a float resolves
+            raise ValueError(f"point mass {density.x!r} rounds to 0 on the grid")
         return WealthGrid(edges, masses, centers=centers)
 
     if isinstance(density, UniformBand):
@@ -314,8 +324,7 @@ class DiscreteKernel:
     The per-atom arrays the build works from are not kept. The partner's
     post-wealth needs no encoding of its own: the outcome of the partner in
     pair (a, b) is the tagged outcome of pair (b, a), which the ordered
-    double sum already covers. ``joint_entries`` recomputes both for one
-    pair on demand.
+    double sum already covers.
     """
 
     def __init__(
@@ -329,33 +338,6 @@ class DiscreteKernel:
         self.trunc_coef = trunc_coef
         self.truncated_pairs = trunc_coef > 0.0
         self.has_truncation = bool(self.truncated_pairs.any())
-
-    def joint_entries(self, a: int, b: int) -> list[tuple[tuple[int, int], float]]:
-        """Destination-pair probabilities for ordered source pair (a, b)."""
-        c = self.centers
-        delta, prob = (
-            np.concatenate(column)
-            for column in zip(*_rule_atoms(self.rule, c[[a]], c[[b]]))
-        )
-        keep = prob != 0.0
-        delta, prob = delta[keep], prob[keep]
-        split1 = zip(*_split_points(c, c[a] + delta)[:3])
-        split2 = zip(*_split_points(c, c[b] - delta)[:3])
-        out: dict[tuple[int, int], float] = {}
-        for p, s1, s2 in zip(prob, split1, split2):
-            for m1, w1 in _destinations(*s1):
-                for m2, w2 in _destinations(*s2):
-                    pv = p * w1 * w2
-                    if pv != 0.0:
-                        out[(m1, m2)] = out.get((m1, m2), 0.0) + pv
-        return sorted(out.items())
-
-
-def _destinations(lo, hi, w_lo) -> list[tuple[int, float]]:
-    """(cell, weight) of one two-point split."""
-    if hi == lo:
-        return [(int(lo), w_lo)]
-    return [(int(lo), w_lo), (int(hi), 1.0 - w_lo)]
 
 
 def _rule_atoms(rule: RuleSpec, ca: np.ndarray, cb: np.ndarray):
@@ -598,7 +580,12 @@ class IntegrationAbort(RuntimeError):
 
 @dataclass
 class IntegrationReport:
-    """Per-step integration diagnostics plus run-level flags."""
+    """Per-step integration diagnostics plus run-level flags.
+
+    One row per accepted step. ``positivity_halvings`` counts the step
+    halvings taken to keep every cell mass non-negative. A run that aborts
+    carries the report of the steps accepted before the breach.
+    """
 
     t: np.ndarray = field(default_factory=lambda: np.empty(0))
     dt: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -612,10 +599,7 @@ class IntegrationReport:
     non_conservative: bool = False
     stopped_early: bool = False
     steps: int = 0
-    # Step halvings taken to keep every cell mass non-negative, and to keep
-    # the Gini index of an unbiased rule from decreasing.
     positivity_halvings: int = 0
-    gini_halvings: int = 0
 
 
 def integrate(
@@ -623,29 +607,29 @@ def integrate(
     kernel: DiscreteKernel,
     dt: float,
     t_end: float,
-    adaptive: bool = True,
     stop_gini: float | None = None,
     stop_liquidity: float | None = None,
     snapshot_every: int = 0,
-    max_steps: int = 2_000_000,
 ) -> tuple[list[tuple[float, WealthGrid]], IntegrationReport]:
     """Explicit Euler integration of the master equation.
 
-    ``dt`` is the maximum step; the effective step is additionally capped
-    so at most 10% of total mass moves per step and halved to preserve
-    positivity and Gini monotonicity. With ``adaptive=False`` the given dt
-    is used as-is and a step that would drive any mass negative aborts with
-    the offending step's report. Per-step mass drift beyond 1e-12 or mean
-    drift beyond 1e-10 relative (net of tracked top-cell wealth truncation)
-    aborts. Snapshots of the grid are returned at the start, the end, and
-    every ``snapshot_every`` accepted steps if positive.
+    ``dt`` is the maximum step. The step taken is also capped so at most
+    10% of total mass moves in it, and halved until no cell mass goes
+    negative. Each step is then audited, and a breach raises
+    ``IntegrationAbort`` with the report of the steps before it: a mass
+    drift beyond 1e-12 or a mean drift beyond 1e-10 relative (net of the
+    tracked top-cell truncation) in one step, a Gini decrease beyond 1e-12
+    in one step of an unbiased rule (the classic loser rule is exempt), or
+    more than ``MAX_STEPS`` steps. Snapshots of the grid are returned at
+    the start, the end, and every ``snapshot_every`` accepted steps if
+    positive.
 
     When both stop thresholds are given, integration stops early once
     G >= stop_gini and L <= stop_liquidity; a single given threshold stops
     on its own condition.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     c = kernel.centers
     if c.shape != grid.centers.shape or not np.array_equal(c, grid.centers):
         raise ValueError("kernel was built for a different grid")
@@ -685,9 +669,9 @@ def integrate(
 
     step_no = 0
     while t < t_end:
-        if step_no >= max_steps:
+        if step_no >= MAX_STEPS:
             _finish(rows)
-            raise IntegrationAbort(f"step budget {max_steps} exceeded", report)
+            raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
         step_no += 1
 
         r = _rhs_masses(kernel, m)
@@ -696,18 +680,11 @@ def integrate(
 
         norm1 = float(np.abs(r).sum())
         dt_eff = min(dt, t_end - t)
-        if adaptive and norm1 > 0.0:
+        if norm1 > 0.0:
             dt_eff = min(dt_eff, STEP_MASS_FRACTION * m.sum() / norm1)
 
         candidate = m + dt_eff * r
         if candidate.min() < 0.0:
-            if not adaptive:
-                _finish(rows)
-                raise IntegrationAbort(
-                    f"negative mass at t={t!r} with dt={dt_eff!r} "
-                    f"(min mass {candidate.min()!r})",
-                    report,
-                )
             for _ in range(100):
                 dt_eff *= 0.5
                 report.positivity_halvings += 1
@@ -719,21 +696,13 @@ def integrate(
                 raise IntegrationAbort("positivity unreachable by halving", report)
 
         g_new = _weighted_gini(candidate, c)
-        # Gini is a Lyapunov function only for unbiased kernels; a decrease
-        # there is pure time-discretization error and shrinks away with dt.
-        if adaptive and kernel.rule.unbiased:
-            halvings = 0
-            while g_new < g_prev - 1e-12 and halvings < 60:
-                dt_eff *= 0.5
-                candidate = m + dt_eff * r
-                g_new = _weighted_gini(candidate, c)
-                halvings += 1
-            report.gini_halvings += halvings
-            if g_new < g_prev - 1e-12:
-                _finish(rows)
-                raise IntegrationAbort(
-                    f"Gini decrease {g_new - g_prev!r} persists at t={t!r}", report
-                )
+        # Gini is a Lyapunov function only for unbiased kernels
+        if kernel.rule.unbiased and g_new < g_prev - GINI_DECREASE_TOL:
+            _finish(rows)
+            raise IntegrationAbort(
+                f"Gini decrease {g_new - g_prev!r} at t={t!r} with dt={dt_eff!r}",
+                report,
+            )
 
         m = candidate
         t += dt_eff

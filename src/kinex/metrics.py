@@ -9,7 +9,6 @@ quadratures over cell masses at the representative points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,47 +111,3 @@ def liquidity_grid(grid: WealthGrid, rule: RuleSpec) -> float:
         raise ValueError("degenerate: zero mean wealth")
     l = mobility_profile(grid, rule)
     return float(np.dot(grid.masses, l) / (2.0 * mean))
-
-
-def liquidity_empirical(sweep_deltas, pop: Population) -> float:
-    """Finite-N liquidity estimator over exactly one sweep (N/2 exchanges).
-
-    L_hat = sum |delta| / (N * <x>). Under the sweep = N/2 exchanges time
-    convention this estimates the grid quadrature of the liquidity integral.
-    """
-    deltas = list(sweep_deltas)
-    if not deltas:
-        raise ValueError("empty sweep: no deltas to estimate liquidity from")
-    if pop.total <= 0.0:
-        raise ValueError("degenerate: zero total wealth")
-    return math.fsum(abs(d) for d in deltas) / pop.total
-
-
-@dataclass(frozen=True)
-class CondensationReport:
-    """Distance-to-oligarchy diagnostics for a finite population."""
-
-    gini_gap: float
-    zero_fraction: float
-    top_share: float
-
-
-def condensation_report(
-    pop: Population, eps_zero: float = DEFAULT_EPS_ZERO
-) -> CondensationReport:
-    """Report gap to the finite-N Gini maximum, zero fraction, top share.
-
-    ``eps_zero`` is relative: an agent counts as zero-wealth below
-    eps_zero * mean wealth. Condensation drives wealth exponentially toward
-    0 without reaching it (for lambda < 1), so an absolute threshold would
-    be meaningless.
-    """
-    n = pop.size
-    g = gini_population(pop)
-    zero_frac = float(np.count_nonzero(pop.wealth < eps_zero * pop.mean)) / n
-    top = float(pop.wealth.max()) / pop.total
-    return CondensationReport(
-        gini_gap=(n - 1) / n - g,
-        zero_fraction=zero_frac,
-        top_share=top,
-    )

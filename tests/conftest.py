@@ -45,6 +45,24 @@ def make_grid(centers, masses):
     return WealthGrid(edges, masses, centers=c)
 
 
+def gini_dip(call, by=0.1):
+    """``master_eq._weighted_gini`` that reports a value ``by`` too low on
+    its ``call``-th call only; in ``integrate`` call 1 is the initial state
+    and call k + 1 the check of step k."""
+    import itertools
+
+    import kinex.master_eq as master_eq
+
+    inner = master_eq._weighted_gini
+    calls = itertools.count(1)
+
+    def dipped(m, c):
+        g = inner(m, c)
+        return g - by if next(calls) == call else g
+
+    return dipped
+
+
 # The four CLI commands of acceptance criterion 12 (each run adds --out).
 CRITERION_12_COMMANDS = {
     "simulate": [

@@ -6,11 +6,19 @@ import sys
 import pytest
 
 import kinex
-from kinex import Population, gini_population, write_snapshot
+from kinex import (
+    Population,
+    SimConfig,
+    gini_population,
+    parse_rule,
+    run,
+    write_snapshot,
+)
 from kinex.cli import emit_metadata, ExperimentConfig, main
+from kinex.core import format_float
 from kinex.engine import _sweep
 
-from conftest import CRITERION_12_COMMANDS
+from conftest import CRITERION_12_COMMANDS, gini_dip
 
 
 def run_cli(*args):
@@ -110,6 +118,33 @@ class TestConfigErrors:
         bad.write_text("nonsense\n")
         code, _, _ = run_cli("gini", str(bad))
         assert code == 2
+
+    def test_snapshot_count_unlike_header_exits_2(self, tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("# kinex population N=4 t=0\n0\n1\n2\n")
+        code, stdout, err = run_cli("gini", str(short))
+        assert (code, stdout) == (2, "")
+        assert "N=4" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--grid", "log:1e-3:inf:40", "--init", "point:1"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--dt", "nan"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--t-end", "nan"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1e-320"),
+        ],
+        ids=["grid-inf", "dt-nan", "t-end-nan", "point-rounds-to-zero"],
+    )
+    def test_integrate_non_finite_value_exits_2(self, flags, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "integrate", "--rule", "yardsale:lambda=0.5", "--dt", "1",
+            "--t-end", "3", *flags, "--out", str(out),
+        )
+        assert code == 2
+        assert "config error" in err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -238,6 +273,16 @@ class TestIntegrateCommand:
         )
         assert code == 2
 
+    def test_gini_decrease_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kinex.master_eq._weighted_gini", gini_dip(call=4))
+        code, _, err = run_cli(
+            "integrate", "--rule", "yardsale:lambda=0.5",
+            "--grid", "log:1e-3:1e3:64", "--init", "exp:1",
+            "--dt", "1", "--t-end", "10", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert "Gini decrease" in err
+
     def test_random_lambda_kernel(self, tmp_path):
         out = tmp_path / "rand.csv"
         code, _, _ = run_cli(
@@ -282,6 +327,23 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("parameter,value,final_gini")
         assert len(lines) == 4
+
+    def test_lambda_sweep_to_uniform(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.5,uniform",
+            "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "30",
+            "--record-every", "10", "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        row = out.read_text().splitlines()[2].split(",")
+        assert row[:2] == ["lambda", "uniform"]
+        assert row[-1] == ""
+        traj = run(SimConfig(
+            n=16, rule=parse_rule("yardsale:lambda=uniform"), max_sweeps=30,
+            record_every=10, seed=3,
+        ))
+        assert row[2] == format_float(traj.records[-1].gini)
 
     def test_n_sweep_reports_finite_max_gini(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -396,8 +458,8 @@ class TestGiniCommand:
 
 
 # sha256 of (CSV, .meta.json) for each criterion-12 command and each
-# large-N command below. A change that moves one of these changes output
-# bytes and must say so in CHANGES.md.
+# integrate and large-N command below. A change that moves one of these
+# changes output bytes and must say so in CHANGES.md.
 GOLDEN_SHA256 = {
     "simulate": (
         "ccb29a0cf61524695bf7f22098d7280ef8ff98cb7fcd6b4d3033d52d6093dff9",
@@ -440,7 +502,33 @@ LARGE_N_COMMANDS["ensemble-n8192"] = [
     "--sweeps", "3", "--record-every", "1", "--replicas", "2", "--seed", "13",
 ]
 
+# integrate runs that reach both step controls: a yardsale run that halves
+# its step 309 times for positivity in 286 steps and stops early, and a
+# classic-loser run whose Gini falls on 10 of its 54 steps (the rule is
+# exempt from the Gini audit).
+INTEGRATE_COMMANDS = {
+    "integrate-yardsale-0.5-condense": [
+        "integrate", "--rule", "yardsale:lambda=0.5",
+        "--grid", "log:1e-4:1e5:200", "--init", "point:1",
+        "--dt", "50", "--t-end", "1e5",
+        "--stop-gini", "0.995", "--stop-liquidity", "0.005",
+    ],
+    "integrate-loser-0.5": [
+        "integrate", "--rule", "loser:lambda=0.5",
+        "--grid", "log:1e-3:1e3:64", "--init", "exp:1",
+        "--dt", "5", "--t-end", "100",
+    ],
+}
+
 GOLDEN_SHA256.update({
+    "integrate-yardsale-0.5-condense": (
+        "eccbeae8c5f449b5910042d2db081e27afd5eb7f54a19f852ec8e100124aba28",
+        "329d2d2919cdd576ecfb7356352d5d633a396d4e56c3f924af2f159c054b0718",
+    ),
+    "integrate-loser-0.5": (
+        "b249773713430d96f00044a244a32e03396636cc8fa779a5da2d4805babf7a6e",
+        "fd9aa38a5335cca299de5f29ce10f4f0c9578ed38636a7d24a5be027da1f3c6c",
+    ),
     "simulate-n8192-yardsale-0.5": (
         "47caa1195c37621805e74c3f1590e9529830f3209951a14dd5de50c756d85443",
         "a5166887dcbbc99855b643e159e135408caf85cc53e6132ce77fb646298c91aa",
@@ -478,7 +566,7 @@ GOLDEN_SHA256.update({
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_golden_output_hashes(command, tmp_path):
-    argv = {**CRITERION_12_COMMANDS, **LARGE_N_COMMANDS}[command]
+    argv = {**CRITERION_12_COMMANDS, **INTEGRATE_COMMANDS, **LARGE_N_COMMANDS}[command]
     out = tmp_path / f"{command}.csv"
     assert run_cli(*argv, "--out", str(out))[0] == 0
     meta = tmp_path / f"{command}.csv.meta.json"

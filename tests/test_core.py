@@ -13,7 +13,6 @@ from kinex import (
     SimConfig,
     read_snapshot,
     run,
-    validate_population,
     write_snapshot,
 )
 from kinex.engine import _sweep
@@ -26,23 +25,7 @@ ALL_RULES = [
 ]
 
 
-class TestValidatePopulation:
-    def test_valid(self):
-        assert validate_population(Population([1.0, 1.0, 1.0])).ok
-
-    def test_reports_negative_entry(self):
-        pop = Population([1.0, 1.0])
-        pop.wealth[1] = -0.5  # corrupt in place; constructor would reject it
-        report = validate_population(pop)
-        assert not report.ok
-        assert "index 1" in report.violations[0]
-
-    def test_reports_total_mismatch(self):
-        pop = Population([3.0, 0.0, 0.0], total=2.0)
-        report = validate_population(pop)
-        assert not report.ok
-        assert any("total mismatch" in v for v in report.violations)
-
+class TestPopulation:
     def test_constructor_rejects_negative(self):
         with pytest.raises(ValueError):
             Population([1.0, -0.5])
@@ -69,7 +52,6 @@ def test_conservation_under_random_exchanges(wealths, seed):
         )
         pop = run(cfg, initial_population=Population(wealths)).final_population
         assert math.fsum(pop.wealth) == pytest.approx(total0, rel=1e-12)
-        assert validate_population(pop).ok
         assert np.all(pop.wealth >= 0.0)
 
 
@@ -116,4 +98,20 @@ class TestSnapshotIO:
         path = tmp_path / "junk.txt"
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "body", ["1.0\n2.0\n3.0\n", "1.0\n2.0\n3.0\n4.0\n5.0\n"],
+        ids=["truncated", "extra-line"],
+    )
+    def test_rejects_count_unlike_header(self, tmp_path, body):
+        path = tmp_path / "pop.txt"
+        path.write_text("# kinex population N=4 t=0\n" + body)
+        with pytest.raises(ValueError, match="N=4"):
+            read_snapshot(path)
+
+    def test_rejects_header_without_count(self, tmp_path):
+        path = tmp_path / "pop.txt"
+        path.write_text("# kinex population t=0\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match="header"):
             read_snapshot(path)

@@ -2,8 +2,10 @@
 
 The benchmark in ``perfbench/`` reads each per-layer metric from hooks that
 wrap module attributes by name (``DEPENDS`` in ``perfbench/run.py``); a hook
-whose target is gone makes its metric read null instead of failing. These
-tests turn such a rename into a failure, and check the package's exports.
+whose target is gone makes its metric read null instead of failing, and a
+hook that is no longer called reads 0. These tests turn such a rename, or
+a hook left uncalled by the CLI runs the benchmark makes, into a failure,
+and check the package's exports.
 """
 
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import kinex
+import kinex.cli
 from kinex import RuleKind, RuleSpec, build_grid, build_kernel
 from kinex.master_eq import LinearScheme, PointMass
 
@@ -84,3 +87,43 @@ def test_large_run_calls_sweep_once_per_sweep(monkeypatch):
     )
     engine.run(config)
     assert calls == {"_sweep": 3, "_sweep_rounds": 3}
+
+
+def _count_calls(monkeypatch, target: str) -> list:
+    """Wrap the function at dotted path ``target`` so each call is counted."""
+    module_name, _, attr = target.rpartition(".")
+    module = importlib.import_module(module_name)
+    inner = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_simulate_calls_gini_population_once_per_record(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, "kinex.engine.gini_population")
+    code = kinex.cli.main([
+        "simulate", "--rule", "yardsale:lambda=0.5", "--n", "16",
+        "--sweeps", "3", "--record-every", "1", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 0
+    assert len(calls) == 3
+
+
+def test_integrate_calls_gini_hooks_once_per_step(monkeypatch, tmp_path):
+    gini = _count_calls(monkeypatch, "kinex.master_eq._weighted_gini")
+    rate = _count_calls(monkeypatch, "kinex.master_eq._gini_rate_masses")
+    out = tmp_path / "i.csv"
+    code = kinex.cli.main([
+        "integrate", "--rule", "yardsale:lambda=0.5", "--grid", "log:1e-3:1e3:40",
+        "--init", "point:1", "--dt", "1", "--t-end", "5", "--out", str(out),
+    ])
+    assert code == 0
+    steps = len(out.read_text().splitlines()) - 1
+    assert steps >= 5
+    assert len(gini) == 1 + steps
+    assert len(rate) == steps

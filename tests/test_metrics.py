@@ -9,20 +9,25 @@ from kinex import (
     Population,
     RuleKind,
     RuleSpec,
-    condensation_report,
     gini_grid,
     gini_population,
-    liquidity_empirical,
     liquidity_grid,
     mobility_profile,
 )
+from kinex.engine import _record
 from kinex.master_eq import Exponential, LinearScheme, build_grid
-from kinex.metrics import gini_population_bruteforce
+from kinex.metrics import DEFAULT_EPS_ZERO, gini_population_bruteforce
 
 from conftest import make_grid
 
 YS1 = RuleSpec(kind=RuleKind.YARD_SALE, lam=1.0)
 IA = RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA)
+
+
+def record_of(wealth, sweep_abs=0.0):
+    """The Monte Carlo record of a population, as ``engine.run`` takes it."""
+    w = np.asarray(wealth, dtype=float)
+    return _record(w, math.fsum(w), DEFAULT_EPS_ZERO, 1, sweep_abs)
 
 
 class TestGiniPopulation:
@@ -78,7 +83,7 @@ def test_population_metrics_permutation_invariance(wealths, rnd):
     rnd.shuffle(shuffled)
     a, b = Population(wealths), Population(shuffled)
     assert gini_population(a) == pytest.approx(gini_population(b), abs=1e-13)
-    ra, rb = condensation_report(a), condensation_report(b)
+    ra, rb = (record_of(p.wealth) for p in (a, b))
     assert ra.zero_fraction == rb.zero_fraction
     assert ra.top_share == pytest.approx(rb.top_share, abs=1e-15)
 
@@ -184,33 +189,23 @@ class TestLiquidityGrid:
                 assert 0.0 <= liquidity_grid(grid, rule) <= 1.0
 
 
-class TestLiquidityEmpirical:
-    def test_one_full_transfer_per_exchange(self):
-        # N=2, one exchange of exactly <x> per sweep: L = 0.5
-        pop = Population([1.0, 1.0])
-        assert liquidity_empirical([1.0], pop) == 0.5
-
-    def test_all_zero_deltas(self):
-        pop = Population([1.0, 1.0, 1.0, 1.0])
-        assert liquidity_empirical([0.0, 0.0], pop) == 0.0
-
-    def test_empty_sweep_is_an_error(self):
-        with pytest.raises(ValueError, match="empty sweep"):
-            liquidity_empirical([], Population([1.0, 1.0]))
-
-
-class TestCondensationReport:
+class TestRecord:
     def test_exact_oligarchy(self):
-        rep = condensation_report(Population([0.0, 0.0, 0.0, 4.0]), eps_zero=1e-9)
-        assert rep.gini_gap == 0.0
-        assert rep.zero_fraction == 0.75
-        assert rep.top_share == 1.0
+        rec = record_of([0.0, 0.0, 0.0, 4.0])
+        assert rec.gini == 0.75  # the finite-N maximum (N - 1) / N
+        assert rec.zero_fraction == 0.75
+        assert rec.top_share == 1.0
 
     def test_perfect_equality(self):
-        rep = condensation_report(Population([1.0, 1.0, 1.0, 1.0]))
-        assert rep.gini_gap == 0.75
-        assert rep.zero_fraction == 0.0
-        assert rep.top_share == 0.25
+        rec = record_of([1.0, 1.0, 1.0, 1.0])
+        assert rec.gini == 0.0
+        assert rec.zero_fraction == 0.0
+        assert rec.top_share == 0.25
+
+    def test_liquidity_of_a_sweep(self):
+        # sum |delta| / (N <x>): no transfer, and one of <x> per agent pair
+        assert record_of([1.0, 1.0, 1.0, 1.0]).liquidity == 0.0
+        assert record_of([1.0, 1.0, 1.0, 1.0], sweep_abs=2.0).liquidity == 0.5
 
 
 class TestMobilityBound:
