@@ -16,18 +16,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .core import (
     ContractViolation,
+    Population,
+    WealthGrid,
     format_float,
     read_snapshot,
     write_snapshot,
 )
 from .engine import (
+    EnsembleSummary,
     SimConfig,
     StopReason,
     parse_initial,
@@ -36,6 +39,8 @@ from .engine import (
 )
 from .master_eq import (
     IntegrationAbort,
+    IntegrationReport,
+    _grid_axes,
     build_grid,
     build_kernel,
     check_kernel,
@@ -43,19 +48,19 @@ from .master_eq import (
     parse_density,
     parse_grid_scheme,
 )
-from .metrics import DEFAULT_EPS_ZERO, gini_population
+from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
 from .rules import format_rule, parse_rule
 
 TIME_CONVENTION = "sweep=N/2 exchanges"
 
-SIM_CSV_HEADER = "t,gini,liquidity,mean_wealth,top_share,zero_fraction,gini_gap"
-ENSEMBLE_CSV_HEADER = "t,gini_mean,gini_std,liquidity_mean,liquidity_std"
-INTEGRATE_CSV_HEADER = (
-    "t,dt,gini,gini_rate,liquidity,bound_ratio,mass_drift,mean_drift"
+# CSV columns of each command, from the result type it writes
+SIM_COLUMNS = tuple(f.name for f in fields(MetricsRecord)) + ("gini_gap",)
+ENSEMBLE_COLUMNS = tuple(
+    f.name for f in fields(EnsembleSummary) if f.name != "replicas"
 )
-SWEEP_CSV_HEADER = (
-    "parameter,value,final_gini,final_liquidity,gini_max,"
-    "sweeps_to_condensation,error"
+SWEEP_COLUMNS = (
+    "parameter", "value", "final_gini", "final_liquidity", "gini_max",
+    "sweeps_to_condensation", "error",
 )
 
 
@@ -110,6 +115,12 @@ def _write_csv(path: str, header: str, rows) -> None:
         lines.append(",".join(_cell(x) for x in row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_result(args, params: dict, columns, rows) -> None:
+    """Write the command's CSV to ``args.out`` and its metadata sidecar."""
+    _write_csv(args.out, ",".join(columns), rows)
+    _write_metadata(ExperimentConfig(args.command, params, args.out))
 
 
 def _cell(x) -> str:
@@ -248,26 +259,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--snapshot-every requires --snapshot-dir")
     traj = run(config, snapshot_every=args.snapshot_every)
     gap_max = (config.n - 1) / config.n
-    rows = [
-        (
-            r.t,
-            r.gini,
-            r.liquidity,
-            r.mean_wealth,
-            r.top_share,
-            r.zero_fraction,
-            gap_max - r.gini,
-        )
-        for r in traj.records
-    ]
-    _write_csv(args.out, SIM_CSV_HEADER, rows)
-    _write_metadata(
-        ExperimentConfig("simulate", _sim_params(args), args.out)
-    )
+    rows = [(*astuple(r), gap_max - r.gini) for r in traj.records]
+    _write_result(args, _sim_params(args), SIM_COLUMNS, rows)
     if args.snapshot_dir:
         os.makedirs(args.snapshot_dir, exist_ok=True)
-        from .core import Population
-
         for t, wealth in traj.snapshots:
             path = os.path.join(args.snapshot_dir, f"population_t{t}.txt")
             write_snapshot(path, Population(wealth), t=t)
@@ -280,19 +275,9 @@ def _cmd_ensemble(args) -> int:
         raise ConfigError("--replicas must be >= 2")
     config = _sim_config(args)
     summary = run_ensemble(config, args.replicas)
-    rows = zip(
-        summary.t,
-        summary.gini_mean,
-        summary.gini_std,
-        summary.liquidity_mean,
-        summary.liquidity_std,
-    )
-    _write_csv(args.out, ENSEMBLE_CSV_HEADER, rows)
-    _write_metadata(
-        ExperimentConfig(
-            "ensemble", _sim_params(args, {"replicas": args.replicas}), args.out
-        )
-    )
+    params = _sim_params(args, {"replicas": args.replicas})
+    rows = zip(*(getattr(summary, c) for c in ENSEMBLE_COLUMNS))
+    _write_result(args, params, ENSEMBLE_COLUMNS, rows)
     print(f"replicas={summary.replicas} records={summary.t.size}")
     return 0
 
@@ -310,17 +295,6 @@ def _cmd_integrate(args) -> int:
         stop_liquidity=args.stop_liquidity,
         snapshot_every=args.snapshot_every,
     )
-    rows = zip(
-        report.t,
-        report.dt,
-        report.gini,
-        report.gini_rate,
-        report.liquidity,
-        report.bound_ratio,
-        report.mass_drift,
-        report.mean_drift,
-    )
-    _write_csv(args.out, INTEGRATE_CSV_HEADER, rows)
     params = {
         "rule": format_rule(rule),
         "grid": args.grid,
@@ -333,7 +307,8 @@ def _cmd_integrate(args) -> int:
         params["stop_gini"] = format_float(args.stop_gini)
     if args.stop_liquidity is not None:
         params["stop_liquidity"] = format_float(args.stop_liquidity)
-    _write_metadata(ExperimentConfig("integrate", params, args.out))
+    columns = IntegrationReport.COLUMNS
+    _write_result(args, params, columns, zip(*(getattr(report, c) for c in columns)))
     if args.snapshots:
         snap_rows = []
         for t, g in snapshots:
@@ -357,11 +332,11 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_kernel_check(args) -> int:
     rule = parse_rule(args.rule)
-    scheme = parse_grid_scheme(args.grid)
-    # Kernel geometry only depends on the grid axis; any valid density works.
-    x_max = scheme.x_max
-    grid = build_grid(scheme, parse_density(f"point:{x_max / 20.0}"))
-    kernel = build_kernel(rule, grid)
+    # the kernel depends on the grid axis alone, so all mass sits at zero
+    edges, centers = _grid_axes(parse_grid_scheme(args.grid))
+    masses = np.zeros(centers.size)
+    masses[0] = 1.0
+    kernel = build_kernel(rule, WealthGrid(edges, masses, centers))
     report = check_kernel(kernel)
     print(f"max normalization error: {format_float(report.max_norm_error)}")
     print(f"max bias: {format_float(report.max_bias)}")
@@ -391,44 +366,22 @@ def _cmd_sweep(args) -> int:
         try:
             if args.replicas >= 2:
                 summary = run_ensemble(cfg, args.replicas)
-                rows.append(
-                    (
-                        args.param,
-                        value,
-                        summary.gini_mean[-1],
-                        summary.liquidity_mean[-1],
-                        gini_max,
-                        -1,
-                        "",
-                    )
-                )
+                gini, liquidity = summary.gini_mean[-1], summary.liquidity_mean[-1]
+                t_cond = -1
             else:
                 traj = run(cfg)
+                last = traj.records[-1]
+                gini, liquidity = last.gini, last.liquidity
                 condensed = traj.stop_reason is StopReason.CONDENSED
-                t_cond = int(traj.records[-1].t) if condensed else -1
-                rows.append(
-                    (
-                        args.param,
-                        value,
-                        traj.records[-1].gini,
-                        traj.records[-1].liquidity,
-                        gini_max,
-                        t_cond,
-                        "",
-                    )
-                )
+                t_cond = int(last.t) if condensed else -1
+            error = ""
         # A bad configuration or an invariant breach in one row must not kill
         # the sweep; any other exception is a bug and propagates.
         except (ValueError, OSError, ContractViolation) as exc:
-            rows.append((args.param, value, "", "", gini_max, -1, str(exc)))
-    _write_csv(args.out, SWEEP_CSV_HEADER, rows)
-    _write_metadata(
-        ExperimentConfig(
-            "sweep",
-            _sim_params(args, {"param": args.param, "values": args.values}),
-            args.out,
-        )
-    )
+            gini, liquidity, t_cond, error = "", "", -1, str(exc)
+        rows.append((args.param, value, gini, liquidity, gini_max, t_cond, error))
+    params = _sim_params(args, {"param": args.param, "values": args.values})
+    _write_result(args, params, SWEEP_COLUMNS, rows)
     print(f"rows={len(rows)}")
     return 0
 

@@ -129,17 +129,17 @@ class RngStream:
 class WealthGrid:
     """Discretized wealth density: cell edges, per-cell masses, quadrature points.
 
-    Edges start at 0 and increase strictly. The first cell's representative
-    point is exactly 0 (the absorbing state must be resolvable on every
-    grid); the remaining representative points are cell centers. Total mass
-    must be 1 within 1e-10 and all masses non-negative.
+    Edges start at 0 and increase strictly; the representative points, one
+    per cell, increase strictly (``master_eq._grid_axes`` puts the first at
+    exactly 0, so every grid resolves the absorbing state). Total mass must
+    be 1 within 1e-10 and all masses non-negative.
     """
 
     __slots__ = ("edges", "masses", "centers")
 
     MASS_TOL = 1e-10
 
-    def __init__(self, edges, masses, centers=None):
+    def __init__(self, edges, masses, centers):
         e = np.asarray(edges, dtype=np.float64)
         m = np.asarray(masses, dtype=np.float64).copy()
         if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or np.any(np.diff(e) <= 0):
@@ -148,13 +148,9 @@ class WealthGrid:
             raise ValueError("masses must have one entry per cell")
         if np.any(m < 0.0):
             raise ValueError("negative cell mass is not allowed")
-        if centers is None:
-            c = 0.5 * (e[:-1] + e[1:])
-            c[0] = 0.0
-        else:
-            c = np.asarray(centers, dtype=np.float64)
-            if c.shape != m.shape or np.any(np.diff(c) <= 0) or c[0] < 0.0:
-                raise ValueError("representative points must strictly increase")
+        c = np.asarray(centers, dtype=np.float64)
+        if c.shape != m.shape or np.any(np.diff(c) <= 0) or c[0] < 0.0:
+            raise ValueError("representative points must strictly increase")
         if abs(math.fsum(m) - 1.0) > self.MASS_TOL:
             raise ValueError(
                 f"grid mass {math.fsum(m)!r} deviates from 1 beyond {self.MASS_TOL}"
@@ -176,7 +172,7 @@ class WealthGrid:
         return math.fsum(self.masses)
 
     def with_masses(self, masses) -> "WealthGrid":
-        return WealthGrid(self.edges, masses, centers=self.centers)
+        return WealthGrid(self.edges, masses, self.centers)
 
     def __repr__(self):
         return (

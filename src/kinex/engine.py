@@ -468,22 +468,20 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_ensemble(
-    config: SimConfig, replicas: int, workers: int | None = None
-) -> EnsembleSummary:
+def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
     """Run independent replicas on stream ids 0..R-1 derived from config.seed.
 
-    Early-stop thresholds are ignored for ensemble runs so that every
-    replica shares one time axis; aggregation is ordered by replica id
-    regardless of completion order, so results do not depend on the worker
-    count. Standard deviations use ddof=1 and need replicas >= 2.
+    Replicas run on ``worker_count()`` processes. Early-stop thresholds are
+    ignored for ensemble runs so that every replica shares one time axis;
+    aggregation is ordered by replica id regardless of completion order, so
+    results do not depend on the worker count. Standard deviations use
+    ddof=1 and need replicas >= 2.
     """
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
     base = replace(config, stop_gini_gap=None, stop_liquidity=None)
     jobs = [(base, r) for r in range(replicas)]
-    if workers is None:
-        workers = worker_count()
+    workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_curves, jobs, chunksize=4))

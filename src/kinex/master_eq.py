@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sparse
@@ -128,7 +129,7 @@ def parse_density(text: str) -> PointMass | UniformBand | Exponential:
         if parts[0] == "uniform" and len(parts) == 3:
             return UniformBand(a=float(parts[1]), b=float(parts[2]))
         if parts[0] == "exp" and len(parts) == 2:
-            return Exponential(mean=float(parts[1]))
+            return Exponential(float(parts[1]))
     except ValueError as exc:
         raise ValueError(f"bad density spec {text!r}: {exc}") from None
     raise ValueError(f"bad density spec {text!r}")
@@ -165,7 +166,9 @@ def _grid_axes(scheme) -> tuple[np.ndarray, np.ndarray]:
         )
     else:
         raise TypeError(f"unknown grid scheme {scheme!r}")
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    # an overflowing top point is rejected below
+    with np.errstate(over="ignore"):
+        centers = 0.5 * (edges[:-1] + edges[1:])
     centers[0] = 0.0
     if not np.isfinite(centers[-1]):
         raise ValueError("x_max too large: the top grid point overflows")
@@ -213,13 +216,26 @@ def _mean_correct(masses: np.ndarray, centers: np.ndarray, target: float) -> Non
     masses[k_hi] += eta
 
 
+def _point_split(centers: np.ndarray, x: float) -> np.ndarray:
+    """Unit mass at wealth ``x``, split mean-exactly between the two grid
+    points bracketing it."""
+    lo, hi, w, _ = _split_points(centers, np.array([x]))
+    masses = np.zeros(centers.size)
+    masses[lo[0]] = w[0]
+    masses[hi[0]] += 1.0 - w[0]
+    return masses
+
+
 def build_grid(scheme, density) -> WealthGrid:
     """Discretize an initial density onto a wealth grid.
 
     The result is normalized exactly and its first moment is corrected to
     the density's nominal mean by a two-cell adjustment, so integration
     starts from a state that satisfies the conservation contracts to
-    rounding error. Requires x_max >= 10 * mean.
+    rounding error. Requires x_max >= 10 * mean and a mean at most the
+    second-highest representative point, which keeps the top point, where
+    exchanges truncate, empty. A uniform or exponential mean must also reach
+    the lowest positive point; a point mass below it is split exactly.
     """
     edges, centers = _grid_axes(scheme)
     target_mean = _density_mean(density)
@@ -227,21 +243,18 @@ def build_grid(scheme, density) -> WealthGrid:
         raise ValueError("initial density must have a positive finite mean")
     if edges[-1] < 10.0 * target_mean:
         raise ValueError("x_max must be at least 10 * mean of the initial density")
+    if target_mean > centers[-2]:
+        raise ValueError("initial mean above the grid's second-highest point")
 
-    n = centers.size
-    masses = np.zeros(n)
     if isinstance(density, PointMass):
-        if not 0.0 <= density.x <= centers[-1]:
-            raise ValueError("point mass outside the grid")
-        lo, hi, w, _ = _split_points(centers, np.array([density.x]))
-        masses[lo[0]] += w[0]
-        if hi[0] != lo[0]:
-            masses[hi[0]] += 1.0 - w[0]
+        masses = _point_split(centers, density.x)
         if not np.dot(masses, centers) > 0.0:
             # the point lies closer to 0 than a float resolves
             raise ValueError(f"point mass {density.x!r} rounds to 0 on the grid")
-        return WealthGrid(edges, masses, centers=centers)
+        return WealthGrid(edges, masses, centers)
 
+    if target_mean < centers[1]:
+        raise ValueError("initial mean below the grid's lowest positive point")
     if isinstance(density, UniformBand):
         a, b = density.a, density.b
         if not 0.0 <= a < b <= edges[-1]:
@@ -249,10 +262,9 @@ def build_grid(scheme, density) -> WealthGrid:
         overlap = np.clip(edges[1:], a, b) - np.clip(edges[:-1], a, b)
         masses = np.maximum(overlap, 0.0) / (b - a)
     elif isinstance(density, Exponential):
-        mu = density.mean
-        if mu <= 0:
-            raise ValueError("exponential mean must be positive")
-        cdf = 1.0 - np.exp(-edges / mu)
+        # edges / mean may overflow to inf, and exp(-inf) = 0 is exact
+        with np.errstate(over="ignore"):
+            cdf = 1.0 - np.exp(-edges / density.mean)
         masses = np.diff(cdf)
         masses[-1] += 1.0 - cdf[-1]  # lump the truncated tail into the top cell
     else:
@@ -260,25 +272,20 @@ def build_grid(scheme, density) -> WealthGrid:
 
     masses /= math.fsum(masses)
     _mean_correct(masses, centers, target_mean)
-    return WealthGrid(edges, masses, centers=centers)
+    return WealthGrid(edges, masses, centers)
 
 
-def oligarchy_surrogate(grid: WealthGrid, m_factor: float, mean: float = 1.0) -> WealthGrid:
-    """Finite-grid surrogate of the absolute oligarchy.
+def oligarchy_surrogate(grid: WealthGrid, m_factor: float) -> WealthGrid:
+    """Finite-grid surrogate of the absolute oligarchy at mean wealth 1.
 
-    Mass 1 - 1/M at zero wealth plus mass 1/M at wealth M * mean; the exact
-    limit state is reached as M grows. The far point is placed by the same
+    Mass 1 - 1/M at zero wealth plus mass 1/M at wealth M; the exact limit
+    state is reached as M grows. The far point is placed by the same
     mean-exact split as everything else.
     """
-    x_far = m_factor * mean
-    if x_far > grid.centers[-1]:
-        raise ValueError("surrogate wealth M*mean exceeds the grid")
-    masses = np.zeros(grid.cells)
-    masses[0] = 1.0 - 1.0 / m_factor
-    lo, hi, w, _ = _split_points(grid.centers, np.array([x_far]))
-    masses[lo[0]] += w[0] / m_factor
-    if hi[0] != lo[0]:
-        masses[hi[0]] += (1.0 - w[0]) / m_factor
+    if m_factor > grid.centers[-1]:
+        raise ValueError("surrogate wealth M exceeds the grid")
+    masses = _point_split(grid.centers, m_factor) / m_factor
+    masses[0] += 1.0 - 1.0 / m_factor
     return grid.with_masses(masses)
 
 
@@ -456,8 +463,7 @@ class KernelCheckReport:
     passed: bool
     norm_error: np.ndarray
     bias: np.ndarray
-    has_truncation: bool
-    truncated_pairs: int = 0
+    truncated_pairs: int
 
     NORM_TOL = 1e-12
     BIAS_REL_TOL = 1e-10
@@ -494,7 +500,6 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
         passed=passed,
         norm_error=norm_error,
         bias=bias,
-        has_truncation=kernel.has_truncation,
         truncated_pairs=int(kernel.truncated_pairs.sum()),
     )
 
@@ -538,21 +543,17 @@ def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     no rounding residue. Non-negative for unbiased kernels up to rounding
     error.
     """
-    return _gini_rate_masses(kernel, grid.masses)
+    return _gini_rate_masses(kernel, grid.masses, rhs(grid, kernel))
 
 
-def _gini_rate_masses(
-    kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray | None = None
-) -> float:
-    """``gini_rate`` of masses ``m``; ``r`` is ``_rhs_masses(kernel, m)`` if known."""
+def _gini_rate_masses(kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray) -> float:
+    """``gini_rate`` of masses ``m`` whose right-hand side is ``r``."""
     c = kernel.centers
     cum_m = np.cumsum(m)
     cum_mc = np.cumsum(m * c)
     m_tot = cum_m[-1]
     m1_tot = cum_mc[-1]
     phi_c = c * (2.0 * cum_m - m_tot) + (m1_tot - 2.0 * cum_mc)
-    if r is None:
-        r = _rhs_masses(kernel, m)
     return float(np.dot(phi_c, r) / m1_tot)
 
 
@@ -582,10 +583,16 @@ class IntegrationAbort(RuntimeError):
 class IntegrationReport:
     """Per-step integration diagnostics plus run-level flags.
 
-    One row per accepted step. ``positivity_halvings`` counts the step
-    halvings taken to keep every cell mass non-negative. A run that aborts
-    carries the report of the steps accepted before the breach.
+    One row per accepted step; ``COLUMNS`` names the per-step columns in
+    field order, the CLI's CSV order. ``positivity_halvings`` counts the
+    step halvings taken to keep every cell mass non-negative. A run that
+    aborts carries the report of the steps accepted before the breach.
     """
+
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "t", "dt", "gini", "gini_rate", "liquidity", "bound_ratio",
+        "mass_drift", "mean_drift",
+    )
 
     t: np.ndarray = field(default_factory=lambda: np.empty(0))
     dt: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -647,119 +654,91 @@ def integrate(
     g_prev = _weighted_gini(m, c)
     mass_prev = mass0
     mean_prev = mean0
+    stop_hit = False
+    step_no = 0
 
-    def _finish(rows) -> None:
-        if rows:
-            cols = np.array(rows).T
-        else:
-            cols = np.empty((8, 0))
-        (
-            report.t,
-            report.dt,
-            report.gini,
-            report.gini_rate,
-            report.liquidity,
-            report.bound_ratio,
-            report.mass_drift,
-            report.mean_drift,
-        ) = cols
+    # every exit, an abort included, fills the report in the finally block
+    try:
+        while t < t_end and not stop_hit:
+            if step_no >= MAX_STEPS:
+                raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
+            step_no += 1
+
+            r = _rhs_masses(kernel, m)
+            rate = _gini_rate_masses(kernel, m, r)
+            trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
+
+            norm1 = float(np.abs(r).sum())
+            dt_eff = min(dt, t_end - t)
+            if norm1 > 0.0:
+                dt_eff = min(dt_eff, STEP_MASS_FRACTION * m.sum() / norm1)
+
+            candidate = m + dt_eff * r
+            if candidate.min() < 0.0:
+                for _ in range(100):
+                    dt_eff *= 0.5
+                    report.positivity_halvings += 1
+                    candidate = m + dt_eff * r
+                    if candidate.min() >= 0.0:
+                        break
+                else:
+                    raise IntegrationAbort("positivity unreachable by halving", report)
+
+            g_new = _weighted_gini(candidate, c)
+            # Gini is a Lyapunov function only for unbiased kernels
+            if kernel.rule.unbiased and g_new < g_prev - GINI_DECREASE_TOL:
+                raise IntegrationAbort(
+                    f"Gini decrease {g_new - g_prev!r} at t={t!r} with dt={dt_eff!r}",
+                    report,
+                )
+
+            m = candidate
+            t += dt_eff
+            step_trunc = dt_eff * trunc_rate
+            cum_trunc += step_trunc
+            if not trunc_warned and cum_trunc > 0.5 * TRUNCATION_TOL * mean0:
+                trunc_warned = True
+                log.warning(
+                    "truncated wealth %.3e at t=%.6g has passed half the "
+                    "non-conservative threshold %.1e of the initial mean",
+                    cum_trunc / mean0,
+                    t,
+                    TRUNCATION_TOL,
+                )
+
+            mass = math.fsum(m)
+            mean = float(np.dot(m, c))
+            if abs(mass - mass_prev) > STEP_MASS_TOL:
+                raise IntegrationAbort(
+                    f"mass drift {mass - mass_prev!r} in one step at t={t!r}", report
+                )
+            if abs(mean - mean_prev + step_trunc) > STEP_MEAN_TOL * mean0:
+                raise IntegrationAbort(
+                    f"unexplained mean drift {mean - mean_prev!r} at t={t!r}", report
+                )
+
+            liquidity, bound_ratio = _mobility_ratios(kernel, m, two_mean0)
+            drifts = ((mass - mass0) / mass0, (mean - mean0) / mean0)
+            rows.append((t, dt_eff, g_new, rate, liquidity, bound_ratio, *drifts))
+            if snapshot_every and step_no % snapshot_every == 0:
+                snapshots.append((t, grid.with_masses(m)))
+
+            g_prev = g_new
+            mass_prev = mass
+            mean_prev = mean
+            stop_hit = (
+                (stop_gini is not None or stop_liquidity is not None)
+                and (stop_gini is None or g_new >= stop_gini)
+                and (stop_liquidity is None or liquidity <= stop_liquidity)
+            )
+    finally:
+        columns = np.array(rows).reshape(-1, len(IntegrationReport.COLUMNS)).T
+        for name, column in zip(IntegrationReport.COLUMNS, columns):
+            setattr(report, name, column)
         report.steps = len(rows)
         report.truncated_wealth = cum_trunc
         report.non_conservative = cum_trunc > TRUNCATION_TOL * mean0
-
-    step_no = 0
-    while t < t_end:
-        if step_no >= MAX_STEPS:
-            _finish(rows)
-            raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
-        step_no += 1
-
-        r = _rhs_masses(kernel, m)
-        rate = _gini_rate_masses(kernel, m, r)
-        trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
-
-        norm1 = float(np.abs(r).sum())
-        dt_eff = min(dt, t_end - t)
-        if norm1 > 0.0:
-            dt_eff = min(dt_eff, STEP_MASS_FRACTION * m.sum() / norm1)
-
-        candidate = m + dt_eff * r
-        if candidate.min() < 0.0:
-            for _ in range(100):
-                dt_eff *= 0.5
-                report.positivity_halvings += 1
-                candidate = m + dt_eff * r
-                if candidate.min() >= 0.0:
-                    break
-            else:
-                _finish(rows)
-                raise IntegrationAbort("positivity unreachable by halving", report)
-
-        g_new = _weighted_gini(candidate, c)
-        # Gini is a Lyapunov function only for unbiased kernels
-        if kernel.rule.unbiased and g_new < g_prev - GINI_DECREASE_TOL:
-            _finish(rows)
-            raise IntegrationAbort(
-                f"Gini decrease {g_new - g_prev!r} at t={t!r} with dt={dt_eff!r}",
-                report,
-            )
-
-        m = candidate
-        t += dt_eff
-        step_trunc = dt_eff * trunc_rate
-        cum_trunc += step_trunc
-        if not trunc_warned and cum_trunc > 0.5 * TRUNCATION_TOL * mean0:
-            trunc_warned = True
-            log.warning(
-                "truncated wealth %.3e at t=%.6g has passed half the "
-                "non-conservative threshold %.1e of the initial mean",
-                cum_trunc / mean0,
-                t,
-                TRUNCATION_TOL,
-            )
-
-        mass = math.fsum(m)
-        mean = float(np.dot(m, c))
-        if abs(mass - mass_prev) > STEP_MASS_TOL:
-            _finish(rows)
-            raise IntegrationAbort(
-                f"mass drift {mass - mass_prev!r} in one step at t={t!r}", report
-            )
-        if abs(mean - mean_prev + step_trunc) > STEP_MEAN_TOL * mean0:
-            _finish(rows)
-            raise IntegrationAbort(
-                f"unexplained mean drift {mean - mean_prev!r} at t={t!r}", report
-            )
-
-        liquidity, bound_ratio = _mobility_ratios(kernel, m, two_mean0)
-        rows.append(
-            (
-                t,
-                dt_eff,
-                g_new,
-                rate,
-                liquidity,
-                bound_ratio,
-                (mass - mass0) / mass0,
-                (mean - mean0) / mean0,
-            )
-        )
-        if snapshot_every and step_no % snapshot_every == 0:
-            snapshots.append((t, grid.with_masses(m)))
-
-        g_prev = g_new
-        mass_prev = mass
-        mean_prev = mean
-
-        stop_hit = stop_gini is not None or stop_liquidity is not None
-        if stop_gini is not None:
-            stop_hit = stop_hit and g_new >= stop_gini
-        if stop_liquidity is not None:
-            stop_hit = stop_hit and liquidity <= stop_liquidity
-        if stop_hit:
-            report.stopped_early = True
-            break
+        report.stopped_early = stop_hit
 
     snapshots.append((t, grid.with_masses(m)))
-    _finish(rows)
     return snapshots, report

@@ -57,10 +57,10 @@ def gini_population_bruteforce(pop: Population) -> float:
     return float(diff.sum() / (2.0 * n * n * mean))
 
 
-def _require_normalized(grid: WealthGrid, tol: float = 1e-8) -> None:
+def _require_normalized(grid: WealthGrid) -> None:
     mass = grid.total_mass()
-    if abs(mass - 1.0) > tol:
-        raise ValueError(f"grid mass {mass!r} deviates from 1 beyond {tol}")
+    if abs(mass - 1.0) > 1e-8:
+        raise ValueError(f"grid mass {mass!r} deviates from 1 beyond 1e-08")
 
 
 def gini_grid(grid: WealthGrid) -> float:

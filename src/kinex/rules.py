@@ -13,8 +13,10 @@ degenerate one-point) law for agent i's gain:
 kernel atoms and the Monte Carlo sweep of large populations (vectorised
 over each round of exchanges) are all derived from it. The sweep loop for
 small populations (``engine._sweep_scalar``) restates it per exchange for
-speed, and a test pins the two together. Exposing the exact laws lets kernel builders and metrics use
-closed forms, and makes unbiasedness checkable to rounding error.
+speed, and a test pins the two together.
+
+Exposing the exact laws lets kernel builders and metrics use closed forms,
+and makes unbiasedness checkable to rounding error.
 """
 
 from __future__ import annotations

@@ -133,8 +133,12 @@ class TestConfigErrors:
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--dt", "nan"),
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--t-end", "nan"),
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1e-320"),
+            ("--grid", "log:1e-320:1e3:16", "--init", "point:1"),
+            ("--grid", "linear:1.7e308:16", "--init", "point:1"),
+            ("--grid", "log:1e-4:1e5:40", "--init", "exp:1e-320"),
         ],
-        ids=["grid-inf", "dt-nan", "t-end-nan", "point-rounds-to-zero"],
+        ids=["grid-inf", "dt-nan", "t-end-nan", "point-rounds-to-zero",
+             "point-on-top-point", "top-point-overflows", "exp-below-grid"],
     )
     def test_integrate_non_finite_value_exits_2(self, flags, tmp_path):
         out = tmp_path / "x.csv"
@@ -143,7 +147,7 @@ class TestConfigErrors:
             "--t-end", "3", *flags, "--out", str(out),
         )
         assert code == 2
-        assert "config error" in err
+        assert err.startswith("kinex: config error:") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -313,6 +317,22 @@ class TestKernelCheckCommand:
         assert code == 0
         max_bias = float(stdout.splitlines()[1].split(": ")[1])
         assert max_bias > 0.1
+
+    def test_audits_a_grid_no_density_fits(self):
+        # no initial density fits this grid (its top point is about 500, the
+        # next 3e-18), yet its axis is audited: neighbouring points lie 1e20
+        # apart, too far for the split to place a gain exactly, so it fails
+        code, stdout, _ = run_cli(
+            "kernel-check", "--rule", "yardsale:lambda=0.5",
+            "--grid", "log:1e-320:1e3:16",
+        )
+        assert code == 3
+        assert stdout.splitlines() == [
+            "max normalization error: 0",
+            "max bias: 125",
+            "max relative bias: 0.125",
+            "FAILED",
+        ]
 
 
 class TestSweepCommand:

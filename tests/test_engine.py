@@ -293,6 +293,10 @@ class TestAbsorbingStateInSimulation:
 
 
 class TestEnsemble:
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setenv("KINEX_THREADS", "1")
+
     def test_requires_two_replicas(self):
         cfg = SimConfig(n=8, rule=YS(0.5), max_sweeps=10)
         with pytest.raises(ValueError):
@@ -300,20 +304,21 @@ class TestEnsemble:
 
     def test_distinct_streams_give_distinct_trajectories(self):
         cfg = SimConfig(n=16, rule=YS(0.5), max_sweeps=50, record_every=10, seed=5)
-        summary = run_ensemble(cfg, 2, workers=1)
+        summary = run_ensemble(cfg, 2)
         assert summary.gini_std.max() > 0.0
 
     def test_shapes_and_time_axis(self):
         cfg = SimConfig(n=16, rule=YS(0.5), max_sweeps=40, record_every=10, seed=5)
-        summary = run_ensemble(cfg, 3, workers=1)
+        summary = run_ensemble(cfg, 3)
         assert summary.t.tolist() == [10.0, 20.0, 30.0, 40.0]
         assert summary.gini_mean.shape == (4,)
         assert summary.replicas == 3
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = SimConfig(n=16, rule=YS(0.5), max_sweeps=30, record_every=10, seed=8)
-        serial = run_ensemble(cfg, 4, workers=1)
-        parallel = run_ensemble(cfg, 4, workers=2)
+        serial = run_ensemble(cfg, 4)
+        monkeypatch.setenv("KINEX_THREADS", "2")
+        parallel = run_ensemble(cfg, 4)
         assert np.array_equal(serial.gini_mean, parallel.gini_mean)
         assert np.array_equal(serial.liquidity_mean, parallel.liquidity_mean)
 
@@ -326,7 +331,7 @@ class TestEnsemble:
             stop_gini_gap=1e-6,
             seed=3,
         )
-        summary = run_ensemble(cfg, 2, workers=1)
+        summary = run_ensemble(cfg, 2)
         assert summary.t.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_kinex_threads_env_caps_workers(self, monkeypatch):

@@ -4,8 +4,7 @@ Each string is assembled from the grammar's own tokens plus non-finite and
 signed numbers, empty fields and stray separators, and handed to
 ``cli.main``. Whatever the string, ``main`` raises nothing and returns 0
 or 2, or 3 for an integration that reports its wealth truncated at the top
-cell (a grid of 16 log cells from 1e-320 puts its top point far below
-x_max), and a run that writes its CSV writes no ``nan``. Grids stay at a few
+cell, and a run that writes its CSV writes no ``nan``. Grids stay at a few
 dozen cells and runs stay short, so every example costs milliseconds.
 """
 

@@ -89,8 +89,10 @@ class TestBuildGrid:
             _grid_axes(scheme)
 
     @pytest.mark.parametrize(
-        "density", [PointMass(1e-320), Exponential(math.nan)],
-        ids=["point-rounds-to-zero", "exp-nan"],
+        "density",
+        [PointMass(1e-320), Exponential(math.nan), Exponential(1e-320),
+         Exponential(1e-306)],
+        ids=["point-rounds-to-zero", "exp-nan", "exp-subnormal", "exp-overflows"],
     )
     def test_rejects_density_without_representable_mean(self, density):
         with pytest.raises(ValueError):
