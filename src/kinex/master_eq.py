@@ -688,7 +688,8 @@ def integrate(
             # Gini is a Lyapunov function only for unbiased kernels
             if kernel.rule.unbiased and g_new < g_prev - GINI_DECREASE_TOL:
                 raise IntegrationAbort(
-                    f"Gini decrease {g_new - g_prev!r} at t={t!r} with dt={dt_eff!r}",
+                    f"Gini decrease {float(g_new - g_prev)!r} at t={float(t)!r} "
+                    f"with dt={float(dt_eff)!r}",
                     report,
                 )
 
@@ -710,11 +711,13 @@ def integrate(
             mean = float(np.dot(m, c))
             if abs(mass - mass_prev) > STEP_MASS_TOL:
                 raise IntegrationAbort(
-                    f"mass drift {mass - mass_prev!r} in one step at t={t!r}", report
+                    f"mass drift {mass - mass_prev!r} in one step at t={float(t)!r}",
+                    report,
                 )
             if abs(mean - mean_prev + step_trunc) > STEP_MEAN_TOL * mean0:
                 raise IntegrationAbort(
-                    f"unexplained mean drift {mean - mean_prev!r} at t={t!r}", report
+                    f"unexplained mean drift {mean - mean_prev!r} at t={float(t)!r}",
+                    report,
                 )
 
             liquidity, bound_ratio = _mobility_ratios(kernel, m, two_mean0)

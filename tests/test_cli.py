@@ -277,6 +277,20 @@ class TestIntegrateCommand:
         )
         assert code == 2
 
+    def test_abort_message_prints_plain_floats(self, tmp_path):
+        # the grid's split weights round on this point mass (a known kernel
+        # bias), so the mean drifts in the first step
+        code, _, err = run_cli(
+            "integrate", "--rule", "yardsale:lambda=0.5",
+            "--grid", "log:1e-320:1e3:16", "--init", "point:1e-18",
+            "--dt", "1", "--t-end", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert err == (
+            "kinex: integration aborted: unexplained mean drift "
+            "-2.2252823329034623e-20 at t=0.2890112933161387\n"
+        )
+
     def test_gini_decrease_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr("kinex.master_eq._weighted_gini", gini_dip(call=4))
         code, _, err = run_cli(
@@ -285,7 +299,10 @@ class TestIntegrateCommand:
             "--dt", "1", "--t-end", "10", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
-        assert "Gini decrease" in err
+        assert err == (
+            "kinex: integration aborted: Gini decrease -0.07698582345763394 "
+            "at t=1.6611810063743375 with dt=1.0\n"
+        )
 
     def test_random_lambda_kernel(self, tmp_path):
         out = tmp_path / "rand.csv"
@@ -584,9 +601,72 @@ GOLDEN_SHA256.update({
 })
 
 
+# Commands below N=4096, whose draws are decoded from raw blocks: a run
+# whose j draw rejects a word at sweep 135 (about 1 in 2**28 draws at this
+# N), and every rule variant at N=127, where N/2 is odd.
+SMALL_N_COMMANDS = {
+    "simulate-n128-j-rejection": [
+        "simulate", "--rule", "yardsale:lambda=0.1", "--n", "128",
+        "--sweeps", "200", "--record-every", "1", "--seed", "3761",
+    ],
+}
+SMALL_N_COMMANDS.update({
+    f"simulate-n127-{rule.replace(':lambda=', '-')}": [
+        "simulate", "--rule", rule, "--n", "127", "--sweeps", "200",
+        "--record-every", "10", "--seed", "19", *init,
+    ]
+    for rule, init in [
+        ("yardsale:lambda=0.5", ()),
+        ("yardsale:lambda=uniform", ()),
+        ("loser:lambda=0.5", ()),
+        ("loser:lambda=uniform", ()),
+        ("unbiased-loser:lambda=0.5", ("--init", "uniform")),
+        ("unbiased-loser:lambda=uniform", ()),
+        ("iglesias-almeida", ("--init", "uniform")),
+    ]
+})
+
+# recorded with the per-sweep Generator draws
+GOLDEN_SHA256.update({
+    "simulate-n128-j-rejection": (
+        "c585e5a7bc0d9e81e7a82c9a515b2355e1647f3e97b4ea154812731c6b4506eb",
+        "b7bd1fb21c4a394bb4f89a41a17ed2432532ea7d06c798cc7d1f617f094e6d68",
+    ),
+    "simulate-n127-yardsale-0.5": (
+        "64d80e556bdd4e0e9dc877404cd353d308837889e40861bace62678bfb813424",
+        "4c20a04743795953f3d48bb11b548c75ad940ec997b133d8a4bc7bd0ed9987da",
+    ),
+    "simulate-n127-yardsale-uniform": (
+        "66bb5593d6839c2fef8b70f8fc1c479815081774827ae5753f360ebee8843f54",
+        "7ffbe9eaab75f2846f098bf7ee3cc347c7d88e083cffb77c9d6a37ca8fbb2fc2",
+    ),
+    "simulate-n127-loser-0.5": (
+        "47e308e9587378dc28df9bfe3e4b7241dd1196a49b07d1f47f9f4b33c915d6d3",
+        "1e75c49396da9254c595ebc0c8acf05ca4394b7a395cff884f3b1c6f0d7e1f5f",
+    ),
+    "simulate-n127-loser-uniform": (
+        "34443665cedf4347b596185e017492734fb50ffa1567879f3a5a3a5d8e2db432",
+        "a594b99e2edf6a282e05c7bc2c3f55a3395eaf13d5e92d66a66c1881e75af13e",
+    ),
+    "simulate-n127-unbiased-loser-0.5": (
+        "354cdae7cdb664f67bbc112e4fd54800bbd4137b042565d1fd2cae7507a9044c",
+        "de6663197652ca5669bb4402e306f6e2b0c5cfd2f389ca011c799a0934dbd8f6",
+    ),
+    "simulate-n127-unbiased-loser-uniform": (
+        "224c6070adb2f434d7710c0b4edc546cafb935f669daa717e27b02d11614a143",
+        "e0250a59bd50a50806f5ca642e8444714a15ca60a956b5520688c19d61363607",
+    ),
+    "simulate-n127-iglesias-almeida": (
+        "6078f32f9e27cc1025fa503ada6cc513acc9a1d2db2632a55f0243ebe6f86842",
+        "16c83470b8c6c172301eca207f65a2063b45cdbb97a35a96037d8d4882af0bd3",
+    ),
+})
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_golden_output_hashes(command, tmp_path):
-    argv = {**CRITERION_12_COMMANDS, **INTEGRATE_COMMANDS, **LARGE_N_COMMANDS}[command]
+    argv = {**CRITERION_12_COMMANDS, **INTEGRATE_COMMANDS, **LARGE_N_COMMANDS,
+            **SMALL_N_COMMANDS}[command]
     out = tmp_path / f"{command}.csv"
     assert run_cli(*argv, "--out", str(out))[0] == 0
     meta = tmp_path / f"{command}.csv.meta.json"

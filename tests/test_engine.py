@@ -1,3 +1,9 @@
+import contextlib
+import dataclasses
+import functools
+import hashlib
+import io
+import logging
 import math
 
 import numpy as np
@@ -15,17 +21,23 @@ from kinex import (
     run_ensemble,
     two_point_law,
 )
+import kinex.engine as engine
+from kinex.cli import main
+from kinex.core import RngStream
 from kinex.engine import (
     _ROUNDS_MIN_N,
     Initial,
+    _draw_lists,
+    _RawStream,
     _sweep,
     _sweep_rounds,
     _sweep_scalar,
+    _SweepDecoder,
     parse_initial,
 )
 from kinex.rules import harmonic_transfer
 
-from conftest import one_exchange, seed_with, sweep_draws
+from conftest import CRITERION_12_COMMANDS, one_exchange, seed_with, sweep_draws
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UNBIASED = [
@@ -153,6 +165,139 @@ class TestSweepPathsAgree:
             traj = run(cfg, initial_population=Population(init))
             finals.append(_bits(traj.final_population.wealth))
         np.testing.assert_array_equal(*finals)
+
+
+class TestSweepDecoder:
+    """``_SweepDecoder`` gives ``_draw_exchanges``' draws bitwise, from one
+    raw block per ``_BLOCK_EXCHANGES`` exchanges of the same generator."""
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 1000, 4095])
+    def test_same_draws_as_generator(self, rule, n):
+        # at least 300 sweeps and a block boundary; at n = 3, 127 and 4095
+        # N/2 is odd, so halves stay pending across sweeps and blocks
+        gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
+        decoder = _SweepDecoder(gen, n, rule)
+        for _ in range(max(300, decoder._sweeps + 1)):
+            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize("n", [2, 127, 128])
+    def test_block_entered_with_a_pending_half(self, rule, n):
+        gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
+        for g in (gen, twin):
+            g.integers(0, 5)
+        assert gen.bit_generator.state["has_uint32"]
+        decoder = _SweepDecoder(gen, n, rule)
+        for _ in range(decoder._sweeps + 2):
+            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
+
+    def test_block_with_a_rejected_word(self, monkeypatch):
+        # the j range 127 rejects a word with p = 16 / 2**32; this stream
+        # rejects one at sweep 135 of a 128-agent yard-sale run
+        one_by_one = []
+        inner = _SweepDecoder._decode_one_by_one
+
+        def counted(self, raw, pending):
+            one_by_one.append(None)
+            return inner(self, raw, pending)
+
+        monkeypatch.setattr(_SweepDecoder, "_decode_one_by_one", counted)
+        rule = YS(0.1)
+        gen, twin = (RngStream(3761).gen for _ in "ab")
+        decoder = _SweepDecoder(gen, 128, rule)
+        for _ in range(200):
+            assert decoder.next_sweep() == _draw_lists(128, rule, twin)
+        assert len(one_by_one) == 1
+
+    @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 1])
+    def test_lemire_draws_where_rejection_is_common(self, n):
+        # a word is rejected with p = 1/4 at 3 * 2**30, about 1/2 at 2**31 + 1
+        for seed in range(20):
+            gen = np.random.Generator(np.random.PCG64(seed))
+            stream = _RawStream(np.random.PCG64(seed))
+            want = gen.integers(0, n, size=200).tolist()
+            assert [stream.integer(n) for _ in range(200)] == want
+
+    def test_lemire_threshold_is_exclusive(self):
+        # n = 3: a word is rejected when (3 x) mod 2**32 < 2**32 mod 3 = 1,
+        # that is for x = 0 alone; x = 0xAAAAAAAB leaves exactly 1, as
+        # 3 x = 2 * 2**32 + 1
+        stream = _RawStream(None, [0xAAAAAAAB << 32])
+        assert stream.integer(3) == 2
+        assert stream.pending is None
+
+    def test_self_check_passes_on_installed_numpy(self):
+        # the fallback would keep outputs but lose the decoder's speed
+        assert engine._decoder_matches_numpy()
+
+    def test_mismatch_falls_back_to_generator_draws(
+        self, monkeypatch, caplog, tmp_path
+    ):
+        # a decoder that swaps i and j fails the self-check; the run falls
+        # back to Generator draws and writes the same bytes
+        def simulate(name):
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "run.csv"
+            argv = [*CRITERION_12_COMMANDS["simulate"], "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes()
+
+        want = simulate("decoded")
+        inner = _SweepDecoder.next_sweep
+
+        def swapped(self):
+            ii, jj, lams, coins = inner(self)
+            return jj, ii, lams, coins
+
+        monkeypatch.setattr(_SweepDecoder, "next_sweep", swapped)
+        monkeypatch.setattr(
+            engine,
+            "_decoder_matches_numpy",
+            functools.cache(engine._decoder_matches_numpy.__wrapped__),
+        )
+        with caplog.at_level(logging.WARNING, logger="kinex.engine"):
+            got = simulate("fallback")
+        assert "decoded draws differ" in caplog.text
+        assert got == want
+
+    def test_condensed_run_stops_mid_block(self, monkeypatch):
+        # 128 sweeps per block at N=64: this run stops at sweep 203; the
+        # hash of its records and final wealth was taken with the per-sweep
+        # Generator draws
+        states, gens = [], []
+        inner = _SweepDecoder._decode_block
+
+        def recorded(self):
+            block = inner(self)
+            states.append(self._bitgen.state)
+            return block
+
+        class Kept(RngStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                gens.append(self.gen)
+
+        monkeypatch.setattr(_SweepDecoder, "_decode_block", recorded)
+        monkeypatch.setattr(engine, "RngStream", Kept)
+        cfg = SimConfig(
+            n=64, rule=YS(0.5), max_sweeps=5000, record_every=7, seed=0,
+            stop_gini_gap=0.05,
+        )
+        traj = run(cfg)
+        assert traj.stop_reason is StopReason.CONDENSED
+        assert traj.records[-1].t == 203.0
+        digest = hashlib.sha256(
+            repr([dataclasses.astuple(r) for r in traj.records]).encode()
+            + traj.final_population.wealth.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "f8ca20a94af36980c863e0b4f013bb579b93397e008484b9f6ff2616b75ced60"
+        )
+        # two blocks, the second left part-used; nothing drawn after it
+        assert len(states) == 2
+        assert gens[0].bit_generator.state == states[-1]
 
 
 class TestRunBasics:
