@@ -225,72 +225,42 @@ def _draw_lists(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
     )
 
 
-def _lemire_threshold(n: int) -> int:
-    """Lemire's method draws ``integers(0, n)`` as ``(x * n) >> 32`` from a
-    32-bit word x, and rejects x when ``(x * n) mod 2**32`` is below this."""
-    return (2**32 - n) % n
-
-
-class _RawStream:
-    """PCG64 output read one draw at a time, the way numpy's ``Generator``
-    reads it: first from ``raw``, a list of outputs already drawn, then
-    straight from ``bitgen``.
-
-    A 32-bit word is the low half of a 64-bit output; the high half stays
-    ``pending`` for the next word. ``random()`` takes a whole output and
-    leaves a pending half alone.
-    """
-
-    def __init__(self, bitgen, raw=(), pending: int | None = None):
-        self._bitgen = bitgen
-        self._raw = iter(raw)
-        self.pending = pending
-
-    def _output(self) -> int:
-        x = next(self._raw, None)
-        return int(self._bitgen.random_raw()) if x is None else x
-
-    def word(self) -> int:
-        if self.pending is not None:
-            x, self.pending = self.pending, None
-            return x
-        x = self._output()
-        self.pending = x >> 32
-        return x & 0xFFFFFFFF
-
-    def random(self) -> float:
-        """One ``Generator.random()`` draw."""
-        return (self._output() >> 11) * 2.0**-53
-
-    def integer(self, n: int) -> int:
-        """One ``Generator.integers(0, n)`` draw, for 1 <= n <= 2**32 - 1."""
-        if n == 1:
-            return 0
-        threshold = _lemire_threshold(n)
-        while True:
-            m = self.word() * n
-            if (m & 0xFFFFFFFF) >= threshold:
-                return m >> 32
+def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``integers(0, n)`` by Lemire's method, as numpy draws it from 32-bit
+    words x: the value ``(x * n) >> 32`` of each word, and whether it is
+    accepted; a word is rejected when ``(x * n) mod 2**32`` is below
+    ``(2**32 - n) mod n`` (never for a power of two n)."""
+    m = words.astype(np.uint64) * np.uint64(n)
+    return m >> 32, (m & 0xFFFFFFFF) >= (2**32 - n) % n
 
 
 class _SweepDecoder:
     """``_draw_exchanges``' draws, sweep after sweep, decoded from one
     ``random_raw`` block per ``_BLOCK_EXCHANGES`` exchanges of a generator.
 
-    The block is decoded bitwise as numpy's ``Generator`` draws it (see
-    ``_RawStream``), in the layout of ``_draw_exchanges``: each 32-bit word
-    of ``integers`` is looked up where it falls, a half left pending at the
-    block's end carries into the next block, and a range of one value (the
-    j block at N=2) takes no word. Only a block that rejects a word (never
-    for a power-of-two range n, otherwise with a chance below n / 2**32 per
-    draw) is decoded again one draw at a time, reading more output as it
-    needs it.
+    The block is decoded bitwise as numpy's ``Generator`` draws it, in the
+    layout of ``_draw_exchanges``: ``integers`` takes a 32-bit word, the
+    low half of a 64-bit output and then its high half, which stays
+    pending, across sweeps and blocks too; ``random()`` takes
+    ``(x >> 11) * 2**-53`` of a whole output and leaves a pending half
+    alone; a range of one value (the j block at N=2) takes no word. A block
+    that rejects a word (see ``_lemire``; a chance below n / 2**32 per
+    draw) is drawn again through ``_draw_exchanges`` from the generator
+    state before it, so numpy itself reads any further output it needs.
+    With ``decode=False``, every block is drawn that way (the fallback of
+    ``run``).
 
     The decoder draws ahead of the sweeps it has handed out: once it is in
     use, nothing else may draw from the generator.
     """
 
-    def __init__(self, gen: np.random.Generator, n: int, rule: RuleSpec):
+    def __init__(
+        self, gen: np.random.Generator, n: int, rule: RuleSpec, decode: bool = True
+    ):
+        self._gen = gen
+        self._n = n
+        self._rule = rule
+        self._decode = decode
         self._bitgen = gen.bit_generator
         state = self._bitgen.state
         self._pending = state["uinteger"] if state["has_uint32"] else None
@@ -310,7 +280,7 @@ class _SweepDecoder:
         """The next sweep's (i, j, lambdas or None, coins), as lists."""
         sweep = next(self._ready, None)
         if sweep is None:
-            self._ready = self._decode_block()
+            self._ready = self._decode_block() if self._decode else self._draw_block()
             sweep = next(self._ready)
         return sweep
 
@@ -321,8 +291,7 @@ class _SweepDecoder:
         layout but a range of one value, a (sweeps, N/2) index array into the
         block's words (the pending half, then each output's low and high
         half) or, for ``random()``, into its outputs; and the index of the
-        word left pending at the end, or None. It walks the draws as
-        ``_RawStream`` reads them.
+        word left pending at the end, or None.
         """
         by_word = [b is not None for b in self._bounds if b != 1]
         index = []
@@ -350,6 +319,7 @@ class _SweepDecoder:
         if key not in self._plans:
             self._plans[key] = self._plan(key)
         raws, indices, end = self._plans[key]
+        state = self._bitgen.state
         raw = self._bitgen.random_raw(raws)
         words = np.empty(2 * raws + 1, dtype=np.uint32)
         words[0] = 0 if pending is None else pending
@@ -364,27 +334,25 @@ class _SweepDecoder:
             elif bound is None:
                 blocks.append((raw[next(index)] >> 11) * 2.0**-53)
             else:
-                m = words[next(index)].astype(np.uint64) * np.uint64(bound)
-                threshold = _lemire_threshold(bound)
-                if threshold and ((m & 0xFFFFFFFF) < threshold).any():
-                    return self._decode_one_by_one(raw, pending)
-                blocks.append(m >> 32)
+                values, accepted = _lemire(words[next(index)], bound)
+                if not accepted.all():
+                    # random_raw leaves the state's pending half as it was
+                    state["has_uint32"] = int(pending is not None)
+                    state["uinteger"] = 0 if pending is None else pending
+                    self._bitgen.state = state
+                    return self._draw_block()
+                blocks.append(values)
         self._pending = None if end is None else int(words[end])
         return self._sweep_lists(blocks)
 
-    def _decode_one_by_one(self, raw: np.ndarray, pending: int | None):
-        stream = _RawStream(self._bitgen, raw.tolist(), pending)
-        blocks = [[] for _ in self._bounds]
-        for _ in range(self._sweeps):
-            for block, bound in zip(blocks, self._bounds):
-                block.extend(
-                    stream.random() if bound is None else stream.integer(bound)
-                    for _ in range(self._s)
-                )
-        self._pending = stream.pending
-        return self._sweep_lists(
-            [np.array(b).reshape(self._sweeps, self._s) for b in blocks]
-        )
+    def _draw_block(self):
+        """The next block's sweeps, drawn through ``_draw_exchanges``."""
+        sweeps = [
+            _draw_lists(self._n, self._rule, self._gen) for _ in range(self._sweeps)
+        ]
+        state = self._bitgen.state
+        self._pending = state["uinteger"] if state["has_uint32"] else None
+        return iter(sweeps)
 
     @staticmethod
     def _sweep_lists(blocks):
@@ -407,8 +375,8 @@ def _decoder_matches_numpy() -> bool:
     pending, on two layouts that hold every kind of draw: 0/1 coins after
     lambdas, so a word follows a ``random()`` draw, and uniform coins.
     N/2 = 511 is odd, so halves stay pending across sweeps and blocks. On
-    a mismatch ``run`` falls back to ``_draw_exchanges``, which gives the
-    same output more slowly.
+    a mismatch ``run``'s decoder draws every block through
+    ``_draw_exchanges``, which gives the same output more slowly.
     """
     n = 1023
     for rule in (
@@ -436,8 +404,9 @@ def _sweep(w, rule: RuleSpec, gen) -> float:
     ``w`` is a list below ``_ROUNDS_MIN_N`` agents, where the scalar loop
     runs, and a float64 array from there on, where the sweep runs in
     conflict-free rounds. Both paths take the same draws and give bitwise
-    the same wealth and sum. ``gen`` is a ``Generator``, or for the scalar
-    loop a ``_SweepDecoder`` that gives the same draws.
+    the same wealth and sum. ``gen`` is a ``Generator``; ``run`` hands the
+    scalar loop a ``_SweepDecoder`` of it instead, which gives the same
+    draws.
     """
     if len(w) >= _ROUNDS_MIN_N:
         return _sweep_rounds(w, rule, gen)
@@ -453,6 +422,8 @@ def _sweep_scalar(
     a per-exchange call to the vectorised law would dominate this loop. A
     test pins every branch, and the draw layout, to the law.
     """
+    # run's sweeps read a decoder; direct callers, such as the tests of
+    # single exchanges, pass the Generator itself
     if isinstance(gen, _SweepDecoder):
         ii, jj, lams, coins = gen.next_sweep()
     else:
@@ -668,9 +639,11 @@ def run(
     )
     gap_max = (config.n - 1) / config.n
     draws = gen
-    if config.n < _ROUNDS_MIN_N and _decoder_matches_numpy():
+    if config.n < _ROUNDS_MIN_N:
         # from here on the decoder alone draws from gen, ahead of the sweeps
-        draws = _SweepDecoder(gen, config.n, config.rule)
+        draws = _SweepDecoder(
+            gen, config.n, config.rule, decode=_decoder_matches_numpy()
+        )
 
     for sweep_no in range(1, config.max_sweeps + 1):
         sweep_abs = _sweep(w, config.rule, draws)

@@ -28,7 +28,7 @@ from kinex.engine import (
     _ROUNDS_MIN_N,
     Initial,
     _draw_lists,
-    _RawStream,
+    _lemire,
     _sweep,
     _sweep_rounds,
     _sweep_scalar,
@@ -192,40 +192,58 @@ class TestSweepDecoder:
         for _ in range(decoder._sweeps + 2):
             assert decoder.next_sweep() == _draw_lists(n, rule, twin)
 
-    def test_block_with_a_rejected_word(self, monkeypatch):
-        # the j range 127 rejects a word with p = 16 / 2**32; this stream
-        # rejects one at sweep 135 of a 128-agent yard-sale run
-        one_by_one = []
-        inner = _SweepDecoder._decode_one_by_one
+    @pytest.mark.parametrize(
+        "seed, n, pending, sweeps",
+        [
+            # the j range 127 rejects a word with p = 16 / 2**32; this
+            # stream rejects one at sweep 135 of a 128-agent yard-sale run
+            (3761, 128, False, 200),
+            # ranges 3931 and 3930 reject with p = 7784 / 2**32 per
+            # exchange; this stream, entered with a half pending, rejects
+            # one in its sixth block (sweeps 11-12), and N/2 is odd
+            (0, 3931, True, 20),
+        ],
+    )
+    def test_block_with_a_rejected_word(self, monkeypatch, seed, n, pending, sweeps):
+        drawn = []
+        inner = _SweepDecoder._draw_block
 
-        def counted(self, raw, pending):
-            one_by_one.append(None)
-            return inner(self, raw, pending)
+        def counted(self):
+            drawn.append(self._pending)
+            return inner(self)
 
-        monkeypatch.setattr(_SweepDecoder, "_decode_one_by_one", counted)
+        monkeypatch.setattr(_SweepDecoder, "_draw_block", counted)
         rule = YS(0.1)
-        gen, twin = (RngStream(3761).gen for _ in "ab")
-        decoder = _SweepDecoder(gen, 128, rule)
-        for _ in range(200):
-            assert decoder.next_sweep() == _draw_lists(128, rule, twin)
-        assert len(one_by_one) == 1
+        gen, twin = (RngStream(seed).gen for _ in "ab")
+        if pending:
+            for g in (gen, twin):
+                g.integers(0, 5)
+        decoder = _SweepDecoder(gen, n, rule)
+        for _ in range(sweeps):
+            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
+        # one block drawn again, from the state with its half pending
+        assert len(drawn) == 1
+        assert (drawn[0] is not None) == pending
 
     @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 1])
     def test_lemire_draws_where_rejection_is_common(self, n):
-        # a word is rejected with p = 1/4 at 3 * 2**30, about 1/2 at 2**31 + 1
+        # a word is rejected with p = 1/4 at 3 * 2**30, about 1/2 at
+        # 2**31 + 1; numpy draws its values from the accepted words in turn
         for seed in range(20):
+            words = np.random.PCG64(seed).random_raw(200).view(np.uint32)
+            values, accepted = _lemire(words, n)
+            assert 0 < accepted.sum() < words.size
             gen = np.random.Generator(np.random.PCG64(seed))
-            stream = _RawStream(np.random.PCG64(seed))
-            want = gen.integers(0, n, size=200).tolist()
-            assert [stream.integer(n) for _ in range(200)] == want
+            want = gen.integers(0, n, size=int(accepted.sum()))
+            np.testing.assert_array_equal(values[accepted], want)
 
     def test_lemire_threshold_is_exclusive(self):
         # n = 3: a word is rejected when (3 x) mod 2**32 < 2**32 mod 3 = 1,
         # that is for x = 0 alone; x = 0xAAAAAAAB leaves exactly 1, as
         # 3 x = 2 * 2**32 + 1
-        stream = _RawStream(None, [0xAAAAAAAB << 32])
-        assert stream.integer(3) == 2
-        assert stream.pending is None
+        values, accepted = _lemire(np.array([0, 0xAAAAAAAB], dtype=np.uint32), 3)
+        assert accepted.tolist() == [False, True]
+        assert values[1] == 2
 
     def test_self_check_passes_on_installed_numpy(self):
         # the fallback would keep outputs but lose the decoder's speed
@@ -234,7 +252,7 @@ class TestSweepDecoder:
     def test_mismatch_falls_back_to_generator_draws(
         self, monkeypatch, caplog, tmp_path
     ):
-        # a decoder that swaps i and j fails the self-check; the run falls
+        # a decoding that swaps i and j fails the self-check; the run falls
         # back to Generator draws and writes the same bytes
         def simulate(name):
             (tmp_path / name).mkdir()
@@ -245,13 +263,13 @@ class TestSweepDecoder:
             return out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes()
 
         want = simulate("decoded")
-        inner = _SweepDecoder.next_sweep
+        inner = _SweepDecoder._sweep_lists
 
-        def swapped(self):
-            ii, jj, lams, coins = inner(self)
-            return jj, ii, lams, coins
+        def swapped(blocks):
+            ii, jj, *rest = blocks
+            return inner([jj, ii, *rest])
 
-        monkeypatch.setattr(_SweepDecoder, "next_sweep", swapped)
+        monkeypatch.setattr(_SweepDecoder, "_sweep_lists", staticmethod(swapped))
         monkeypatch.setattr(
             engine,
             "_decoder_matches_numpy",
