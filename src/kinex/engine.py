@@ -6,17 +6,19 @@ pairs with i != j; all four rule laws are exchangeable in (i, j), so ordered
 selection is observationally equivalent to unordered and simpler.
 
 A single trajectory is strictly sequential (the model is a sequential
-Markov chain). For speed a sweep draws its pair indices, coins and lambda
-values in one batch per sweep from the trajectory's RngStream, in a fixed
-order (i block, j block, lambda block, coin block), so a run is fully
-reproducible from (seed, stream id). ``_draw_exchanges`` states that layout
-with ``Generator`` calls. Below ``_ROUNDS_MIN_N`` agents ``run`` reads the
-same draws, bit for bit, from ``_SweepDecoder``, which decodes them from one
-raw PCG64 block per ``_BLOCK_EXCHANGES`` exchanges, as numpy's
-``Generator`` would draw them, instead of paying numpy's per-call cost on
-three or four small draws every sweep. A self-check against
-``_draw_exchanges`` on first use falls back to it, with a warning, where
-the decoding no longer matches the installed numpy.
+Markov chain). For speed a sweep's pair indices, coins and lambda values
+are drawn in one batch per sweep from the trajectory's RngStream, in the
+fixed layout of ``_layout`` (i block, j block, lambda block, coin block),
+so a run is fully reproducible from (seed, stream id). A sweep is a pure
+function of its draws: ``run`` draws each sweep from one draw source and
+hands the draws to ``_sweep``. ``_draw_exchanges`` draws the layout with
+``Generator`` calls. Below ``_ROUNDS_MIN_N`` agents ``run`` reads the same
+draws, bit for bit, from ``_SweepDecoder``, which decodes them from one raw
+PCG64 block per ``_BLOCK_EXCHANGES`` exchanges, as numpy's ``Generator``
+would draw them, instead of paying numpy's per-call cost on three or four
+small draws every sweep. A self-check against ``_draw_exchanges`` on first
+use falls back, with a warning, to drawing each sweep through ``Generator``
+calls where the decoding no longer matches the installed numpy.
 
 A sweep takes one of two paths with the same draws. Below
 ``_ROUNDS_MIN_N`` agents a Python loop applies one exchange at a time on a
@@ -197,25 +199,31 @@ def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     return pop.wealth
 
 
-def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator):
-    """One sweep's draws, in the fixed layout (i block, j block, lambda block,
-    coin block): the N/2 pairs (i, j) with j != i, the per-exchange lambdas
-    (None for a fixed lambda) and the coins, uniforms for the unbiased loser
-    rule and 0/1 integers for the others.
+def _layout(n: int, rule: RuleSpec) -> tuple:
+    """The range of each block of one sweep's draws, in draw order: i, j
+    (over n - 1 values, then stepped past i), the lambdas of a random-lambda
+    rule, and the coins; None stands for a block of ``random()`` uniforms."""
+    coins = None if rule.kind is RuleKind.UNBIASED_LOSER else 2
+    return (n, n - 1, None, coins) if rule.random_lambda else (n, n - 1, coins)
 
-    This is the reference encoding of the layout. ``_SweepDecoder`` gives
-    the same draws from the same stream, decoded in blocks of sweeps.
-    """
-    s = n // 2
-    ii = gen.integers(0, n, size=s)
-    jj = gen.integers(0, n - 1, size=s)
+
+def _exchanges(blocks) -> tuple:
+    """(i, j, lambdas or None, coins) of the blocks of ``_layout``, with j
+    stepped past i, so j != i."""
+    ii, jj, *lams, coins = blocks
     jj += jj >= ii
-    lams = gen.random(size=s) if rule.random_lambda else None
-    if rule.kind is RuleKind.UNBIASED_LOSER:
-        coins = gen.random(size=s)
-    else:
-        coins = gen.integers(0, 2, size=s)
-    return ii, jj, lams, coins
+    return ii, jj, lams[0] if lams else None, coins
+
+
+def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
+    """One sweep's draws, drawn through ``Generator`` calls in the layout
+    of ``_layout``: the N/2 exchanges' (i, j, lambdas or None, coins) as
+    arrays. ``_SweepDecoder`` gives the same draws from the same stream."""
+    s = n // 2
+    return _exchanges([
+        gen.random(size=s) if bound is None else gen.integers(0, bound, size=s)
+        for bound in _layout(n, rule)
+    ])
 
 
 def _draw_lists(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
@@ -239,7 +247,7 @@ class _SweepDecoder:
     ``random_raw`` block per ``_BLOCK_EXCHANGES`` exchanges of a generator.
 
     The block is decoded bitwise as numpy's ``Generator`` draws it, in the
-    layout of ``_draw_exchanges``: ``integers`` takes a 32-bit word, the
+    layout of ``_layout``: ``integers`` takes a 32-bit word, the
     low half of a 64-bit output and then its high half, which stays
     pending, across sweeps and blocks too; ``random()`` takes
     ``(x >> 11) * 2**-53`` of a whole output and leaves a pending half
@@ -247,32 +255,19 @@ class _SweepDecoder:
     that rejects a word (see ``_lemire``; a chance below n / 2**32 per
     draw) is drawn again through ``_draw_exchanges`` from the generator
     state before it, so numpy itself reads any further output it needs.
-    With ``decode=False``, every block is drawn that way (the fallback of
-    ``run``).
 
     The decoder draws ahead of the sweeps it has handed out: once it is in
     use, nothing else may draw from the generator.
     """
 
-    def __init__(
-        self, gen: np.random.Generator, n: int, rule: RuleSpec, decode: bool = True
-    ):
-        self._gen = gen
-        self._n = n
-        self._rule = rule
-        self._decode = decode
+    def __init__(self, gen: np.random.Generator, n: int, rule: RuleSpec):
+        self._draw = functools.partial(_draw_lists, n, rule, gen)
         self._bitgen = gen.bit_generator
         state = self._bitgen.state
         self._pending = state["uinteger"] if state["has_uint32"] else None
         self._s = n // 2
         self._sweeps = max(1, _BLOCK_EXCHANGES // self._s)
-        # the range of each block of a sweep's draws; None for random()
-        self._bounds = (
-            n,
-            n - 1,
-            *((None,) if rule.random_lambda else ()),
-            None if rule.kind is RuleKind.UNBIASED_LOSER else 2,
-        )
+        self._bounds = _layout(n, rule)
         self._plans = {}
         self._ready = iter(())
 
@@ -280,7 +275,7 @@ class _SweepDecoder:
         """The next sweep's (i, j, lambdas or None, coins), as lists."""
         sweep = next(self._ready, None)
         if sweep is None:
-            self._ready = self._decode_block() if self._decode else self._draw_block()
+            self._ready = self._decode_block()
             sweep = next(self._ready)
         return sweep
 
@@ -343,27 +338,20 @@ class _SweepDecoder:
                     return self._draw_block()
                 blocks.append(values)
         self._pending = None if end is None else int(words[end])
-        return self._sweep_lists(blocks)
-
-    def _draw_block(self):
-        """The next block's sweeps, drawn through ``_draw_exchanges``."""
-        sweeps = [
-            _draw_lists(self._n, self._rule, self._gen) for _ in range(self._sweeps)
-        ]
-        state = self._bitgen.state
-        self._pending = state["uinteger"] if state["has_uint32"] else None
-        return iter(sweeps)
-
-    @staticmethod
-    def _sweep_lists(blocks):
-        ii, jj, *lams, coins = blocks
-        jj += jj >= ii
+        ii, jj, lams, coins = _exchanges(blocks)
         return zip(
             ii.tolist(),
             jj.tolist(),
-            lams[0].tolist() if lams else itertools.repeat(None),
+            itertools.repeat(None) if lams is None else lams.tolist(),
             coins.tolist(),
         )
+
+    def _draw_block(self):
+        """The next block's sweeps, drawn through ``Generator`` calls."""
+        sweeps = [self._draw() for _ in range(self._sweeps)]
+        state = self._bitgen.state
+        self._pending = state["uinteger"] if state["has_uint32"] else None
+        return iter(sweeps)
 
 
 @functools.cache
@@ -375,8 +363,8 @@ def _decoder_matches_numpy() -> bool:
     pending, on two layouts that hold every kind of draw: 0/1 coins after
     lambdas, so a word follows a ``random()`` draw, and uniform coins.
     N/2 = 511 is odd, so halves stay pending across sweeps and blocks. On
-    a mismatch ``run``'s decoder draws every block through
-    ``_draw_exchanges``, which gives the same output more slowly.
+    a mismatch ``run`` draws each sweep through ``_draw_lists``, which
+    gives the same output more slowly.
     """
     n = 1023
     for rule in (
@@ -398,36 +386,28 @@ def _decoder_matches_numpy() -> bool:
     return True
 
 
-def _sweep(w, rule: RuleSpec, gen) -> float:
-    """Run N/2 exchanges in place; returns sum of |delta| over the sweep.
+def _sweep(w, rule: RuleSpec, draws: tuple) -> float:
+    """Run one sweep's exchanges in place; returns sum of |delta| over them.
 
-    ``w`` is a list below ``_ROUNDS_MIN_N`` agents, where the scalar loop
-    runs, and a float64 array from there on, where the sweep runs in
-    conflict-free rounds. Both paths take the same draws and give bitwise
-    the same wealth and sum. ``gen`` is a ``Generator``; ``run`` hands the
-    scalar loop a ``_SweepDecoder`` of it instead, which gives the same
-    draws.
+    ``draws`` is the sweep's (i, j, lambdas or None, coins) from
+    ``_draw_exchanges``. Below ``_ROUNDS_MIN_N`` agents ``w`` and the draws
+    are lists and the scalar loop runs; from there on they are arrays and
+    the sweep runs in conflict-free rounds. Both paths give bitwise the same
+    wealth and sum for the same draws.
     """
     if len(w) >= _ROUNDS_MIN_N:
-        return _sweep_rounds(w, rule, gen)
-    return _sweep_scalar(w, rule, gen)
+        return _sweep_rounds(w, rule, draws)
+    return _sweep_scalar(w, rule, draws)
 
 
-def _sweep_scalar(
-    w: list, rule: RuleSpec, gen: np.random.Generator | _SweepDecoder
-) -> float:
-    """``_sweep`` one exchange at a time, on a list.
+def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
+    """``_sweep`` one exchange at a time, on a list and list draws.
 
     Each rule's branch restates ``rules.two_point_law`` for one exchange:
     a per-exchange call to the vectorised law would dominate this loop. A
-    test pins every branch, and the draw layout, to the law.
+    test pins every branch to the law.
     """
-    # run's sweeps read a decoder; direct callers, such as the tests of
-    # single exchanges, pass the Generator itself
-    if isinstance(gen, _SweepDecoder):
-        ii, jj, lams, coins = gen.next_sweep()
-    else:
-        ii, jj, lams, coins = _draw_lists(len(w), rule, gen)
+    ii, jj, lams, coins = draws
     s = len(ii)
     kind = rule.kind
     random_lam = lams is not None
@@ -511,7 +491,7 @@ def _sweep_scalar(
     return sum_abs
 
 
-def _sweep_rounds(w: np.ndarray, rule: RuleSpec, gen: np.random.Generator) -> float:
+def _sweep_rounds(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
     """``_sweep`` in conflict-free rounds of vectorised exchanges, on an array.
 
     A round applies every remaining exchange that is the earliest remaining
@@ -524,7 +504,7 @@ def _sweep_rounds(w: np.ndarray, rule: RuleSpec, gen: np.random.Generator) -> fl
     it), adding d_minus = -d + 0.0 equals subtracting d, as the loop does.
     """
     n = len(w)
-    ii, jj, lams, coins = _draw_exchanges(n, rule, gen)
+    ii, jj, lams, coins = draws
     s = ii.size
     uniform_coin = rule.kind is RuleKind.UNBIASED_LOSER
     if not uniform_coin:
@@ -628,8 +608,17 @@ def run(
         raise ValueError("degenerate: zero total wealth")
     # a fresh copy, with -0.0 made 0.0 (see _sweep_rounds)
     w = np.array(w0, dtype=np.float64) + 0.0
-    if config.n < _ROUNDS_MIN_N:
+    n, rule = config.n, config.rule
+    # the one source of each sweep's draws, in the form its path reads
+    if n >= _ROUNDS_MIN_N:
+        draw = functools.partial(_draw_exchanges, n, rule, gen)
+    else:
         w = w.tolist()
+        if _decoder_matches_numpy():
+            # from here on the decoder alone draws from gen, ahead of the sweeps
+            draw = _SweepDecoder(gen, n, rule).next_sweep
+        else:
+            draw = functools.partial(_draw_lists, n, rule, gen)
 
     records: list[MetricsRecord] = []
     snapshots: list[tuple[int, np.ndarray]] = []
@@ -637,16 +626,10 @@ def run(
     check_stop = (
         config.stop_gini_gap is not None or config.stop_liquidity is not None
     )
-    gap_max = (config.n - 1) / config.n
-    draws = gen
-    if config.n < _ROUNDS_MIN_N:
-        # from here on the decoder alone draws from gen, ahead of the sweeps
-        draws = _SweepDecoder(
-            gen, config.n, config.rule, decode=_decoder_matches_numpy()
-        )
+    gap_max = (n - 1) / n
 
     for sweep_no in range(1, config.max_sweeps + 1):
-        sweep_abs = _sweep(w, config.rule, draws)
+        sweep_abs = _sweep(w, rule, draw())
         if snapshot_every and sweep_no % snapshot_every == 0:
             snapshots.append((sweep_no, np.asarray(w).copy()))
         if sweep_no % config.record_every != 0:
@@ -693,7 +676,8 @@ def worker_count() -> int:
 def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
     """Run independent replicas on stream ids 0..R-1 derived from config.seed.
 
-    Replicas run on ``worker_count()`` processes. Early-stop thresholds are
+    Replicas run on up to ``worker_count()`` processes, at most one per
+    chunk of four replicas the pool hands out. Early-stop thresholds are
     ignored for ensemble runs so that every replica shares one time axis;
     aggregation is ordered by replica id regardless of completion order, so
     results do not depend on the worker count. Standard deviations use
@@ -703,10 +687,13 @@ def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
         raise ValueError("replicas must be >= 2")
     base = replace(config, stop_gini_gap=None, stop_liquidity=None)
     jobs = [(base, r) for r in range(replicas)]
-    workers = worker_count()
+    # the pool forks all its workers at the first submit, so a worker
+    # beyond the number of chunks would only sit idle
+    chunk = 4
+    workers = min(worker_count(), math.ceil(replicas / chunk))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replica_curves, jobs, chunksize=4))
+            results = list(pool.map(_replica_curves, jobs, chunksize=chunk))
     else:
         results = [_replica_curves(job) for job in jobs]
 

@@ -1,38 +1,16 @@
 import numpy as np
 
 
-def sweep_draws(rule, seed):
-    """Replay the draws of one 2-agent ``engine._sweep`` on a generator
-    seeded ``seed``, in the engine's layout (i block, j block, lambda block,
-    coin block): returns (i, lambda or None, coin). j is the other agent;
-    the coin is 0/1, or a uniform for the unbiased loser rule.
-    """
-    from kinex import RuleKind
-
-    gen = np.random.Generator(np.random.PCG64(seed))
-    i = int(gen.integers(0, 2, size=1)[0])
-    gen.integers(0, 1, size=1)
-    lam = float(gen.random(size=1)[0]) if rule.random_lambda else None
-    if rule.kind is RuleKind.UNBIASED_LOSER:
-        return i, lam, float(gen.random(size=1)[0])
-    return i, lam, int(gen.integers(0, 2, size=1)[0])
-
-
-def one_exchange(rule, wealth, seed):
-    """Run one exchange, a 2-agent ``engine._sweep``, on a generator seeded
-    ``seed``; returns (wealth after, sum of |delta| the sweep reports)."""
+def one_exchange(rule, wealth, i, coin, lam=None):
+    """Run one exchange, a 2-agent ``engine._sweep``, on the draws that tag
+    agent ``i`` (j is the other), with coin ``coin`` and lambda ``lam``
+    (None for a fixed-lambda rule); returns (wealth after, sum of |delta|
+    the sweep reports)."""
     from kinex.engine import _sweep
 
     w = [float(x) for x in wealth]
-    moved = _sweep(w, rule, np.random.Generator(np.random.PCG64(seed)))
+    moved = _sweep(w, rule, ([i], [1 - i], None if lam is None else [lam], [coin]))
     return w, moved
-
-
-def seed_with(rule, i, coin):
-    """First seed whose 2-agent sweep tags agent ``i`` and draws ``coin``."""
-    return next(
-        s for s in range(1000) if sweep_draws(rule, s)[::2] == (i, coin)
-    )
 
 
 def make_grid(centers, masses):

@@ -133,12 +133,16 @@ class TestConfigErrors:
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--dt", "nan"),
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--t-end", "nan"),
             ("--grid", "log:1e-3:1e3:40", "--init", "point:1e-320"),
-            ("--grid", "log:1e-320:1e3:16", "--init", "point:1"),
+            ("--grid", "log:1e-77:1e3:16", "--init", "point:1"),
             ("--grid", "linear:1.7e308:16", "--init", "point:1"),
             ("--grid", "log:1e-4:1e5:40", "--init", "exp:1e-320"),
+            # points 1.5e20 apart: the split of a gain errs beyond the
+            # integrator's mean audit, which used to abort it (exit 3)
+            ("--grid", "log:1e-320:1e3:16", "--init", "point:1e-18"),
         ],
         ids=["grid-inf", "dt-nan", "t-end-nan", "point-rounds-to-zero",
-             "point-on-top-point", "top-point-overflows", "exp-below-grid"],
+             "point-on-top-point", "top-point-overflows", "exp-below-grid",
+             "points-too-far-apart"],
     )
     def test_integrate_non_finite_value_exits_2(self, flags, tmp_path):
         out = tmp_path / "x.csv"
@@ -242,6 +246,22 @@ class TestEnsembleCommand:
 
 
 class TestIntegrateCommand:
+    @pytest.mark.parametrize(
+        "rule",
+        ["yardsale:lambda=0.5", "yardsale:lambda=uniform", "loser:lambda=0.5",
+         "loser:lambda=uniform", "unbiased-loser:lambda=0.5",
+         "unbiased-loser:lambda=uniform", "iglesias-almeida"],
+    )
+    def test_grid_at_the_largest_point_ratio_integrates(self, rule, tmp_path):
+        # neighbouring points 1e5 apart (give or take rounding), the most
+        # build_grid accepts
+        code, _, err = run_cli(
+            "integrate", "--rule", rule, "--grid", "log:1e-77:1e3:16",
+            "--init", "point:1e-18", "--dt", "1", "--t-end", "1",
+            "--out", str(tmp_path / "int.csv"),
+        )
+        assert (code, err) == (0, "")
+
     def test_report_and_snapshots(self, tmp_path):
         out = tmp_path / "int.csv"
         snaps = tmp_path / "snaps.csv"
@@ -444,16 +464,16 @@ class TestSweepCommand:
         assert code == 2
 
 
-def _leaking_sweep(w, rule, gen):
+def _leaking_sweep(w, rule, draws):
     """A sweep that creates wealth: the sum drifts from the total."""
-    moved = _sweep(w, rule, gen)
+    moved = _sweep(w, rule, draws)
     w[0] += 1.0
     return moved
 
 
-def _negative_sweep(w, rule, gen):
+def _negative_sweep(w, rule, draws):
     """A sweep that keeps the sum but leaves agent 0 with negative wealth."""
-    moved = _sweep(w, rule, gen)
+    moved = _sweep(w, rule, draws)
     w[1] += w[0] + 0.5
     w[0] = -0.5
     return moved

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import logging
 import math
 
@@ -27,6 +28,7 @@ from kinex.core import RngStream
 from kinex.engine import (
     _ROUNDS_MIN_N,
     Initial,
+    _draw_exchanges,
     _draw_lists,
     _lemire,
     _sweep,
@@ -37,7 +39,7 @@ from kinex.engine import (
 )
 from kinex.rules import harmonic_transfer
 
-from conftest import CRITERION_12_COMMANDS, one_exchange, seed_with, sweep_draws
+from conftest import CRITERION_12_COMMANDS, one_exchange
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UNBIASED = [
@@ -59,16 +61,16 @@ class TestStep:
     """One exchange step: with two agents a sweep is exactly one exchange."""
 
     def test_forced_pair_and_coin(self):
-        # the seed forces i=0, j=1 and the coin 0 (eta=-1): delta=-1
-        rule = YS(1.0)
-        w, moved = one_exchange(rule, [1.0, 3.0], seed_with(rule, 0, 0))
+        # i=0, j=1 and the coin 0 (eta=-1): delta=-1
+        w, moved = one_exchange(YS(1.0), [1.0, 3.0], 0, 0)
         assert w == [0.0, 4.0]
         assert moved == 1.0
 
     @pytest.mark.parametrize("rule", UNBIASED)
     def test_zero_agent_untouched(self, rule):
-        for seed in range(20):
-            w, moved = one_exchange(rule, [0.0, 5.0], seed)
+        coins = (0.0, 0.5, 0.99) if rule.kind is RuleKind.UNBIASED_LOSER else (0, 1)
+        for i, coin in itertools.product((0, 1), coins):
+            w, moved = one_exchange(rule, [0.0, 5.0], i, coin)
             assert w == [0.0, 5.0]
             assert moved == 0.0
 
@@ -78,7 +80,7 @@ class TestStep:
             gen = np.random.Generator(np.random.PCG64(seed))
             out = []
             for _ in range(64):
-                _sweep(w, YS(0.3), gen)
+                _sweep(w, YS(0.3), _draw_lists(3, YS(0.3), gen))
                 out.append(list(w))
             return out
 
@@ -99,17 +101,26 @@ class TestSweepFollowsLaw:
         ids=["2-5", "5-2", "zero", "both-zero", "extreme-ratio", "subnormal-product"],
     )
     def test_one_exchange_takes_the_drawn_atom(self, rule, wealth):
-        # the replayed draws pick the atom; the outcome must be it, bitwise
-        for seed in range(40):
-            i, lam, coin = sweep_draws(rule, seed)
+        # the draws pick the atom; the outcome must be it, bitwise. Both
+        # agents are tagged in turn; random() lambdas lie in [0, 1)
+        lams = (0.0, 0.3, 0.5, 1.0 - 2.0**-53) if rule.random_lambda else (None,)
+        for i, lam in itertools.product((0, 1), lams):
             j = 1 - i
             d_plus, p_plus, d_minus = two_point_law(rule, wealth[i], wealth[j], lam)
-            win = coin < p_plus if rule.kind is RuleKind.UNBIASED_LOSER else coin
-            delta = float(d_plus if win else d_minus)
-            w, moved = one_exchange(rule, wealth, seed)
-            assert w[i] == wealth[i] + delta
-            assert w[j] == wealth[j] - delta
-            assert moved == abs(delta)
+            p_plus = float(p_plus)
+            if rule.kind is RuleKind.UNBIASED_LOSER:
+                # uniforms on both sides of p_plus; one equal to it loses
+                near = {np.nextafter(p_plus, 0.0), p_plus, np.nextafter(p_plus, 1.0)}
+                coins = sorted(c for c in {0.0, *near, 1.0 - 2.0**-53} if c < 1.0)
+            else:
+                coins = [0, 1]
+            for coin in coins:
+                win = coin < p_plus if rule.kind is RuleKind.UNBIASED_LOSER else coin
+                delta = float(d_plus if win else d_minus)
+                w, moved = one_exchange(rule, wealth, i, coin, lam)
+                assert w[i] == wealth[i] + delta
+                assert w[j] == wealth[j] - delta
+                assert moved == abs(delta)
 
 
 def _bits(x) -> np.ndarray:
@@ -144,16 +155,15 @@ class TestSweepPathsAgree:
     def test_same_wealth_and_sums(self, rule, n):
         w0 = self.adversarial_wealth(n)
         scalar, rounds = w0.tolist(), w0.copy()
-        gen_s = np.random.Generator(np.random.PCG64(17))
-        gen_r = np.random.Generator(np.random.PCG64(17))
+        gen = np.random.Generator(np.random.PCG64(17))
         for _ in range(6):
-            moved_s = _sweep_scalar(scalar, rule, gen_s)
-            moved_r = _sweep_rounds(rounds, rule, gen_r)
+            draws = _draw_exchanges(n, rule, gen)
+            lists = tuple(None if a is None else a.tolist() for a in draws)
+            moved_s = _sweep_scalar(scalar, rule, lists)
+            moved_r = _sweep_rounds(rounds, rule, draws)
             assert _bits(moved_s) == _bits(moved_r)
         np.testing.assert_array_equal(_bits(scalar), _bits(rounds))
         assert not np.array_equal(_bits(w0), _bits(rounds))
-        # both generators drew the same stream
-        assert gen_s.random() == gen_r.random()
 
     def test_run_clears_negative_zero(self):
         # the rounds path equals the loop only on wealths without -0.0
@@ -165,6 +175,34 @@ class TestSweepPathsAgree:
             traj = run(cfg, initial_population=Population(init))
             finals.append(_bits(traj.final_population.wealth))
         np.testing.assert_array_equal(*finals)
+
+
+class TestDrawLayout:
+    """``_draw_exchanges`` makes the layout's ``Generator`` calls in order:
+    the i block, the j block (stepped past i), the lambda block, then the
+    coin block."""
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_generator_calls_in_order(self, rule, n):
+        gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
+        s = n // 2
+        for _ in range(20):
+            ii, jj, lams, coins = _draw_exchanges(n, rule, gen)
+            want_i = twin.integers(0, n, size=s)
+            want_j = twin.integers(0, n - 1, size=s)
+            want_j[want_j >= want_i] += 1
+            np.testing.assert_array_equal(ii, want_i)
+            np.testing.assert_array_equal(jj, want_j)
+            if rule.random_lambda:
+                np.testing.assert_array_equal(lams, twin.random(size=s))
+            else:
+                assert lams is None
+            if rule.kind is RuleKind.UNBIASED_LOSER:
+                np.testing.assert_array_equal(coins, twin.random(size=s))
+            else:
+                np.testing.assert_array_equal(coins, twin.integers(0, 2, size=s))
+        assert gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestSweepDecoder:
@@ -252,8 +290,9 @@ class TestSweepDecoder:
     def test_mismatch_falls_back_to_generator_draws(
         self, monkeypatch, caplog, tmp_path
     ):
-        # a decoding that swaps i and j fails the self-check; the run falls
-        # back to Generator draws and writes the same bytes
+        # a decoding off by one in every bounded integer fails the
+        # self-check; the run falls back to Generator draws and writes the
+        # same bytes
         def simulate(name):
             (tmp_path / name).mkdir()
             out = tmp_path / name / "run.csv"
@@ -263,13 +302,13 @@ class TestSweepDecoder:
             return out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes()
 
         want = simulate("decoded")
-        inner = _SweepDecoder._sweep_lists
+        inner = engine._lemire
 
-        def swapped(blocks):
-            ii, jj, *rest = blocks
-            return inner([jj, ii, *rest])
+        def off_by_one(words, n):
+            values, accepted = inner(words, n)
+            return (values + 1) % n, accepted
 
-        monkeypatch.setattr(_SweepDecoder, "_sweep_lists", staticmethod(swapped))
+        monkeypatch.setattr(engine, "_lemire", off_by_one)
         monkeypatch.setattr(
             engine,
             "_decoder_matches_numpy",
@@ -428,8 +467,8 @@ class TestAbsorbingStateInSimulation:
         # x*x is subnormal here; dividing it by 2x loses 7e-8 relative, so
         # the sweep must divide factor by factor like the exact law does
         x = 3.663685537297814e-159
-        gen = np.random.Generator(np.random.PCG64(3))
-        moved = _sweep([x, x], RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA), gen)
+        draws = ([0], [1], None, [1])
+        moved = _sweep([x, x], RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA), draws)
         assert moved == float(harmonic_transfer(x, x))
 
     def test_classic_loser_violates_absorbing_state(self):
@@ -496,6 +535,34 @@ class TestEnsemble:
         )
         summary = run_ensemble(cfg, 2)
         assert summary.t.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_pool_has_a_worker_per_chunk_of_replicas_at_most(self, monkeypatch):
+        # the pool forks every worker at its first submit, and hands out
+        # replicas in chunks of 4; a stand-in runs them in this process
+        pools = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                assert chunksize == 4
+                return map(fn, jobs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
+        cfg = SimConfig(n=4, rule=YS(0.5), max_sweeps=2, seed=1)
+        monkeypatch.setenv("KINEX_THREADS", "64")
+        for replicas in (9, 3):
+            run_ensemble(cfg, replicas)
+        monkeypatch.setenv("KINEX_THREADS", "2")
+        run_ensemble(cfg, 8)
+        assert pools == [3, 2]
 
     def test_kinex_threads_env_caps_workers(self, monkeypatch):
         from kinex.engine import worker_count

@@ -89,6 +89,28 @@ def test_large_run_calls_sweep_once_per_sweep(monkeypatch):
     assert calls == {"_sweep": 3, "_sweep_rounds": 3}
 
 
+@pytest.mark.parametrize("n", [64, 4096], ids=["scalar", "rounds"])
+def test_traced_exchange_count_is_the_sweeps_draws(monkeypatch, n):
+    # the benchmark's tracer counts a sweep's exchanges as len(args[0]) // 2
+    # of engine._sweep (perfbench/tracing.py), so the wealth must stay the
+    # first argument, and the sweep's draws must hold that many exchanges
+    import kinex.engine as engine
+
+    inner = engine._sweep
+    counts = []
+
+    def counted(*args):
+        counts.append((len(args[0]) // 2, len(args[2][0])))
+        return inner(*args)
+
+    monkeypatch.setattr(engine, "_sweep", counted)
+    config = engine.SimConfig(
+        n=n, rule=RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), max_sweeps=2
+    )
+    engine.run(config)
+    assert counts == [(n // 2, n // 2)] * 2
+
+
 def _count_calls(monkeypatch, target: str) -> list:
     """Wrap the function at dotted path ``target`` so each call is counted."""
     module_name, _, attr = target.rpartition(".")

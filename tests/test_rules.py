@@ -17,9 +17,9 @@ from kinex import (
     parse_rule,
     two_point_law,
 )
-from kinex.engine import _sweep
+from kinex.engine import _sweep, _SweepDecoder
 
-from conftest import one_exchange, seed_with
+from conftest import one_exchange
 
 YS = RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5)
 CL = RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.5)
@@ -194,14 +194,15 @@ DRAWS = 10**5
 @functools.lru_cache(maxsize=None)
 def sweep_gains(rule, x_0, x_1):
     """Agent 0's gain in DRAWS independent exchanges from (x_0, x_1), each a
-    2-agent ``engine._sweep`` on one stream. Agent 0 is the tagged agent i
-    or the partner j; the rules are exchangeable, so its gain follows
-    ``two_point_law(rule, x_0, x_1)`` either way."""
-    gen = np.random.Generator(np.random.PCG64(7))
+    2-agent ``engine._sweep`` on one stream, drawn as ``engine.run`` draws
+    it. Agent 0 is the tagged agent i or the partner j; the rules are
+    exchangeable, so its gain follows ``two_point_law(rule, x_0, x_1)``
+    either way."""
+    draws = _SweepDecoder(np.random.Generator(np.random.PCG64(7)), 2, rule)
     gains = np.empty(DRAWS)
     for k in range(DRAWS):
         w = [x_0, x_1]
-        _sweep(w, rule, gen)
+        _sweep(w, rule, draws.next_sweep())
         gains[k] = w[0] - x_0
     return gains
 
@@ -211,14 +212,14 @@ class TestSampleDelta:
     one exchange."""
 
     def test_yard_sale_forced_positive(self):
-        # the seed tags agent 0 and draws eta = +1
-        w, moved = one_exchange(YS, [1.0, 3.0], seed_with(YS, 0, 1))
+        # agent 0 is tagged and draws eta = +1
+        w, moved = one_exchange(YS, [1.0, 3.0], 0, 1)
         assert (w, moved) == ([1.5, 2.5], 0.5)
 
     def test_classic_loser_forced_epsilon_zero(self):
-        # the seed tags agent 0 and draws epsilon = 0: lose 0.25 * x_i
+        # agent 0 is tagged and draws epsilon = 0: lose 0.25 * x_i
         rule = RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=0.25)
-        w, moved = one_exchange(rule, [2.0, 4.0], seed_with(rule, 0, 0))
+        w, moved = one_exchange(rule, [2.0, 4.0], 0, 0)
         assert (w, moved) == ([1.5, 4.5], 0.5)
 
     def test_unbiased_loser_positive_frequency(self):
@@ -251,8 +252,8 @@ class TestSampleDelta:
     def test_random_lambda_recorded(self):
         # from equal wealth 1 the sweep moves |delta| = lambda, and reports it
         rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=UNIFORM_LAMBDA)
-        gen = np.random.Generator(np.random.PCG64(3))
-        lams = {_sweep([1.0, 1.0], rule, gen) for _ in range(50)}
+        draws = _SweepDecoder(np.random.Generator(np.random.PCG64(3)), 2, rule)
+        lams = {_sweep([1.0, 1.0], rule, draws.next_sweep()) for _ in range(50)}
         assert len(lams) == 50
         assert all(0.0 <= l < 1.0 for l in lams)
 
