@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .core import RuleKind, RuleSpec, WealthGrid
 from .metrics import _weighted_gini
@@ -380,6 +379,10 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     loss is tracked by the integrator and flags the run non-conservative
     beyond 1e-8 relative.
     """
+    # imported here, not at module level, so that a process that builds no
+    # kernel (every Monte Carlo command) never loads scipy
+    import scipy.sparse as sparse
+
     c = grid.centers.copy()
     n = c.size
     # before the per-atom arrays exist, so its temporaries add no peak memory
@@ -525,11 +528,14 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
     probabilities and split weights both sum to one) and total wealth is
     zero within 1e-12 relative for unbiased kernels (mean-exact splitting).
     """
-    return _rhs_masses(kernel, grid.masses)
+    m = grid.masses
+    return _rhs_masses(kernel, m, np.empty((m.size, m.size)))
 
 
-def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    return kernel.gain @ np.multiply.outer(m, m).ravel()
+def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """dm/dt of masses ``m``; the pair masses m m^T are written into the
+    cells x cells buffer ``pairs``, which ``integrate`` allocates once."""
+    return kernel.gain @ np.multiply.outer(m, m, out=pairs).ravel()
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -652,6 +658,7 @@ def integrate(
     if c.shape != grid.centers.shape or not np.array_equal(c, grid.centers):
         raise ValueError("kernel was built for a different grid")
     m = grid.masses.copy()
+    pairs = np.empty((m.size, m.size))
     mass0 = math.fsum(m)
     mean0 = float(np.dot(m, c))
     two_mean0 = 2.0 * mean0
@@ -675,7 +682,7 @@ def integrate(
                 raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
             step_no += 1
 
-            r = _rhs_masses(kernel, m)
+            r = _rhs_masses(kernel, m, pairs)
             rate = _gini_rate_masses(kernel, m, r)
             trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
 

@@ -9,6 +9,7 @@ quadratures over cell masses at the representative points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,19 @@ def gini_population(pop: Population) -> float:
         raise ValueError("degenerate: zero total wealth")
     x = np.sort(pop.wealth)
     n = x.size
+    return float(np.dot(_gini_coefficients(n), x) / (n * pop.total))
+
+
+@functools.lru_cache(maxsize=8)
+def _gini_coefficients(n: int) -> np.ndarray:
+    """The weights 2i - (n - 1) of the sorted formula, read-only.
+
+    Cached per N because a run records the Gini of one population size many
+    times, and at large N building the vector costs a good part of a record.
+    """
     coef = 2.0 * np.arange(n) - (n - 1)
-    return float(np.dot(coef, x) / (n * pop.total))
+    coef.flags.writeable = False
+    return coef
 
 
 def gini_population_bruteforce(pop: Population) -> float:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,8 +306,8 @@ class TestIntegrateCommand:
 
         inner = master_eq._rhs_masses
 
-        def shifted(kernel, m):
-            r = inner(kernel, m)
+        def shifted(kernel, m, pairs):
+            r = inner(kernel, m, pairs)
             k = int(m.argmax())
             r[k] -= 1e-6
             r[k + 1] += 1e-6
@@ -722,6 +724,56 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code, cwd, **env):
+    """Run ``code`` in a fresh interpreter with the package source on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestStartup:
+    def test_commands_without_a_kernel_never_load_scipy(self, tmp_path):
+        # one worker: the ensemble runs in this process and starts no pool
+        run_python(
+            "import sys\n"
+            "import kinex, kinex.cli\n"
+            "flags = ['--rule', 'yardsale:lambda=0.5', '--n', '16', '--sweeps', '3']\n"
+            "assert kinex.cli.main(['simulate', *flags, '--out', 'sim.csv']) == 0\n"
+            "assert kinex.cli.main(['ensemble', *flags, '--replicas', '2',\n"
+            "                       '--out', 'ens.csv']) == 0\n"
+            "assert kinex.cli.main(['sweep', *flags, '--param', 'lambda',\n"
+            "                       '--values', '0.3,0.7', '--out', 'sw.csv']) == 0\n"
+            "kinex.write_snapshot('pop.txt', kinex.Population([1.0, 3.0]))\n"
+            "assert kinex.cli.main(['gini', 'pop.txt']) == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n",
+            tmp_path,
+            KINEX_THREADS="1",
+        )
+
+    def test_kernel_builds_through_the_python_api_alone(self, tmp_path):
+        run_python(
+            "import sys\n"
+            "from kinex import RuleKind, RuleSpec, build_grid, build_kernel\n"
+            "from kinex.master_eq import LinearScheme, PointMass\n"
+            "grid = build_grid(LinearScheme(10.0, 16), PointMass(1.0))\n"
+            "kernel = build_kernel(RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), grid)\n"
+            "assert 'kinex.cli' not in sys.modules\n"
+            "assert kernel.gain.nnz > 0\n",
+            tmp_path,
+        )
 
 
 def test_emit_metadata_deterministic():

@@ -16,7 +16,7 @@ from kinex import (
 )
 from kinex.engine import _record
 from kinex.master_eq import Exponential, LinearScheme, build_grid
-from kinex.metrics import DEFAULT_EPS_ZERO, gini_population_bruteforce
+from kinex.metrics import DEFAULT_EPS_ZERO, _gini_coefficients, gini_population_bruteforce
 
 from conftest import make_grid
 
@@ -53,6 +53,21 @@ class TestGiniPopulation:
             fast = gini_population(pop)
             slow = gini_population_bruteforce(pop)
             assert fast == pytest.approx(slow, rel=1e-12)
+
+    def test_cached_coefficients_match_the_inline_formula(self):
+        # sizes interleaved and repeated, so cache hits follow other sizes
+        gen = np.random.Generator(np.random.PCG64(11))
+        for n in [2, 3, 128, 4096, 65536] * 2:
+            pop = Population(gen.exponential(1.0, size=n))
+            x = np.sort(pop.wealth)
+            inline = float(np.dot(2.0 * np.arange(n) - (n - 1), x) / (n * pop.total))
+            assert gini_population(pop).hex() == inline.hex(), n
+
+    def test_cached_coefficients_are_read_only(self):
+        coef = _gini_coefficients(16)
+        assert not coef.flags.writeable
+        with pytest.raises(ValueError):
+            coef[0] = 0.0
 
     def test_tie_handling_is_order_independent(self):
         a = gini_population(Population([2.0, 1.0, 1.0, 5.0]))
