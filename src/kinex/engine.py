@@ -13,12 +13,10 @@ so a run is fully reproducible from (seed, stream id). A sweep is a pure
 function of its draws: ``run`` draws each sweep from one draw source and
 hands the draws to ``_sweep``. ``_draw_exchanges`` draws the layout with
 ``Generator`` calls. Below ``_ROUNDS_MIN_N`` agents ``run`` reads the same
-draws, bit for bit, from ``_SweepDecoder``, which decodes them from one raw
-PCG64 block per ``_BLOCK_EXCHANGES`` exchanges, as numpy's ``Generator``
-would draw them, instead of paying numpy's per-call cost on three or four
-small draws every sweep. A self-check against ``_draw_exchanges`` on first
-use falls back, with a warning, to drawing each sweep through ``Generator``
-calls where the decoding no longer matches the installed numpy.
+draws, bit for bit, from ``_draw_block``, which draws the 32-bit words of
+``_BLOCK_EXCHANGES`` exchanges in one call and decodes them as numpy's
+``Generator`` would, instead of paying numpy's per-call cost on three or
+four small draws every sweep.
 
 A sweep takes one of two paths with the same draws. Below
 ``_ROUNDS_MIN_N`` agents a Python loop applies one exchange at a time on a
@@ -52,7 +50,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    UNIFORM_LAMBDA,
     ContractViolation,
     Population,
     RngStream,
@@ -88,13 +85,12 @@ _DRIFT_TOL = 1e-9
 # fixed numpy cost outweighs the few exchanges in it.
 _ROUNDS_MIN_N = 4096
 
-# Exchanges whose draws ``_SweepDecoder`` decodes from one raw block (at
-# least one sweep's). Per sweep of yard-sale lambda=0.1 at N=128 (best of
-# 5 runs of 8000 sweeps; 2-CPU Xeon, Python 3.11, numpy 2.4.6): 45 us with
-# one sweep per block, 23 us with 1024 exchanges, 19 us with 4096, 18 us
-# with 8192 and 20 us with 16384, against 49 us with per-sweep Generator
-# calls. At N=1024 the exchange loop dominates and the block size moved
-# the time only within the noise (142-201 us).
+# Exchanges ``_draw_block`` draws at a time (at least a sweep's); no output
+# depends on it. A sweep of yard-sale lambda=0.1 at N=128 took (best of 5
+# runs of 8000; 2-CPU Xeon, Python 3.11, numpy 2.4.6) 63 us with one sweep
+# per block, 19 us with 1024 exchanges, 16 us with 4096 or 8192 and 18-21 us
+# with 16384, against 48-50 us with Generator calls per sweep; at N=1024,
+# 133-162 us from 4096 up, 194 us with one sweep and 166-174 us with calls.
 _BLOCK_EXCHANGES = 4096
 
 log = logging.getLogger("kinex.engine")
@@ -218,7 +214,7 @@ def _exchanges(blocks) -> tuple:
 def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
     """One sweep's draws, drawn through ``Generator`` calls in the layout
     of ``_layout``: the N/2 exchanges' (i, j, lambdas or None, coins) as
-    arrays. ``_SweepDecoder`` gives the same draws from the same stream."""
+    arrays. ``_draw_block`` gives the same draws from the same stream."""
     s = n // 2
     return _exchanges([
         gen.random(size=s) if bound is None else gen.integers(0, bound, size=s)
@@ -226,164 +222,100 @@ def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
     ])
 
 
-def _draw_lists(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
-    """``_draw_exchanges`` as lists, the form ``_SweepDecoder`` gives."""
-    return tuple(
-        None if a is None else a.tolist() for a in _draw_exchanges(n, rule, gen)
-    )
+def _draw_block(n: int, rule: RuleSpec, gen: np.random.Generator, sweeps: int) -> tuple:
+    """``sweeps`` calls of ``_draw_exchanges`` in one: the same draws, as
+    (sweeps, N/2) arrays, and the same generator state after them.
+    ``_decode`` draws them but for a range of one value (j at N=2), which
+    takes no word, uniforms that could start on a pending half, and a block
+    that rejects a word: ``_draw_defined`` draws those, the last from the
+    state before the block."""
+    s = n // 2
+    layout = _layout(n, rule)
+    state = gen.bit_generator.state
+    # uniforms follow the i and j blocks, 2s words, in every sweep
+    whole = not state["has_uint32"] and _words(layout, s) % 2 == 0
+    if 1 not in layout and (whole or None not in layout) and _decoding_matches_numpy():
+        blocks = _decode(layout, s, gen, sweeps)
+        if blocks is not None:
+            return _exchanges(blocks)
+        gen.bit_generator.state = state
+    return _exchanges(_draw_defined(layout, s, gen, sweeps))
 
 
-def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``integers(0, n)`` by Lemire's method, as numpy draws it from 32-bit
-    words x: the value ``(x * n) >> 32`` of each word, and whether it is
-    accepted; a word is rejected when ``(x * n) mod 2**32`` is below
-    ``(2**32 - n) mod n`` (never for a power of two n)."""
-    m = words.astype(np.uint64) * np.uint64(n)
-    return m >> 32, (m & 0xFFFFFFFF) >= (2**32 - n) % n
+def _words(layout: tuple, s: int) -> int:
+    """32-bit words per sweep: one per bounded integer, two per uniform."""
+    return sum(s if bound else 2 * s for bound in layout)
 
 
-class _SweepDecoder:
-    """``_draw_exchanges``' draws, sweep after sweep, decoded from one
-    ``random_raw`` block per ``_BLOCK_EXCHANGES`` exchanges of a generator.
+def _draw_defined(layout: tuple, s: int, gen: np.random.Generator, sweeps: int) -> list:
+    """The blocks of ``sweeps`` sweeps of ``layout`` by definition: one
+    ``integers`` call over each draw's range, in draw order. A uniform is
+    ``integers(0, 2**53) * 2**-53``, which numpy draws as ``random()`` does,
+    from a whole 64-bit output; a range of one value takes nothing."""
+    ranges = np.repeat([2**53 if bound is None else bound for bound in layout], s)
+    values = gen.integers(0, np.tile(ranges, sweeps)).reshape(sweeps, -1)
+    blocks = np.hsplit(values, len(layout))
+    return [b * 2.0**-53 if bound is None else b for bound, b in zip(layout, blocks)]
 
-    The block is decoded bitwise as numpy's ``Generator`` draws it, in the
-    layout of ``_layout``: ``integers`` takes a 32-bit word, the
-    low half of a 64-bit output and then its high half, which stays
-    pending, across sweeps and blocks too; ``random()`` takes
-    ``(x >> 11) * 2**-53`` of a whole output and leaves a pending half
-    alone; a range of one value (the j block at N=2) takes no word. A block
-    that rejects a word (see ``_lemire``; a chance below n / 2**32 per
-    draw) is drawn again through ``_draw_exchanges`` from the generator
-    state before it, so numpy itself reads any further output it needs.
 
-    The decoder draws ahead of the sweeps it has handed out: once it is in
-    use, nothing else may draw from the generator.
-    """
-
-    def __init__(self, gen: np.random.Generator, n: int, rule: RuleSpec):
-        self._draw = functools.partial(_draw_lists, n, rule, gen)
-        self._bitgen = gen.bit_generator
-        state = self._bitgen.state
-        self._pending = state["uinteger"] if state["has_uint32"] else None
-        self._s = n // 2
-        self._sweeps = max(1, _BLOCK_EXCHANGES // self._s)
-        self._bounds = _layout(n, rule)
-        self._plans = {}
-        self._ready = iter(())
-
-    def next_sweep(self) -> tuple[list, list, list | None, list]:
-        """The next sweep's (i, j, lambdas or None, coins), as lists."""
-        sweep = next(self._ready, None)
-        if sweep is None:
-            self._ready = self._decode_block()
-            sweep = next(self._ready)
-        return sweep
-
-    def _plan(self, pending: bool):
-        """Where a block's draws lie, when it starts with a half pending or not.
-
-        Returns the raw outputs the block takes; for each block of the
-        layout but a range of one value, a (sweeps, N/2) index array into the
-        block's words (the pending half, then each output's low and high
-        half) or, for ``random()``, into its outputs; and the index of the
-        word left pending at the end, or None.
-        """
-        by_word = [b is not None for b in self._bounds if b != 1]
-        index = []
-        raws = 0
-        half = 0 if pending else None
-        for _ in range(self._sweeps):
-            for word in by_word:
-                for _ in range(self._s):
-                    if not word:
-                        index.append(raws)
-                        raws += 1
-                    elif half is not None:
-                        index.append(half)
-                        half = None
-                    else:
-                        index.append(1 + 2 * raws)
-                        half = 2 + 2 * raws
-                        raws += 1
-        blocks = np.array(index).reshape(self._sweeps, -1)
-        return raws, np.hsplit(blocks, len(by_word)), half
-
-    def _decode_block(self):
-        pending = self._pending
-        key = pending is not None
-        if key not in self._plans:
-            self._plans[key] = self._plan(key)
-        raws, indices, end = self._plans[key]
-        state = self._bitgen.state
-        raw = self._bitgen.random_raw(raws)
-        words = np.empty(2 * raws + 1, dtype=np.uint32)
-        words[0] = 0 if pending is None else pending
-        # low half first on a little-endian machine (the self-check of
-        # ``_decoder_matches_numpy`` covers any other)
-        words[1:] = raw.view(np.uint32)
-        blocks = []
-        index = iter(indices)
-        for bound in self._bounds:
-            if bound == 1:
-                blocks.append(np.zeros((self._sweeps, self._s), dtype=np.uint64))
-            elif bound is None:
-                blocks.append((raw[next(index)] >> 11) * 2.0**-53)
-            else:
-                values, accepted = _lemire(words[next(index)], bound)
-                if not accepted.all():
-                    # random_raw leaves the state's pending half as it was
-                    state["has_uint32"] = int(pending is not None)
-                    state["uinteger"] = 0 if pending is None else pending
-                    self._bitgen.state = state
-                    return self._draw_block()
-                blocks.append(values)
-        self._pending = None if end is None else int(words[end])
-        ii, jj, lams, coins = _exchanges(blocks)
-        return zip(
-            ii.tolist(),
-            jj.tolist(),
-            itertools.repeat(None) if lams is None else lams.tolist(),
-            coins.tolist(),
-        )
-
-    def _draw_block(self):
-        """The next block's sweeps, drawn through ``Generator`` calls."""
-        sweeps = [self._draw() for _ in range(self._sweeps)]
-        state = self._bitgen.state
-        self._pending = state["uinteger"] if state["has_uint32"] else None
-        return iter(sweeps)
+def _decode(layout: tuple, s: int, gen: np.random.Generator, sweeps: int):
+    """``_draw_defined``'s blocks decoded from one ``integers`` call's 32-bit
+    words, in stream order with any pending half first; None if a word is
+    rejected. A bounded integer in [0, b) is Lemire's ``(x * b) >> 32`` of
+    its word x, rejected, as numpy does, when ``(x * b) mod 2**32`` is below
+    ``(2**32 - b) mod b`` (never for a power of two b). A uniform is
+    ``random()``'s ``(x >> 11) * 2**-53`` of the 64-bit output x whose low
+    and high halves are its two words."""
+    words = gen.integers(0, 2**32, size=(sweeps, _words(layout, s)), dtype=np.uint64)
+    blocks = []
+    for bound in layout:
+        if bound is None:
+            lo, hi = words[:, : 2 * s : 2], words[:, 1 : 2 * s : 2]
+            blocks.append(((hi << 32 | lo) >> 11) * 2.0**-53)
+            words = words[:, 2 * s :]
+        else:
+            m = words[:, :s] * np.uint64(bound)
+            if ((m & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
+                return None
+            blocks.append((m >> 32).view(np.int64))
+            words = words[:, s:]
+    return blocks
 
 
 @functools.cache
-def _decoder_matches_numpy() -> bool:
-    """Whether ``_SweepDecoder`` gives ``_draw_exchanges``' draws on the
-    installed numpy; checked once per process, on a throwaway generator.
-
-    It compares a block and one sweep more from a generator with a half
-    pending, on two layouts that hold every kind of draw: 0/1 coins after
-    lambdas, so a word follows a ``random()`` draw, and uniform coins.
-    N/2 = 511 is odd, so halves stay pending across sweeps and blocks. On
-    a mismatch ``run`` draws each sweep through ``_draw_lists``, which
-    gives the same output more slowly.
-    """
-    n = 1023
-    for rule in (
-        RuleSpec(kind=RuleKind.YARD_SALE, lam=UNIFORM_LAMBDA),
-        RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.5),
-    ):
+def _decoding_matches_numpy() -> bool:
+    """Whether ``_decode`` gives ``_draw_defined``'s draws, and the same
+    words after them, on the installed numpy, once per process: on words
+    only at odd N/2, entered with a half pending, and on uniforms after
+    words. If not, ``_draw_block`` draws by definition alone: the same
+    output, more slowly."""
+    for layout, pending in (((6, 5, 2), True), ((128, 127, None), False)):
+        s = layout[0] // 2
         gen, twin = (np.random.Generator(np.random.PCG64(8)) for _ in "ab")
-        gen.integers(0, 3)
-        twin.integers(0, 3)
-        decoder = _SweepDecoder(gen, n, rule)
-        for _ in range(decoder._sweeps + 1):
-            if decoder.next_sweep() != _draw_lists(n, rule, twin):
-                log.warning(
-                    "decoded draws differ from numpy %s's Generator; "
-                    "drawing through Generator calls per sweep",
-                    np.__version__,
-                )
-                return False
+        if pending:
+            gen.integers(0, 3)
+            twin.integers(0, 3)
+        got, want = _decode(layout, s, gen, 4), _draw_defined(layout, s, twin, 4)
+        if got is None or not all(map(np.array_equal, got, want)) or (
+            gen.integers(0, 2**32, size=3) != twin.integers(0, 2**32, size=3)
+        ).any():
+            log.warning(
+                "decoded draws differ from numpy %s's Generator; "
+                "drawing through Generator calls per block",
+                np.__version__,
+            )
+            return False
     return True
+
+
+def _block_sweeps(n: int, rule: RuleSpec, gen: np.random.Generator):
+    """``_draw_exchanges``' draws, sweep after sweep, as lists, drawn by
+    ``_draw_block`` a block of ``_BLOCK_EXCHANGES`` exchanges at a time."""
+    sweeps = max(1, _BLOCK_EXCHANGES // (n // 2))
+    while True:
+        ii, jj, lams, coins = _draw_block(n, rule, gen, sweeps)
+        lams = itertools.repeat(None) if lams is None else lams.tolist()
+        yield from zip(ii.tolist(), jj.tolist(), lams, coins.tolist())
 
 
 def _sweep(w, rule: RuleSpec, draws: tuple) -> float:
@@ -408,38 +340,29 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
     test pins every branch to the law.
     """
     ii, jj, lams, coins = draws
-    s = len(ii)
     kind = rule.kind
-    random_lam = lams is not None
-    lam = 0.0 if random_lam else (1.0 if rule.lam is None else float(rule.lam))
+    if lams is None:
+        lams = itertools.repeat(1.0 if rule.lam is None else float(rule.lam))
     sum_abs = 0.0
 
     if kind is RuleKind.YARD_SALE:
-        for k in range(s):
-            i = ii[k]
-            j = jj[k]
+        for i, j, lam, coin in zip(ii, jj, lams, coins):
             wi = w[i]
             wj = w[j]
             mn = wi if wi < wj else wj
-            if random_lam:
-                lam = lams[k]
             d = lam * mn
             sum_abs += d
-            if coins[k]:
+            if coin:
                 w[i] = wi + d
                 w[j] = wj - d
             else:
                 w[i] = wi - d
                 w[j] = wj + d
     elif kind is RuleKind.CLASSIC_LOSER:
-        for k in range(s):
-            i = ii[k]
-            j = jj[k]
+        for i, j, lam, coin in zip(ii, jj, lams, coins):
             wi = w[i]
             wj = w[j]
-            if random_lam:
-                lam = lams[k]
-            if coins[k]:
+            if coin:
                 d = lam * wj
             else:
                 d = -(lam * wi)
@@ -447,15 +370,11 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
             w[i] = wi + d
             w[j] = wj - d
     elif kind is RuleKind.UNBIASED_LOSER:
-        for k in range(s):
-            i = ii[k]
-            j = jj[k]
+        for i, j, lam, coin in zip(ii, jj, lams, coins):
             wi = w[i]
             wj = w[j]
             tot = wi + wj
-            if random_lam:
-                lam = lams[k]
-            if tot > 0.0 and coins[k] < wi / tot:
+            if tot > 0.0 and coin < wi / tot:
                 d = lam * wj
             else:
                 d = -(lam * wi)
@@ -463,9 +382,7 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
             w[i] = wi + d
             w[j] = wj - d
     else:  # Iglesias-Almeida
-        for k in range(s):
-            i = ii[k]
-            j = jj[k]
+        for i, j, coin in zip(ii, jj, coins):
             wi = w[i]
             wj = w[j]
             tot = wi + wj
@@ -482,7 +399,7 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
             if d > mn:
                 d = mn
             sum_abs += d
-            if coins[k]:
+            if coin:
                 w[i] = wi + d
                 w[j] = wj - d
             else:
@@ -614,11 +531,8 @@ def run(
         draw = functools.partial(_draw_exchanges, n, rule, gen)
     else:
         w = w.tolist()
-        if _decoder_matches_numpy():
-            # from here on the decoder alone draws from gen, ahead of the sweeps
-            draw = _SweepDecoder(gen, n, rule).next_sweep
-        else:
-            draw = functools.partial(_draw_lists, n, rule, gen)
+        # from here on the blocks alone draw from gen, ahead of the sweeps
+        draw = _block_sweeps(n, rule, gen).__next__
 
     records: list[MetricsRecord] = []
     snapshots: list[tuple[int, np.ndarray]] = []

@@ -558,8 +558,10 @@ def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     that moves no wealth (any pair with a member at zero) adds exactly
     nothing, so the dominant zero-cell mass of a condensing state leaves
     no rounding residue. Non-negative for unbiased kernels up to rounding
-    error.
+    error. Raises ValueError when the mean wealth is zero.
     """
+    if grid.mean <= 0.0:
+        raise ValueError("degenerate: zero mean wealth")
     return _gini_rate_masses(kernel, grid.masses, rhs(grid, kernel))
 
 
@@ -584,7 +586,10 @@ def _mobility_ratios(
 
 
 def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
-    """max_k l(x_k) / (2 <x>) from kernel atoms; <= 1 for unbiased kernels."""
+    """max_k l(x_k) / (2 <x>) from kernel atoms; <= 1 for unbiased kernels.
+    Raises ValueError when the mean wealth is zero."""
+    if grid.mean <= 0.0:
+        raise ValueError("degenerate: zero mean wealth")
     return _mobility_ratios(kernel, grid.masses, 2.0 * grid.mean)[1]
 
 

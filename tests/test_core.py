@@ -15,7 +15,7 @@ from kinex import (
     run,
     write_snapshot,
 )
-from kinex.engine import _draw_lists, _sweep
+from kinex.engine import _draw_exchanges, _sweep
 
 ALL_RULES = [
     RuleSpec(kind=RuleKind.YARD_SALE, lam=0.7),
@@ -75,7 +75,7 @@ class TestRngStream:
             gen = RngStream(seed, stream).gen
             states = []
             for _ in range(50):
-                _sweep(w, rule, _draw_lists(4, rule, gen))
+                _sweep(w, rule, _draw_exchanges(4, rule, gen))
                 states.append(list(w))
             return states
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,13 +29,12 @@ from kinex.core import RngStream
 from kinex.engine import (
     _ROUNDS_MIN_N,
     Initial,
+    _decode,
+    _draw_block,
     _draw_exchanges,
-    _draw_lists,
-    _lemire,
     _sweep,
     _sweep_rounds,
     _sweep_scalar,
-    _SweepDecoder,
     parse_initial,
 )
 from kinex.rules import harmonic_transfer
@@ -80,7 +80,7 @@ class TestStep:
             gen = np.random.Generator(np.random.PCG64(seed))
             out = []
             for _ in range(64):
-                _sweep(w, YS(0.3), _draw_lists(3, YS(0.3), gen))
+                _sweep(w, YS(0.3), _draw_exchanges(3, YS(0.3), gen))
                 out.append(list(w))
             return out
 
@@ -205,94 +205,139 @@ class TestDrawLayout:
         assert gen.bit_generator.state == twin.bit_generator.state
 
 
-class TestSweepDecoder:
-    """``_SweepDecoder`` gives ``_draw_exchanges``' draws bitwise, from one
-    raw block per ``_BLOCK_EXCHANGES`` exchanges of the same generator."""
+def _position(gen) -> tuple:
+    """Where ``gen``'s stream stands: its PCG64 state and its pending half,
+    if any (numpy keeps a stale half where none is pending)."""
+    state = gen.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+class TestDrawBlock:
+    """``_draw_block(n, rule, gen, K)`` gives K ``_draw_exchanges`` calls'
+    draws bitwise, from the same stream, and leaves the same state."""
+
+    @staticmethod
+    def check(gen, twin, n, rule, sweeps, blocks):
+        for _ in range(blocks):
+            got = _draw_block(n, rule, gen, sweeps)
+            want = zip(*(_draw_exchanges(n, rule, twin) for _ in range(sweeps)))
+            for block, calls in zip(got, want):
+                if block is None:
+                    assert set(calls) == {None}
+                else:
+                    np.testing.assert_array_equal(block, np.stack(calls))
+            assert _position(gen) == _position(twin)
+
+    @staticmethod
+    def served(monkeypatch):
+        # blocks that ``_decode`` and ``_draw_defined`` each gave
+        counts = {"decoded": 0, "defined": 0}
+        decode, defined = engine._decode, engine._draw_defined
+
+        def decode_counted(*args):
+            blocks = decode(*args)
+            counts["decoded"] += blocks is not None
+            return blocks
+
+        def defined_counted(*args):
+            counts["defined"] += 1
+            return defined(*args)
+
+        monkeypatch.setattr(engine, "_decode", decode_counted)
+        monkeypatch.setattr(engine, "_draw_defined", defined_counted)
+        return counts
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
-    @pytest.mark.parametrize("n", [2, 3, 127, 128, 1000, 4095])
-    def test_same_draws_as_generator(self, rule, n):
-        # at least 300 sweeps and a block boundary; at n = 3, 127 and 4095
-        # N/2 is odd, so halves stay pending across sweeps and blocks
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 127, 128, 130, 1000, 1022, 3931, 4095])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_same_draws_and_state_as_generator(self, rule, n, pending):
+        # three blocks of an odd number of sweeps: where N/2 is odd a half
+        # stays pending across sweeps and blocks
         gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
-        decoder = _SweepDecoder(gen, n, rule)
-        for _ in range(max(300, decoder._sweeps + 1)):
-            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
-
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
-    @pytest.mark.parametrize("n", [2, 127, 128])
-    def test_block_entered_with_a_pending_half(self, rule, n):
-        gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
-        for g in (gen, twin):
-            g.integers(0, 5)
-        assert gen.bit_generator.state["has_uint32"]
-        decoder = _SweepDecoder(gen, n, rule)
-        for _ in range(decoder._sweeps + 2):
-            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
+        if pending:
+            for g in (gen, twin):
+                g.integers(0, 5)
+            assert gen.bit_generator.state["has_uint32"]
+        self.check(gen, twin, n, rule, 7, 3)
 
     @pytest.mark.parametrize(
-        "seed, n, pending, sweeps",
+        "seed, n, pending, sweeps, blocks",
         [
             # the j range 127 rejects a word with p = 16 / 2**32; this
-            # stream rejects one at sweep 135 of a 128-agent yard-sale run
-            (3761, 128, False, 200),
+            # stream rejects one at sweep 135 of a 128-agent yard-sale run,
+            # in the third block of 64 sweeps
+            (3761, 128, False, 64, 3),
             # ranges 3931 and 3930 reject with p = 7784 / 2**32 per
             # exchange; this stream, entered with a half pending, rejects
-            # one in its sixth block (sweeps 11-12), and N/2 is odd
-            (0, 3931, True, 20),
+            # one in its sixth block of 2 sweeps, and N/2 is odd
+            (0, 3931, True, 2, 6),
         ],
     )
-    def test_block_with_a_rejected_word(self, monkeypatch, seed, n, pending, sweeps):
-        drawn = []
-        inner = _SweepDecoder._draw_block
-
-        def counted(self):
-            drawn.append(self._pending)
-            return inner(self)
-
-        monkeypatch.setattr(_SweepDecoder, "_draw_block", counted)
-        rule = YS(0.1)
+    def test_block_with_a_rejected_word(
+        self, monkeypatch, seed, n, pending, sweeps, blocks
+    ):
+        counts = self.served(monkeypatch)
         gen, twin = (RngStream(seed).gen for _ in "ab")
         if pending:
             for g in (gen, twin):
                 g.integers(0, 5)
-        decoder = _SweepDecoder(gen, n, rule)
-        for _ in range(sweeps):
-            assert decoder.next_sweep() == _draw_lists(n, rule, twin)
-        # one block drawn again, from the state with its half pending
-        assert len(drawn) == 1
-        assert (drawn[0] is not None) == pending
+        self.check(gen, twin, n, YS(0.1), sweeps, blocks)
+        # one block drawn by definition, from the state before it
+        assert counts == {"decoded": blocks - 1, "defined": 1}
+
+    @pytest.mark.parametrize(
+        "rule, n, decoded",
+        [
+            (YS(0.1), 128, True),
+            (RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.5), 128, True),
+            # the j range at N=2 has one value and takes no word
+            (YS(0.5), 2, False),
+            # 325 words a sweep: the next sweep's uniforms would start on
+            # a pending half
+            (YS(UNIFORM_LAMBDA), 130, False),
+        ],
+        ids=["yardsale-128", "unbiased-loser-128", "n-2", "uniform-lambda-130"],
+    )
+    def test_which_path_serves_a_run(self, monkeypatch, rule, n, decoded):
+        counts = self.served(monkeypatch)
+        _draw_block(n, rule, RngStream(5).gen, 8)
+        assert counts == {"decoded": int(decoded), "defined": int(not decoded)}
 
     @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 1])
     def test_lemire_draws_where_rejection_is_common(self, n):
         # a word is rejected with p = 1/4 at 3 * 2**30, about 1/2 at
         # 2**31 + 1; numpy draws its values from the accepted words in turn
         for seed in range(20):
-            words = np.random.PCG64(seed).random_raw(200).view(np.uint32)
-            values, accepted = _lemire(words, n)
-            assert 0 < accepted.sum() < words.size
             gen = np.random.Generator(np.random.PCG64(seed))
-            want = gen.integers(0, n, size=int(accepted.sum()))
-            np.testing.assert_array_equal(values[accepted], want)
+            decoded = [_decode((n,), 1, gen, 1) for _ in range(200)]
+            accepted = [int(d[0][0, 0]) for d in decoded if d is not None]
+            assert 0 < len(accepted) < 200
+            twin = np.random.Generator(np.random.PCG64(seed))
+            assert accepted == twin.integers(0, n, size=len(accepted)).tolist()
 
     def test_lemire_threshold_is_exclusive(self):
         # n = 3: a word is rejected when (3 x) mod 2**32 < 2**32 mod 3 = 1,
         # that is for x = 0 alone; x = 0xAAAAAAAB leaves exactly 1, as
         # 3 x = 2 * 2**32 + 1
-        values, accepted = _lemire(np.array([0, 0xAAAAAAAB], dtype=np.uint32), 3)
-        assert accepted.tolist() == [False, True]
-        assert values[1] == 2
+        def word(x):
+            return types.SimpleNamespace(
+                integers=lambda low, high, size, dtype: np.full(size, x, dtype)
+            )
+
+        assert _decode((3,), 1, word(0), 1) is None
+        assert _decode((3,), 1, word(0xAAAAAAAB), 1)[0].tolist() == [[2]]
 
     def test_self_check_passes_on_installed_numpy(self):
-        # the fallback would keep outputs but lose the decoder's speed
-        assert engine._decoder_matches_numpy()
+        # drawing by definition would keep outputs but lose the decoding's
+        # speed
+        assert engine._decoding_matches_numpy()
 
     def test_mismatch_falls_back_to_generator_draws(
         self, monkeypatch, caplog, tmp_path
     ):
         # a decoding off by one in every bounded integer fails the
-        # self-check; the run falls back to Generator draws and writes the
-        # same bytes
+        # self-check; the run draws every block by definition and writes
+        # the same bytes
         def simulate(name):
             (tmp_path / name).mkdir()
             out = tmp_path / name / "run.csv"
@@ -302,42 +347,42 @@ class TestSweepDecoder:
             return out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes()
 
         want = simulate("decoded")
-        inner = engine._lemire
+        inner = engine._decode
 
-        def off_by_one(words, n):
-            values, accepted = inner(words, n)
-            return (values + 1) % n, accepted
+        def off_by_one(layout, s, gen, sweeps):
+            blocks = inner(layout, s, gen, sweeps)
+            return blocks and [
+                b if bound is None else (b + 1) % bound
+                for bound, b in zip(layout, blocks)
+            ]
 
-        monkeypatch.setattr(engine, "_lemire", off_by_one)
+        monkeypatch.setattr(engine, "_decode", off_by_one)
         monkeypatch.setattr(
             engine,
-            "_decoder_matches_numpy",
-            functools.cache(engine._decoder_matches_numpy.__wrapped__),
+            "_decoding_matches_numpy",
+            functools.cache(engine._decoding_matches_numpy.__wrapped__),
         )
+        counts = self.served(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="kinex.engine"):
             got = simulate("fallback")
         assert "decoded draws differ" in caplog.text
+        # the self-check's block alone was decoded
+        assert counts["decoded"] == 1 and counts["defined"] > 1
         assert got == want
 
     def test_condensed_run_stops_mid_block(self, monkeypatch):
         # 128 sweeps per block at N=64: this run stops at sweep 203; the
         # hash of its records and final wealth was taken with the per-sweep
         # Generator draws
-        states, gens = [], []
-        inner = _SweepDecoder._decode_block
+        drawn = []
+        inner = engine._draw_block
 
-        def recorded(self):
-            block = inner(self)
-            states.append(self._bitgen.state)
+        def recorded(n, rule, gen, sweeps):
+            block = inner(n, rule, gen, sweeps)
+            drawn.append((gen, gen.bit_generator.state))
             return block
 
-        class Kept(RngStream):
-            def __init__(self, *args):
-                super().__init__(*args)
-                gens.append(self.gen)
-
-        monkeypatch.setattr(_SweepDecoder, "_decode_block", recorded)
-        monkeypatch.setattr(engine, "RngStream", Kept)
+        monkeypatch.setattr(engine, "_draw_block", recorded)
         cfg = SimConfig(
             n=64, rule=YS(0.5), max_sweeps=5000, record_every=7, seed=0,
             stop_gini_gap=0.05,
@@ -353,8 +398,9 @@ class TestSweepDecoder:
             "f8ca20a94af36980c863e0b4f013bb579b93397e008484b9f6ff2616b75ced60"
         )
         # two blocks, the second left part-used; nothing drawn after it
-        assert len(states) == 2
-        assert gens[0].bit_generator.state == states[-1]
+        assert len(drawn) == 2
+        gen, state = drawn[-1]
+        assert gen.bit_generator.state == state
 
 
 class TestRunBasics:

@@ -508,6 +508,19 @@ class TestMobilityBound:
             assert np.all(internal <= external * (1 + 1e-12) + 1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", [gini_rate, mobility_bound_check])
+def test_all_mass_at_zero_is_degenerate(check):
+    # 0/0 in the Gini rate and the bound ratio: raise, as gini_grid does,
+    # rather than return NaN or divide by zero
+    kernel = build_kernel(YS(0.5), small_grid())
+    masses = np.zeros(kernel.centers.size)
+    masses[0] = 1.0
+    grid = small_grid().with_masses(masses)
+    with pytest.raises(ValueError, match="degenerate: zero mean wealth"):
+        check(grid, kernel)
+
+
 class TestAbsDelta:
     """``abs_delta``, the per-pair E|delta| behind liquidity and bound_ratio."""
 

@@ -17,7 +17,7 @@ from kinex import (
     parse_rule,
     two_point_law,
 )
-from kinex.engine import _sweep, _SweepDecoder
+from kinex.engine import _block_sweeps, _draw_exchanges, _sweep
 
 from conftest import one_exchange
 
@@ -198,11 +198,11 @@ def sweep_gains(rule, x_0, x_1):
     it. Agent 0 is the tagged agent i or the partner j; the rules are
     exchangeable, so its gain follows ``two_point_law(rule, x_0, x_1)``
     either way."""
-    draws = _SweepDecoder(np.random.Generator(np.random.PCG64(7)), 2, rule)
+    sweeps = _block_sweeps(2, rule, np.random.Generator(np.random.PCG64(7)))
     gains = np.empty(DRAWS)
-    for k in range(DRAWS):
+    for k, draws in zip(range(DRAWS), sweeps):
         w = [x_0, x_1]
-        _sweep(w, rule, draws.next_sweep())
+        _sweep(w, rule, draws)
         gains[k] = w[0] - x_0
     return gains
 
@@ -252,8 +252,8 @@ class TestSampleDelta:
     def test_random_lambda_recorded(self):
         # from equal wealth 1 the sweep moves |delta| = lambda, and reports it
         rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=UNIFORM_LAMBDA)
-        draws = _SweepDecoder(np.random.Generator(np.random.PCG64(3)), 2, rule)
-        lams = {_sweep([1.0, 1.0], rule, draws.next_sweep()) for _ in range(50)}
+        gen = np.random.Generator(np.random.PCG64(3))
+        lams = {_sweep([1.0, 1.0], rule, _draw_exchanges(2, rule, gen)) for _ in range(50)}
         assert len(lams) == 50
         assert all(0.0 <= l < 1.0 for l in lams)
 
