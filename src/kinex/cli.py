@@ -271,8 +271,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    if args.replicas < 2:
-        raise ConfigError("--replicas must be >= 2")
     config = _sim_config(args)
     summary = run_ensemble(config, args.replicas)
     params = _sim_params(args, {"replicas": args.replicas})

@@ -30,9 +30,10 @@ at N=65536 the rounds take a quarter to a third of the loop's time per
 exchange, at N=2048 they take longer for every rule, since a sweep needs
 about ten rounds of fixed-cost numpy calls whatever its size.
 
-Each record, and the final state, is audited: a negative wealth or a
-wealth sum drifting from the initial total beyond rounding raises
-ContractViolation.
+A run keeps one ``Population``, which each record reads in place and
+``run`` returns. Each record, and the final state, is audited: a negative
+wealth or a wealth sum drifting from the initial total beyond rounding
+raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +55,7 @@ from .core import (
     RngStream,
     RuleKind,
     RuleSpec,
+    read_snapshot,
 )
 from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
 from .rules import two_point_law
@@ -151,12 +152,10 @@ class SimConfig:
             raise ValueError("max_sweeps must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        for name in ("stop_gini_gap", "stop_liquidity"):
+        for name in ("stop_gini_gap", "stop_liquidity", "eps_zero"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.eps_zero < 0:
-            raise ValueError("eps_zero must be >= 0")
+            if v is not None and not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -185,14 +184,7 @@ def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     if config.initial.kind == "uniform":
         u = gen.uniform(0.0, 2.0, size=config.n)
         return u * (config.n / math.fsum(u))
-    from .core import read_snapshot
-
-    pop = read_snapshot(config.initial.path)
-    if pop.size != config.n:
-        raise ValueError(
-            f"snapshot has N={pop.size}, config expects N={config.n}"
-        )
-    return pop.wealth
+    return read_snapshot(config.initial.path).wealth
 
 
 def _layout(n: int, rule: RuleSpec) -> tuple:
@@ -458,34 +450,35 @@ def _sweep_rounds(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
     return float(np.add.accumulate(abs_d)[-1])
 
 
-def _audit(arr: np.ndarray, total: float) -> None:
-    """Raise ContractViolation on negative wealth or a drifted wealth sum.
-
-    Every exchange moves one delta between two agents, so only rounding may
-    move the sum away from the initial ``total``.
-    """
+def _audit(w, pop: Population) -> None:
+    """Copy the loop's wealths ``w`` into ``pop`` unless they are its array,
+    then raise ContractViolation on negative wealth or a sum drifted from
+    ``pop.total``: every exchange moves one delta between two agents, so
+    only rounding may move the sum."""
+    arr = pop.wealth
+    if w is not arr:
+        arr[:] = w
     low = float(arr.min())
     if not low >= 0.0:
         raise ContractViolation(f"negative wealth {low!r} in the population")
-    drift = abs(float(arr.sum()) - total)
-    if not drift <= _DRIFT_TOL * total:
+    drift = abs(float(arr.sum()) - pop.total)
+    if not drift <= _DRIFT_TOL * pop.total:
         raise ContractViolation(
-            f"wealth sum drifted by {drift!r} from the total {total!r}"
+            f"wealth sum drifted by {drift!r} from the total {pop.total!r}"
         )
 
 
 def _record(
-    w, total: float, eps_zero: float, t: int, sweep_abs: float
+    w, pop: Population, eps_zero: float, t: int, sweep_abs: float
 ) -> MetricsRecord:
-    n = len(w)
-    arr = np.asarray(w)
-    _audit(arr, total)
-    pop = Population(arr, total=total)
-    g = gini_population(pop)
+    """The metrics of the run's ``pop`` once ``_audit`` has copied the
+    loop's wealths ``w`` into it."""
+    _audit(w, pop)
+    arr, total, n = pop.wealth, pop.total, pop.size
     mean = total / n
     return MetricsRecord(
         t=float(t),
-        gini=g,
+        gini=gini_population(pop),
         liquidity=sweep_abs / total,
         mean_wealth=mean,
         top_share=float(arr.max()) / total,
@@ -501,6 +494,10 @@ def run(
 ) -> Trajectory:
     """Execute one trajectory: sweeps of N/2 exchanges with periodic records.
 
+    The run's state is one ``Population``, a checked copy of the initial
+    wealth with -0.0 made 0.0, returned as ``Trajectory.final_population``.
+    From ``_ROUNDS_MIN_N`` agents up the sweeps change its array in place;
+    below, they run on a list that each record and the end copy into it.
     Metrics are recorded every ``record_every`` sweeps; the recorded
     liquidity is the empirical estimator over the just-completed sweep.
     The run stops Condensed when every configured stop threshold is met on
@@ -512,25 +509,28 @@ def run(
     ``snapshot_every`` > 0 additionally stores wealth-vector copies every
     that many sweeps.
     """
-    rng = RngStream(config.seed, stream)
-    gen = rng.gen
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0")
+    gen = RngStream(config.seed, stream).gen
     if initial_population is not None:
-        if initial_population.size != config.n:
-            raise ValueError("initial population size differs from config.n")
         w0 = initial_population.wealth
     else:
         w0 = _initial_wealth(config, gen)
-    total = math.fsum(w0)
-    if total <= 0.0:
+    pop = Population(w0)
+    pop.wealth += 0.0  # -0.0 made 0.0 (see _sweep_rounds)
+    if pop.size != config.n:
+        raise ValueError(
+            f"initial wealth has N={pop.size}, config expects N={config.n}"
+        )
+    if pop.total <= 0.0:
         raise ValueError("degenerate: zero total wealth")
-    # a fresh copy, with -0.0 made 0.0 (see _sweep_rounds)
-    w = np.array(w0, dtype=np.float64) + 0.0
     n, rule = config.n, config.rule
     # the one source of each sweep's draws, in the form its path reads
     if n >= _ROUNDS_MIN_N:
+        w = pop.wealth
         draw = functools.partial(_draw_exchanges, n, rule, gen)
     else:
-        w = w.tolist()
+        w = pop.wealth.tolist()
         # from here on the blocks alone draw from gen, ahead of the sweeps
         draw = _block_sweeps(n, rule, gen).__next__
 
@@ -545,10 +545,10 @@ def run(
     for sweep_no in range(1, config.max_sweeps + 1):
         sweep_abs = _sweep(w, rule, draw())
         if snapshot_every and sweep_no % snapshot_every == 0:
-            snapshots.append((sweep_no, np.asarray(w).copy()))
+            snapshots.append((sweep_no, np.array(w)))
         if sweep_no % config.record_every != 0:
             continue
-        rec = _record(w, total, config.eps_zero, sweep_no, sweep_abs)
+        rec = _record(w, pop, config.eps_zero, sweep_no, sweep_abs)
         records.append(rec)
         if check_stop:
             ok = True
@@ -560,11 +560,10 @@ def run(
                 stop_reason = StopReason.CONDENSED
                 break
 
-    arr = np.asarray(w)
-    _audit(arr, total)
+    _audit(w, pop)
     return Trajectory(
         records=records,
-        final_population=Population(arr, total=total),
+        final_population=pop,
         stop_reason=stop_reason,
         snapshots=snapshots,
     )
@@ -606,6 +605,8 @@ def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
     chunk = 4
     workers = min(worker_count(), math.ceil(replicas / chunk))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_curves, jobs, chunksize=chunk))
     else:

@@ -528,14 +528,11 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
     probabilities and split weights both sum to one) and total wealth is
     zero within 1e-12 relative for unbiased kernels (mean-exact splitting).
     """
-    m = grid.masses
-    return _rhs_masses(kernel, m, np.empty((m.size, m.size)))
+    return _rhs_masses(kernel, grid.masses)
 
 
-def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """dm/dt of masses ``m``; the pair masses m m^T are written into the
-    cells x cells buffer ``pairs``, which ``integrate`` allocates once."""
-    return kernel.gain @ np.multiply.outer(m, m, out=pairs).ravel()
+def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
+    return kernel.gain @ np.multiply.outer(m, m).ravel()
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -659,11 +656,14 @@ def integrate(
     """
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
+    if not all(v is None or 0.0 <= v < math.inf for v in (stop_gini, stop_liquidity)):
+        raise ValueError("stop thresholds must be finite and >= 0")
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0")
     c = kernel.centers
     if c.shape != grid.centers.shape or not np.array_equal(c, grid.centers):
         raise ValueError("kernel was built for a different grid")
     m = grid.masses.copy()
-    pairs = np.empty((m.size, m.size))
     mass0 = math.fsum(m)
     mean0 = float(np.dot(m, c))
     two_mean0 = 2.0 * mean0
@@ -687,7 +687,7 @@ def integrate(
                 raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
             step_no += 1
 
-            r = _rhs_masses(kernel, m, pairs)
+            r = _rhs_masses(kernel, m)
             rate = _gini_rate_masses(kernel, m, r)
             trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIFORM_LAMBDA, RuleKind, RuleSpec
+from .core import UNIFORM_LAMBDA, RuleKind, RuleSpec, format_float
 
 
 @dataclass(frozen=True)
@@ -221,4 +221,4 @@ def format_rule(rule: RuleSpec) -> str:
         return rule.kind.value
     if rule.random_lambda:
         return f"{rule.kind.value}:lambda={UNIFORM_LAMBDA}"
-    return f"{rule.kind.value}:lambda={format(float(rule.lam), '.12g')}"
+    return f"{rule.kind.value}:lambda={format_float(rule.lam)}"

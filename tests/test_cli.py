@@ -64,6 +64,20 @@ class TestSimulate:
             tmp_path / "b.csv.meta.json"
         ).read_bytes()
 
+    def test_lambda_minus_zero_writes_the_bytes_of_zero(self, tmp_path):
+        # the rule string formats lambda as every other float is formatted
+        written = []
+        for lam in ("0", "-0"):
+            out = tmp_path / f"lam{lam}.csv"
+            code, _, _ = run_cli(
+                "simulate", "--rule", f"yardsale:lambda={lam}", "--n", "8",
+                "--sweeps", "5", "--out", str(out),
+            )
+            assert code == 0
+            meta = tmp_path / f"lam{lam}.csv.meta.json"
+            written.append((out.read_bytes(), meta.read_bytes()))
+        assert written[0] == written[1]
+
     def test_snapshot_files(self, tmp_path):
         out = tmp_path / "run.csv"
         snap_dir = tmp_path / "snaps"
@@ -141,12 +155,19 @@ class TestConfigErrors:
             # points 1.5e20 apart: the split of a gain errs beyond the
             # integrator's mean audit, which used to abort it (exit 3)
             ("--grid", "log:1e-320:1e3:16", "--init", "point:1e-18"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1", "--stop-gini", "nan"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1",
+             "--stop-liquidity", "-0.1"),
+            ("--grid", "log:1e-3:1e3:40", "--init", "point:1",
+             "--snapshot-every", "-1", "--snapshots", "s.csv"),
         ],
         ids=["grid-inf", "dt-nan", "t-end-nan", "point-rounds-to-zero",
              "point-on-top-point", "top-point-overflows", "exp-below-grid",
-             "points-too-far-apart"],
+             "points-too-far-apart", "stop-gini-nan", "stop-liquidity-negative",
+             "snapshot-every-negative"],
     )
-    def test_integrate_non_finite_value_exits_2(self, flags, tmp_path):
+    def test_integrate_non_finite_value_exits_2(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "x.csv"
         code, _, err = run_cli(
             "integrate", "--rule", "yardsale:lambda=0.5", "--dt", "1",
@@ -154,7 +175,46 @@ class TestConfigErrors:
         )
         assert code == 2
         assert err.startswith("kinex: config error:") and err.count("\n") == 1
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--stop-gini-gap", "nan"),
+            ("--stop-liquidity", "inf"),
+            ("--eps-zero", "nan"),
+            ("--snapshot-every", "-2", "--snapshot-dir", "d"),
+        ],
+        ids=["stop-gini-gap-nan", "stop-liquidity-inf", "eps-zero-nan",
+             "snapshot-every-negative"],
+    )
+    def test_simulate_invalid_setting_exits_2(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "8",
+            "--sweeps", "4", *flags, "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("kinex: config error:") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_initial_size_is_checked_once_for_every_source(self, n, tmp_path):
+        # a snapshot file and an injected population meet the same check
+        path = tmp_path / "pop.txt"
+        write_snapshot(path, Population([1.0] * n))
+        code, _, err = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "4",
+            "--sweeps", "2", "--init", f"file:{path}",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        message = f"initial wealth has N={n}, config expects N=4"
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        cfg = SimConfig(n=4, rule=parse_rule("yardsale:lambda=0.5"), max_sweeps=2)
+        with pytest.raises(ValueError) as exc:
+            run(cfg, initial_population=Population([1.0] * n))
+        assert str(exc.value) == message
 
 
 class TestConfigFile:
@@ -236,6 +296,15 @@ class TestEnsembleCommand:
         assert lines[0] == "t,gini_mean,gini_std,liquidity_mean,liquidity_std"
         assert len(lines) == 3
 
+    def test_one_replica_exits_2(self, tmp_path):
+        out = tmp_path / "ens.csv"
+        code, _, err = run_cli(
+            "ensemble", "--rule", "yardsale:lambda=0.5", "--n", "8",
+            "--sweeps", "4", "--replicas", "1", "--out", str(out),
+        )
+        assert (code, err) == (2, "kinex: config error: replicas must be >= 2\n")
+        assert not out.exists()
+
     def test_byte_identical_rerun(self, tmp_path):
         args = (
             "ensemble", "--rule", "yardsale:lambda=0.2", "--n", "8",
@@ -306,8 +375,8 @@ class TestIntegrateCommand:
 
         inner = master_eq._rhs_masses
 
-        def shifted(kernel, m, pairs):
-            r = inner(kernel, m, pairs)
+        def shifted(kernel, m):
+            r = inner(kernel, m)
             k = int(m.argmax())
             r[k] -= 1e-6
             r[k + 1] += 1e-6
@@ -758,6 +827,31 @@ class TestStartup:
             "kinex.write_snapshot('pop.txt', kinex.Population([1.0, 3.0]))\n"
             "assert kinex.cli.main(['gini', 'pop.txt']) == 0\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n",
+            tmp_path,
+            KINEX_THREADS="1",
+        )
+
+    def test_commands_without_an_ensemble_pool_never_load_multiprocessing(
+        self, tmp_path
+    ):
+        # one worker: the ensemble runs in this process and starts no pool
+        run_python(
+            "import sys\n"
+            "import kinex, kinex.cli\n"
+            "flags = ['--rule', 'yardsale:lambda=0.5', '--n', '16', '--sweeps', '3']\n"
+            "assert kinex.cli.main(['simulate', *flags, '--out', 'sim.csv']) == 0\n"
+            "assert kinex.cli.main(['ensemble', *flags, '--replicas', '2',\n"
+            "                       '--out', 'ens.csv']) == 0\n"
+            "assert kinex.cli.main(['integrate', '--rule', 'yardsale:lambda=0.5',\n"
+            "                       '--grid', 'log:1e-3:1e3:40', '--init', 'point:1',\n"
+            "                       '--dt', '1', '--t-end', '2', '--out', 'i.csv']) == 0\n"
+            "assert kinex.cli.main(['kernel-check', '--rule', 'yardsale:lambda=0.5',\n"
+            "                       '--grid', 'log:1e-3:1e3:40']) == 0\n"
+            "kinex.write_snapshot('pop.txt', kinex.Population([1.0, 3.0]))\n"
+            "assert kinex.cli.main(['gini', 'pop.txt']) == 0\n"
+            "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "          if m in sys.modules]\n"
             "assert not loaded, loaded\n",
             tmp_path,
             KINEX_THREADS="1",

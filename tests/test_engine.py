@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -470,6 +471,26 @@ class TestRunBasics:
         traj = run(cfg, snapshot_every=10)
         assert [t for t, _ in traj.snapshots] == [10, 20]
 
+    @pytest.mark.parametrize("n", [16, _ROUNDS_MIN_N], ids=["list", "in-place"])
+    def test_run_keeps_one_population(self, n, monkeypatch):
+        # records read the run's population and run returns it; none is
+        # built per record or for the final state
+        built = []
+
+        class Counted(Population):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine, "Population", Counted)
+        cfg = SimConfig(n=n, rule=YS(0.5), max_sweeps=6, record_every=2, seed=4)
+        traj = run(cfg)
+        assert len(traj.records) == 3
+        assert len(built) == 1
+        assert traj.final_population is built[0]
+
     def test_records_use_configured_cadence(self):
         cfg = SimConfig(n=8, rule=YS(0.5), max_sweeps=25, record_every=10, seed=1)
         traj = run(cfg)
@@ -601,7 +622,7 @@ class TestEnsemble:
                 assert chunksize == 4
                 return map(fn, jobs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         cfg = SimConfig(n=4, rule=YS(0.5), max_sweeps=2, seed=1)
         monkeypatch.setenv("KINEX_THREADS", "64")
         for replicas in (9, 3):
