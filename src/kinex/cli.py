@@ -281,6 +281,8 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    if args.snapshot_every and not args.snapshots:
+        raise ConfigError("--snapshot-every requires --snapshots")
     rule = parse_rule(args.rule)
     grid = build_grid(parse_grid_scheme(args.grid), parse_density(args.init))
     # loaded here so that a timed or traced build_kernel excludes the import
@@ -351,6 +353,8 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
+    if args.replicas == 1 or args.replicas < 0:
+        raise ConfigError("--replicas must be 0 or >= 2")
     base = _sim_config(args)
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:
@@ -383,6 +387,8 @@ def _cmd_sweep(args) -> int:
             gini, liquidity, t_cond, error = "", "", -1, str(exc)
         rows.append((args.param, value, gini, liquidity, gini_max, t_cond, error))
     params = _sim_params(args, {"param": args.param, "values": args.values})
+    if args.replicas:
+        params["replicas"] = args.replicas
     _write_result(args, params, SWEEP_COLUMNS, rows)
     print(f"rows={len(rows)}")
     return 0

@@ -12,28 +12,23 @@ fixed layout of ``_layout`` (i block, j block, lambda block, coin block),
 so a run is fully reproducible from (seed, stream id). A sweep is a pure
 function of its draws: ``run`` draws each sweep from one draw source and
 hands the draws to ``_sweep``. ``_draw_exchanges`` draws the layout with
-``Generator`` calls. Below ``_ROUNDS_MIN_N`` agents ``run`` reads the same
-draws, bit for bit, from ``_draw_block``, which draws the 32-bit words of
-``_BLOCK_EXCHANGES`` exchanges in one call and decodes them as numpy's
-``Generator`` would, instead of paying numpy's per-call cost on three or
-four small draws every sweep.
+``Generator`` calls. Below ``_PER_SWEEP_DRAWS_MIN_N`` agents ``run`` reads
+the same draws, bit for bit, from ``_draw_block``, which draws the 32-bit
+words of ``_BLOCK_EXCHANGES`` exchanges in one call and decodes them as
+numpy's ``Generator`` would, instead of paying numpy's per-call cost on
+three or four small draws every sweep.
 
-A sweep takes one of two paths with the same draws. Below
-``_ROUNDS_MIN_N`` agents a Python loop applies one exchange at a time on a
-list. From there on the sweep runs in conflict-free rounds on an array: a
-round applies, vectorised over ``rules.two_point_law``, every remaining
-exchange that is the earliest remaining one of both its agents. These
-share no agent with each other or with any pending exchange before them,
-so they read exactly the wealths the loop would, and the two paths give
-bitwise the same wealths and sums of |delta|. The crossover is measured:
-at N=65536 the rounds take a quarter to a third of the loop's time per
-exchange, at N=2048 they take longer for every rule, since a sweep needs
-about ten rounds of fixed-cost numpy calls whatever its size.
+Every sweep, whatever N, is one call of a compiled loop, ``_sweep.c``,
+which ``_compiled_sweep`` builds on first use with the system C compiler
+into a per-user cache and loads once per process. Its reference is the
+Python loop ``_sweep_scalar``, which it restates line for line, with
+bitwise the same wealths and sums of |delta|; where no compiler or
+``Python.h`` is found, the Python loop runs instead, logged once.
 
-A run keeps one ``Population``, which each record reads in place and
-``run`` returns. Each record, and the final state, is audited: a negative
-wealth or a wealth sum drifting from the initial total beyond rounding
-raises ContractViolation.
+A run keeps one ``Population``, which the sweeps change and each record
+reads in place; ``run`` returns it. Each record, and the final state, is
+audited: a negative wealth or a wealth sum drifting from the initial total
+beyond rounding raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from .core import (
     read_snapshot,
 )
 from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
-from .rules import two_point_law
 
 __all__ = [
     "Initial",
@@ -81,10 +75,17 @@ _TINY = sys.float_info.min
 # at N=128); one lost exchange at N=65536 moves the sum by about 1e-5.
 _DRIFT_TOL = 1e-9
 
-# Populations at least this large sweep in conflict-free rounds (see
-# ``_sweep_rounds``); smaller ones one exchange at a time, where a round's
-# fixed numpy cost outweighs the few exchanges in it.
-_ROUNDS_MIN_N = 4096
+# Populations at least this large draw each sweep through ``Generator``
+# calls, smaller ones a block at a time (``_draw_block``): a yard-sale
+# sweep took 0.084 ms either way at N=4094, 0.12 against 0.093 at N=5000.
+_PER_SWEEP_DRAWS_MIN_N = 4096
+
+# The compiled loop's flags: no fused multiply-add, -march or fast-math,
+# so that it rounds as ``_sweep_scalar`` does.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# The rule codes of ``_sweep.c``: the order of ``RuleKind``.
+_KIND_CODES = {kind: code for code, kind in enumerate(RuleKind)}
 
 # Exchanges ``_draw_block`` draws at a time (at least a sweep's); no output
 # depends on it. A sweep of yard-sale lambda=0.1 at N=128 took (best of 5
@@ -301,37 +302,106 @@ def _decoding_matches_numpy() -> bool:
 
 
 def _block_sweeps(n: int, rule: RuleSpec, gen: np.random.Generator):
-    """``_draw_exchanges``' draws, sweep after sweep, as lists, drawn by
-    ``_draw_block`` a block of ``_BLOCK_EXCHANGES`` exchanges at a time."""
+    """``_draw_exchanges``' draws, sweep after sweep: rows of the arrays that
+    ``_draw_block`` draws, ``_BLOCK_EXCHANGES`` exchanges at a time."""
     sweeps = max(1, _BLOCK_EXCHANGES // (n // 2))
     while True:
         ii, jj, lams, coins = _draw_block(n, rule, gen, sweeps)
-        lams = itertools.repeat(None) if lams is None else lams.tolist()
-        yield from zip(ii.tolist(), jj.tolist(), lams, coins.tolist())
+        yield from zip(ii, jj, itertools.repeat(None) if lams is None else lams, coins)
 
 
-def _sweep(w, rule: RuleSpec, draws: tuple) -> float:
-    """Run one sweep's exchanges in place; returns sum of |delta| over them.
+@functools.cache
+def _compiled_sweep():
+    """The ``sweep`` of ``_sweep.c``, loaded once per process; None, logged
+    once at WARNING, where it cannot be built. Builds are cached in
+    ``$XDG_CACHE_HOME/kinex`` (``~/.cache/kinex``) under the sha256 of the
+    source, ``_CFLAGS`` and the extension suffix. A cache directory others
+    may write to is never read: the loop is then built in a private one."""
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
 
-    ``draws`` is the sweep's (i, j, lambdas or None, coins) from
-    ``_draw_exchanges``. Below ``_ROUNDS_MIN_N`` agents ``w`` and the draws
-    are lists and the scalar loop runs; from there on they are arrays and
-    the sweep runs in conflict-free rounds. Both paths give bitwise the same
-    wealth and sum for the same draws.
-    """
-    if len(w) >= _ROUNDS_MIN_N:
-        return _sweep_rounds(w, rule, draws)
-    return _sweep_scalar(w, rule, draws)
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    cache = os.path.join(cache, "kinex")
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+        private = st.st_uid == os.getuid() and not st.st_mode & 0o022
+    except OSError:
+        private = False
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+    suffix = EXTENSION_SUFFIXES[0]
+    try:
+        try:  # CPython's own sha256: hashlib's loads OpenSSL, 3.6 MiB resident
+            from _sha2 import sha256  # Python >= 3.12
+        except ImportError:
+            from _sha256 import sha256
+        with open(source, "rb") as f:
+            key = sha256(f.read() + repr((_CFLAGS, suffix)).encode()).hexdigest()
+        path = os.path.join(cache, f"_sweep-{key[:32]}{suffix}")
+        if not (private and os.path.isfile(path)):
+            path = _build(source, path, private)
+        loader = ExtensionFileLoader("kinex._sweep", path)
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except (OSError, ImportError) as e:
+        log.warning("no compiled sweep loop (%s); sweeping in Python", e)
+        return None
+    if os.path.dirname(path) != cache:  # a private build, loaded
+        import shutil
+
+        shutil.rmtree(os.path.dirname(path))
+    return module.sweep
 
 
-def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
-    """``_sweep`` one exchange at a time, on a list and list draws.
+def _build(source: str, path: str, private: bool) -> str:
+    """Compile ``source`` to ``path``, or, where the cache is not ``private``
+    or writable, to a fresh private directory, and return where: through a
+    temporary file renamed into place, so that no reader sees half a build.
+    Raises OSError where no compiler or ``Python.h`` is found, or it fails."""
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
 
-    Each rule's branch restates ``rules.two_point_law`` for one exchange:
-    a per-exchange call to the vectorised law would dominate this loop. A
-    test pins every branch to the law.
-    """
+    cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not os.path.isfile(os.path.join(include, "Python.h")):
+        raise OSError(f"no C compiler on PATH or no Python.h in {include}")
+    folder, name = os.path.split(path)
+    if not (private and os.access(folder, os.W_OK)):
+        folder = tempfile.mkdtemp(prefix="kinex-")
+    fd, tmp = tempfile.mkstemp(dir=folder)
+    os.close(fd)
+    cmd = [cc, *_CFLAGS, "-I", include, source, "-o", tmp]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode:
+        os.unlink(tmp)
+        raise OSError(f"{cc} failed: {done.stderr.strip()[-500:]}")
+    os.replace(tmp, os.path.join(folder, name))
+    return os.path.join(folder, name)
+
+
+def _sweep(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
+    """Run one sweep's exchanges on the wealth array ``w`` in place, in one
+    call of the compiled loop (or ``_sweep_scalar`` where it is missing);
+    returns the sum of |delta| over them. ``draws`` is the sweep's (i, j,
+    lambdas or None, coins) from ``_draw_exchanges``, as arrays."""
+    sweep = _compiled_sweep()
+    if sweep is None:
+        return _sweep_scalar(w, rule, draws)
     ii, jj, lams, coins = draws
+    lam = 1.0 if lams is not None or rule.lam is None else rule.lam
+    return sweep(_KIND_CODES[rule.kind], w, ii, jj, lams, lam, coins)
+
+
+def _sweep_scalar(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
+    """``_sweep`` in Python, one exchange at a time on lists of the arrays:
+    the reference of the compiled loop and its fallback. Each branch
+    restates ``rules.two_point_law`` for one exchange, as the vectorised
+    law called per exchange would dominate the loop; tests pin the two."""
+    arr = w
+    w = arr.tolist()
+    ii, jj, lams, coins = (None if a is None else a.tolist() for a in draws)
     kind = rule.kind
     if lams is None:
         lams = itertools.repeat(1.0 if rule.lam is None else float(rule.lam))
@@ -350,23 +420,14 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
             else:
                 w[i] = wi - d
                 w[j] = wj + d
-    elif kind is RuleKind.CLASSIC_LOSER:
-        for i, j, lam, coin in zip(ii, jj, lams, coins):
-            wi = w[i]
-            wj = w[j]
-            if coin:
-                d = lam * wj
-            else:
-                d = -(lam * wi)
-            sum_abs += d if d >= 0 else -d
-            w[i] = wi + d
-            w[j] = wj - d
-    elif kind is RuleKind.UNBIASED_LOSER:
+    elif kind is not RuleKind.IGLESIAS_ALMEIDA:  # the loser rules
+        # agent i wins on its coin, or, unbiased, on a uniform below p_plus
+        uniform = kind is RuleKind.UNBIASED_LOSER
         for i, j, lam, coin in zip(ii, jj, lams, coins):
             wi = w[i]
             wj = w[j]
             tot = wi + wj
-            if tot > 0.0 and coin < wi / tot:
+            if (tot > 0.0 and coin < wi / tot) if uniform else coin:
                 d = lam * wj
             else:
                 d = -(lam * wi)
@@ -397,67 +458,15 @@ def _sweep_scalar(w: list, rule: RuleSpec, draws: tuple) -> float:
             else:
                 w[i] = wi - d
                 w[j] = wj + d
+    arr[:] = w
     return sum_abs
 
 
-def _sweep_rounds(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
-    """``_sweep`` in conflict-free rounds of vectorised exchanges, on an array.
-
-    A round applies every remaining exchange that is the earliest remaining
-    one of both its agents. Such exchanges share no agent with each other or
-    with any exchange still pending before them, so each reads the wealths
-    the sequential loop would read, and applying them at once gives its
-    wealths bitwise. The atoms come from ``rules.two_point_law``; agent i
-    takes d_plus when its coin shows 1, or, for the unbiased loser rule, when
-    its uniform falls below p_plus. On wealths without -0.0 (``run`` clears
-    it), adding d_minus = -d + 0.0 equals subtracting d, as the loop does.
-    """
-    n = len(w)
-    ii, jj, lams, coins = draws
-    s = ii.size
-    uniform_coin = rule.kind is RuleKind.UNBIASED_LOSER
-    if not uniform_coin:
-        coins = coins.astype(bool)
-    abs_d = np.empty(s)
-    # the earliest remaining exchange of each agent (s: none), kept by
-    # lowering; only an agent whose earliest one was applied goes back up
-    first = np.full(n, s, dtype=ii.dtype)
-    # the exchanges not yet applied, in order, and their agents
-    left, a_left, b_left = np.arange(s), ii, jj
-    while left.size:
-        np.minimum.at(first, a_left, left)
-        np.minimum.at(first, b_left, left)
-        ready = (first[a_left] == left) & (first[b_left] == left)
-        # index arrays: a boolean mask gathers several times slower
-        go = np.flatnonzero(ready)
-        wait = np.flatnonzero(~ready)
-        now, a, b = left[go], a_left[go], b_left[go]
-        left, a_left, b_left = left[wait], a_left[wait], b_left[wait]
-        first[a] = s
-        first[b] = s
-        wa = w[a]
-        wb = w[b]
-        d_plus, p_plus, d_minus = two_point_law(
-            rule, wa, wb, None if lams is None else lams[now]
-        )
-        win = coins[now] < p_plus if uniform_coin else coins[now]
-        d = np.where(win, d_plus, d_minus)
-        w[a] = wa + d
-        w[b] = wb - d
-        abs_d[now] = np.abs(d)
-    # in exchange order, as the loop adds them (np.sum would pair them up);
-    # the loop's leading 0.0 changes no sum of non-negative terms
-    return float(np.add.accumulate(abs_d)[-1])
-
-
-def _audit(w, pop: Population) -> None:
-    """Copy the loop's wealths ``w`` into ``pop`` unless they are its array,
-    then raise ContractViolation on negative wealth or a sum drifted from
-    ``pop.total``: every exchange moves one delta between two agents, so
-    only rounding may move the sum."""
+def _audit(pop: Population) -> None:
+    """Raise ContractViolation on negative wealth in ``pop`` or a sum
+    drifted from ``pop.total``: every exchange moves one delta between two
+    agents, so only rounding may move the sum."""
     arr = pop.wealth
-    if w is not arr:
-        arr[:] = w
     low = float(arr.min())
     if not low >= 0.0:
         raise ContractViolation(f"negative wealth {low!r} in the population")
@@ -468,12 +477,10 @@ def _audit(w, pop: Population) -> None:
         )
 
 
-def _record(
-    w, pop: Population, eps_zero: float, t: int, sweep_abs: float
-) -> MetricsRecord:
-    """The metrics of the run's ``pop`` once ``_audit`` has copied the
-    loop's wealths ``w`` into it."""
-    _audit(w, pop)
+def _record(pop: Population, eps_zero: float, t: int, sweep_abs: float) -> MetricsRecord:
+    """The metrics of the run's ``pop``, read in place once ``_audit`` has
+    passed it."""
+    _audit(pop)
     arr, total, n = pop.wealth, pop.total, pop.size
     mean = total / n
     return MetricsRecord(
@@ -495,19 +502,15 @@ def run(
     """Execute one trajectory: sweeps of N/2 exchanges with periodic records.
 
     The run's state is one ``Population``, a checked copy of the initial
-    wealth with -0.0 made 0.0, returned as ``Trajectory.final_population``.
-    From ``_ROUNDS_MIN_N`` agents up the sweeps change its array in place;
-    below, they run on a list that each record and the end copy into it.
+    wealth (``initial_population``, the API analog of a file initial, if
+    given) with -0.0 made 0.0, returned as ``Trajectory.final_population``.
+    Every sweep changes its array in place, through one ``_sweep`` call.
     Metrics are recorded every ``record_every`` sweeps; the recorded
     liquidity is the empirical estimator over the just-completed sweep.
     The run stops Condensed when every configured stop threshold is met on
     a recorded sweep, else at max_sweeps. Each record, and the final state,
-    is audited: negative wealth or a wealth sum off the initial total by
-    more than rounding raises ContractViolation. ``initial_population``
-    injects a starting state programmatically (the API analog of a file
-    initial).
-    ``snapshot_every`` > 0 additionally stores wealth-vector copies every
-    that many sweeps.
+    is audited (``_audit``). ``snapshot_every`` > 0 also keeps copies of
+    the wealth every that many sweeps.
     """
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
@@ -517,7 +520,7 @@ def run(
     else:
         w0 = _initial_wealth(config, gen)
     pop = Population(w0)
-    pop.wealth += 0.0  # -0.0 made 0.0 (see _sweep_rounds)
+    pop.wealth += 0.0  # -0.0 made 0.0
     if pop.size != config.n:
         raise ValueError(
             f"initial wealth has N={pop.size}, config expects N={config.n}"
@@ -525,21 +528,17 @@ def run(
     if pop.total <= 0.0:
         raise ValueError("degenerate: zero total wealth")
     n, rule = config.n, config.rule
-    # the one source of each sweep's draws, in the form its path reads
-    if n >= _ROUNDS_MIN_N:
-        w = pop.wealth
+    w = pop.wealth
+    # the one source of each sweep's draws
+    if n >= _PER_SWEEP_DRAWS_MIN_N:
         draw = functools.partial(_draw_exchanges, n, rule, gen)
     else:
-        w = pop.wealth.tolist()
         # from here on the blocks alone draw from gen, ahead of the sweeps
         draw = _block_sweeps(n, rule, gen).__next__
 
     records: list[MetricsRecord] = []
     snapshots: list[tuple[int, np.ndarray]] = []
     stop_reason = StopReason.MAX_SWEEPS
-    check_stop = (
-        config.stop_gini_gap is not None or config.stop_liquidity is not None
-    )
     gap_max = (n - 1) / n
 
     for sweep_no in range(1, config.max_sweeps + 1):
@@ -548,25 +547,18 @@ def run(
             snapshots.append((sweep_no, np.array(w)))
         if sweep_no % config.record_every != 0:
             continue
-        rec = _record(w, pop, config.eps_zero, sweep_no, sweep_abs)
+        rec = _record(pop, config.eps_zero, sweep_no, sweep_abs)
         records.append(rec)
-        if check_stop:
-            ok = True
-            if config.stop_gini_gap is not None:
-                ok = ok and (gap_max - rec.gini) <= config.stop_gini_gap
-            if config.stop_liquidity is not None:
-                ok = ok and rec.liquidity <= config.stop_liquidity
-            if ok:
-                stop_reason = StopReason.CONDENSED
-                break
+        if (
+            (config.stop_gini_gap is not None or config.stop_liquidity is not None)
+            and (config.stop_gini_gap is None or gap_max - rec.gini <= config.stop_gini_gap)
+            and (config.stop_liquidity is None or rec.liquidity <= config.stop_liquidity)
+        ):
+            stop_reason = StopReason.CONDENSED
+            break
 
-    _audit(w, pop)
-    return Trajectory(
-        records=records,
-        final_population=pop,
-        stop_reason=stop_reason,
-        snapshots=snapshots,
-    )
+    _audit(pop)
+    return Trajectory(records, pop, stop_reason, snapshots)
 
 
 def _replica_curves(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -598,6 +590,7 @@ def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
     """
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
+    _compiled_sweep()  # built here once, not in each forked worker
     base = replace(config, stop_gini_gap=None, stop_liquidity=None)
     jobs = [(base, r) for r in range(replicas)]
     # the pool forks all its workers at the first submit, so a worker

@@ -9,11 +9,10 @@ degenerate one-point) law for agent i's gain:
     iglesias-almeida   +x_i*x_j/(x_i+x_j) w.p. 1/2,    -x_i*x_j/(x_i+x_j) w.p. 1/2
 
 ``two_point_law`` is the one encoding of this table. The exact distribution
-(``delta_distribution``), the closed-form moments, the master equation's
-kernel atoms and the Monte Carlo sweep of large populations (vectorised
-over each round of exchanges) are all derived from it. The sweep loop for
-small populations (``engine._sweep_scalar``) restates it per exchange for
-speed, and a test pins the two together.
+(``delta_distribution``), the closed-form moments and the master equation's
+kernel atoms are derived from it. The Monte Carlo sweep loop
+(``engine._sweep_scalar`` and its compiled twin ``_sweep.c``) restates it
+per exchange for speed, and tests pin them together.
 
 Exposing the exact laws lets kernel builders and metrics use closed forms,
 and makes unbiasedness checkable to rounding error.

@@ -1,16 +1,47 @@
+import shutil
+
 import numpy as np
+import pytest
 
 
 def one_exchange(rule, wealth, i, coin, lam=None):
     """Run one exchange, a 2-agent ``engine._sweep``, on the draws that tag
     agent ``i`` (j is the other), with coin ``coin`` and lambda ``lam``
-    (None for a fixed-lambda rule); returns (wealth after, sum of |delta|
-    the sweep reports)."""
+    (None for a fixed-lambda rule); returns (wealth after, as a list, and
+    the sum of |delta| the sweep reports)."""
     from kinex.engine import _sweep
 
-    w = [float(x) for x in wealth]
-    moved = _sweep(w, rule, ([i], [1 - i], None if lam is None else [lam], [coin]))
-    return w, moved
+    w = np.array(wealth, dtype=float)
+    draws = ([i], [1 - i], None if lam is None else [lam], [coin])
+    moved = _sweep(w, rule, tuple(None if a is None else np.array(a) for a in draws))
+    return w.tolist(), moved
+
+
+def compiled_sweep():
+    """The compiled loop's ``sweep``. The test skips where no C compiler is
+    on PATH (the Python loop then serves every run) and fails where one is
+    but the loop did not load."""
+    import kinex.engine as engine
+
+    sweep = engine._compiled_sweep()
+    if sweep is None:
+        if any(map(shutil.which, ("cc", "gcc", "clang"))):
+            pytest.fail("a C compiler is on PATH but the compiled loop did not load")
+        pytest.skip("no C compiler on PATH")
+    return sweep
+
+
+@pytest.fixture(params=["compiled", "python"])
+def sweep_path(request, monkeypatch):
+    """Run the test on the compiled loop and on the Python loop, forced as
+    where no compiler is found."""
+    import kinex.engine as engine
+
+    if request.param == "compiled":
+        compiled_sweep()
+    else:
+        monkeypatch.setattr(engine, "_compiled_sweep", lambda: None)
+    return request.param
 
 
 def make_grid(centers, masses):

@@ -199,6 +199,26 @@ class TestConfigErrors:
         assert err.startswith("kinex: config error:") and err.count("\n") == 1
         assert not out.exists() and not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--n", "8", "--sweeps", "4"),
+             "--snapshot-every requires --snapshot-dir"),
+            (("integrate", "--grid", "log:1e-3:1e3:40", "--init", "point:1",
+              "--dt", "1", "--t-end", "3"),
+             "--snapshot-every requires --snapshots"),
+        ],
+        ids=["simulate", "integrate"],
+    )
+    def test_snapshot_every_needs_a_destination(self, argv, message, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            *argv, "--rule", "yardsale:lambda=0.5", "--snapshot-every", "2",
+            "--out", str(out),
+        )
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_initial_size_is_checked_once_for_every_source(self, n, tmp_path):
         # a snapshot file and an injected population meet the same check
@@ -526,6 +546,30 @@ class TestSweepCommand:
             )
         assert not out.exists()
 
+    @pytest.mark.parametrize("replicas", ["-3", "1"])
+    def test_replicas_other_than_0_or_at_least_2_exit_2(self, replicas, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.2",
+            "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "5",
+            "--replicas", replicas, "--out", str(out),
+        )
+        assert (code, err) == (2, "kinex: config error: --replicas must be 0 or >= 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replicas", [None, "0", "2"])
+    def test_ensemble_mode_records_its_replicas(self, replicas, tmp_path):
+        out = tmp_path / "sweep.csv"
+        flags = () if replicas is None else ("--replicas", replicas)
+        code, _, _ = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.2",
+            "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "5",
+            *flags, "--out", str(out),
+        )
+        assert code == 0
+        params = json.loads(out.with_suffix(".csv.meta.json").read_text())["parameters"]
+        assert params.get("replicas") == (2 if replicas == "2" else None)
+
     def test_empty_values_rejected(self, tmp_path):
         code, _, _ = run_cli(
             "sweep", "--param", "lambda", "--values", "",
@@ -768,15 +812,25 @@ GOLDEN_SHA256.update({
 })
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_golden_output_hashes(command, tmp_path):
+def _output_digests(command, tmp_path):
     argv = {**CRITERION_12_COMMANDS, **INTEGRATE_COMMANDS, **LARGE_N_COMMANDS,
             **SMALL_N_COMMANDS}[command]
     out = tmp_path / f"{command}.csv"
     assert run_cli(*argv, "--out", str(out))[0] == 0
     meta = tmp_path / f"{command}.csv.meta.json"
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, meta))
-    assert digests == GOLDEN_SHA256[command]
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, meta))
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output_hashes(command, tmp_path):
+    assert _output_digests(command, tmp_path) == GOLDEN_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(CRITERION_12_COMMANDS))
+def test_python_loop_gives_the_golden_hashes(command, tmp_path, monkeypatch):
+    # where no compiled loop can be built, the Python loop sweeps instead
+    monkeypatch.setattr("kinex.engine._compiled_sweep", lambda: None)
+    assert _output_digests(command, tmp_path) == GOLDEN_SHA256[command]
 
 
 class TestEntryPoint:
@@ -855,6 +909,16 @@ class TestStartup:
             "assert not loaded, loaded\n",
             tmp_path,
             KINEX_THREADS="1",
+        )
+
+    def test_import_loads_neither_the_compiled_loop_nor_subprocess(self, tmp_path):
+        # the loop is loaded, or built, by the first sweep alone
+        run_python(
+            "import sys\n"
+            "import kinex.cli\n"
+            "loaded = [m for m in ('kinex._sweep', 'subprocess') if m in sys.modules]\n"
+            "assert not loaded, loaded\n",
+            tmp_path,
         )
 
     def test_kernel_builds_through_the_python_api_alone(self, tmp_path):

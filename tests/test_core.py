@@ -71,12 +71,12 @@ class TestRngStream:
         rule = RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.3)
 
         def trace(seed, stream):
-            w = [1.0, 2.0, 3.0, 4.0]
+            w = np.array([1.0, 2.0, 3.0, 4.0])
             gen = RngStream(seed, stream).gen
             states = []
             for _ in range(50):
                 _sweep(w, rule, _draw_exchanges(4, rule, gen))
-                states.append(list(w))
+                states.append(w.tolist())
             return states
 
         assert trace(99, 3) == trace(99, 3)

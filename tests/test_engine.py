@@ -7,6 +7,9 @@ import io
 import itertools
 import logging
 import math
+import os
+import stat
+import tempfile
 import types
 
 import numpy as np
@@ -28,19 +31,19 @@ import kinex.engine as engine
 from kinex.cli import main
 from kinex.core import RngStream
 from kinex.engine import (
-    _ROUNDS_MIN_N,
+    _PER_SWEEP_DRAWS_MIN_N,
     Initial,
+    _block_sweeps,
     _decode,
     _draw_block,
     _draw_exchanges,
     _sweep,
-    _sweep_rounds,
     _sweep_scalar,
     parse_initial,
 )
 from kinex.rules import harmonic_transfer
 
-from conftest import CRITERION_12_COMMANDS, one_exchange
+from conftest import CRITERION_12_COMMANDS, compiled_sweep, one_exchange
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UNBIASED = [
@@ -77,20 +80,21 @@ class TestStep:
 
     def test_repeated_steps_reproducible(self):
         def states(seed):
-            w = [1.0, 2.0, 3.0]
+            w = np.array([1.0, 2.0, 3.0])
             gen = np.random.Generator(np.random.PCG64(seed))
             out = []
             for _ in range(64):
                 _sweep(w, YS(0.3), _draw_exchanges(3, YS(0.3), gen))
-                out.append(list(w))
+                out.append(w.tolist())
             return out
 
         assert states(42) == states(42)
 
 
 class TestSweepFollowsLaw:
-    """``_sweep`` restates ``two_point_law`` per exchange; pin the two."""
+    """Both sweep loops restate ``two_point_law`` per exchange; pin them."""
 
+    @pytest.mark.usefixtures("sweep_path")
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
     @pytest.mark.parametrize(
         "wealth",
@@ -129,7 +133,7 @@ def _bits(x) -> np.ndarray:
 
 
 class TestSweepPathsAgree:
-    """The scalar loop and the conflict-free rounds give bitwise one sweep."""
+    """The compiled loop and ``_sweep_scalar`` give bitwise one sweep."""
 
     @staticmethod
     def adversarial_wealth(n: int) -> np.ndarray:
@@ -145,30 +149,26 @@ class TestSweepPathsAgree:
             w[:] = special[1:3]
         return gen.permutation(w)
 
-    # population sizes below and above the crossover
-    SMALL, LARGE = (2, 65), 4097
-
-    def test_sizes_straddle_the_crossover(self):
-        assert max(self.SMALL) < _ROUNDS_MIN_N <= self.LARGE
-
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
-    @pytest.mark.parametrize("n", [*SMALL, LARGE])
-    def test_same_wealth_and_sums(self, rule, n):
+    @pytest.mark.parametrize("n", [2, 3, 128, 4097, 65536])
+    @pytest.mark.parametrize("source", ["block", "calls"])
+    def test_same_wealth_and_sums(self, rule, n, source):
+        compiled_sweep()  # so that _sweep runs the compiled loop
         w0 = self.adversarial_wealth(n)
-        scalar, rounds = w0.tolist(), w0.copy()
+        compiled, scalar = w0.copy(), w0.copy()
         gen = np.random.Generator(np.random.PCG64(17))
-        for _ in range(6):
-            draws = _draw_exchanges(n, rule, gen)
-            lists = tuple(None if a is None else a.tolist() for a in draws)
-            moved_s = _sweep_scalar(scalar, rule, lists)
-            moved_r = _sweep_rounds(rounds, rule, draws)
-            assert _bits(moved_s) == _bits(moved_r)
-        np.testing.assert_array_equal(_bits(scalar), _bits(rounds))
-        assert not np.array_equal(_bits(w0), _bits(rounds))
+        sweeps = _block_sweeps(n, rule, gen) if source == "block" else None
+        for _ in range(2 if n == 65536 else 6):
+            draws = next(sweeps) if sweeps else _draw_exchanges(n, rule, gen)
+            moved_c = _sweep(compiled, rule, draws)
+            moved_s = _sweep_scalar(scalar, rule, draws)
+            assert _bits(moved_c) == _bits(moved_s)
+        np.testing.assert_array_equal(_bits(compiled), _bits(scalar))
+        assert not np.array_equal(_bits(w0), _bits(compiled))
 
     def test_run_clears_negative_zero(self):
-        # the rounds path equals the loop only on wealths without -0.0
-        wealth = self.adversarial_wealth(self.LARGE)
+        # no -0.0 of the initial wealth reaches the run's population
+        wealth = self.adversarial_wealth(64)
         cfg = SimConfig(n=wealth.size, rule=YS(0.5), max_sweeps=3, seed=2)
         finals = []
         for zero in (0.0, -0.0):
@@ -176,6 +176,106 @@ class TestSweepPathsAgree:
             traj = run(cfg, initial_population=Population(init))
             finals.append(_bits(traj.final_population.wealth))
         np.testing.assert_array_equal(*finals)
+
+
+class TestCompiledSweepChecksItsArguments:
+    """Bad draws raise before the compiled loop writes anything."""
+
+    @staticmethod
+    def call(w=None, ii=None, jj=None, lams=None, coins=None, kind=0):
+        w = np.ones(4) if w is None else w
+        ii = np.array([0, 1]) if ii is None else ii
+        jj = np.array([2, 3]) if jj is None else jj
+        coins = np.array([0, 1]) if coins is None else coins
+        before = w.copy()
+        with pytest.raises((TypeError, ValueError)) as err:
+            compiled_sweep()(kind, w, ii, jj, lams, 0.5, coins)
+        np.testing.assert_array_equal(w, before)
+        return str(err.value)
+
+    def test_index_out_of_range(self):
+        assert "agents" in self.call(jj=np.array([2, 4]))
+        assert "agents" in self.call(ii=np.array([0, -1]))
+
+    def test_mismatched_lengths(self):
+        assert "equal lengths" in self.call(jj=np.array([2, 3, 1]))
+        assert "equal lengths" in self.call(coins=np.array([1]))
+        assert "equal lengths" in self.call(lams=np.array([0.5]))
+
+    def test_wrong_item_types(self):
+        assert "int64" in self.call(ii=np.array([0, 1], dtype=np.int32))
+        assert "int64" in self.call(jj=np.array([2.0, 3.0]))
+        assert "float64" in self.call(w=np.ones(4, dtype=np.float32))
+        assert "float64" in self.call(lams=np.array([1, 1]))
+        # the unbiased loser rule's coins are uniforms
+        assert "float64" in self.call(kind=engine._KIND_CODES[RuleKind.UNBIASED_LOSER])
+        assert "int64" in self.call(coins=np.array([0.0, 1.0]))
+
+    def test_non_contiguous_row_or_read_only_wealth(self):
+        self.call(ii=np.array([0, 9, 1, 9])[::2])
+        self.call(w=np.ones(8)[::2])
+        frozen = np.ones(4)
+        frozen.flags.writeable = False
+        self.call(w=frozen)
+
+    def test_bad_kind_and_arity(self):
+        assert "kind" in self.call(kind=4)
+        with pytest.raises(TypeError):
+            compiled_sweep()(0, np.ones(2))
+
+
+class TestCompiledSweepCache:
+    """``_compiled_sweep`` builds the loop into the user's cache once; later
+    processes load that file."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        compiled_sweep()  # skips where nothing can be built
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        builds = []
+        inner = engine._build
+
+        def counted(*args):
+            builds.append(inner(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(engine, "_build", counted)
+        return lambda: engine._compiled_sweep.__wrapped__(), builds, tmp_path
+
+    def test_cold_cache_builds_once(self, fresh):
+        load, builds, tmp_path = fresh
+        assert load() is not None
+        assert len(builds) == 1
+        assert os.path.dirname(builds[0]) == str(tmp_path / "kinex")
+        assert stat.S_IMODE(os.stat(tmp_path / "kinex").st_mode) & 0o077 == 0
+        mtime = os.stat(builds[0]).st_mtime_ns
+        assert load() is not None
+        assert len(builds) == 1
+        assert os.listdir(tmp_path / "kinex") == [os.path.basename(builds[0])]
+        assert os.stat(builds[0]).st_mtime_ns == mtime
+
+    def test_shared_cache_is_not_read(self, fresh, monkeypatch):
+        # a cache others may write to is passed over: the loop is built in a
+        # private directory, loaded, and the directory removed
+        load, builds, tmp_path = fresh
+        shared = tmp_path / "kinex"
+        shared.mkdir()
+        os.chmod(shared, 0o777)
+        private = tmp_path / "private"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        for _ in range(2):
+            assert load() is not None
+        assert [os.path.dirname(os.path.dirname(b)) for b in builds] == [str(private)] * 2
+        assert os.listdir(shared) == [] and os.listdir(private) == []
+
+    def test_no_compiler_falls_back_with_one_warning(self, fresh, monkeypatch, caplog):
+        load, builds, _ = fresh
+        monkeypatch.setenv("PATH", "")
+        with caplog.at_level(logging.WARNING, logger="kinex.engine"):
+            assert load() is None
+        assert "no C compiler" in caplog.text
+        assert builds == []
 
 
 class TestDrawLayout:
@@ -471,7 +571,7 @@ class TestRunBasics:
         traj = run(cfg, snapshot_every=10)
         assert [t for t, _ in traj.snapshots] == [10, 20]
 
-    @pytest.mark.parametrize("n", [16, _ROUNDS_MIN_N], ids=["list", "in-place"])
+    @pytest.mark.parametrize("n", [16, _PER_SWEEP_DRAWS_MIN_N], ids=["block", "calls"])
     def test_run_keeps_one_population(self, n, monkeypatch):
         # records read the run's population and run returns it; none is
         # built per record or for the final state
@@ -530,12 +630,12 @@ class TestAbsorbingStateInSimulation:
         traj = run(cfg, initial_population=init)
         assert np.all(traj.final_population.wealth >= 0.0)
 
+    @pytest.mark.usefixtures("sweep_path")
     def test_iglesias_almeida_subnormal_product_matches_law(self):
         # x*x is subnormal here; dividing it by 2x loses 7e-8 relative, so
         # the sweep must divide factor by factor like the exact law does
         x = 3.663685537297814e-159
-        draws = ([0], [1], None, [1])
-        moved = _sweep([x, x], RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA), draws)
+        _, moved = one_exchange(RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA), [x, x], 0, 1)
         assert moved == float(harmonic_transfer(x, x))
 
     def test_classic_loser_violates_absorbing_state(self):
@@ -630,6 +730,29 @@ class TestEnsemble:
         monkeypatch.setenv("KINEX_THREADS", "2")
         run_ensemble(cfg, 8)
         assert pools == [3, 2]
+
+    def test_loop_is_loaded_before_the_pool_forks(self, monkeypatch):
+        # a cold cache is built once, in this process, not in every worker
+        loads = []
+        monkeypatch.setattr(engine, "_compiled_sweep", lambda: loads.append(1))
+
+        class Pool:
+            def __init__(self, max_workers):
+                assert loads
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("KINEX_THREADS", "2")
+        run_ensemble(SimConfig(n=4, rule=YS(0.5), max_sweeps=2, seed=1), 8)
+        assert loads
 
     def test_kinex_threads_env_caps_workers(self, monkeypatch):
         from kinex.engine import worker_count

@@ -66,30 +66,34 @@ def test_exported_name_resolves(name):
     assert hasattr(kinex, name), name
 
 
-def test_large_run_calls_sweep_once_per_sweep(monkeypatch):
-    # the benchmark counts sweeps at engine._sweep; the rounds path for
-    # large populations must still enter through it, once per sweep
+@pytest.mark.parametrize("n", [64, 8192], ids=["block-draws", "call-draws"])
+def test_run_calls_sweep_once_per_sweep(monkeypatch, n):
+    # the benchmark counts sweeps at engine._sweep, and each sweep makes
+    # one call of the compiled loop
     import kinex.engine as engine
 
-    calls = {"_sweep": 0, "_sweep_rounds": 0}
-    for name in calls:
-        inner = getattr(engine, name)
+    loop = engine._compiled_sweep()
+    calls = {"_sweep": 0, "loop": 0}
+    inner = engine._sweep
 
-        def counted(*args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(*args)
+    def counted_sweep(*args):
+        calls["_sweep"] += 1
+        return inner(*args)
 
-        monkeypatch.setattr(engine, name, counted)
-    n = 8192
-    assert n >= engine._ROUNDS_MIN_N
+    def counted_loop(*args):
+        calls["loop"] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(engine, "_sweep", counted_sweep)
+    monkeypatch.setattr(engine, "_compiled_sweep", lambda: loop and counted_loop)
     config = engine.SimConfig(
         n=n, rule=RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), max_sweeps=3
     )
     engine.run(config)
-    assert calls == {"_sweep": 3, "_sweep_rounds": 3}
+    assert calls == {"_sweep": 3, "loop": 3 if loop else 0}
 
 
-@pytest.mark.parametrize("n", [64, 4096], ids=["scalar", "rounds"])
+@pytest.mark.parametrize("n", [64, 4096], ids=["block-draws", "call-draws"])
 def test_traced_exchange_count_is_the_sweeps_draws(monkeypatch, n):
     # the benchmark's tracer counts a sweep's exchanges as len(args[0]) // 2
     # of engine._sweep (perfbench/tracing.py), so the wealth must stay the

@@ -26,8 +26,7 @@ IA = RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA)
 
 def record_of(wealth, sweep_abs=0.0):
     """The Monte Carlo record of a population, as ``engine.run`` takes it."""
-    w = np.asarray(wealth, dtype=float)
-    return _record(w, Population(w), DEFAULT_EPS_ZERO, 1, sweep_abs)
+    return _record(Population(wealth), DEFAULT_EPS_ZERO, 1, sweep_abs)
 
 
 class TestGiniPopulation:

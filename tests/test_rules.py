@@ -201,7 +201,7 @@ def sweep_gains(rule, x_0, x_1):
     sweeps = _block_sweeps(2, rule, np.random.Generator(np.random.PCG64(7)))
     gains = np.empty(DRAWS)
     for k, draws in zip(range(DRAWS), sweeps):
-        w = [x_0, x_1]
+        w = np.array([x_0, x_1])
         _sweep(w, rule, draws)
         gains[k] = w[0] - x_0
     return gains
@@ -253,7 +253,9 @@ class TestSampleDelta:
         # from equal wealth 1 the sweep moves |delta| = lambda, and reports it
         rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=UNIFORM_LAMBDA)
         gen = np.random.Generator(np.random.PCG64(3))
-        lams = {_sweep([1.0, 1.0], rule, _draw_exchanges(2, rule, gen)) for _ in range(50)}
+        lams = {
+            _sweep(np.ones(2), rule, _draw_exchanges(2, rule, gen)) for _ in range(50)
+        }
         assert len(lams) == 50
         assert all(0.0 <= l < 1.0 for l in lams)
 
