@@ -1,32 +1,50 @@
-/* One Monte Carlo sweep of the four exchange rules, compiled.
+/* One Monte Carlo sweep of the four exchange rules, and its draws, compiled.
 
    kinex.engine builds this file on first use (see engine._compiled_sweep)
    with -O2 -ffp-contract=off, so that no fused multiply-add changes a
-   rounding, and calls sweep() once per sweep. Each rule's loop restates
-   engine._sweep_scalar line for line, in the same operations and order, so
-   both give bitwise the same wealths and sum of |delta| for the same draws.
+   rounding, and calls draw() then sweep() once per sweep.
 
-   sweep(kind, w, ii, jj, lams, lam, coins) -> float
-     kind   0 classic loser, 1 yard-sale, 2 unbiased loser, 3 Iglesias-Almeida
-     w      float64 wealths, changed in place
-     ii, jj int64 agent indices of the exchanges, each in [0, len(w))
-     lams   float64 lambdas, one per exchange, or None for the fixed lam
-     coins  int64 coins, or float64 uniforms for the unbiased loser rule
+   draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins)
+     fills the draws with engine._draw_exchanges' for n agents, 2 <= n <
+     2**32, bitwise, from the stream of the numpy BitGenerator capsule
+     bitgen, and leaves the stream where those Generator calls leave it:
+     numpy's bounded integers below 2**32 (Lemire, ACM TOMACS 29(1), 2019)
+     over next_uint32, and next_double. It holds the GIL and takes no
+     bit_generator.lock: the generator must be the caller's alone.
+   sweep(kind, w, lam, ii, jj, lams, coins) -> float
+     runs the exchanges on the float64 wealths w in place, with lam where
+     lams is None, and returns the sum of |delta|. kind is 0 classic loser,
+     1 yard-sale, 2 unbiased loser or 3 Iglesias-Almeida. Each rule's loop
+     restates engine._sweep_scalar line for line, so both give bitwise the
+     same wealths and sum for the same draws.
 
-   Every buffer must be one-dimensional and C-contiguous. The arguments are
-   checked in full before the first write: a bad one raises TypeError or
-   ValueError and leaves w as it was. */
+   The draws: ii, jj int64 agent indices (in [0, len(w)) for sweep), lams
+   float64 lambdas or None, coins int64 or, for the unbiased loser rule,
+   float64 uniforms, one of each per exchange, in one-dimensional
+   C-contiguous buffers. Arguments are checked in full first: a bad one
+   raises TypeError or ValueError and leaves w, or the generator, as it was. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
+#include <stdint.h>
 
 /* the order of kinex.core.RuleKind */
 enum { CLASSIC_LOSER, YARD_SALE, UNBIASED_LOSER, IGLESIAS_ALMEIDA };
 
+/* numpy's bitgen_t, as numpy/random/bitgen.h declares it */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 /* Take a one-dimensional C-contiguous buffer of `name` with items of
-   format `want` ('d' float64 or 'q' int64); 0 on success. */
-static int
+   format `want` ('d' float64, 'q' int64, or 0 for either); its format
+   character on success, 0 with an exception set otherwise. */
+static char
 get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
            const char *name)
 {
@@ -34,25 +52,120 @@ get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
     if (writable)
         flags |= PyBUF_WRITABLE;
     if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
+        return 0;
     const char *fmt = view->format ? view->format : "B";
     if (*fmt == '@')
         fmt++;
-    int ok = view->itemsize == 8 && fmt[0] != '\0' && fmt[1] == '\0'
-        && (want == 'd' ? fmt[0] == 'd' : fmt[0] == 'q' || fmt[0] == 'l');
-    if (!ok) {
+    char got = view->itemsize != 8 || fmt[0] == '\0' || fmt[1] != '\0' ? 0
+        : fmt[0] == 'd' ? 'd'
+        : fmt[0] == 'q' || fmt[0] == 'l' ? 'q' : 0;
+    if (!got || (want && got != want)) {
         PyErr_Format(PyExc_TypeError, "%s must hold %s, not format '%s'",
-                     name, want == 'd' ? "float64" : "int64", view->format);
+                     name, want == 'd' ? "float64" : want ? "int64"
+                     : "float64 or int64", view->format);
+        got = 0;
     }
     else if (view->ndim != 1) {
         PyErr_Format(PyExc_ValueError, "%s must be one-dimensional", name);
-        ok = 0;
+        got = 0;
     }
-    if (!ok) {
+    if (!got)
         PyBuffer_Release(view);
-        return -1;
+    return got;
+}
+
+static void
+release_draws(Py_buffer *views)
+{
+    for (int k = 0; k < 4; k++)
+        if (views[k].obj != NULL)
+            PyBuffer_Release(&views[k]);
+}
+
+/* Take the draws ii, jj, lams (or None) and coins of `args` into `views`,
+   zeroed by the caller, who releases them, with coins of format `*coin`
+   (0 for either, set to the one taken); the number of exchanges, or -1
+   with an exception set. */
+static Py_ssize_t
+take_draws(PyObject *const *args, Py_buffer *views, int writable, char *coin)
+{
+    static const char *names[] = {"ii", "jj", "lams", "coins"};
+    const char wants[] = {'q', 'q', 'd', *coin};
+    for (int k = 0; k < 4; k++) {
+        if (k == 2 && args[k] == Py_None)
+            continue;
+        char got = get_vector(args[k], &views[k], wants[k], writable, names[k]);
+        if (!got)
+            return -1;
+        if (k == 3)
+            *coin = got;
+        if (views[k].len != views[0].len) {
+            PyErr_SetString(PyExc_ValueError,
+                            "ii, jj, lams and coins must have equal lengths");
+            return -1;
+        }
     }
-    return 0;
+    return views[0].len / 8;
+}
+
+/* s integers in [0, b) as numpy's Generator.integers(0, b) draws them for
+   b < 2**32: Lemire's (x * b) >> 32 of a word x, drawn again while
+   (x * b) mod 2**32 is below (2**32 - b) mod b; a range of one value takes
+   no word. */
+static void
+fill_bounded(bitgen_t *bitgen, uint32_t b, long long *out, Py_ssize_t s)
+{
+    uint32_t threshold = (0u - b) % b;
+    for (Py_ssize_t k = 0; k < s; k++) {
+        uint64_t m = 0;
+        if (b > 1) {
+            do
+                m = (uint64_t)bitgen->next_uint32(bitgen->state) * b;
+            while ((uint32_t)m < threshold);
+        }
+        out[k] = (long long)(m >> 32);
+    }
+}
+
+static PyObject *
+draw(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "draw takes 6 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    bitgen_t *bitgen = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (bitgen == NULL)
+        return NULL;
+    int overflow;
+    long long n = PyLong_AsLongLongAndOverflow(args[1], &overflow);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || n < 2 || n > (long long)UINT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "n must be >= 2 and < 2**32");
+        return NULL;
+    }
+    Py_buffer views[4] = {{0}};
+    char coin = 0;
+    Py_ssize_t s = take_draws(args + 2, views, 1, &coin);
+    long long *ii = views[0].buf, *jj = views[1].buf;
+    double *lams = views[2].buf, *uniforms = views[3].buf;
+    if (s >= 0) {
+        fill_bounded(bitgen, (uint32_t)n, ii, s);
+        fill_bounded(bitgen, (uint32_t)(n - 1), jj, s);
+        for (Py_ssize_t k = 0; k < s; k++)
+            jj[k] += jj[k] >= ii[k];
+        for (Py_ssize_t k = 0; lams && k < s; k++)
+            lams[k] = bitgen->next_double(bitgen->state);
+        if (coin == 'q')
+            fill_bounded(bitgen, 2, views[3].buf, s);
+        for (Py_ssize_t k = 0; coin == 'd' && k < s; k++)
+            uniforms[k] = bitgen->next_double(bitgen->state);
+    }
+    release_draws(views);
+    return s < 0 ? NULL : PyTuple_Pack(4, args[2], args[3], args[4], args[5]);
 }
 
 static PyObject *
@@ -71,38 +184,21 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "unknown rule kind %ld", kind);
         return NULL;
     }
-    double fixed_lam = PyFloat_AsDouble(args[5]);
+    double fixed_lam = PyFloat_AsDouble(args[2]);
     if (fixed_lam == -1.0 && PyErr_Occurred())
         return NULL;
-    int has_lams = args[4] != Py_None;
 
-    Py_buffer bw, bi, bj, bl, bc;
-    Py_buffer *taken[5];
-    int count = 0;
+    Py_buffer bw, views[4] = {{0}};
     PyObject *result = NULL;
-#define TAKE(obj, view, want, writable, name)                        \
-    do {                                                             \
-        if (get_vector(obj, view, want, writable, name) < 0)         \
-            goto done;                                               \
-        taken[count++] = view;                                       \
-    } while (0)
-    TAKE(args[1], &bw, 'd', 1, "w");
-    TAKE(args[2], &bi, 'q', 0, "ii");
-    TAKE(args[3], &bj, 'q', 0, "jj");
-    if (has_lams)
-        TAKE(args[4], &bl, 'd', 0, "lams");
-    TAKE(args[6], &bc, kind == UNBIASED_LOSER ? 'd' : 'q', 0, "coins");
-#undef TAKE
-
-    Py_ssize_t n = bw.len / 8, s = bi.len / 8;
-    if (bj.len != bi.len || bc.len != bi.len || (has_lams && bl.len != bi.len)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "ii, jj, lams and coins must have equal lengths");
+    if (!get_vector(args[1], &bw, 'd', 1, "w"))
+        return NULL;
+    char coin = kind == UNBIASED_LOSER ? 'd' : 'q';
+    Py_ssize_t n = bw.len / 8, s = take_draws(args + 3, views, 0, &coin);
+    if (s < 0)
         goto done;
-    }
     double *w = bw.buf;
-    const long long *ii = bi.buf, *jj = bj.buf;
-    const double *lams = has_lams ? bl.buf : NULL;
+    const long long *ii = views[0].buf, *jj = views[1].buf;
+    const double *lams = views[2].buf;
     for (Py_ssize_t k = 0; k < s; k++) {
         if (ii[k] < 0 || ii[k] >= n || jj[k] < 0 || jj[k] >= n) {
             PyErr_Format(PyExc_ValueError,
@@ -114,7 +210,7 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
     double sum_abs = 0.0;
     if (kind == YARD_SALE) {
-        const long long *coins = bc.buf;
+        const long long *coins = views[3].buf;
         for (Py_ssize_t k = 0; k < s; k++) {
             double lam = lams ? lams[k] : fixed_lam;
             double wi = w[ii[k]];
@@ -134,8 +230,8 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     else if (kind != IGLESIAS_ALMEIDA) { /* the loser rules */
         /* agent i wins on its coin, or, unbiased, on a uniform below p_plus */
-        const long long *bits = bc.buf;
-        const double *uniforms = bc.buf;
+        const long long *bits = views[3].buf;
+        const double *uniforms = views[3].buf;
         int uniform = kind == UNBIASED_LOSER;
         for (Py_ssize_t k = 0; k < s; k++) {
             double lam = lams ? lams[k] : fixed_lam;
@@ -153,7 +249,7 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     else { /* Iglesias-Almeida */
-        const long long *coins = bc.buf;
+        const long long *coins = views[3].buf;
         for (Py_ssize_t k = 0; k < s; k++) {
             double wi = w[ii[k]];
             double wj = w[jj[k]];
@@ -183,14 +279,18 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     result = PyFloat_FromDouble(sum_abs);
 done:
-    while (count)
-        PyBuffer_Release(taken[--count]);
+    release_draws(views);
+    PyBuffer_Release(&bw);
     return result;
 }
 
 static PyMethodDef methods[] = {
+    {"draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL,
+     "draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins): fill "
+     "the buffers with one sweep's draws from the BitGenerator capsule "
+     "bitgen, as numpy's Generator draws them."},
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
-     "sweep(kind, w, ii, jj, lams, lam, coins) -> float: run one sweep's "
+     "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
     {NULL, NULL, 0, NULL},
 };
@@ -198,7 +298,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_sweep",
-    .m_doc = "The compiled Monte Carlo sweep of kinex.engine.",
+    .m_doc = "The compiled Monte Carlo sweep of kinex.engine and its draws.",
     .m_size = -1,
     .m_methods = methods,
 };

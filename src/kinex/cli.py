@@ -36,6 +36,7 @@ from .engine import (
     parse_initial,
     run,
     run_ensemble,
+    worker_count,
 )
 from .master_eq import (
     IntegrationAbort,
@@ -355,6 +356,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     if args.replicas == 1 or args.replicas < 0:
         raise ConfigError("--replicas must be 0 or >= 2")
+    if args.replicas:
+        worker_count()  # a bad KINEX_THREADS fails the command, not each row
     base = _sim_config(args)
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:

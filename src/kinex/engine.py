@@ -10,20 +10,18 @@ Markov chain). For speed a sweep's pair indices, coins and lambda values
 are drawn in one batch per sweep from the trajectory's RngStream, in the
 fixed layout of ``_layout`` (i block, j block, lambda block, coin block),
 so a run is fully reproducible from (seed, stream id). A sweep is a pure
-function of its draws: ``run`` draws each sweep from one draw source and
-hands the draws to ``_sweep``. ``_draw_exchanges`` draws the layout with
-``Generator`` calls. Below ``_PER_SWEEP_DRAWS_MIN_N`` agents ``run`` reads
-the same draws, bit for bit, from ``_draw_block``, which draws the 32-bit
-words of ``_BLOCK_EXCHANGES`` exchanges in one call and decodes them as
-numpy's ``Generator`` would, instead of paying numpy's per-call cost on
-three or four small draws every sweep.
+function of its draws: ``run`` draws each sweep, then hands the draws to
+``_sweep``. ``_draw_exchanges`` draws the layout with ``Generator`` calls.
 
-Every sweep, whatever N, is one call of a compiled loop, ``_sweep.c``,
-which ``_compiled_sweep`` builds on first use with the system C compiler
-into a per-user cache and loads once per process. Its reference is the
-Python loop ``_sweep_scalar``, which it restates line for line, with
-bitwise the same wealths and sums of |delta|; where no compiler or
-``Python.h`` is found, the Python loop runs instead, logged once.
+Every sweep, whatever N, is one call of the compiled module ``_sweep.c``'s
+``draw``, which draws what ``_draw_exchanges`` draws, bit for bit, into
+buffers kept for the run, and one of its ``sweep``, which restates the
+Python loop ``_sweep_scalar`` line for line, with bitwise the same wealths
+and sums of |delta|. ``_compiled_sweep`` builds the module on first use
+with the system C compiler into a per-user cache, loads it once per
+process and checks its draws against ``_draw_exchanges``. Where no
+compiler or ``Python.h`` is found, or the check fails, ``_draw_exchanges``
+and the Python loop run instead, logged once.
 
 A run keeps one ``Population``, which the sweeps change and each record
 reads in place; ``run`` returns it. Each record, and the final state, is
@@ -50,6 +48,7 @@ from .core import (
     RngStream,
     RuleKind,
     RuleSpec,
+    UNIFORM_LAMBDA,
     read_snapshot,
 )
 from .metrics import DEFAULT_EPS_ZERO, MetricsRecord, gini_population
@@ -75,25 +74,12 @@ _TINY = sys.float_info.min
 # at N=128); one lost exchange at N=65536 moves the sum by about 1e-5.
 _DRIFT_TOL = 1e-9
 
-# Populations at least this large draw each sweep through ``Generator``
-# calls, smaller ones a block at a time (``_draw_block``): a yard-sale
-# sweep took 0.084 ms either way at N=4094, 0.12 against 0.093 at N=5000.
-_PER_SWEEP_DRAWS_MIN_N = 4096
-
 # The compiled loop's flags: no fused multiply-add, -march or fast-math,
 # so that it rounds as ``_sweep_scalar`` does.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # The rule codes of ``_sweep.c``: the order of ``RuleKind``.
 _KIND_CODES = {kind: code for code, kind in enumerate(RuleKind)}
-
-# Exchanges ``_draw_block`` draws at a time (at least a sweep's); no output
-# depends on it. A sweep of yard-sale lambda=0.1 at N=128 took (best of 5
-# runs of 8000; 2-CPU Xeon, Python 3.11, numpy 2.4.6) 63 us with one sweep
-# per block, 19 us with 1024 exchanges, 16 us with 4096 or 8192 and 18-21 us
-# with 16384, against 48-50 us with Generator calls per sweep; at N=1024,
-# 133-162 us from 4096 up, 194 us with one sweep and 166-174 us with calls.
-_BLOCK_EXCHANGES = 4096
 
 log = logging.getLogger("kinex.engine")
 
@@ -149,6 +135,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.n >= 2**32:  # the compiled draw's 32-bit bounded integers
+            raise ValueError("n must be < 2**32")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.record_every < 1:
@@ -188,135 +176,82 @@ def _initial_wealth(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     return read_snapshot(config.initial.path).wealth
 
 
-def _layout(n: int, rule: RuleSpec) -> tuple:
-    """The range of each block of one sweep's draws, in draw order: i, j
-    (over n - 1 values, then stepped past i), the lambdas of a random-lambda
-    rule, and the coins; None stands for a block of ``random()`` uniforms."""
-    coins = None if rule.kind is RuleKind.UNBIASED_LOSER else 2
-    return (n, n - 1, None, coins) if rule.random_lambda else (n, n - 1, coins)
-
-
-def _exchanges(blocks) -> tuple:
-    """(i, j, lambdas or None, coins) of the blocks of ``_layout``, with j
-    stepped past i, so j != i."""
-    ii, jj, *lams, coins = blocks
-    jj += jj >= ii
-    return ii, jj, lams[0] if lams else None, coins
+def _layout(n: int, rule: RuleSpec, block) -> tuple:
+    """One sweep's (i, j, lambdas or None, coins), each block made by
+    ``block(bound)`` in draw order: i over n values, j over n - 1 (to be
+    stepped past i), the lambdas of a random-lambda rule, and the coins; a
+    bound of None stands for a block of ``random()`` uniforms."""
+    ii, jj = block(n), block(n - 1)
+    lams = block(None) if rule.random_lambda else None
+    return ii, jj, lams, block(None if rule.kind is RuleKind.UNBIASED_LOSER else 2)
 
 
 def _draw_exchanges(n: int, rule: RuleSpec, gen: np.random.Generator) -> tuple:
     """One sweep's draws, drawn through ``Generator`` calls in the layout
     of ``_layout``: the N/2 exchanges' (i, j, lambdas or None, coins) as
-    arrays. ``_draw_block`` gives the same draws from the same stream."""
+    arrays, with j stepped past i, so j != i."""
     s = n // 2
-    return _exchanges([
-        gen.random(size=s) if bound is None else gen.integers(0, bound, size=s)
-        for bound in _layout(n, rule)
-    ])
+    ii, jj, lams, coins = _layout(
+        n, rule, lambda b: gen.random(size=s) if b is None else gen.integers(0, b, size=s)
+    )
+    jj += jj >= ii
+    return ii, jj, lams, coins
 
 
-def _draw_block(n: int, rule: RuleSpec, gen: np.random.Generator, sweeps: int) -> tuple:
-    """``sweeps`` calls of ``_draw_exchanges`` in one: the same draws, as
-    (sweeps, N/2) arrays, and the same generator state after them.
-    ``_decode`` draws them but for a range of one value (j at N=2), which
-    takes no word, uniforms that could start on a pending half, and a block
-    that rejects a word: ``_draw_defined`` draws those, the last from the
-    state before the block."""
-    s = n // 2
-    layout = _layout(n, rule)
-    state = gen.bit_generator.state
-    # uniforms follow the i and j blocks, 2s words, in every sweep
-    whole = not state["has_uint32"] and _words(layout, s) % 2 == 0
-    if 1 not in layout and (whole or None not in layout) and _decoding_matches_numpy():
-        blocks = _decode(layout, s, gen, sweeps)
-        if blocks is not None:
-            return _exchanges(blocks)
-        gen.bit_generator.state = state
-    return _exchanges(_draw_defined(layout, s, gen, sweeps))
+def _draw_source(n: int, rule: RuleSpec, gen: np.random.Generator, module):
+    """``_draw_exchanges``' draws from ``gen``'s stream, a sweep a call: the
+    compiled ``draw`` of ``module``, into arrays made once, which each call
+    refills and returns, or, where ``module`` is None, ``_draw_exchanges``."""
+    if module is None:
+        return functools.partial(_draw_exchanges, n, rule, gen)
+    arrays = _layout(n, rule, lambda b: np.empty(n // 2, float if b is None else np.int64))
+    return functools.partial(module.draw, gen.bit_generator.capsule, n, *arrays)
 
 
-def _words(layout: tuple, s: int) -> int:
-    """32-bit words per sweep: one per bounded integer, two per uniform."""
-    return sum(s if bound else 2 * s for bound in layout)
-
-
-def _draw_defined(layout: tuple, s: int, gen: np.random.Generator, sweeps: int) -> list:
-    """The blocks of ``sweeps`` sweeps of ``layout`` by definition: one
-    ``integers`` call over each draw's range, in draw order. A uniform is
-    ``integers(0, 2**53) * 2**-53``, which numpy draws as ``random()`` does,
-    from a whole 64-bit output; a range of one value takes nothing."""
-    ranges = np.repeat([2**53 if bound is None else bound for bound in layout], s)
-    values = gen.integers(0, np.tile(ranges, sweeps)).reshape(sweeps, -1)
-    blocks = np.hsplit(values, len(layout))
-    return [b * 2.0**-53 if bound is None else b for bound, b in zip(layout, blocks)]
-
-
-def _decode(layout: tuple, s: int, gen: np.random.Generator, sweeps: int):
-    """``_draw_defined``'s blocks decoded from one ``integers`` call's 32-bit
-    words, in stream order with any pending half first; None if a word is
-    rejected. A bounded integer in [0, b) is Lemire's ``(x * b) >> 32`` of
-    its word x, rejected, as numpy does, when ``(x * b) mod 2**32`` is below
-    ``(2**32 - b) mod b`` (never for a power of two b). A uniform is
-    ``random()``'s ``(x >> 11) * 2**-53`` of the 64-bit output x whose low
-    and high halves are its two words."""
-    words = gen.integers(0, 2**32, size=(sweeps, _words(layout, s)), dtype=np.uint64)
-    blocks = []
-    for bound in layout:
-        if bound is None:
-            lo, hi = words[:, : 2 * s : 2], words[:, 1 : 2 * s : 2]
-            blocks.append(((hi << 32 | lo) >> 11) * 2.0**-53)
-            words = words[:, 2 * s :]
-        else:
-            m = words[:, :s] * np.uint64(bound)
-            if ((m & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
-                return None
-            blocks.append((m >> 32).view(np.int64))
-            words = words[:, s:]
-    return blocks
-
-
-@functools.cache
-def _decoding_matches_numpy() -> bool:
-    """Whether ``_decode`` gives ``_draw_defined``'s draws, and the same
-    words after them, on the installed numpy, once per process: on words
-    only at odd N/2, entered with a half pending, and on uniforms after
-    words. If not, ``_draw_block`` draws by definition alone: the same
-    output, more slowly."""
-    for layout, pending in (((6, 5, 2), True), ((128, 127, None), False)):
-        s = layout[0] // 2
+def _draw_matches_numpy(module) -> bool:
+    """Whether the compiled ``draw`` of ``module`` gives ``_draw_exchanges``'
+    draws and leaves the generator in the same state, on the installed
+    numpy, entered with a half pending: on words only at odd N/2, and on
+    uniforms after words."""
+    for n, rule in (
+        (6, RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5)),
+        (128, RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=UNIFORM_LAMBDA)),
+    ):
         gen, twin = (np.random.Generator(np.random.PCG64(8)) for _ in "ab")
-        if pending:
-            gen.integers(0, 3)
-            twin.integers(0, 3)
-        got, want = _decode(layout, s, gen, 4), _draw_defined(layout, s, twin, 4)
-        if got is None or not all(map(np.array_equal, got, want)) or (
-            gen.integers(0, 2**32, size=3) != twin.integers(0, 2**32, size=3)
-        ).any():
-            log.warning(
-                "decoded draws differ from numpy %s's Generator; "
-                "drawing through Generator calls per block",
-                np.__version__,
-            )
+        gen.integers(0, 3)
+        twin.integers(0, 3)
+        got = _draw_source(n, rule, gen, module)
+        for _ in range(3):
+            if not all(map(np.array_equal, got(), _draw_exchanges(n, rule, twin))):
+                return False
+        if gen.bit_generator.state != twin.bit_generator.state:
             return False
     return True
 
 
-def _block_sweeps(n: int, rule: RuleSpec, gen: np.random.Generator):
-    """``_draw_exchanges``' draws, sweep after sweep: rows of the arrays that
-    ``_draw_block`` draws, ``_BLOCK_EXCHANGES`` exchanges at a time."""
-    sweeps = max(1, _BLOCK_EXCHANGES // (n // 2))
-    while True:
-        ii, jj, lams, coins = _draw_block(n, rule, gen, sweeps)
-        yield from zip(ii, jj, itertools.repeat(None) if lams is None else lams, coins)
+@functools.cache
+def _compiled_sweep():
+    """The module of ``_sweep.c`` (its ``draw`` and ``sweep``), once per
+    process; None, logged once at WARNING, where ``_load`` gives None or
+    its ``draw`` fails ``_draw_matches_numpy``."""
+    module = _load()
+    if module is not None and not _draw_matches_numpy(module):
+        log.warning(
+            "compiled draws differ from numpy %s's Generator; "
+            "drawing and sweeping in Python",
+            np.__version__,
+        )
+        return None
+    return module
 
 
 @functools.cache
-def _compiled_sweep():
-    """The ``sweep`` of ``_sweep.c``, loaded once per process; None, logged
+def _load():
+    """The module of ``_sweep.c``, loaded once per process; None, logged
     once at WARNING, where it cannot be built. Builds are cached in
     ``$XDG_CACHE_HOME/kinex`` (``~/.cache/kinex``) under the sha256 of the
     source, ``_CFLAGS`` and the extension suffix. A cache directory others
-    may write to is never read: the loop is then built in a private one."""
+    may write to is never read: the module is then built in a private one."""
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
     from importlib.util import module_from_spec, spec_from_loader
 
@@ -350,7 +285,7 @@ def _compiled_sweep():
         import shutil
 
         shutil.rmtree(os.path.dirname(path))
-    return module.sweep
+    return module
 
 
 def _build(source: str, path: str, private: bool) -> str:
@@ -386,12 +321,11 @@ def _sweep(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
     call of the compiled loop (or ``_sweep_scalar`` where it is missing);
     returns the sum of |delta| over them. ``draws`` is the sweep's (i, j,
     lambdas or None, coins) from ``_draw_exchanges``, as arrays."""
-    sweep = _compiled_sweep()
-    if sweep is None:
+    module = _compiled_sweep()
+    if module is None:
         return _sweep_scalar(w, rule, draws)
-    ii, jj, lams, coins = draws
-    lam = 1.0 if lams is not None or rule.lam is None else rule.lam
-    return sweep(_KIND_CODES[rule.kind], w, ii, jj, lams, lam, coins)
+    lam = 1.0 if draws[2] is not None or rule.lam is None else rule.lam
+    return module.sweep(_KIND_CODES[rule.kind], w, lam, *draws)
 
 
 def _sweep_scalar(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
@@ -529,12 +463,7 @@ def run(
         raise ValueError("degenerate: zero total wealth")
     n, rule = config.n, config.rule
     w = pop.wealth
-    # the one source of each sweep's draws
-    if n >= _PER_SWEEP_DRAWS_MIN_N:
-        draw = functools.partial(_draw_exchanges, n, rule, gen)
-    else:
-        # from here on the blocks alone draw from gen, ahead of the sweeps
-        draw = _block_sweeps(n, rule, gen).__next__
+    draw = _draw_source(n, rule, gen, _compiled_sweep())
 
     records: list[MetricsRecord] = []
     snapshots: list[tuple[int, np.ndarray]] = []
@@ -574,7 +503,10 @@ def worker_count() -> int:
     """Worker cap for replica parallelism: KINEX_THREADS or all CPUs."""
     env = os.environ.get("KINEX_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"KINEX_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -590,7 +522,9 @@ def run_ensemble(config: SimConfig, replicas: int) -> EnsembleSummary:
     """
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    _compiled_sweep()  # built here once, not in each forked worker
+    # built here once, not in each forked worker; the workers check its
+    # draws, so that this process does not load numpy.random (6 MiB)
+    _load()
     base = replace(config, stop_gini_gap=None, stop_liquidity=None)
     jobs = [(base, r) for r in range(replicas)]
     # the pool forks all its workers at the first submit, so a worker

@@ -18,22 +18,23 @@ def one_exchange(rule, wealth, i, coin, lam=None):
 
 
 def compiled_sweep():
-    """The compiled loop's ``sweep``. The test skips where no C compiler is
-    on PATH (the Python loop then serves every run) and fails where one is
-    but the loop did not load."""
+    """The compiled module, with its ``draw`` and ``sweep``. The test skips
+    where no C compiler is on PATH (the Python path then serves every run)
+    and fails where one is but the module did not load or failed its draw
+    self-check."""
     import kinex.engine as engine
 
-    sweep = engine._compiled_sweep()
-    if sweep is None:
+    module = engine._compiled_sweep()
+    if module is None:
         if any(map(shutil.which, ("cc", "gcc", "clang"))):
-            pytest.fail("a C compiler is on PATH but the compiled loop did not load")
+            pytest.fail("a C compiler is on PATH but the compiled module did not load")
         pytest.skip("no C compiler on PATH")
-    return sweep
+    return module
 
 
 @pytest.fixture(params=["compiled", "python"])
 def sweep_path(request, monkeypatch):
-    """Run the test on the compiled loop and on the Python loop, forced as
+    """Run the test on the compiled module and on the Python path, forced as
     where no compiler is found."""
     import kinex.engine as engine
 

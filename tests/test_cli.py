@@ -219,6 +219,35 @@ class TestConfigErrors:
         assert (code, err) == (2, f"kinex: config error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ensemble",),
+            ("sweep", "--param", "lambda", "--values", "0.3,0.4"),
+        ],
+        ids=["ensemble", "sweep"],
+    )
+    def test_bad_kinex_threads_exits_2(self, argv, tmp_path, monkeypatch):
+        # not swallowed into the sweep's rows
+        monkeypatch.setenv("KINEX_THREADS", "abc")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            *argv, "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "3",
+            "--replicas", "2", "--out", str(out),
+        )
+        message = "KINEX_THREADS must be an integer, got 'abc'"
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        assert not out.exists()
+
+    def test_n_of_2_to_the_32_exits_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "4294967296",
+            "--sweeps", "2", "--out", str(out),
+        )
+        assert (code, err) == (2, "kinex: config error: n must be < 2**32\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_initial_size_is_checked_once_for_every_source(self, n, tmp_path):
         # a snapshot file and an injected population meet the same check

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -31,12 +32,9 @@ import kinex.engine as engine
 from kinex.cli import main
 from kinex.core import RngStream
 from kinex.engine import (
-    _PER_SWEEP_DRAWS_MIN_N,
     Initial,
-    _block_sweeps,
-    _decode,
-    _draw_block,
     _draw_exchanges,
+    _draw_source,
     _sweep,
     _sweep_scalar,
     parse_initial,
@@ -151,15 +149,15 @@ class TestSweepPathsAgree:
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
     @pytest.mark.parametrize("n", [2, 3, 128, 4097, 65536])
-    @pytest.mark.parametrize("source", ["block", "calls"])
+    @pytest.mark.parametrize("source", ["compiled", "calls"])
     def test_same_wealth_and_sums(self, rule, n, source):
-        compiled_sweep()  # so that _sweep runs the compiled loop
+        module = compiled_sweep()  # so that _sweep runs the compiled loop
         w0 = self.adversarial_wealth(n)
         compiled, scalar = w0.copy(), w0.copy()
         gen = np.random.Generator(np.random.PCG64(17))
-        sweeps = _block_sweeps(n, rule, gen) if source == "block" else None
+        draw = _draw_source(n, rule, gen, module if source == "compiled" else None)
         for _ in range(2 if n == 65536 else 6):
-            draws = next(sweeps) if sweeps else _draw_exchanges(n, rule, gen)
+            draws = draw()
             moved_c = _sweep(compiled, rule, draws)
             moved_s = _sweep_scalar(scalar, rule, draws)
             assert _bits(moved_c) == _bits(moved_s)
@@ -189,7 +187,7 @@ class TestCompiledSweepChecksItsArguments:
         coins = np.array([0, 1]) if coins is None else coins
         before = w.copy()
         with pytest.raises((TypeError, ValueError)) as err:
-            compiled_sweep()(kind, w, ii, jj, lams, 0.5, coins)
+            compiled_sweep().sweep(kind, w, 0.5, ii, jj, lams, coins)
         np.testing.assert_array_equal(w, before)
         return str(err.value)
 
@@ -221,11 +219,11 @@ class TestCompiledSweepChecksItsArguments:
     def test_bad_kind_and_arity(self):
         assert "kind" in self.call(kind=4)
         with pytest.raises(TypeError):
-            compiled_sweep()(0, np.ones(2))
+            compiled_sweep().sweep(0, np.ones(2))
 
 
 class TestCompiledSweepCache:
-    """``_compiled_sweep`` builds the loop into the user's cache once; later
+    """``_load`` builds the module into the user's cache once; later
     processes load that file."""
 
     @pytest.fixture
@@ -240,7 +238,7 @@ class TestCompiledSweepCache:
             return builds[-1]
 
         monkeypatch.setattr(engine, "_build", counted)
-        return lambda: engine._compiled_sweep.__wrapped__(), builds, tmp_path
+        return lambda: engine._load.__wrapped__(), builds, tmp_path
 
     def test_cold_cache_builds_once(self, fresh):
         load, builds, tmp_path = fresh
@@ -306,139 +304,115 @@ class TestDrawLayout:
         assert gen.bit_generator.state == twin.bit_generator.state
 
 
-def _position(gen) -> tuple:
-    """Where ``gen``'s stream stands: its PCG64 state and its pending half,
-    if any (numpy keeps a stale half where none is pending)."""
-    state = gen.bit_generator.state
-    return state["state"], state["uinteger"] if state["has_uint32"] else None
+def word_capsule(words, name=b"BitGenerator"):
+    """A capsule named ``name`` of a bit generator whose ``next_uint32``
+    gives ``words`` in turn, and what must stay alive while it is used."""
+    u32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+    u64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+    f64 = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+    class Bitgen(ctypes.Structure):  # numpy/random/bitgen.h
+        _fields_ = [("state", ctypes.c_void_p), ("next_uint64", u64),
+                    ("next_uint32", u32), ("next_double", f64), ("next_raw", u64)]
+
+    taken = iter(words)
+    unused = u64(lambda state: 0)
+    bitgen = Bitgen(None, unused, u32(lambda state: next(taken)), f64(lambda state: 0.0), unused)
+    new = ctypes.pythonapi.PyCapsule_New
+    new.restype = ctypes.py_object
+    new.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+    return new(ctypes.addressof(bitgen), name, None), bitgen
 
 
-class TestDrawBlock:
-    """``_draw_block(n, rule, gen, K)`` gives K ``_draw_exchanges`` calls'
-    draws bitwise, from the same stream, and leaves the same state."""
+class TestCompiledDraw:
+    """The compiled ``draw`` gives ``_draw_exchanges``' draws bitwise, from
+    the same stream, and leaves the generator in the same state."""
 
     @staticmethod
-    def check(gen, twin, n, rule, sweeps, blocks):
-        for _ in range(blocks):
-            got = _draw_block(n, rule, gen, sweeps)
-            want = zip(*(_draw_exchanges(n, rule, twin) for _ in range(sweeps)))
-            for block, calls in zip(got, want):
-                if block is None:
-                    assert set(calls) == {None}
+    def check(gen, twin, n, rule, sweeps):
+        draw = _draw_source(n, rule, gen, compiled_sweep())
+        for _ in range(sweeps):
+            for block, call in zip(draw(), _draw_exchanges(n, rule, twin)):
+                if call is None:
+                    assert block is None
                 else:
-                    np.testing.assert_array_equal(block, np.stack(calls))
-            assert _position(gen) == _position(twin)
-
-    @staticmethod
-    def served(monkeypatch):
-        # blocks that ``_decode`` and ``_draw_defined`` each gave
-        counts = {"decoded": 0, "defined": 0}
-        decode, defined = engine._decode, engine._draw_defined
-
-        def decode_counted(*args):
-            blocks = decode(*args)
-            counts["decoded"] += blocks is not None
-            return blocks
-
-        def defined_counted(*args):
-            counts["defined"] += 1
-            return defined(*args)
-
-        monkeypatch.setattr(engine, "_decode", decode_counted)
-        monkeypatch.setattr(engine, "_draw_defined", defined_counted)
-        return counts
+                    np.testing.assert_array_equal(block, call)
+                    assert block.dtype == call.dtype
+        assert gen.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
-    @pytest.mark.parametrize("n", [2, 3, 5, 6, 127, 128, 130, 1000, 1022, 3931, 4095])
+    @pytest.mark.parametrize(
+        "n", [2, 3, 5, 6, 127, 128, 130, 1000, 1022, 3931, 4095, 4096, 65536]
+    )
     @pytest.mark.parametrize("pending", [False, True])
     def test_same_draws_and_state_as_generator(self, rule, n, pending):
-        # three blocks of an odd number of sweeps: where N/2 is odd a half
-        # stays pending across sweeps and blocks
+        # an odd number of sweeps: where N/2 is odd a half stays pending
+        # from one sweep to the next
         gen, twin = (np.random.Generator(np.random.PCG64(n)) for _ in "ab")
         if pending:
             for g in (gen, twin):
                 g.integers(0, 5)
             assert gen.bit_generator.state["has_uint32"]
-        self.check(gen, twin, n, rule, 7, 3)
+        self.check(gen, twin, n, rule, 3 if n == 65536 else 7)
 
     @pytest.mark.parametrize(
-        "seed, n, pending, sweeps, blocks",
+        "seed, n, pending, sweeps",
         [
             # the j range 127 rejects a word with p = 16 / 2**32; this
-            # stream rejects one at sweep 135 of a 128-agent yard-sale run,
-            # in the third block of 64 sweeps
-            (3761, 128, False, 64, 3),
+            # stream rejects one at sweep 135 of a 128-agent yard-sale run
+            (3761, 128, False, 192),
             # ranges 3931 and 3930 reject with p = 7784 / 2**32 per
             # exchange; this stream, entered with a half pending, rejects
-            # one in its sixth block of 2 sweeps, and N/2 is odd
-            (0, 3931, True, 2, 6),
+            # one in its first 12 sweeps, and N/2 is odd
+            (0, 3931, True, 12),
         ],
     )
-    def test_block_with_a_rejected_word(
-        self, monkeypatch, seed, n, pending, sweeps, blocks
-    ):
-        counts = self.served(monkeypatch)
-        gen, twin = (RngStream(seed).gen for _ in "ab")
+    def test_stream_with_a_rejected_word(self, seed, n, pending, sweeps):
+        gen, twin, words = (RngStream(seed).gen for _ in "abc")
         if pending:
-            for g in (gen, twin):
+            for g in (gen, twin, words):
                 g.integers(0, 5)
-        self.check(gen, twin, n, YS(0.1), sweeps, blocks)
-        # one block drawn by definition, from the state before it
-        assert counts == {"decoded": blocks - 1, "defined": 1}
-
-    @pytest.mark.parametrize(
-        "rule, n, decoded",
-        [
-            (YS(0.1), 128, True),
-            (RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=0.5), 128, True),
-            # the j range at N=2 has one value and takes no word
-            (YS(0.5), 2, False),
-            # 325 words a sweep: the next sweep's uniforms would start on
-            # a pending half
-            (YS(UNIFORM_LAMBDA), 130, False),
-        ],
-        ids=["yardsale-128", "unbiased-loser-128", "n-2", "uniform-lambda-130"],
-    )
-    def test_which_path_serves_a_run(self, monkeypatch, rule, n, decoded):
-        counts = self.served(monkeypatch)
-        _draw_block(n, rule, RngStream(5).gen, 8)
-        assert counts == {"decoded": int(decoded), "defined": int(not decoded)}
+        self.check(gen, twin, n, YS(0.1), sweeps)
+        # one word more than the sweeps' 3 N/2 was drawn, and rejected
+        words.integers(0, 2**32, size=3 * (n // 2) * sweeps + 1, dtype=np.uint64)
+        assert gen.bit_generator.state == words.bit_generator.state
 
     @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 1])
     def test_lemire_draws_where_rejection_is_common(self, n):
         # a word is rejected with p = 1/4 at 3 * 2**30, about 1/2 at
-        # 2**31 + 1; numpy draws its values from the accepted words in turn
+        # 2**31 + 1; numpy draws its values from the accepted words in turn.
+        # One exchange a call: the buffers' length, not n, sets the count.
+        draw = compiled_sweep().draw
+        ii, jj, coins = (np.empty(1, np.int64) for _ in "ijc")
         for seed in range(20):
-            gen = np.random.Generator(np.random.PCG64(seed))
-            decoded = [_decode((n,), 1, gen, 1) for _ in range(200)]
-            accepted = [int(d[0][0, 0]) for d in decoded if d is not None]
-            assert 0 < len(accepted) < 200
-            twin = np.random.Generator(np.random.PCG64(seed))
-            assert accepted == twin.integers(0, n, size=len(accepted)).tolist()
+            gen, twin, words = (np.random.Generator(np.random.PCG64(seed)) for _ in "abc")
+            for _ in range(50):
+                draw(gen.bit_generator.capsule, n, ii, jj, None, coins)
+                i, j = twin.integers(0, n), twin.integers(0, n - 1)
+                assert (ii[0], jj[0], coins[0]) == (i, j + (j >= i), twin.integers(0, 2))
+            assert gen.bit_generator.state == twin.bit_generator.state
+            words.integers(0, 2**32, size=3 * 50, dtype=np.uint64)
+            assert gen.bit_generator.state != words.bit_generator.state
 
     def test_lemire_threshold_is_exclusive(self):
         # n = 3: a word is rejected when (3 x) mod 2**32 < 2**32 mod 3 = 1,
         # that is for x = 0 alone; x = 0xAAAAAAAB leaves exactly 1, as
-        # 3 x = 2 * 2**32 + 1
-        def word(x):
-            return types.SimpleNamespace(
-                integers=lambda low, high, size, dtype: np.full(size, x, dtype)
-            )
-
-        assert _decode((3,), 1, word(0), 1) is None
-        assert _decode((3,), 1, word(0xAAAAAAAB), 1)[0].tolist() == [[2]]
+        # 3 x = 2 * 2**32 + 1. j's range 2 and the coin take a word each.
+        words = [0, 0xAAAAAAAB, 0, 0xFFFFFFFF]
+        capsule, keep = word_capsule(words)
+        ii, jj, coins = (np.full(1, -1, np.int64) for _ in "ijc")
+        compiled_sweep().draw(capsule, 3, ii, jj, None, coins)
+        assert (ii.tolist(), jj.tolist(), coins.tolist()) == ([2], [0], [1])
 
     def test_self_check_passes_on_installed_numpy(self):
-        # drawing by definition would keep outputs but lose the decoding's
-        # speed
-        assert engine._decoding_matches_numpy()
+        # a failed check would keep outputs but lose the compiled speed
+        assert engine._draw_matches_numpy(compiled_sweep())
 
-    def test_mismatch_falls_back_to_generator_draws(
+    def test_mismatch_falls_back_to_the_python_path(
         self, monkeypatch, caplog, tmp_path
     ):
-        # a decoding off by one in every bounded integer fails the
-        # self-check; the run draws every block by definition and writes
-        # the same bytes
+        # a draw off by one in every i fails the self-check; the Python
+        # path then serves the process and writes the same bytes
         def simulate(name):
             (tmp_path / name).mkdir()
             out = tmp_path / name / "run.csv"
@@ -447,61 +421,75 @@ class TestDrawBlock:
                 assert main(argv) == 0
             return out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes()
 
-        want = simulate("decoded")
-        inner = engine._decode
+        want = simulate("compiled")
+        real = compiled_sweep()
 
-        def off_by_one(layout, s, gen, sweeps):
-            blocks = inner(layout, s, gen, sweeps)
-            return blocks and [
-                b if bound is None else (b + 1) % bound
-                for bound, b in zip(layout, blocks)
-            ]
+        def off_by_one(bitgen, n, ii, jj, lams, coins):
+            draws = real.draw(bitgen, n, ii, jj, lams, coins)
+            ii += 1
+            ii %= n
+            return draws
 
-        monkeypatch.setattr(engine, "_decode", off_by_one)
+        check = engine._draw_matches_numpy
+        fake = types.SimpleNamespace(draw=off_by_one)
+        monkeypatch.setattr(engine, "_draw_matches_numpy", lambda module: check(fake))
         monkeypatch.setattr(
-            engine,
-            "_decoding_matches_numpy",
-            functools.cache(engine._decoding_matches_numpy.__wrapped__),
+            engine, "_compiled_sweep", functools.cache(engine._compiled_sweep.__wrapped__)
         )
-        counts = self.served(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="kinex.engine"):
             got = simulate("fallback")
-        assert "decoded draws differ" in caplog.text
-        # the self-check's block alone was decoded
-        assert counts["decoded"] == 1 and counts["defined"] > 1
+        assert caplog.text.count("compiled draws differ") == 1
+        assert engine._compiled_sweep() is None
         assert got == want
 
-    def test_condensed_run_stops_mid_block(self, monkeypatch):
-        # 128 sweeps per block at N=64: this run stops at sweep 203; the
-        # hash of its records and final wealth was taken with the per-sweep
-        # Generator draws
-        drawn = []
-        inner = engine._draw_block
 
-        def recorded(n, rule, gen, sweeps):
-            block = inner(n, rule, gen, sweeps)
-            drawn.append((gen, gen.bit_generator.state))
-            return block
+class TestCompiledDrawChecksItsArguments:
+    """A bad call of the compiled ``draw`` raises before it draws anything."""
 
-        monkeypatch.setattr(engine, "_draw_block", recorded)
-        cfg = SimConfig(
-            n=64, rule=YS(0.5), max_sweeps=5000, record_every=7, seed=0,
-            stop_gini_gap=0.05,
-        )
-        traj = run(cfg)
-        assert traj.stop_reason is StopReason.CONDENSED
-        assert traj.records[-1].t == 203.0
-        digest = hashlib.sha256(
-            repr([dataclasses.astuple(r) for r in traj.records]).encode()
-            + traj.final_population.wealth.tobytes()
-        ).hexdigest()
-        assert digest == (
-            "f8ca20a94af36980c863e0b4f013bb579b93397e008484b9f6ff2616b75ced60"
-        )
-        # two blocks, the second left part-used; nothing drawn after it
-        assert len(drawn) == 2
-        gen, state = drawn[-1]
-        assert gen.bit_generator.state == state
+    @staticmethod
+    def call(*args, n=8, ii=None, jj=None, lams=None, coins=None, bitgen=None):
+        gen = np.random.Generator(np.random.PCG64(1))
+        gen.integers(0, 5)  # a half pending
+        before = gen.bit_generator.state
+        ii = np.zeros(4, np.int64) if ii is None else ii
+        jj = np.zeros(4, np.int64) if jj is None else jj
+        coins = np.zeros(4, np.int64) if coins is None else coins
+        bitgen = gen.bit_generator.capsule if bitgen is None else bitgen
+        with pytest.raises((TypeError, ValueError)) as err:
+            compiled_sweep().draw(*(args or (bitgen, n, ii, jj, lams, coins)))
+        assert gen.bit_generator.state == before
+        return str(err.value)
+
+    def test_bad_bit_generator(self):
+        self.call(bitgen=np.random.PCG64(1))
+        capsule, keep = word_capsule([], b"Other")
+        self.call(bitgen=capsule)
+
+    @pytest.mark.parametrize("n", [-5, 0, 1, 2**32, 2**70])
+    def test_n_out_of_range(self, n):
+        assert "2**32" in self.call(n=n)
+
+    def test_wrong_item_types(self):
+        assert "int64" in self.call(ii=np.zeros(4, np.int32))
+        assert "int64" in self.call(jj=np.zeros(4))
+        assert "float64" in self.call(lams=np.zeros(4, np.int64))
+        assert "float64 or int64" in self.call(coins=np.zeros(4, np.float32))
+        assert "float64 or int64" in self.call(coins=np.zeros(4, np.int32))
+
+    def test_mismatched_lengths(self):
+        assert "equal lengths" in self.call(jj=np.zeros(3, np.int64))
+        assert "equal lengths" in self.call(lams=np.zeros(5))
+        assert "equal lengths" in self.call(coins=np.zeros(2))
+
+    def test_non_contiguous_or_read_only_buffers(self):
+        self.call(ii=np.zeros(8, np.int64)[::2])
+        frozen = np.zeros(4)
+        frozen.flags.writeable = False
+        self.call(coins=frozen)
+        self.call(lams=np.zeros((2, 2)))
+
+    def test_arity(self):
+        self.call(np.ones(2))
 
 
 class TestRunBasics:
@@ -516,11 +504,44 @@ class TestRunBasics:
         assert rec.gini == 0.5  # (N-1)/N exactly
         assert sorted(traj.final_population.wealth.tolist()) == [0.0, 2.0]
 
+    def test_condensed_run_draws_nothing_past_its_stop(self, monkeypatch):
+        # this run stops at sweep 203; the hash of its records and final
+        # wealth was taken with the per-sweep Generator draws
+        gens = []
+        inner = engine._draw_source
+
+        def recorded(n, rule, gen, module):
+            gens.append(gen)
+            return inner(n, rule, gen, module)
+
+        monkeypatch.setattr(engine, "_draw_source", recorded)
+        cfg = SimConfig(
+            n=64, rule=YS(0.5), max_sweeps=5000, record_every=7, seed=0,
+            stop_gini_gap=0.05,
+        )
+        traj = run(cfg)
+        assert traj.stop_reason is StopReason.CONDENSED
+        assert traj.records[-1].t == 203.0
+        digest = hashlib.sha256(
+            repr([dataclasses.astuple(r) for r in traj.records]).encode()
+            + traj.final_population.wealth.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "f8ca20a94af36980c863e0b4f013bb579b93397e008484b9f6ff2616b75ced60"
+        )
+        twin = RngStream(0).gen
+        for _ in range(203):
+            _draw_exchanges(64, YS(0.5), twin)
+        assert [g.bit_generator.state for g in gens] == [twin.bit_generator.state]
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(n=2, rule=YS(0.5), max_sweeps=0)
         with pytest.raises(ValueError):
             SimConfig(n=1, rule=YS(0.5), max_sweeps=5)
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*32"):
+            SimConfig(n=2**32, rule=YS(0.5), max_sweeps=5)
+        SimConfig(n=2**32 - 1, rule=YS(0.5), max_sweeps=5)
         with pytest.raises(ValueError):
             SimConfig(n=4, rule=YS(0.5), max_sweeps=5, record_every=0)
 
@@ -571,7 +592,7 @@ class TestRunBasics:
         traj = run(cfg, snapshot_every=10)
         assert [t for t, _ in traj.snapshots] == [10, 20]
 
-    @pytest.mark.parametrize("n", [16, _PER_SWEEP_DRAWS_MIN_N], ids=["block", "calls"])
+    @pytest.mark.parametrize("n", [16, 4096])
     def test_run_keeps_one_population(self, n, monkeypatch):
         # records read the run's population and run returns it; none is
         # built per record or for the final state
@@ -734,7 +755,7 @@ class TestEnsemble:
     def test_loop_is_loaded_before_the_pool_forks(self, monkeypatch):
         # a cold cache is built once, in this process, not in every worker
         loads = []
-        monkeypatch.setattr(engine, "_compiled_sweep", lambda: loads.append(1))
+        monkeypatch.setattr(engine, "_load", lambda: loads.append(1))
 
         class Pool:
             def __init__(self, max_workers):
@@ -759,5 +780,9 @@ class TestEnsemble:
 
         monkeypatch.setenv("KINEX_THREADS", "3")
         assert worker_count() == 3
+        monkeypatch.setenv("KINEX_THREADS", "abc")
+        with pytest.raises(ValueError) as exc:
+            worker_count()
+        assert str(exc.value) == "KINEX_THREADS must be an integer, got 'abc'"
         monkeypatch.delenv("KINEX_THREADS")
         assert worker_count() >= 1

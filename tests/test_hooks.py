@@ -66,34 +66,38 @@ def test_exported_name_resolves(name):
     assert hasattr(kinex, name), name
 
 
-@pytest.mark.parametrize("n", [64, 8192], ids=["block-draws", "call-draws"])
+@pytest.mark.parametrize("n", [64, 8192])
 def test_run_calls_sweep_once_per_sweep(monkeypatch, n):
     # the benchmark counts sweeps at engine._sweep, and each sweep makes
-    # one call of the compiled loop
+    # one call of the compiled draw and one of the compiled loop
+    import types
+
     import kinex.engine as engine
 
-    loop = engine._compiled_sweep()
-    calls = {"_sweep": 0, "loop": 0}
-    inner = engine._sweep
+    module = engine._compiled_sweep()
+    calls = {"_sweep": 0, "draw": 0, "loop": 0}
 
-    def counted_sweep(*args):
-        calls["_sweep"] += 1
-        return inner(*args)
+    def counted(name, inner):
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
 
-    def counted_loop(*args):
-        calls["loop"] += 1
-        return loop(*args)
+        return call
 
-    monkeypatch.setattr(engine, "_sweep", counted_sweep)
-    monkeypatch.setattr(engine, "_compiled_sweep", lambda: loop and counted_loop)
+    monkeypatch.setattr(engine, "_sweep", counted("_sweep", engine._sweep))
+    counted_module = module and types.SimpleNamespace(
+        draw=counted("draw", module.draw), sweep=counted("loop", module.sweep)
+    )
+    monkeypatch.setattr(engine, "_compiled_sweep", lambda: counted_module)
     config = engine.SimConfig(
         n=n, rule=RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), max_sweeps=3
     )
     engine.run(config)
-    assert calls == {"_sweep": 3, "loop": 3 if loop else 0}
+    compiled = 3 if module else 0
+    assert calls == {"_sweep": 3, "draw": compiled, "loop": compiled}
 
 
-@pytest.mark.parametrize("n", [64, 4096], ids=["block-draws", "call-draws"])
+@pytest.mark.parametrize("n", [64, 4096])
 def test_traced_exchange_count_is_the_sweeps_draws(monkeypatch, n):
     # the benchmark's tracer counts a sweep's exchanges as len(args[0]) // 2
     # of engine._sweep (perfbench/tracing.py), so the wealth must stay the

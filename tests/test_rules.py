@@ -17,7 +17,8 @@ from kinex import (
     parse_rule,
     two_point_law,
 )
-from kinex.engine import _block_sweeps, _draw_exchanges, _sweep
+import kinex.engine as engine
+from kinex.engine import _draw_exchanges, _draw_source, _sweep
 
 from conftest import one_exchange
 
@@ -198,11 +199,12 @@ def sweep_gains(rule, x_0, x_1):
     it. Agent 0 is the tagged agent i or the partner j; the rules are
     exchangeable, so its gain follows ``two_point_law(rule, x_0, x_1)``
     either way."""
-    sweeps = _block_sweeps(2, rule, np.random.Generator(np.random.PCG64(7)))
+    gen = np.random.Generator(np.random.PCG64(7))
+    draw = _draw_source(2, rule, gen, engine._compiled_sweep())
     gains = np.empty(DRAWS)
-    for k, draws in zip(range(DRAWS), sweeps):
+    for k in range(DRAWS):
         w = np.array([x_0, x_1])
-        _sweep(w, rule, draws)
+        _sweep(w, rule, draw())
         gains[k] = w[0] - x_0
     return gains
 
