@@ -14,15 +14,17 @@
    sweep(kind, w, lam, ii, jj, lams, coins) -> float
      runs the exchanges on the float64 wealths w in place, with lam where
      lams is None, and returns the sum of |delta|. kind is 0 classic loser,
-     1 yard-sale, 2 unbiased loser or 3 Iglesias-Almeida. Each rule's loop
-     restates engine._sweep_scalar line for line, so both give bitwise the
-     same wealths and sum for the same draws.
+     1 yard-sale, 2 unbiased loser or 3 Iglesias-Almeida. As in
+     engine._sweep_scalar, one loop serves every rule: the rule sets agent
+     i's gain on a win, its loss on a loss and the win test, one place
+     applies them, and both give bitwise one result for the same draws.
 
-   The draws: ii, jj int64 agent indices (in [0, len(w)) for sweep), lams
-   float64 lambdas or None, coins int64 or, for the unbiased loser rule,
-   float64 uniforms, one of each per exchange, in one-dimensional
-   C-contiguous buffers. Arguments are checked in full first: a bad one
-   raises TypeError or ValueError and leaves w, or the generator, as it was. */
+   The draws: ii, jj int64 agent indices (for sweep, in [0, len(w)) and
+   ii[k] != jj[k]), lams float64 lambdas or None, coins int64 or, for the
+   unbiased loser rule, float64 uniforms, one of each per exchange, in
+   one-dimensional C-contiguous buffers. Arguments are checked in full
+   first: a bad one raises TypeError or ValueError and leaves w, or the
+   generator, as it was. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -200,7 +202,8 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     const long long *ii = views[0].buf, *jj = views[1].buf;
     const double *lams = views[2].buf;
     for (Py_ssize_t k = 0; k < s; k++) {
-        if (ii[k] < 0 || ii[k] >= n || jj[k] < 0 || jj[k] >= n) {
+        if (ii[k] < 0 || ii[k] >= n || jj[k] < 0 || jj[k] >= n
+            || ii[k] == jj[k]) {
             PyErr_Format(PyExc_ValueError,
                          "exchange %zd pairs agents %lld and %lld of %zd",
                          k, ii[k], jj[k], n);
@@ -208,73 +211,43 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
     }
 
+    /* agent i wins on its coin, or, unbiased, on a uniform below p_plus */
+    const long long *bits = views[3].buf;
+    const double *uniforms = views[3].buf;
     double sum_abs = 0.0;
-    if (kind == YARD_SALE) {
-        const long long *coins = views[3].buf;
-        for (Py_ssize_t k = 0; k < s; k++) {
-            double lam = lams ? lams[k] : fixed_lam;
-            double wi = w[ii[k]];
-            double wj = w[jj[k]];
-            double mn = wi < wj ? wi : wj;
-            double d = lam * mn;
-            sum_abs += d;
-            if (coins[k]) {
-                w[ii[k]] = wi + d;
-                w[jj[k]] = wj - d;
-            }
-            else {
-                w[ii[k]] = wi - d;
-                w[jj[k]] = wj + d;
-            }
-        }
-    }
-    else if (kind != IGLESIAS_ALMEIDA) { /* the loser rules */
-        /* agent i wins on its coin, or, unbiased, on a uniform below p_plus */
-        const long long *bits = views[3].buf;
-        const double *uniforms = views[3].buf;
-        int uniform = kind == UNBIASED_LOSER;
-        for (Py_ssize_t k = 0; k < s; k++) {
-            double lam = lams ? lams[k] : fixed_lam;
-            double wi = w[ii[k]];
-            double wj = w[jj[k]];
-            double tot = wi + wj;
-            double d;
-            if (uniform ? tot > 0.0 && uniforms[k] < wi / tot : bits[k] != 0)
-                d = lam * wj;
-            else
-                d = -(lam * wi);
-            sum_abs += d >= 0 ? d : -d;
-            w[ii[k]] = wi + d;
-            w[jj[k]] = wj - d;
-        }
-    }
-    else { /* Iglesias-Almeida */
-        const long long *coins = views[3].buf;
-        for (Py_ssize_t k = 0; k < s; k++) {
-            double wi = w[ii[k]];
-            double wj = w[jj[k]];
-            double tot = wi + wj;
-            double d = wi * wj;
+    for (Py_ssize_t k = 0; k < s; k++) {
+        double lam = lams ? lams[k] : fixed_lam;
+        double wi = w[ii[k]], wj = w[jj[k]];
+        double tot = wi + wj, mn = wi < wj ? wi : wj;
+        double up, down; /* agent i's gain on a win, its loss on a loss */
+        if (kind == YARD_SALE)
+            up = down = lam * mn;
+        else if (kind == IGLESIAS_ALMEIDA) {
+            up = wi * wj;
             /* a product below the normal range keeps too few bits to
                divide (the guard of rules.harmonic_transfer) */
-            if (d >= DBL_MIN)
-                d /= tot;
+            if (up >= DBL_MIN)
+                up /= tot;
             else if (tot > 0.0)
-                d = wi * (wj / tot);
+                up = wi * (wj / tot);
             /* rounding at extreme wealth ratios can overshoot min(wi, wj)
                by an ulp; clamp to keep the loser's wealth non-negative */
-            double mn = wi < wj ? wi : wj;
-            if (d > mn)
-                d = mn;
-            sum_abs += d;
-            if (coins[k]) {
-                w[ii[k]] = wi + d;
-                w[jj[k]] = wj - d;
-            }
-            else {
-                w[ii[k]] = wi - d;
-                w[jj[k]] = wj + d;
-            }
+            down = up = up > mn ? mn : up;
+        }
+        else { /* the loser rules */
+            up = lam * wj;
+            down = lam * wi;
+        }
+        if (kind == UNBIASED_LOSER ? tot > 0.0 && uniforms[k] < wi / tot
+                                   : bits[k] != 0) {
+            sum_abs += up;
+            w[ii[k]] = wi + up;
+            w[jj[k]] = wj - up;
+        }
+        else {
+            sum_abs += down;
+            w[ii[k]] = wi - down;
+            w[jj[k]] = wj + down;
         }
     }
     result = PyFloat_FromDouble(sum_abs);

@@ -15,13 +15,15 @@ function of its draws: ``run`` draws each sweep, then hands the draws to
 
 Every sweep, whatever N, is one call of the compiled module ``_sweep.c``'s
 ``draw``, which draws what ``_draw_exchanges`` draws, bit for bit, into
-buffers kept for the run, and one of its ``sweep``, which restates the
-Python loop ``_sweep_scalar`` line for line, with bitwise the same wealths
-and sums of |delta|. ``_compiled_sweep`` builds the module on first use
-with the system C compiler into a per-user cache, loads it once per
-process and checks its draws against ``_draw_exchanges``. Where no
-compiler or ``Python.h`` is found, or the check fails, ``_draw_exchanges``
-and the Python loop run instead, logged once.
+buffers kept for the run, and one of its ``sweep``. It and the Python loop
+``_sweep_scalar`` each run every rule in one exchange loop, in which the
+rule sets only agent i's gain on a win, its loss on a loss and the win
+test, with bitwise the same wealths and sums of |delta|.
+``_compiled_sweep`` builds the module on first use with the system C
+compiler into a per-user cache, loads it once per process and checks its
+draws against ``_draw_exchanges``. Where no compiler or ``Python.h`` is
+found, or the check fails, ``_draw_exchanges`` and the Python loop run
+instead, logged once.
 
 A run keeps one ``Population``, which the sweeps change and each record
 reads in place; ``run`` returns it. Each record, and the final state, is
@@ -330,68 +332,57 @@ def _sweep(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
 
 def _sweep_scalar(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
     """``_sweep`` in Python, one exchange at a time on lists of the arrays:
-    the reference of the compiled loop and its fallback. Each branch
-    restates ``rules.two_point_law`` for one exchange, as the vectorised
-    law called per exchange would dominate the loop; tests pin the two."""
-    arr = w
-    w = arr.tolist()
+    the reference of the compiled loop and its fallback. One loop serves
+    every rule: the rule sets agent i's gain ``up`` on a win and its loss
+    ``down`` on a loss, ``rules.two_point_law``'s atoms for one exchange
+    (the vectorised law called per exchange would dominate the loop), and
+    the win test; tests pin the two. Raises ValueError, before it writes,
+    on an exchange whose agents are equal or not in ``w``."""
+    ii, jj, n = draws[0], draws[1], len(w)
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"exchange {k} pairs agents {ii[k]} and {jj[k]} of {n}")
+    arr, w = w, w.tolist()
     ii, jj, lams, coins = (None if a is None else a.tolist() for a in draws)
     kind = rule.kind
+    yard_sale, harmonic = kind is RuleKind.YARD_SALE, kind is RuleKind.IGLESIAS_ALMEIDA
+    uniform = kind is RuleKind.UNBIASED_LOSER
     if lams is None:
         lams = itertools.repeat(1.0 if rule.lam is None else float(rule.lam))
     sum_abs = 0.0
-
-    if kind is RuleKind.YARD_SALE:
-        for i, j, lam, coin in zip(ii, jj, lams, coins):
-            wi = w[i]
-            wj = w[j]
-            mn = wi if wi < wj else wj
-            d = lam * mn
-            sum_abs += d
-            if coin:
-                w[i] = wi + d
-                w[j] = wj - d
-            else:
-                w[i] = wi - d
-                w[j] = wj + d
-    elif kind is not RuleKind.IGLESIAS_ALMEIDA:  # the loser rules
-        # agent i wins on its coin, or, unbiased, on a uniform below p_plus
-        uniform = kind is RuleKind.UNBIASED_LOSER
-        for i, j, lam, coin in zip(ii, jj, lams, coins):
-            wi = w[i]
-            wj = w[j]
+    for i, j, lam, coin in zip(ii, jj, lams, coins):
+        wi = w[i]
+        wj = w[j]
+        if yard_sale:
+            up = down = lam * (wi if wi < wj else wj)
+        elif harmonic:
             tot = wi + wj
-            if (tot > 0.0 and coin < wi / tot) if uniform else coin:
-                d = lam * wj
-            else:
-                d = -(lam * wi)
-            sum_abs += d if d >= 0 else -d
-            w[i] = wi + d
-            w[j] = wj - d
-    else:  # Iglesias-Almeida
-        for i, j, coin in zip(ii, jj, coins):
-            wi = w[i]
-            wj = w[j]
-            tot = wi + wj
-            d = wi * wj
+            up = wi * wj
             # a product below the normal range keeps too few bits to divide
             # (the guard of rules.harmonic_transfer)
-            if d >= _TINY:
-                d /= tot
+            if up >= _TINY:
+                up /= tot
             elif tot > 0.0:
-                d = wi * (wj / tot)
+                up = wi * (wj / tot)
             # rounding at extreme wealth ratios can overshoot min(wi, wj)
             # by an ulp; clamp to keep the loser's wealth non-negative
             mn = wi if wi < wj else wj
-            if d > mn:
-                d = mn
-            sum_abs += d
-            if coin:
-                w[i] = wi + d
-                w[j] = wj - d
-            else:
-                w[i] = wi - d
-                w[j] = wj + d
+            up = down = mn if up > mn else up
+        else:  # the loser rules
+            tot = wi + wj
+            up = lam * wj
+            down = lam * wi
+        # agent i wins on its coin, or, unbiased, on a uniform below p_plus
+        if (tot > 0.0 and coin < wi / tot) if uniform else coin:
+            sum_abs += up
+            w[i] = wi + up
+            w[j] = wj - up
+        else:
+            sum_abs += down
+            w[i] = wi - down
+            w[j] = wj + down
     arr[:] = w
     return sum_abs
 

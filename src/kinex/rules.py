@@ -10,9 +10,10 @@ degenerate one-point) law for agent i's gain:
 
 ``two_point_law`` is the one encoding of this table. The exact distribution
 (``delta_distribution``), the closed-form moments and the master equation's
-kernel atoms are derived from it. The Monte Carlo sweep loop
-(``engine._sweep_scalar`` and its compiled twin ``_sweep.c``) restates it
-per exchange for speed, and tests pin them together.
+kernel atoms are derived from it. The Monte Carlo sweep loops
+(``engine._sweep_scalar`` and its compiled twin ``_sweep.c``) take its shape
+per exchange for speed: each rule sets agent i's gain on a win and its loss
+on a loss, and one loop applies them; tests pin them together.
 
 Exposing the exact laws lets kernel builders and metrics use closed forms,
 and makes unbiasedness checkable to rounding error.
@@ -91,32 +92,29 @@ def _resolve_lambda(rule: RuleSpec, lam):
 def two_point_law(rule: RuleSpec, x_i, x_j, lam=None):
     """Agent i's gain for one exchange as (d_plus, p_plus, d_minus) arrays.
 
-    Agent i gains d_plus >= 0 with probability p_plus and d_minus <= 0
-    otherwise (the table in the module docstring). Accepts scalars or numpy
-    arrays and broadcasts them. ``lam`` (a value or an array of values in
-    [0, 1]) overrides the rule's fixed lambda and is required when the rule
-    carries the random-lambda marker. Two zero-wealth agents (0/0 win
-    probability in the unbiased loser rule) exchange nothing: both atoms
-    are 0.
+    Agent i gains d_plus = up >= 0 with probability p_plus and d_minus =
+    -down <= 0 otherwise (the table in the module docstring). Accepts
+    scalars or numpy arrays and broadcasts them. ``lam`` (a value or an
+    array of values in [0, 1]) overrides the rule's fixed lambda and is
+    required when the rule carries the random-lambda marker. Two
+    zero-wealth agents (0/0 win probability in the unbiased loser rule)
+    exchange nothing: both atoms are 0.
     """
     xi = np.asarray(x_i, dtype=np.float64)
     xj = np.asarray(x_j, dtype=np.float64)
     lam = _resolve_lambda(rule, lam)
     kind = rule.kind
-    p_plus = np.full(np.broadcast(xi, xj).shape, 0.5)
+    p_plus = 0.5
     if kind is RuleKind.YARD_SALE:
-        d = lam * np.minimum(xi, xj)
-        d_plus, d_minus = d, -d + 0.0
-    elif kind is RuleKind.CLASSIC_LOSER:
-        d_plus, d_minus = lam * xj, -(lam * xi) + 0.0
-    elif kind is RuleKind.UNBIASED_LOSER:
-        s = xi + xj
-        p_plus = np.where(s > 0.0, xi / np.where(s > 0.0, s, 1.0), 0.0)
-        d_plus, d_minus = lam * xj, -(lam * xi) + 0.0
-    else:  # Iglesias-Almeida
-        d = harmonic_transfer(xi, xj)
-        d_plus, d_minus = d, -d + 0.0
-    return tuple(np.broadcast_arrays(d_plus, p_plus, d_minus))
+        up = down = lam * np.minimum(xi, xj)
+    elif kind is RuleKind.IGLESIAS_ALMEIDA:
+        up = down = harmonic_transfer(xi, xj)
+    else:  # the loser rules
+        up, down = lam * xj, lam * xi
+        if kind is RuleKind.UNBIASED_LOSER:
+            s = xi + xj
+            p_plus = np.where(s > 0.0, xi / np.where(s > 0.0, s, 1.0), 0.0)
+    return tuple(np.broadcast_arrays(up, p_plus, -down + 0.0))
 
 
 def _check_wealths(x_i: float, x_j: float) -> None:

@@ -126,6 +126,31 @@ class TestSweepFollowsLaw:
                 assert moved == abs(delta)
 
 
+class TestSweepRejectsMalformedExchanges:
+    """Both sweep loops refuse, before they write, an exchange that pairs an
+    agent with itself or names one outside the population."""
+
+    @pytest.mark.usefixtures("sweep_path")
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
+    @pytest.mark.parametrize(
+        "i, j", [(1, 1), (-1, 0), (0, 3)], ids=["same", "negative", "past-n"]
+    )
+    def test_raises_and_leaves_wealth(self, rule, i, j):
+        # the first exchange is valid, so a write before the check shows
+        w = np.array([1.0, 2.0, 3.0])
+        unbiased = rule.kind is RuleKind.UNBIASED_LOSER
+        draws = (
+            np.array([0, i]),
+            np.array([1, j]),
+            np.array([0.5, 0.5]) if rule.random_lambda else None,
+            np.array([0.25, 0.25]) if unbiased else np.array([1, 1]),
+        )
+        message = f"exchange 1 pairs agents {i} and {j} of 3"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _sweep(w, rule, draws)
+        assert w.tolist() == [1.0, 2.0, 3.0]
+
+
 def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
@@ -194,6 +219,7 @@ class TestCompiledSweepChecksItsArguments:
     def test_index_out_of_range(self):
         assert "agents" in self.call(jj=np.array([2, 4]))
         assert "agents" in self.call(ii=np.array([0, -1]))
+        assert "agents" in self.call(jj=np.array([2, 1]))
 
     def test_mismatched_lengths(self):
         assert "equal lengths" in self.call(jj=np.array([2, 3, 1]))
