@@ -337,7 +337,10 @@ def _sweep_scalar(w: np.ndarray, rule: RuleSpec, draws: tuple) -> float:
     ``down`` on a loss, ``rules.two_point_law``'s atoms for one exchange
     (the vectorised law called per exchange would dominate the loop), and
     the win test; tests pin the two. Raises ValueError, before it writes,
-    on an exchange whose agents are equal or not in ``w``."""
+    on draws of unequal lengths or an exchange whose agents are equal or not
+    in ``w``."""
+    if len({len(a) for a in draws if a is not None}) > 1:
+        raise ValueError("ii, jj, lams and coins must have equal lengths")
     ii, jj, n = draws[0], draws[1], len(w)
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
     bad = (lo < 0) | (hi >= n) | (lo == hi)

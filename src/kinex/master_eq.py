@@ -326,22 +326,23 @@ class DiscreteKernel:
     """Discretized transfer kernel on a wealth grid: what the integrator reads.
 
     - ``gain`` is the net gain operator N = G - L (sparse, cells x cells^2).
-      G sends the outer product of masses to the cells where the tagged
-      agent lands: each delta atom of pair (a, b) splits the agent's
-      post-wealth between the two grid points bracketing it.
-      L[a, (a, b)] = 1 removes the agent from its source cell, so
-      ``gain @ vec(m m^T)`` is dm/dt. A pair's column sums to zero to
-      rounding; for a pair that transfers nothing the tagged agent's
-      entries cancel the -1 exactly and the column stores nothing.
+      Ordered pair (a, b) is its column a*n + b, the flat index of the
+      n x n pair arrays, so ``gain @ vec(m m^T)`` is dm/dt. G sends the
+      pair's mass to the cells where the tagged agent lands: each delta
+      atom splits the agent's post-wealth between the two grid points
+      bracketing it. L[a, (a, b)] = 1 removes the agent from its source
+      cell. A pair's column sums to zero to rounding; for a pair that
+      transfers nothing the tagged agent's entries cancel the -1 exactly
+      and the column stores nothing.
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
-      integrand.
+      integrand, an n x n array like ``trunc_coef``.
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
       and time; ``truncated_pairs`` marks the pairs where it is positive.
 
-    The per-atom arrays the build works from are not kept. The partner's
-    post-wealth needs no encoding of its own: the outcome of the partner in
-    pair (a, b) is the tagged outcome of pair (b, a), which the ordered
-    double sum already covers.
+    The build forms the atoms one lambda node at a time and keeps none of
+    them. The partner's post-wealth needs no encoding of its own: the
+    outcome of the partner in pair (a, b) is the tagged outcome of pair
+    (b, a), which the ordered double sum already covers.
     """
 
     def __init__(
@@ -357,27 +358,25 @@ class DiscreteKernel:
         self.has_truncation = bool(self.truncated_pairs.any())
 
 
-def _rule_atoms(rule: RuleSpec, ca: np.ndarray, cb: np.ndarray):
-    """Delta atoms for all ordered pairs: list of (delta, prob) array pairs,
-    the rule's ``two_point_law`` at every node of its lambda mixture."""
-    atoms = []
-    for lam, wnode in _lambda_mixture(rule):
-        d_plus, p_plus, d_minus = two_point_law(rule, ca, cb, lam)
-        atoms.append((d_plus, p_plus * wnode))
-        atoms.append((d_minus, (1.0 - p_plus) * wnode))
-    return atoms
-
-
 def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     """Discretize the rule's transfer kernel on the grid.
 
-    Each delta atom of each ordered cell pair maps the tagged agent's
-    post-exchange wealth to grid cells by the mean-exact two-point split, so
-    per-pair normalization is exact and the represented expected gain is
-    zero to rounding error for the unbiased rules. Post-wealths above the top
+    One pass per node of the rule's lambda mixture evaluates
+    ``two_point_law`` once on the n x n pair layout ``c[:, None], c[None, :]``,
+    where pair (a, b) sits at flat index a*n + b, its column of ``gain``.
+    Each of the node's two delta atoms maps the tagged agent's post-exchange
+    wealth to grid cells by the mean-exact two-point split, so per-pair
+    normalization is exact and the represented expected gain is zero to
+    rounding error for the unbiased rules. Post-wealths above the top
     representative point are assigned to the top cell; the resulting wealth
     loss is tracked by the integrator and flags the run non-conservative
     beyond 1e-8 relative.
+
+    ``abs_delta`` sums each node's |delta| terms from the same arrays. The
+    winner's gain is the one truncated at the top cell, as in ``gain``. For
+    an unbiased rule the loser's atom carries the winner's |delta| mass,
+    (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
+    1 - p_plus cancels at extreme wealth ratios of the unbiased loser rule.
     """
     # imported here, not at module level, so that a process that builds no
     # kernel (every Monte Carlo command) never loads scipy
@@ -385,37 +384,44 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
 
     c = grid.centers.copy()
     n = c.size
-    # before the per-atom arrays exist, so its temporaries add no peak memory
-    abs_delta = _abs_delta(rule, c)
-    pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
-    lo, hi, w_lo, over = _split_points(c, c[pair_a] + delta)
-    del delta
-
-    # Wealth lost by the evolved density per unit (pair-mass * time).
-    # Only the tagged agent's overshoot counts: the gain operator uses
-    # agent-1 destinations alone (agent-2 outcomes of pair (a, b) are
-    # agent-1 outcomes of pair (b, a), which the ordered double sum
-    # already covers).
+    ca = c[:, None]
+    abs_delta = np.zeros((n, n))
+    # Wealth lost by the evolved density per unit (pair-mass * time). Only
+    # the tagged agent's overshoot counts: the gain operator uses agent-1
+    # destinations alone (agent-2 outcomes of pair (a, b) are agent-1
+    # outcomes of pair (b, a), which the ordered double sum already covers).
     trunc_coef = np.zeros((n, n))
-    trunc = prob * over
-    if np.any(trunc > 0.0):
-        np.add.at(trunc_coef, (pair_a, pair_b), trunc)
-    del trunc, over
+    atoms = []
+    for lam, wnode in _lambda_mixture(rule):
+        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
+        p_win = p_plus * wnode
+        p_lose = (1.0 - p_plus) * wnode
+        for d, p in ((d_plus, p_win), (d_minus, p_lose)):
+            q = np.flatnonzero(p)  # the atom's pairs a*n + b: gain's columns
+            p = p.ravel()[q]
+            lo, hi, w_lo, over = _split_points(c, (ca + d).ravel()[q])
+            trunc_coef.ravel()[q] += p * over
+            atoms.append((q, lo, hi, p * w_lo, p * (1.0 - w_lo)))
+            del p, w_lo, over  # before the next atom's split
+        # after the atoms: summed before them, they left the RSS peak higher
+        abs_delta += p_win * np.abs(np.where(ca + d_plus > c[-1], c[-1] - ca, d_plus))
+        if rule.unbiased:
+            abs_delta += p_win * d_plus
+        else:
+            abs_delta += p_lose * np.abs(d_minus)
+    del d_plus, p_plus, d_minus, p_win, p_lose, d, q, lo, hi
 
-    # COO triplets of G (both split points of each atom) and -L (one per
-    # pair); the CSR conversion sums them and zeros are dropped after.
-    # 32-bit indices are what scipy keeps for this shape (cells^2 stays
-    # below 2^31 on any grid whose per-pair arrays fit in memory), so it
-    # needs no converted copy, and every per-atom array is dropped as soon
-    # as it is used: both keep the build's peak memory down.
-    pair_q = pair_a * n + pair_b
-    del pair_a, pair_b
-    rows = np.concatenate([lo, hi, np.repeat(np.arange(n), n)], dtype=np.int32)
-    del lo, hi
-    cols = np.concatenate([pair_q, pair_q, np.arange(n * n)], dtype=np.int32)
-    del pair_q
-    vals = np.concatenate([prob * w_lo, prob * (1.0 - w_lo), np.full(n * n, -1.0)])
-    del prob, w_lo
+    # COO triplets of G (every atom's lo entries, then every atom's hi) and
+    # -L (one per pair), which the CSR conversion sums; zeros are dropped
+    # after. scipy keeps 32-bit indices for this shape (cells^2 < 2^31 on any
+    # grid whose pair arrays fit in memory), so they need no converted copy.
+    cols, lo_rows, hi_rows, lo_vals, hi_vals = zip(*atoms)
+    del atoms
+    rows = np.concatenate([*lo_rows, *hi_rows, np.repeat(np.arange(n), n)], dtype=np.int32)
+    del lo_rows, hi_rows
+    cols = np.concatenate([*cols, *cols, np.arange(n * n)], dtype=np.int32)
+    vals = np.concatenate([*lo_vals, *hi_vals, np.full(n * n, -1.0)])
+    del lo_vals, hi_vals
     gain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n * n))
     del rows, cols, vals
     gain.eliminate_zeros()
@@ -428,43 +434,6 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
             n * n,
         )
     return kernel
-
-
-def _abs_delta(rule: RuleSpec, c: np.ndarray) -> np.ndarray:
-    """Per-pair expected |delta| on the grid, the mobility integrand.
-
-    The winner's gain is the one truncated at the top cell, as in ``gain``.
-    For an unbiased rule the loser's atom carries the winner's |delta| mass,
-    (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
-    1 - p_plus cancels at extreme wealth ratios of the unbiased loser rule.
-    For the other rules this sums the same products in the same order as
-    the per-atom sum p |delta| over the kernel's atoms.
-    """
-    ca = c[:, None]
-    room = c[-1] - ca
-    out = np.zeros((c.size, c.size))
-    for lam, wnode in _lambda_mixture(rule):
-        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
-        p_win = p_plus * wnode
-        out += p_win * np.abs(np.where(ca + d_plus > c[-1], room, d_plus))
-        if rule.unbiased:
-            out += p_win * d_plus
-        else:
-            out += ((1.0 - p_plus) * wnode) * np.abs(d_minus)
-    return out
-
-
-def _pair_atoms(rule: RuleSpec, c: np.ndarray) -> list[np.ndarray]:
-    """(pair_a, pair_b, delta, prob) of every atom with non-zero probability,
-    over all ordered cell pairs."""
-    n = c.size
-    pair_a = np.repeat(np.arange(n, dtype=np.int64), n)
-    pair_b = np.tile(np.arange(n, dtype=np.int64), n)
-    parts = []
-    for d, p in _rule_atoms(rule, c[pair_a], c[pair_b]):
-        keep = p != 0.0
-        parts.append((pair_a[keep], pair_b[keep], d[keep], p[keep]))
-    return [np.concatenate(column) for column in zip(*parts)]
 
 
 @dataclass

@@ -733,6 +733,14 @@ INTEGRATE_COMMANDS = {
         "--grid", "log:1e-3:1e3:64", "--init", "exp:1",
         "--dt", "5", "--t-end", "100",
     ],
+    # lambda-mixture kernels, both truncating at the top cell
+    **{
+        f"integrate-{rule.replace(':lambda=', '-')}": [
+            "integrate", "--rule", rule, "--grid", "log:1e-3:200:96",
+            "--init", "exp:1", "--dt", "5", "--t-end", "40",
+        ]
+        for rule in ["unbiased-loser:lambda=uniform", "yardsale:lambda=uniform"]
+    },
 }
 
 GOLDEN_SHA256.update({
@@ -743,6 +751,14 @@ GOLDEN_SHA256.update({
     "integrate-loser-0.5": (
         "b249773713430d96f00044a244a32e03396636cc8fa779a5da2d4805babf7a6e",
         "fd9aa38a5335cca299de5f29ce10f4f0c9578ed38636a7d24a5be027da1f3c6c",
+    ),
+    "integrate-unbiased-loser-uniform": (
+        "5da14eb1b2e7f475d6a7eeb219f6f67ac55cf1f5ac04a872d7b5ce5a463fca2d",
+        "ab58b6bd25a20b0761676e8a3c631c9bf638fe8283cd50d27c1d08b27474ae86",
+    ),
+    "integrate-yardsale-uniform": (
+        "63702348a3d570d3b3449c97c3b2de80e06206887dadcc49d721ef0643308cff",
+        "9bbf72137dd1605f0676bab874160a97cace2491dc93d4af7204828e70e1182c",
     ),
     "simulate-n8192-yardsale-0.5": (
         "47caa1195c37621805e74c3f1590e9529830f3209951a14dd5de50c756d85443",

@@ -127,8 +127,20 @@ class TestSweepFollowsLaw:
 
 
 class TestSweepRejectsMalformedExchanges:
-    """Both sweep loops refuse, before they write, an exchange that pairs an
-    agent with itself or names one outside the population."""
+    """Both sweep loops refuse, before they write, draws of unequal lengths
+    and an exchange that pairs an agent with itself or names one outside
+    the population."""
+
+    @staticmethod
+    def draws(rule, i, j):
+        # the first exchange is valid, so a write before the check shows
+        unbiased = rule.kind is RuleKind.UNBIASED_LOSER
+        return [
+            np.array([0, i]),
+            np.array([1, j]),
+            np.array([0.5, 0.5]) if rule.random_lambda else None,
+            np.array([0.25, 0.25]) if unbiased else np.array([1, 1]),
+        ]
 
     @pytest.mark.usefixtures("sweep_path")
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
@@ -136,18 +148,26 @@ class TestSweepRejectsMalformedExchanges:
         "i, j", [(1, 1), (-1, 0), (0, 3)], ids=["same", "negative", "past-n"]
     )
     def test_raises_and_leaves_wealth(self, rule, i, j):
-        # the first exchange is valid, so a write before the check shows
         w = np.array([1.0, 2.0, 3.0])
-        unbiased = rule.kind is RuleKind.UNBIASED_LOSER
-        draws = (
-            np.array([0, i]),
-            np.array([1, j]),
-            np.array([0.5, 0.5]) if rule.random_lambda else None,
-            np.array([0.25, 0.25]) if unbiased else np.array([1, 1]),
-        )
         message = f"exchange 1 pairs agents {i} and {j} of 3"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _sweep(w, rule, draws)
+            _sweep(w, rule, self.draws(rule, i, j))
+        assert w.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.usefixtures("sweep_path")
+    @pytest.mark.parametrize(
+        "rule, block",
+        [(r, 3) for r in ALL_RULES] + [(r, 2) for r in ALL_RULES if r.random_lambda],
+        ids=lambda v: format_rule(v) if isinstance(v, RuleSpec) else ("lams", "coins")[v - 2],
+    )
+    def test_unequal_lengths_raise_and_leave_wealth(self, rule, block):
+        # the lambda (2) or coin (3) block one shorter than ii and jj
+        w = np.array([1.0, 2.0, 3.0])
+        draws = self.draws(rule, 0, 2)
+        draws[block] = draws[block][:-1]
+        message = "ii, jj, lams and coins must have equal lengths"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _sweep(w, rule, tuple(draws))
         assert w.tolist() == [1.0, 2.0, 3.0]
 
 

@@ -21,6 +21,7 @@ from kinex import (
     mobility_profile,
     oligarchy_surrogate,
     rhs,
+    two_point_law,
 )
 from kinex.master_eq import (
     Exponential,
@@ -31,7 +32,7 @@ from kinex.master_eq import (
     PointMass,
     UniformBand,
     _grid_axes,
-    _pair_atoms,
+    _lambda_mixture,
     _split_points,
     parse_density,
     parse_grid_scheme,
@@ -43,6 +44,23 @@ YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UL = lambda lam: RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=lam)
 IA = RuleSpec(kind=RuleKind.IGLESIAS_ALMEIDA)
 CL = lambda lam: RuleSpec(kind=RuleKind.CLASSIC_LOSER, lam=lam)
+
+
+def pair_atoms(rule, c):
+    """(pair_a, pair_b, delta, prob) of every delta atom with non-zero
+    probability over all ordered cell pairs, in the kernel's atom order: the
+    rule's ``two_point_law`` at each node of its lambda mixture, evaluated
+    on gathered copies of the pairs' wealths, apart from ``build_kernel``."""
+    n = c.size
+    pair_a = np.repeat(np.arange(n), n)
+    pair_b = np.tile(np.arange(n), n)
+    parts = []
+    for lam, wnode in _lambda_mixture(rule):
+        d_plus, p_plus, d_minus = two_point_law(rule, c[pair_a], c[pair_b], lam)
+        for d, p in ((d_plus, p_plus * wnode), (d_minus, (1.0 - p_plus) * wnode)):
+            keep = p != 0.0
+            parts.append((pair_a[keep], pair_b[keep], d[keep], p[keep]))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 class TestBuildGrid:
@@ -162,7 +180,7 @@ class TestBuildKernel:
         a = 2  # cell at 1.0
         b = 4  # cell at 3.0
         c = grid.centers
-        pair_a, pair_b, delta, prob = _pair_atoms(YS(0.5), c)
+        pair_a, pair_b, delta, prob = pair_atoms(YS(0.5), c)
         mask = (pair_a == a) & (pair_b == b)
         assert sorted(delta[mask].tolist()) == [-0.5, 0.5]
         assert prob[mask].tolist() == [0.5, 0.5]
@@ -239,9 +257,9 @@ class TestBuildKernel:
 
 def rhs_longdouble(kernel, m):
     """Gain minus loss in long double, rebuilt from the rule's per-atom
-    arrays (``_pair_atoms`` and ``_split_points``) instead of ``gain``."""
+    arrays (``pair_atoms`` and ``_split_points``) instead of ``gain``."""
     c = kernel.centers
-    pair_a, pair_b, delta, prob = _pair_atoms(kernel.rule, c)
+    pair_a, pair_b, delta, prob = pair_atoms(kernel.rule, c)
     lo, hi, w_lo, _ = _split_points(c, c[pair_a] + delta)
     m = m.astype(np.longdouble)
     weight = prob.astype(np.longdouble) * m[pair_a] * m[pair_b]
@@ -346,10 +364,10 @@ def gini_rate_bruteforce(grid, rule, lam=None):
 def gini_rate_per_entry(grid, kernel):
     """Per-atom evaluation of the Gini evolution functional: phi at each
     atom's represented post-wealth by prefix sums, rebuilt from the rule's
-    per-atom arrays (``_pair_atoms`` and ``_split_points``) instead of
+    per-atom arrays (``pair_atoms`` and ``_split_points``) instead of
     ``gain``."""
     c = kernel.centers
-    pair_a, pair_b, delta, prob = _pair_atoms(kernel.rule, c)
+    pair_a, pair_b, delta, prob = pair_atoms(kernel.rule, c)
     over = _split_points(c, c[pair_a] + delta)[3]
     repr_delta = np.where(over > 0.0, c[-1] - c[pair_a], delta)
     m = grid.masses
@@ -549,7 +567,7 @@ class TestAbsDelta:
         # order, bitwise: these rules have no cancellation to avoid
         grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
         c = grid.centers
-        pair_a, pair_b, delta, prob = _pair_atoms(rule, c)
+        pair_a, pair_b, delta, prob = pair_atoms(rule, c)
         over = _split_points(c, c[pair_a] + delta)[3]
         represented = np.where(over > 0.0, c[-1] - c[pair_a], delta)
         atom_sum = np.zeros((grid.cells, grid.cells))
