@@ -8,8 +8,12 @@ total mass and its total wealth are exact). Normalization and zero expected
 gain therefore survive discretization to rounding error, which is what makes
 the monotone-Gini and condensation statements hold for the discrete system
 as well. Gain and loss of every pair are stored together in one net gain
-operator, so a single sparse product gives dm/dt, and the Gini rate is a dot
-product with it.
+operator N = G - L, laid out by pair rows: row (a, k) holds N[k, (a, b)]
+over partners b, so one sparse product with m followed by a weighted
+bincount over the rows gives dm/dt, and the Gini rate is a dot product
+with it. The operator is built in blocks of tagged cells a whose
+temporaries fit ``BLOCK_BYTES``, each block's rows appended to the
+kernel's own arrays.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
@@ -75,6 +79,12 @@ LAMBDA_NODES = 8
 # gain between two points errs by about 1e-16 of their gap, and every rule's
 # kernel passed ``check_kernel`` up to 3.2e5 and failed some from 6.5e5.
 MAX_POINT_RATIO = 1e5
+# Bytes of temporaries one block of tagged cells may hold while
+# ``build_kernel`` forms and sums its entries. Freed block temporaries stay
+# in the process heap, so the budget also bounds what a build adds to the
+# peak RSS; at 16 MiB the 201-cell grid of criterion 5 built in one block
+# and its integrate command peaked 1.2 MiB higher than at 4 MiB.
+BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -325,52 +335,140 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
 class DiscreteKernel:
     """Discretized transfer kernel on a wealth grid: what the integrator reads.
 
-    - ``gain`` is the net gain operator N = G - L (sparse, cells x cells^2).
-      Ordered pair (a, b) is its column a*n + b, the flat index of the
-      n x n pair arrays, so ``gain @ vec(m m^T)`` is dm/dt. G sends the
-      pair's mass to the cells where the tagged agent lands: each delta
-      atom splits the agent's post-wealth between the two grid points
-      bracketing it. L[a, (a, b)] = 1 removes the agent from its source
-      cell. A pair's column sums to zero to rounding; for a pair that
-      transfers nothing the tagged agent's entries cancel the -1 exactly
-      and the column stores nothing.
+    - ``gain`` is the net gain operator N = G - L laid out by pair rows:
+      Nt[(a, k), b] = N[k, (a, b)], a sparse CSR matrix with one row per
+      (tagged cell a, destination cell k) that holds an entry, in (a, k)
+      order, and one column per partner cell b. ``row_a`` and ``row_k``
+      (int32) name each row's a and k. dm_k/dt is then the sum over rows
+      (a, k) of m_a (Nt m)_(a, k), so ``gain @ m`` is the only product with
+      the operator. G sends the pair's mass to the cells where the tagged
+      agent lands: each delta atom splits the agent's post-wealth between
+      the two grid points bracketing it. L[a, (a, b)] = 1 removes the agent
+      from its source cell. A pair's entries sum to zero to rounding; for a
+      pair that transfers nothing the tagged agent's entries cancel the -1
+      exactly and the pair stores nothing.
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
-      integrand, an n x n array like ``trunc_coef``.
+      integrand, a dense n x n array indexed [a, b].
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
-      and time; ``truncated_pairs`` marks the pairs where it is positive.
+      and time, a sparse n x n CSR array indexed [a, b];
+      ``truncated_pairs`` marks (densely) the pairs where it is positive.
 
-    The build forms the atoms one lambda node at a time and keeps none of
-    them. The partner's post-wealth needs no encoding of its own: the
-    outcome of the partner in pair (a, b) is the tagged outcome of pair
-    (b, a), which the ordered double sum already covers.
+    The build forms the atoms one lambda node and one block of tagged cells
+    at a time and keeps none of them. The partner's post-wealth needs no
+    encoding of its own: the outcome of the partner in pair (a, b) is the
+    tagged outcome of pair (b, a), which the ordered double sum already
+    covers.
     """
 
     def __init__(
-        self, rule: RuleSpec, centers: np.ndarray, gain, abs_delta, trunc_coef
+        self, rule: RuleSpec, centers: np.ndarray, gain, row_a: np.ndarray,
+        row_k: np.ndarray, abs_delta: np.ndarray, trunc_coef,
     ):
         self.rule = rule
         self.centers = centers
         self.cells = centers.size
         self.gain = gain
+        self.row_a = row_a
+        self.row_k = row_k
         self.abs_delta = abs_delta
         self.trunc_coef = trunc_coef
-        self.truncated_pairs = trunc_coef > 0.0
-        self.has_truncation = bool(self.truncated_pairs.any())
+        self.truncated_pairs = (trunc_coef > 0.0).toarray()
+        self.has_truncation = trunc_coef.nnz > 0
+
+
+def _append(buf: np.ndarray, part: np.ndarray) -> None:
+    """Grow ``buf`` in place by exactly ``part``, which it then ends with."""
+    start = buf.size
+    buf.resize(start + part.size, refcheck=False)
+    buf[start:] = part
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``ordered`` starts."""
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
+    """Summed entries of the pair rows (a, k), a0 <= a < a1, of N.
+
+    Returns (key, value) of every non-zero entry in (a, k, b) order, with
+    key ((a - a0) * n + k) * n + b. Adds the block's |delta| terms to
+    ``abs_delta`` and its overshoot to ``trunc`` (both rows a0..a1 only).
+    Each entry sums its contributions in one order: per lambda node, the
+    winner's atom then the loser's, each at its lower point then its upper
+    one, and the loss -1 last; a stable sort of the keys keeps that order
+    and ``np.add.reduceat`` sums each run of equal keys. Every pair lies in
+    one block, so the sums do not depend on the block size.
+    """
+    n = c.size
+    ca = c[a0:a1, None]
+    pairs = (a1 - a0) * n
+    key_type = np.int32 if pairs * n <= np.iinfo(np.int32).max else np.int64
+    # room for both points of each node's two atoms, and the loss
+    key = np.empty((4 * len(nodes) + 1) * pairs, dtype=key_type)
+    val = np.empty(key.size)
+    end = 0
+    for lam, wnode in nodes:
+        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
+        p_win = p_plus * wnode
+        p_lose = (1.0 - p_plus) * wnode
+        for d, p in ((d_plus, p_win), (d_minus, p_lose)):
+            q = np.flatnonzero(p)  # the atom's pairs (a - a0) * n + b
+            p = p.ravel()[q]
+            lo, hi, w_lo, over = _split_points(c, (ca + d).ravel()[q])
+            trunc.ravel()[q] += p * over
+            del over
+            b = q % n
+            q -= b
+            q *= n
+            q += b  # the key of destination k = 0
+            for k, w in ((lo, p * w_lo), (hi, p * (1.0 - w_lo))):
+                np.add(k * n, q, out=key[end:end + q.size], casting="unsafe")
+                val[end:end + q.size] = w
+                end += q.size
+            del p, q, b, lo, hi, w_lo, k, w  # before the next atom's split
+        abs_delta += p_win * np.abs(np.where(ca + d_plus > c[-1], c[-1] - ca, d_plus))
+        if rule.unbiased:
+            abs_delta += p_win * d_plus
+        else:
+            abs_delta += p_lose * np.abs(d_minus)
+        del d_plus, p_plus, d_minus, p_win, p_lose, d
+    # the loss entry of pair (a, b) sits in row (a, a)
+    key[end:end + pairs].reshape(a1 - a0, n)[...] = (
+        ((np.arange(a1 - a0) * (n + 1) + a0) * n)[:, None] + np.arange(n)
+    )
+    val[end:end + pairs] = -1.0
+    end += pairs
+    order = np.argsort(key[:end], kind="stable")
+    key = key[order]
+    val = val[order]
+    del order
+    first = _run_starts(key)
+    val = np.add.reduceat(val, first)
+    key = key[first]
+    del first
+    keep = val != 0.0
+    return key[keep], val[keep]
 
 
 def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     """Discretize the rule's transfer kernel on the grid.
 
-    One pass per node of the rule's lambda mixture evaluates
-    ``two_point_law`` once on the n x n pair layout ``c[:, None], c[None, :]``,
-    where pair (a, b) sits at flat index a*n + b, its column of ``gain``.
-    Each of the node's two delta atoms maps the tagged agent's post-exchange
-    wealth to grid cells by the mean-exact two-point split, so per-pair
-    normalization is exact and the represented expected gain is zero to
-    rounding error for the unbiased rules. Post-wealths above the top
-    representative point are assigned to the top cell; the resulting wealth
-    loss is tracked by the integrator and flags the run non-conservative
-    beyond 1e-8 relative.
+    The tagged cells a are taken in blocks of consecutive cells, each as
+    large as lets its temporaries fit ``BLOCK_BYTES`` (one cell at least).
+    Per block, one pass per node of the rule's lambda mixture evaluates
+    ``two_point_law`` once on the block's pairs ``c[a0:a1, None],
+    c[None, :]``. Each of the node's two delta atoms maps the tagged agent's
+    post-exchange wealth to grid cells by the mean-exact two-point split, so
+    per-pair normalization is exact and the represented expected gain is
+    zero to rounding error for the unbiased rules. Post-wealths above the
+    top representative point are assigned to the top cell; the resulting
+    wealth loss is tracked by the integrator and flags the run
+    non-conservative beyond 1e-8 relative. The block's summed entries are
+    a run of whole pair rows of ``gain``, appended to arrays the kernel
+    owns, which grow by exactly that run; no block's entries outlive it.
 
     ``abs_delta`` sums each node's |delta| terms from the same arrays. The
     winner's gain is the one truncated at the top cell, as in ``gain``. For
@@ -384,49 +482,54 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
 
     c = grid.centers.copy()
     n = c.size
-    ca = c[:, None]
+    nodes = _lambda_mixture(rule)
+    # Temporaries per pair of a block: per contribution (both points of each
+    # of a node's two atoms, and the loss) a 4-byte key and a value, and as
+    # much again to sort them, plus about 16 floats while an atom is split.
+    pair_bytes = 28 * (4 * len(nodes) + 1) + 8 * 16
+    step = max(1, BLOCK_BYTES // (pair_bytes * n))
     abs_delta = np.zeros((n, n))
-    # Wealth lost by the evolved density per unit (pair-mass * time). Only
-    # the tagged agent's overshoot counts: the gain operator uses agent-1
-    # destinations alone (agent-2 outcomes of pair (a, b) are agent-1
-    # outcomes of pair (b, a), which the ordered double sum already covers).
-    trunc_coef = np.zeros((n, n))
-    atoms = []
-    for lam, wnode in _lambda_mixture(rule):
-        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
-        p_win = p_plus * wnode
-        p_lose = (1.0 - p_plus) * wnode
-        for d, p in ((d_plus, p_win), (d_minus, p_lose)):
-            q = np.flatnonzero(p)  # the atom's pairs a*n + b: gain's columns
-            p = p.ravel()[q]
-            lo, hi, w_lo, over = _split_points(c, (ca + d).ravel()[q])
-            trunc_coef.ravel()[q] += p * over
-            atoms.append((q, lo, hi, p * w_lo, p * (1.0 - w_lo)))
-            del p, w_lo, over  # before the next atom's split
-        # after the atoms: summed before them, they left the RSS peak higher
-        abs_delta += p_win * np.abs(np.where(ca + d_plus > c[-1], c[-1] - ca, d_plus))
-        if rule.unbiased:
-            abs_delta += p_win * d_plus
-        else:
-            abs_delta += p_lose * np.abs(d_minus)
-    del d_plus, p_plus, d_minus, p_win, p_lose, d, q, lo, hi
+    data = np.empty(0)
+    indices = np.empty(0, dtype=np.int32)
+    row_a = np.empty(0, dtype=np.int32)
+    row_k = np.empty(0, dtype=np.int32)
+    row_nnz = np.empty(0, dtype=np.int32)
+    # Wealth lost by the evolved density per unit (pair-mass * time), the
+    # tagged agent's overshoot alone (the partner's outcome of pair (a, b)
+    # is the tagged outcome of pair (b, a)), stored by rows a like gain.
+    trunc_data = np.empty(0)
+    trunc_indices = np.empty(0, dtype=np.int32)
+    trunc_nnz = np.empty(0, dtype=np.int32)
+    for a0 in range(0, n, step):
+        a1 = min(a0 + step, n)
+        trunc = np.zeros((a1 - a0, n))
+        key, val = _block_entries(rule, nodes, c, a0, a1, abs_delta[a0:a1], trunc)
+        rows = key // n  # (a - a0) * n + k
+        _append(data, val)
+        del val
+        _append(indices, key - rows * n)
+        del key
+        first = _run_starts(rows)
+        _append(row_nnz, np.diff(first, append=rows.size))
+        rows = rows[first]
+        del first
+        _append(row_a, rows // n + a0)
+        _append(row_k, rows % n)
+        del rows
+        stored = np.flatnonzero(trunc)
+        _append(trunc_data, trunc.ravel()[stored])
+        _append(trunc_indices, stored % n)
+        _append(trunc_nnz, np.bincount(stored // n, minlength=a1 - a0))
+        del trunc, stored
 
-    # COO triplets of G (every atom's lo entries, then every atom's hi) and
-    # -L (one per pair), which the CSR conversion sums; zeros are dropped
-    # after. scipy keeps 32-bit indices for this shape (cells^2 < 2^31 on any
-    # grid whose pair arrays fit in memory), so they need no converted copy.
-    cols, lo_rows, hi_rows, lo_vals, hi_vals = zip(*atoms)
-    del atoms
-    rows = np.concatenate([*lo_rows, *hi_rows, np.repeat(np.arange(n), n)], dtype=np.int32)
-    del lo_rows, hi_rows
-    cols = np.concatenate([*cols, *cols, np.arange(n * n)], dtype=np.int32)
-    vals = np.concatenate([*lo_vals, *hi_vals, np.full(n * n, -1.0)])
-    del lo_vals, hi_vals
-    gain = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n * n))
-    del rows, cols, vals
-    gain.eliminate_zeros()
-
-    kernel = DiscreteKernel(rule, c, gain, abs_delta, trunc_coef)
+    # scipy keeps the 32-bit index arrays as they are: no copy is made
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
+    gain = sparse.csr_array((data, indices, indptr), shape=(row_a.size, n), copy=False)
+    indptr = np.concatenate(([0], np.cumsum(trunc_nnz)), dtype=np.int32)
+    trunc_coef = sparse.csr_array(
+        (trunc_data, trunc_indices, indptr), shape=(n, n), copy=False
+    )
+    kernel = DiscreteKernel(rule, c, gain, row_a, row_k, abs_delta, trunc_coef)
     if kernel.has_truncation:
         log.debug(
             "kernel truncates wealth at the top cell for %d of %d pairs",
@@ -455,9 +558,10 @@ class KernelCheckReport:
 def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     """Audit the net gain operator N that the integrator uses, pair by pair.
 
-    Column (a, b) of N holds the pair's atoms split onto the grid minus one
-    unit at c_a, so its sum 1^T N is the pair's normalization error and its
-    first moment c^T N is the represented expected gain (the bias). Passes
+    Pair (a, b)'s entries of N, column b of the pair rows (a, k), hold the
+    pair's atoms split onto the grid minus one unit at c_a, so their sum is
+    the pair's normalization error and their first moment sum_k c_k N[k,
+    (a, b)] is the represented expected gain (the bias). Passes
     iff every pair is normalized within 1e-12 and, for unbiased rules, the
     bias is within 1e-10 * (x_k + x_k') of zero on every pair whose
     post-wealths fit the grid. Pairs truncated at the top cell are
@@ -467,8 +571,14 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     """
     n = kernel.cells
     c = kernel.centers
-    norm_error = np.abs(np.ones(n) @ kernel.gain).reshape(n, n)
-    bias = (c @ kernel.gain).reshape(n, n)
+    gain = kernel.gain
+    row_nnz = np.diff(gain.indptr)
+    pair = np.repeat(kernel.row_a * np.int64(n), row_nnz) + gain.indices  # a*n + b
+    norm_error = np.abs(np.bincount(pair, weights=gain.data, minlength=n * n))
+    norm_error = norm_error.reshape(n, n)
+    moment = gain.data * np.repeat(c[kernel.row_k], row_nnz)
+    bias = np.bincount(pair, weights=moment, minlength=n * n).reshape(n, n)
+    del pair, moment
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
     passed = bool(norm_error.max() <= KernelCheckReport.NORM_TOL)
@@ -490,18 +600,27 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
 def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
     """Gain-minus-loss bilinear form: dm_k/dt over all cells.
 
-    One product of the net gain operator N = G - L with vec(m m^T). Each
-    pair's gain and loss meet in the same column of N, so a pair that moves
-    no wealth contributes exactly nothing and zero wealth is exactly
-    absorbing. Total mass of the result is zero to rounding (per-pair
-    probabilities and split weights both sum to one) and total wealth is
-    zero within 1e-12 relative for unbiased kernels (mean-exact splitting).
+    dm_k/dt = sum_(a, b) N[k, (a, b)] m_a m_b for the net gain operator
+    N = G - L. On the pair rows of ``gain`` that is one sparse product
+    (Nt m)_(a, k) = sum_b N[k, (a, b)] m_b, weighted by m_a and summed over
+    the rows of each k in (a, k) order. Each pair's gain and loss are
+    summed into the same entries of N, so a pair that moves no wealth
+    contributes exactly nothing and zero wealth is exactly absorbing. Total
+    mass of the result is zero to rounding (per-pair probabilities and
+    split weights both sum to one) and total wealth is zero within 1e-12
+    relative for unbiased kernels (mean-exact splitting).
     """
     return _rhs_masses(kernel, grid.masses)
 
 
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    return kernel.gain @ np.multiply.outer(m, m).ravel()
+    pair_rows = (kernel.gain @ m) * m[kernel.row_a]
+    return np.bincount(kernel.row_k, weights=pair_rows, minlength=kernel.cells)
+
+
+def _trunc_rate(kernel: DiscreteKernel, m: np.ndarray) -> float:
+    """Wealth lost past the top cell per unit time at masses ``m``."""
+    return float(m @ (kernel.trunc_coef @ m)) if kernel.has_truncation else 0.0
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -514,32 +633,43 @@ def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     mean-exact split sends weights w and 1 - w to the two points bracketing
     post_e with post_e as their weighted mean, so
     phi(post_e) = w phi(c_lo) + (1 - w) phi(c_hi) exactly. The atom sum of a
-    pair is therefore the pair's column of G applied to phi at the grid
-    points, the loss term phi(c_a) is its column of L, and the functional is
-    phi_c^T N vec(m m^T) / M1 = phi_c . (dm/dt) / M1 in exact arithmetic.
+    pair is therefore sum_k G[k, (a, b)] phi(c_k), the loss term phi(c_a) is
+    sum_k L[k, (a, b)] phi(c_k), and the functional is
+    sum_k phi(c_k) sum_(a, b) N[k, (a, b)] m_a m_b / M1 = phi_c . (dm/dt) / M1
+    in exact arithmetic.
     It is the time derivative of the grid Gini
     sum_jk m_j m_k |c_j - c_k| / (2 M1), whose numerator changes at
     2 phi_c . dm/dt while M1 stays fixed (up to tracked truncation).
-    Because N cancels gain against loss inside each pair's column, a pair
+    Because N cancels gain against loss inside each pair's entries, a pair
     that moves no wealth (any pair with a member at zero) adds exactly
     nothing, so the dominant zero-cell mass of a condensing state leaves
-    no rounding residue. Non-negative for unbiased kernels up to rounding
-    error. Raises ValueError when the mean wealth is zero.
+    no rounding residue. The dot product is taken with the shifted
+    phi' = phi_c - M1 - (2 m_0 - M0) c, which is small where the mass sits
+    at zero, and the shift is added back exactly: dm/dt conserves mass and
+    loses wealth only at the truncation rate, so phi_c . dm/dt =
+    phi' . dm/dt - (2 m_0 - M0) * trunc_rate. Non-negative for unbiased
+    kernels up to rounding error. Raises ValueError when the mean wealth is
+    zero.
     """
     if grid.mean <= 0.0:
         raise ValueError("degenerate: zero mean wealth")
-    return _gini_rate_masses(kernel, grid.masses, rhs(grid, kernel))
+    m = grid.masses
+    return _gini_rate_masses(kernel, m, rhs(grid, kernel), _trunc_rate(kernel, m))
 
 
-def _gini_rate_masses(kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray) -> float:
-    """``gini_rate`` of masses ``m`` whose right-hand side is ``r``."""
+def _gini_rate_masses(
+    kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray, trunc_rate: float
+) -> float:
+    """``gini_rate`` of masses ``m`` whose right-hand side is ``r`` and
+    whose truncation rate is ``trunc_rate``."""
     c = kernel.centers
     cum_m = np.cumsum(m)
     cum_mc = np.cumsum(m * c)
-    m_tot = cum_m[-1]
-    m1_tot = cum_mc[-1]
-    phi_c = c * (2.0 * cum_m - m_tot) + (m1_tot - 2.0 * cum_mc)
-    return float(np.dot(phi_c, r) / m1_tot)
+    # phi' = 2 sum_{0 < c_j <= c_k} m_j (c_k - c_j), with c_0 = 0
+    phi_shifted = 2.0 * (c * (cum_m - m[0]) - cum_mc)
+    return float(
+        (np.dot(phi_shifted, r) - (2.0 * m[0] - cum_m[-1]) * trunc_rate) / cum_mc[-1]
+    )
 
 
 def _mobility_ratios(
@@ -657,8 +787,8 @@ def integrate(
             step_no += 1
 
             r = _rhs_masses(kernel, m)
-            rate = _gini_rate_masses(kernel, m, r)
-            trunc_rate = float(m @ kernel.trunc_coef @ m) if kernel.has_truncation else 0.0
+            trunc_rate = _trunc_rate(kernel, m)
+            rate = _gini_rate_masses(kernel, m, r, trunc_rate)
 
             norm1 = float(np.abs(r).sum())
             dt_eff = min(dt, t_end - t)

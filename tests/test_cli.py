@@ -455,7 +455,7 @@ class TestIntegrateCommand:
         assert code == 3
         assert err == (
             "kinex: integration aborted: Gini decrease -0.07698582345763394 "
-            "at t=1.6611810063743375 with dt=1.0\n"
+            "at t=1.6611810063743373 with dt=1.0\n"
         )
 
     def test_random_lambda_kernel(self, tmp_path):
@@ -685,7 +685,7 @@ GOLDEN_SHA256 = {
         "4531e2517b7b302844ab24a9968a1dfd79046693b258658cfc18a5b775636c33",
     ),
     "integrate": (
-        "4de8e69e8cea6eeb1e3e4051e65ee7f99e2838acf312655ea0c909eb0a47fe51",
+        "88baa0b9933ce65929fc90dbcbc254ff037965eb6fcbabe93483bc0f9f1ea627",
         "eb018562ed6b325c3d888a472e7d8b4db2186f17ea3c1e4f1ee38b859e99dd1e",
     ),
     "sweep": (
@@ -745,19 +745,19 @@ INTEGRATE_COMMANDS = {
 
 GOLDEN_SHA256.update({
     "integrate-yardsale-0.5-condense": (
-        "eccbeae8c5f449b5910042d2db081e27afd5eb7f54a19f852ec8e100124aba28",
+        "08dc6e0aa6c35767c6537dae8cda48cac4e53494ec018da276496aeb98b003ac",
         "329d2d2919cdd576ecfb7356352d5d633a396d4e56c3f924af2f159c054b0718",
     ),
     "integrate-loser-0.5": (
-        "b249773713430d96f00044a244a32e03396636cc8fa779a5da2d4805babf7a6e",
+        "52d6be323de98e9644802cb95d47e2ef3d4e247186c5268641da8cf187336b9c",
         "fd9aa38a5335cca299de5f29ce10f4f0c9578ed38636a7d24a5be027da1f3c6c",
     ),
     "integrate-unbiased-loser-uniform": (
-        "5da14eb1b2e7f475d6a7eeb219f6f67ac55cf1f5ac04a872d7b5ce5a463fca2d",
+        "6dda875744cc98e22c67b69b15e78a867070644734058dbf13e12ccc26ee2bbd",
         "ab58b6bd25a20b0761676e8a3c631c9bf638fe8283cd50d27c1d08b27474ae86",
     ),
     "integrate-yardsale-uniform": (
-        "63702348a3d570d3b3449c97c3b2de80e06206887dadcc49d721ef0643308cff",
+        "3acd453c90a26ca8bca4460e2ec4a4d7e86e57f0136ed780d242c311753e85b5",
         "9bbf72137dd1605f0676bab874160a97cace2491dc93d4af7204828e70e1182c",
     ),
     "simulate-n8192-yardsale-0.5": (

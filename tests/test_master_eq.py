@@ -1,8 +1,10 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from kinex import (
     UNIFORM_LAMBDA,
@@ -37,6 +39,7 @@ from kinex.master_eq import (
     parse_density,
     parse_grid_scheme,
 )
+import kinex.master_eq as master_eq
 
 from conftest import gini_dip, make_grid
 
@@ -61,6 +64,48 @@ def pair_atoms(rule, c):
             keep = p != 0.0
             parts.append((pair_a[keep], pair_b[keep], d[keep], p[keep]))
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def net_gain(kernel):
+    """N = G - L as a cells x cells^2 matrix whose column a*n + b is pair
+    (a, b): the pair rows (a, k) of ``kernel.gain`` put back in place."""
+    n = kernel.cells
+    rows = kernel.gain.tocoo()
+    pair = kernel.row_a[rows.row].astype(np.int64) * n + rows.col
+    return scipy.sparse.csr_matrix(
+        (rows.data, (kernel.row_k[rows.row], pair)), shape=(n, n * n)
+    )
+
+
+def pair_entries(kernel, a, b):
+    """Positions in ``kernel.gain.data`` of pair (a, b)'s entries of N."""
+    gain = kernel.gain
+    row_a = np.repeat(kernel.row_a, np.diff(gain.indptr))
+    return np.flatnonzero((row_a == a) & (gain.indices == b))
+
+
+def kernel_arrays(kernel):
+    """Every array a kernel keeps, by name."""
+    return {
+        "gain.data": kernel.gain.data,
+        "gain.indices": kernel.gain.indices,
+        "gain.indptr": kernel.gain.indptr,
+        "row_a": kernel.row_a,
+        "row_k": kernel.row_k,
+        "abs_delta": kernel.abs_delta,
+        "trunc_coef.data": kernel.trunc_coef.data,
+        "trunc_coef.indices": kernel.trunc_coef.indices,
+        "trunc_coef.indptr": kernel.trunc_coef.indptr,
+        "truncated_pairs": kernel.truncated_pairs,
+        "centers": kernel.centers,
+    }
+
+
+def buffer_nbytes(array):
+    """Size of the buffer ``array`` lives in: its own, or its base's."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
 
 
 class TestBuildGrid:
@@ -193,7 +238,7 @@ class TestBuildKernel:
         np.add.at(column, hi, prob[mask] * (1.0 - w_lo))
         column[a] -= 1.0
         n = grid.cells
-        assert kernel.gain[:, a * n + b].toarray().ravel().tolist() == column.tolist()
+        assert net_gain(kernel)[:, a * n + b].toarray().ravel().tolist() == column.tolist()
 
     def test_zero_wealth_row_is_identity(self):
         # a pair with an agent at zero moves nothing, so in its column (0, b)
@@ -201,20 +246,19 @@ class TestBuildKernel:
         grid = small_grid()
         n = grid.cells
         for rule in [YS(0.7), UL(0.3), IA]:
-            gain = build_kernel(rule, grid).gain
+            gain = net_gain(build_kernel(rule, grid))
             for b in [0, 3, 7]:
                 assert gain[:, b].nnz == 0
                 assert gain[:, b * n].nnz == 0
 
     def test_classic_loser_zero_row_not_identity(self):
         kernel = build_kernel(CL(0.5), small_grid())
-        column = kernel.gain[:, 4].toarray().ravel()  # partner at 2.0, gain atom 1.0
+        column = net_gain(kernel)[:, 4].toarray().ravel()  # partner at 2.0, gain atom 1.0
         assert column[1:].max() > 0.0
 
     def test_corrupted_row_flagged(self):
         kernel = build_kernel(YS(0.5), small_grid())
-        column = 2 * kernel.cells + 3  # pair (2, 3)
-        stored = np.nonzero(kernel.gain.indices == column)[0]
+        stored = pair_entries(kernel, 2, 3)
         kernel.gain.data[stored[0]] += 0.1
         report = check_kernel(kernel)
         assert not report.passed
@@ -238,11 +282,11 @@ class TestBuildKernel:
         # one column per ordered pair; gain and loss of the pair meet there
         grid = small_grid()
         n = grid.cells
-        kernel = build_kernel(rule, grid)
-        col_sums = np.asarray(kernel.gain.sum(axis=0)).ravel()
+        gain = net_gain(build_kernel(rule, grid))
+        col_sums = np.asarray(gain.sum(axis=0)).ravel()
         assert np.abs(col_sums).max() <= 1e-15
         # pairs with a member at zero wealth move nothing and store nothing
-        stored = np.diff(kernel.gain.tocsc().indptr).reshape(n, n)
+        stored = np.diff(gain.tocsc().indptr).reshape(n, n)
         assert not stored[0, :].any() and not stored[:, 0].any()
 
     def test_random_lambda_mixture_valid(self):
@@ -253,6 +297,47 @@ class TestBuildKernel:
         )
         report = check_kernel(kernel)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "rule", [YS(0.5), YS(UNIFORM_LAMBDA), UL(UNIFORM_LAMBDA)], ids=format_rule
+    )
+    def test_blocks_change_nothing(self, rule, monkeypatch):
+        # one tagged cell per block against one block for the whole grid,
+        # on a grid that truncates at the top cell
+        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
+        built = {}
+        for budget in (1, 2**62):
+            monkeypatch.setattr(master_eq, "BLOCK_BYTES", budget)
+            built[budget] = kernel_arrays(build_kernel(rule, grid))
+        assert built[1]["trunc_coef.data"].size > 0
+        for name, array in built[1].items():
+            other = built[2**62][name]
+            assert array.dtype == other.dtype, name
+            assert array.tobytes() == other.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "rule", [YS(0.5), YS(UNIFORM_LAMBDA), UL(UNIFORM_LAMBDA), IA, CL(0.5)],
+        ids=format_rule,
+    )
+    def test_kernel_arrays_own_their_memory(self, rule):
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        for name, array in kernel_arrays(build_kernel(rule, grid)).items():
+            assert buffer_nbytes(array) == array.nbytes, name
+
+    def test_traced_build_fits_its_block_budget(self):
+        # the me_fine_grid kernel: the build holds the kernel's own arrays
+        # and, on top, one block's temporaries at a time
+        grid = build_grid(LogScheme(1e-4, 1e5, 800), PointMass(1.0))
+        tracemalloc.start()
+        try:
+            kernel = build_kernel(YS(0.5), grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in kernel_arrays(kernel).values())
+        assert kept <= retained <= kept + 2**16
+        assert peak <= retained + master_eq.BLOCK_BYTES
+        assert kernel.gain.nnz == 2_726_987
 
 
 def rhs_longdouble(kernel, m):
@@ -361,22 +446,23 @@ def gini_rate_bruteforce(grid, rule, lam=None):
     return total / mean
 
 
-def gini_rate_per_entry(grid, kernel):
+def gini_rate_per_entry(grid, kernel, dtype=np.float64):
     """Per-atom evaluation of the Gini evolution functional: phi at each
     atom's represented post-wealth by prefix sums, rebuilt from the rule's
     per-atom arrays (``pair_atoms`` and ``_split_points``) instead of
-    ``gain``."""
+    ``gain``, in the arithmetic of ``dtype``."""
     c = kernel.centers
     pair_a, pair_b, delta, prob = pair_atoms(kernel.rule, c)
     over = _split_points(c, c[pair_a] + delta)[3]
     repr_delta = np.where(over > 0.0, c[-1] - c[pair_a], delta)
-    m = grid.masses
+    idx = np.searchsorted(c, c[pair_a] + repr_delta, side="right")
+    c = c.astype(dtype)
+    m = grid.masses.astype(dtype)
     cum_m = np.concatenate(([0.0], np.cumsum(m)))
     cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))
     m_tot = cum_m[-1]
     m1_tot = cum_mc[-1]
     post = c[pair_a] + repr_delta
-    idx = np.searchsorted(c, post, side="right")
     phi_post = post * (2.0 * cum_m[idx] - m_tot) + (m1_tot - 2.0 * cum_mc[idx])
     phi_c = c * (2.0 * cum_m[1:] - m_tot) + (m1_tot - 2.0 * cum_mc[1:])
     weight = prob * m[pair_a] * m[pair_b]
@@ -409,6 +495,21 @@ class TestGiniRate:
             assert gini_rate(grid, kernel) == pytest.approx(
                 gini_rate_per_entry(grid, kernel), rel=1e-10
             )
+
+    def test_condensation_run_matches_longdouble_reference(self):
+        # every 100th state of the yard-sale lambda=0.1 run of criterion 5:
+        # as the state condenses, phi_c . dm/dt cancels across all cells (to
+        # 2.5e-12 relative here), and the shifted phi does not
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        kernel = build_kernel(YS(0.1), grid)
+        snaps, report = integrate(
+            grid, kernel, dt=50.0, t_end=1e5, stop_gini=0.995, stop_liquidity=0.005,
+            snapshot_every=100,
+        )
+        assert report.stopped_early and len(snaps) > 60
+        for _, state in snaps[:-1]:
+            reference = gini_rate_per_entry(state, kernel, np.longdouble)
+            assert gini_rate(state, kernel) == pytest.approx(reference, rel=1.5e-12, abs=0.0)
 
     @pytest.mark.parametrize("rule", [YS(0.5), UL(0.5), IA])
     def test_matches_bruteforce_triple_sum(self, rule):
