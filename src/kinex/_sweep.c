@@ -1,8 +1,11 @@
-/* One Monte Carlo sweep of the four exchange rules, and its draws, compiled.
+/* One Monte Carlo sweep of the four exchange rules, its draws, and the
+   sparse product of the master equation, compiled.
 
-   kinex.engine builds this file on first use (see engine._compiled_sweep)
-   with -O2 -ffp-contract=off, so that no fused multiply-add changes a
-   rounding, and calls draw() then sweep() once per sweep.
+   kinex.engine builds this file on first use (see engine._load) with -O2
+   -ffp-contract=off, so that no fused multiply-add changes a rounding. The
+   Monte Carlo runs call draw() then sweep() once per sweep; the
+   master-equation integrator calls csr_matvec() for each product of its
+   kernel's operators with the cell masses.
 
    draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins)
      fills the draws with engine._draw_exchanges' for n agents, 2 <= n <
@@ -18,6 +21,18 @@
      engine._sweep_scalar, one loop serves every rule: the rule sets agent
      i's gain on a win, its loss on a loss and the win test, one place
      applies them, and both give bitwise one result for the same draws.
+
+   csr_matvec(indptr, indices, data, x, y) -> y
+     writes the product of the CSR matrix (indptr, indices, data) with the
+     vector x into y, as scipy's csr_array product does, bitwise: each
+     y[i] is 0.0 plus data[j] * x[indices[j]] over the row's entries, added
+     in stored order. indptr and indices hold int32, data, x and y float64,
+     in one-dimensional C-contiguous buffers; y has one item per row. Each
+     call checks the formats, the lengths and the ends of indptr (0 and
+     len(data)), and that indptr does not decrease; the caller, the
+     container of kinex.master_eq, checks once that every index lies in
+     [0, len(x)). A bad argument raises TypeError or ValueError and leaves
+     y as it was.
 
    The draws: ii, jj int64 agent indices (for sweep, in [0, len(w)) and
    ii[k] != jj[k]), lams float64 lambdas or None, coins int64 or, for the
@@ -44,8 +59,9 @@ typedef struct bitgen {
 } bitgen_t;
 
 /* Take a one-dimensional C-contiguous buffer of `name` with items of
-   format `want` ('d' float64, 'q' int64, or 0 for either); its format
-   character on success, 0 with an exception set otherwise. */
+   format `want` ('d' float64, 'q' int64, 'i' int32, or 0 for float64 or
+   int64); its format character on success, 0 with an exception set
+   otherwise. */
 static char
 get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
            const char *name)
@@ -58,13 +74,15 @@ get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
     const char *fmt = view->format ? view->format : "B";
     if (*fmt == '@')
         fmt++;
-    char got = view->itemsize != 8 || fmt[0] == '\0' || fmt[1] != '\0' ? 0
+    char got = fmt[0] == '\0' || fmt[1] != '\0' ? 0
+        : view->itemsize == 4 ? (fmt[0] == 'i' ? 'i' : 0)
+        : view->itemsize != 8 ? 0
         : fmt[0] == 'd' ? 'd'
         : fmt[0] == 'q' || fmt[0] == 'l' ? 'q' : 0;
-    if (!got || (want && got != want)) {
+    if (!got || (want ? got != want : got == 'i')) {
         PyErr_Format(PyExc_TypeError, "%s must hold %s, not format '%s'",
-                     name, want == 'd' ? "float64" : want ? "int64"
-                     : "float64 or int64", view->format);
+                     name, want == 'd' ? "float64" : want == 'q' ? "int64"
+                     : want ? "int32" : "float64 or int64", view->format);
         got = 0;
     }
     else if (view->ndim != 1) {
@@ -257,6 +275,61 @@ done:
     return result;
 }
 
+static PyObject *
+csr_matvec(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "csr_matvec takes 5 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    static const char *names[] = {"indptr", "indices", "data", "x", "y"};
+    const char wants[] = {'i', 'i', 'd', 'd', 'd'};
+    Py_buffer views[5] = {{0}};
+    PyObject *result = NULL;
+    int k = 0;
+    for (; k < 5; k++)
+        if (!get_vector(args[k], &views[k], wants[k], k == 4, names[k]))
+            goto done;
+    const int *indptr = views[0].buf, *indices = views[1].buf;
+    const double *data = views[2].buf, *x = views[3].buf;
+    double *y = views[4].buf;
+    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
+    if (views[2].len / 8 != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indices and data must have equal lengths");
+        goto done;
+    }
+    if (rows < 0 || views[4].len / 8 != rows) {
+        PyErr_SetString(PyExc_ValueError,
+                        "y must have one item per row, len(indptr) - 1");
+        goto done;
+    }
+    if (indptr[0] != 0 || indptr[rows] != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indptr must run from 0 to len(data)");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        if (indptr[i + 1] < indptr[i]) {
+            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        double sum = 0.0;
+        for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
+            sum += data[j] * x[indices[j]];
+        y[i] = sum;
+    }
+    result = Py_NewRef(args[4]);
+done:
+    while (k-- > 0)
+        PyBuffer_Release(&views[k]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL,
      "draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins): fill "
@@ -265,13 +338,18 @@ static PyMethodDef methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
      "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
+    {"csr_matvec", (PyCFunction)(void (*)(void))csr_matvec, METH_FASTCALL,
+     "csr_matvec(indptr, indices, data, x, y) -> y: write the product of "
+     "the CSR matrix (indptr, indices, data) with x into y, each row summed "
+     "from 0.0 in stored order, as scipy's csr_array product."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_sweep",
-    .m_doc = "The compiled Monte Carlo sweep of kinex.engine and its draws.",
+    .m_doc = "The compiled Monte Carlo sweep of kinex.engine and its draws, "
+             "and the CSR matrix-vector product of kinex.master_eq.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -286,8 +286,6 @@ def _cmd_integrate(args) -> int:
         raise ConfigError("--snapshot-every requires --snapshots")
     rule = parse_rule(args.rule)
     grid = build_grid(parse_grid_scheme(args.grid), parse_density(args.init))
-    # loaded here so that a timed or traced build_kernel excludes the import
-    import scipy.sparse  # noqa: F401
     kernel = build_kernel(rule, grid)
     snapshots, report = integrate(
         grid,
@@ -339,8 +337,6 @@ def _cmd_kernel_check(args) -> int:
     edges, centers = _grid_axes(parse_grid_scheme(args.grid))
     masses = np.zeros(centers.size)
     masses[0] = 1.0
-    # loaded here so that a timed or traced build_kernel excludes the import
-    import scipy.sparse  # noqa: F401
     kernel = build_kernel(rule, WealthGrid(edges, masses, centers))
     report = check_kernel(kernel)
     print(f"max normalization error: {format_float(report.max_norm_error)}")

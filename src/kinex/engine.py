@@ -23,7 +23,9 @@ test, with bitwise the same wealths and sums of |delta|.
 compiler into a per-user cache, loads it once per process and checks its
 draws against ``_draw_exchanges``. Where no compiler or ``Python.h`` is
 found, or the check fails, ``_draw_exchanges`` and the Python loop run
-instead, logged once.
+instead, logged once. The same module holds the sparse product of
+``master_eq.CSRMatrix``, which loads it through ``_load``, without the
+draw check.
 
 A run keeps one ``Population``, which the sweeps change and each record
 reads in place; ``run`` returns it. Each record, and the final state, is
@@ -250,7 +252,10 @@ def _compiled_sweep():
 @functools.cache
 def _load():
     """The module of ``_sweep.c``, loaded once per process; None, logged
-    once at WARNING, where it cannot be built. Builds are cached in
+    once at WARNING, where it cannot be built. The Monte Carlo runs reach
+    it through ``_compiled_sweep``, the master-equation products of
+    ``master_eq.CSRMatrix`` directly; where it is None, they sweep in
+    Python and multiply with scipy's ``csr_array``. Builds are cached in
     ``$XDG_CACHE_HOME/kinex`` (``~/.cache/kinex``) under the sha256 of the
     source, ``_CFLAGS`` and the extension suffix. A cache directory others
     may write to is never read: the module is then built in a private one."""
@@ -281,7 +286,10 @@ def _load():
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)
     except (OSError, ImportError) as e:
-        log.warning("no compiled sweep loop (%s); sweeping in Python", e)
+        log.warning(
+            "no compiled module (%s); sweeping in Python and multiplying "
+            "master-equation operators with scipy", e
+        )
         return None
     if os.path.dirname(path) != cache:  # a private build, loaded
         import shutil

@@ -15,6 +15,13 @@ with it. The operator is built in blocks of tagged cells a whose
 temporaries fit ``BLOCK_BYTES``, each block's rows appended to the
 kernel's own arrays.
 
+The kernel holds its sparse operators in ``CSRMatrix``, a container of
+the compressed-sparse-row arrays whose product with a vector is
+``_sweep.c``'s ``csr_matvec``, loaded through ``engine._load`` at the first
+product. It sums each row as scipy's ``csr_array`` product does, so the
+two give the same bits; scipy's product is the fallback where the module
+does not load, and only then is scipy imported.
+
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
 negative. For an unbiased rule every step is then audited: the Gini index
@@ -32,6 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import RuleKind, RuleSpec, WealthGrid
+from .engine import _load
 from .metrics import _weighted_gini
 from .rules import two_point_law
 
@@ -332,11 +340,66 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
     return [(float(rule.lam), 1.0)]
 
 
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row (CSR) form: row i holds
+    ``data[j]`` in column ``indices[j]`` for ``indptr[i] <= j <
+    indptr[i + 1]``, with int32 ``indices`` and ``indptr`` and float64
+    ``data``, as scipy's ``csr_array`` keeps them.
+
+    ``A @ x`` with a float64 vector x of ``shape[1]`` items is ``_sweep.c``'s
+    ``csr_matvec``, which sums each row from 0.0 in stored order, as
+    scipy's product does, so both give the same bits. Where the compiled
+    module does not load, it is scipy's ``csr_array`` product itself, on an
+    array made once, at the first such product, over the same buffers.
+    The arrays are checked here, once: ``csr_matvec`` trusts that every
+    index lies in [0, shape[1]), so ``indices`` and ``indptr`` are then made
+    read-only. ``data`` stays writable. Raises ValueError on arrays that do
+    not form a CSR matrix of ``shape``.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple[int, int]):
+        rows, cols = shape
+        if data.dtype != np.float64 or not indices.dtype == indptr.dtype == np.int32:
+            raise ValueError("CSR arrays must be float64 data and int32 indices")
+        if (
+            data.ndim != 1 or indices.shape != data.shape or indptr.shape != (rows + 1,)
+            or indptr[0] != 0 or indptr[-1] != data.size or np.any(np.diff(indptr) < 0)
+        ):
+            raise ValueError(f"CSR arrays do not form {rows} rows of {data.size} entries")
+        if data.size and not 0 <= indices.min() <= indices.max() < cols:
+            raise ValueError(f"CSR column indices outside [0, {cols})")
+        indices.flags.writeable = False
+        indptr.flags.writeable = False
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (rows, cols)
+        self.nnz = data.size
+        self._scipy = None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        module = _load()
+        if module is None:
+            if self._scipy is None:
+                from scipy.sparse import csr_array
+
+                self._scipy = csr_array(
+                    (self.data, self.indices, self.indptr), shape=self.shape, copy=False
+                )
+            return self._scipy @ x
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"vector of shape {x.shape} for {self.shape[1]} columns")
+        return module.csr_matvec(
+            self.indptr, self.indices, self.data, x, np.empty(self.shape[0])
+        )
+
+
 class DiscreteKernel:
     """Discretized transfer kernel on a wealth grid: what the integrator reads.
 
     - ``gain`` is the net gain operator N = G - L laid out by pair rows:
-      Nt[(a, k), b] = N[k, (a, b)], a sparse CSR matrix with one row per
+      Nt[(a, k), b] = N[k, (a, b)], a ``CSRMatrix`` with one row per
       (tagged cell a, destination cell k) that holds an entry, in (a, k)
       order, and one column per partner cell b. ``row_a`` and ``row_k``
       (int32) name each row's a and k. dm_k/dt is then the sum over rows
@@ -350,7 +413,7 @@ class DiscreteKernel:
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
       integrand, a dense n x n array indexed [a, b].
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
-      and time, a sparse n x n CSR array indexed [a, b];
+      and time, an n x n ``CSRMatrix`` indexed [a, b];
       ``truncated_pairs`` marks (densely) the pairs where it is positive.
 
     The build forms the atoms one lambda node and one block of tagged cells
@@ -361,8 +424,8 @@ class DiscreteKernel:
     """
 
     def __init__(
-        self, rule: RuleSpec, centers: np.ndarray, gain, row_a: np.ndarray,
-        row_k: np.ndarray, abs_delta: np.ndarray, trunc_coef,
+        self, rule: RuleSpec, centers: np.ndarray, gain: CSRMatrix, row_a: np.ndarray,
+        row_k: np.ndarray, abs_delta: np.ndarray, trunc_coef: CSRMatrix,
     ):
         self.rule = rule
         self.centers = centers
@@ -372,7 +435,9 @@ class DiscreteKernel:
         self.row_k = row_k
         self.abs_delta = abs_delta
         self.trunc_coef = trunc_coef
-        self.truncated_pairs = (trunc_coef > 0.0).toarray()
+        self.truncated_pairs = np.zeros((self.cells, self.cells), dtype=bool)
+        rows = np.repeat(np.arange(self.cells), np.diff(trunc_coef.indptr))
+        self.truncated_pairs[rows, trunc_coef.indices] = trunc_coef.data > 0.0
         self.has_truncation = trunc_coef.nnz > 0
 
 
@@ -476,10 +541,6 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
     1 - p_plus cancels at extreme wealth ratios of the unbiased loser rule.
     """
-    # imported here, not at module level, so that a process that builds no
-    # kernel (every Monte Carlo command) never loads scipy
-    import scipy.sparse as sparse
-
     c = grid.centers.copy()
     n = c.size
     nodes = _lambda_mixture(rule)
@@ -522,13 +583,10 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         _append(trunc_nnz, np.bincount(stored // n, minlength=a1 - a0))
         del trunc, stored
 
-    # scipy keeps the 32-bit index arrays as they are: no copy is made
     indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
-    gain = sparse.csr_array((data, indices, indptr), shape=(row_a.size, n), copy=False)
+    gain = CSRMatrix(data, indices, indptr, (row_a.size, n))
     indptr = np.concatenate(([0], np.cumsum(trunc_nnz)), dtype=np.int32)
-    trunc_coef = sparse.csr_array(
-        (trunc_data, trunc_indices, indptr), shape=(n, n), copy=False
-    )
+    trunc_coef = CSRMatrix(trunc_data, trunc_indices, indptr, (n, n))
     kernel = DiscreteKernel(rule, c, gain, row_a, row_k, abs_delta, trunc_coef)
     if kernel.has_truncation:
         log.debug(

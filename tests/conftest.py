@@ -24,7 +24,20 @@ def compiled_sweep():
     self-check."""
     import kinex.engine as engine
 
-    module = engine._compiled_sweep()
+    return _compiled(engine._compiled_sweep)
+
+
+def compiled_product():
+    """The compiled module as the master-equation products load it, through
+    ``engine._load`` (no draw self-check), with its ``csr_matvec``; skips or
+    fails as ``compiled_sweep``, scipy's product then serving every run."""
+    import kinex.engine as engine
+
+    return _compiled(engine._load)
+
+
+def _compiled(load):
+    module = load()
     if module is None:
         if any(map(shutil.which, ("cc", "gcc", "clang"))):
             pytest.fail("a C compiler is on PATH but the compiled module did not load")

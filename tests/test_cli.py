@@ -20,7 +20,7 @@ from kinex.cli import emit_metadata, ExperimentConfig, main
 from kinex.core import format_float
 from kinex.engine import _sweep
 
-from conftest import CRITERION_12_COMMANDS, gini_dip
+from conftest import CRITERION_12_COMMANDS, compiled_product, gini_dip
 
 
 def run_cli(*args):
@@ -912,11 +912,15 @@ def run_python(code, cwd, **env):
 
 
 class TestStartup:
-    def test_commands_without_a_kernel_never_load_scipy(self, tmp_path):
-        # one worker: the ensemble runs in this process and starts no pool
+    def test_commands_never_load_scipy(self, tmp_path):
+        # one worker: the ensemble runs in this process and starts no pool;
+        # the master-equation commands load scipy only for the fallback
+        # product, where the compiled module does not load
         run_python(
             "import sys\n"
-            "import kinex, kinex.cli\n"
+            "import kinex, kinex.cli, kinex.engine\n"
+            "def scipy_loaded():\n"
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "flags = ['--rule', 'yardsale:lambda=0.5', '--n', '16', '--sweeps', '3']\n"
             "assert kinex.cli.main(['simulate', *flags, '--out', 'sim.csv']) == 0\n"
             "assert kinex.cli.main(['ensemble', *flags, '--replicas', '2',\n"
@@ -925,10 +929,40 @@ class TestStartup:
             "                       '--values', '0.3,0.7', '--out', 'sw.csv']) == 0\n"
             "kinex.write_snapshot('pop.txt', kinex.Population([1.0, 3.0]))\n"
             "assert kinex.cli.main(['gini', 'pop.txt']) == 0\n"
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-            "assert not loaded, loaded\n",
+            "assert not scipy_loaded(), scipy_loaded()\n"
+            "assert kinex.cli.main(['integrate', '--rule', 'iglesias-almeida',\n"
+            "                       '--grid', 'log:1e-3:200:96', '--init', 'exp:1',\n"
+            "                       '--dt', '5', '--t-end', '40', '--out', 'i.csv']) == 0\n"
+            "assert kinex.cli.main(['kernel-check', '--rule', 'yardsale:lambda=0.5',\n"
+            "                       '--grid', 'log:1e-3:200:96']) == 0\n"
+            "if kinex.engine._load() is not None:\n"
+            "    assert not scipy_loaded(), scipy_loaded()\n",
             tmp_path,
             KINEX_THREADS="1",
+        )
+
+    def test_fallback_product_loads_scipy_and_gives_the_same_bits(self, tmp_path):
+        # the master-equation products with the module lookup made to find
+        # nothing, as where no compiler is found, against the compiled ones
+        compiled_product()
+        run_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "import kinex.master_eq as me\n"
+            "from kinex import RuleKind, RuleSpec, build_grid, build_kernel, rhs\n"
+            "grid = build_grid(me.LogScheme(1e-3, 200.0, 96), me.Exponential(1.0))\n"
+            "kernel = build_kernel(RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), grid)\n"
+            "assert kernel.has_truncation\n"
+            "def products():\n"
+            "    return (rhs(grid, kernel).view(np.int64).tolist(),\n"
+            "            np.float64(me._trunc_rate(kernel, grid.masses)).view(np.int64))\n"
+            "compiled = products()\n"
+            "assert me._load() is not None\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "me._load = lambda: None\n"
+            "assert products() == compiled\n"
+            "assert 'scipy.sparse' in sys.modules\n",
+            tmp_path,
         )
 
     def test_commands_without_an_ensemble_pool_never_load_multiprocessing(

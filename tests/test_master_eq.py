@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinex import (
     UNIFORM_LAMBDA,
@@ -26,6 +28,7 @@ from kinex import (
     two_point_law,
 )
 from kinex.master_eq import (
+    CSRMatrix,
     Exponential,
     IntegrationAbort,
     LinearScheme,
@@ -41,7 +44,7 @@ from kinex.master_eq import (
 )
 import kinex.master_eq as master_eq
 
-from conftest import gini_dip, make_grid
+from conftest import compiled_product, gini_dip, make_grid
 
 YS = lambda lam: RuleSpec(kind=RuleKind.YARD_SALE, lam=lam)
 UL = lambda lam: RuleSpec(kind=RuleKind.UNBIASED_LOSER, lam=lam)
@@ -66,11 +69,19 @@ def pair_atoms(rule, c):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
+def scipy_csr(matrix):
+    """scipy's ``csr_array`` over the arrays of the kernel's ``CSRMatrix``
+    ``matrix``: the reference of its product, and scipy's methods."""
+    return scipy.sparse.csr_array(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
 def net_gain(kernel):
     """N = G - L as a cells x cells^2 matrix whose column a*n + b is pair
     (a, b): the pair rows (a, k) of ``kernel.gain`` put back in place."""
     n = kernel.cells
-    rows = kernel.gain.tocoo()
+    rows = scipy_csr(kernel.gain).tocoo()
     pair = kernel.row_a[rows.row].astype(np.int64) * n + rows.col
     return scipy.sparse.csr_matrix(
         (rows.data, (kernel.row_k[rows.row], pair)), shape=(n, n * n)
@@ -340,6 +351,120 @@ class TestBuildKernel:
         assert kernel.gain.nnz == 2_726_987
 
 
+def bits(array):
+    """The bit patterns of a float64 array, so that -0.0 and each NaN count."""
+    return np.asarray(array, dtype=np.float64).view(np.int64).tolist()
+
+
+# floats whose products and sums round in every special way
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+           math.inf, -math.inf, math.nan, 1.0, -3.0]
+
+
+@st.composite
+def csr_and_vector(draw):
+    """(indptr, indices, data, x) of a random CSR matrix, some of its rows
+    empty and its columns unsorted or repeated, and a vector of its columns,
+    with -0.0, subnormals, infinities and NaN among the values."""
+    value = st.floats(width=64) | st.sampled_from(SPECIAL)
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, cols - 1), value), max_size=6), max_size=8
+    ))
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int32)
+    entries = [entry for row in rows for entry in row]
+    indices = np.array([col for col, _ in entries], dtype=np.int32)
+    data = np.array([v for _, v in entries], dtype=np.float64)
+    x = np.array(draw(st.lists(value, min_size=cols, max_size=cols)), dtype=np.float64)
+    return indptr, indices, data, x
+
+
+class TestCSRProduct:
+    """``CSRMatrix @ x``, ``_sweep.c``'s ``csr_matvec``, gives scipy's
+    ``csr_array`` product bit for bit."""
+
+    SMALL = (np.array([0, 2, 2, 3], np.int32), np.array([1, 0, 2], np.int32),
+             np.array([0.5, -1.0, 2.0]))
+
+    @pytest.mark.parametrize("cells", [200, 800])
+    @pytest.mark.parametrize(
+        "rule",
+        [YS(0.5), YS(UNIFORM_LAMBDA), UL(0.5), UL(UNIFORM_LAMBDA), CL(0.5),
+         CL(UNIFORM_LAMBDA), IA],
+        ids=format_rule,
+    )
+    def test_kernel_products_match_scipy(self, rule, cells):
+        compiled_product()
+        scheme = LogScheme(1e-4, 1e5, cells)
+        grid = build_grid(scheme, PointMass(1.0))
+        kernel = build_kernel(rule, grid)
+        # a spread state, as mid-run, and a condensed one: nearly all mass
+        # at zero and at 1e4, with a faint tail on every cell
+        spread = build_grid(scheme, Exponential(1.0)).masses
+        condensed = (1.0 - 1e-9) * oligarchy_surrogate(grid, 1e4).masses + 1e-9 * spread
+        for m in (spread, condensed):
+            for matrix in (kernel.gain, kernel.trunc_coef):
+                assert bits(matrix @ m) == bits(scipy_csr(matrix) @ m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csr_and_vector())
+    def test_random_products_match_scipy(self, arrays):
+        module = compiled_product()
+        indptr, indices, data, x = arrays
+        shape = (indptr.size - 1, x.size)
+        want = scipy.sparse.csr_array((data, indices, indptr), shape=shape) @ x
+        y = np.full(shape[0], 7.0)
+        assert module.csr_matvec(indptr, indices, data, x, y) is y
+        assert bits(y) == bits(want)
+        assert bits(CSRMatrix(data, indices, indptr, shape) @ x) == bits(want)
+
+    def call(self, **given):
+        """Call ``csr_matvec`` on the SMALL matrix, x and y with the
+        arguments ``given`` in place of its own; it must raise and leave y
+        as it was."""
+        args = dict(zip(("indptr", "indices", "data"), self.SMALL),
+                    x=np.ones(3), y=np.full(3, 7.0))
+        args.update(given)
+        before = bits(args["y"])
+        with pytest.raises((TypeError, ValueError)) as err:
+            compiled_product().csr_matvec(*args.values())
+        assert bits(args["y"]) == before
+        return str(err.value)
+
+    def test_malformed_calls_raise_before_writing(self):
+        assert "int32" in self.call(indices=np.array([1, 0, 2], np.int64))
+        assert "int32" in self.call(indptr=np.array([0, 2, 2, 3], np.int64))
+        assert "float64" in self.call(x=np.ones(3, np.float32))
+        assert "one-dimensional" in self.call(x=np.ones((3, 1)))
+        self.call(x=np.ones(6)[::2])
+        frozen = np.full(3, 7.0)
+        frozen.flags.writeable = False
+        self.call(y=frozen)
+        assert "one item per row" in self.call(y=np.full(4, 7.0))
+        assert "equal lengths" in self.call(data=np.ones(2))
+        assert "decreases" in self.call(indptr=np.array([0, 3, 2, 3], np.int32))
+        assert "from 0" in self.call(indptr=np.array([0, 2, 2, 2], np.int32))
+        assert "from 0" in self.call(indptr=np.array([1, 2, 2, 3], np.int32))
+
+    def test_container_checks_its_arrays_once(self):
+        indptr, indices, data = self.SMALL
+        matrix = CSRMatrix(data.copy(), indices.copy(), indptr.copy(), (3, 3))
+        assert matrix.nnz == 3 and matrix.shape == (3, 3)
+        assert not matrix.indices.flags.writeable and not matrix.indptr.flags.writeable
+        assert matrix.data.flags.writeable
+        with pytest.raises(ValueError, match="3 columns"):
+            matrix @ np.ones(4)
+        with pytest.raises(ValueError, match="outside"):
+            CSRMatrix(data, np.array([1, 0, 3], np.int32), indptr, (3, 3))
+        with pytest.raises(ValueError, match="outside"):
+            CSRMatrix(data, np.array([1, -1, 2], np.int32), indptr, (3, 3))
+        for bad in ([0, 3, 2, 3], [0, 2, 2, 2], [1, 2, 2, 3], [0, 2, 3]):
+            with pytest.raises(ValueError, match="form"):
+                CSRMatrix(data, indices, np.array(bad, np.int32), (3, 3))
+        with pytest.raises(ValueError, match="int32"):
+            CSRMatrix(data, indices.astype(np.int64), indptr, (3, 3))
+
+
 def rhs_longdouble(kernel, m):
     """Gain minus loss in long double, rebuilt from the rule's per-atom
     arrays (``pair_atoms`` and ``_split_points``) instead of ``gain``."""
@@ -490,7 +615,7 @@ class TestGiniRate:
             masses = np.zeros(grid0.cells)
             masses[support] = gen.dirichlet(np.full(int(support.sum()), 0.5))
             grid = grid0.with_masses(masses)
-            lost = float((kernel.trunc_coef * np.outer(masses, masses)).sum())
+            lost = float((scipy_csr(kernel.trunc_coef) * np.outer(masses, masses)).sum())
             assert (lost > 0.0) == truncating
             assert gini_rate(grid, kernel) == pytest.approx(
                 gini_rate_per_entry(grid, kernel), rel=1e-10
@@ -522,7 +647,7 @@ class TestGiniRate:
         grid = make_grid(centers, masses)
         kernel = build_kernel(rule, grid)
         weighted_truncation = float(
-            (kernel.trunc_coef * np.outer(masses, masses)).sum()
+            (scipy_csr(kernel.trunc_coef) * np.outer(masses, masses)).sum()
         )
         assert weighted_truncation == 0.0
         fast = gini_rate(grid, kernel)
