@@ -75,22 +75,22 @@ class RuleSpec:
 class Population:
     """Agent wealth vector with a cached conserved total.
 
-    The cached total is set at construction and never recomputed during a
-    run; exchanges move a single delta between two entries, so the sum is
-    preserved to within accumulated rounding, which the engine audits at
-    every record.
+    The cached total is the wealth's fsum at construction and is never
+    recomputed during a run; exchanges move a single delta between two
+    entries, so the sum is preserved to within accumulated rounding, which
+    the engine audits at every record.
     """
 
     __slots__ = ("wealth", "total")
 
-    def __init__(self, wealth, total: float | None = None):
+    def __init__(self, wealth):
         w = np.asarray(wealth, dtype=np.float64).copy()
         if w.ndim != 1 or w.size < 2:
             raise ValueError("population needs at least 2 agents")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("negative or non-finite wealth is not allowed")
         self.wealth = w
-        self.total = math.fsum(w) if total is None else float(total)
+        self.total = math.fsum(w)
 
     @property
     def size(self) -> int:

@@ -199,10 +199,10 @@ def _grid_axes(scheme) -> tuple[np.ndarray, np.ndarray]:
 def _split_points(centers: np.ndarray, post: np.ndarray):
     """Conservative two-point split of post-wealths onto the grid.
 
-    Returns (lo, hi, w_lo, overshoot): mass w_lo goes to centers[lo] and
-    1 - w_lo to centers[hi], with w_lo*c_lo + (1-w_lo)*c_hi equal to the
-    post-wealth exactly. Post-wealths above the top point are assigned to
-    the top cell; the lost wealth per unit mass is returned as overshoot.
+    Returns (lo, hi, w_lo): mass w_lo goes to centers[lo] and 1 - w_lo to
+    centers[hi], with w_lo*c_lo + (1-w_lo)*c_hi equal to the post-wealth
+    exactly. Post-wealths above the top point are assigned to the top cell;
+    the caller accounts for the wealth this loses.
     """
     n = centers.size
     post = np.asarray(post, dtype=np.float64)
@@ -213,8 +213,7 @@ def _split_points(centers: np.ndarray, post: np.ndarray):
     hi = np.where(exact, lo, np.minimum(lo + 1, n - 1))
     denom = np.where(exact, 1.0, centers[hi] - centers[lo])
     w_lo = np.where(exact, 1.0, (centers[hi] - post) / denom)
-    overshoot = np.where(over, post - centers[-1], 0.0)
-    return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False), w_lo, overshoot
+    return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False), w_lo
 
 
 def _mean_correct(masses: np.ndarray, centers: np.ndarray, target: float) -> None:
@@ -240,7 +239,7 @@ def _mean_correct(masses: np.ndarray, centers: np.ndarray, target: float) -> Non
 def _point_split(centers: np.ndarray, x: float) -> np.ndarray:
     """Unit mass at wealth ``x``, split mean-exactly between the two grid
     points bracketing it."""
-    lo, hi, w, _ = _split_points(centers, np.array([x]))
+    lo, hi, w = _split_points(centers, np.array([x]))
     masses = np.zeros(centers.size)
     masses[lo[0]] = w[0]
     masses[hi[0]] += 1.0 - w[0]
@@ -379,6 +378,8 @@ class CSRMatrix:
         self._scipy = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"vector of shape {x.shape} for {self.shape[1]} columns")
         module = _load()
         if module is None:
             if self._scipy is None:
@@ -388,8 +389,6 @@ class CSRMatrix:
                     (self.data, self.indices, self.indptr), shape=self.shape, copy=False
                 )
             return self._scipy @ x
-        if x.shape != self.shape[1:]:
-            raise ValueError(f"vector of shape {x.shape} for {self.shape[1]} columns")
         return module.csr_matvec(
             self.indptr, self.indices, self.data, x, np.empty(self.shape[0])
         )
@@ -413,8 +412,8 @@ class DiscreteKernel:
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
       integrand, a dense n x n array indexed [a, b].
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
-      and time, an n x n ``CSRMatrix`` indexed [a, b];
-      ``truncated_pairs`` marks (densely) the pairs where it is positive.
+      and time, an n x n ``CSRMatrix`` indexed [a, b] that stores exactly
+      the pairs that truncate: the kernel's one record of truncation.
 
     The build forms the atoms one lambda node and one block of tagged cells
     at a time and keeps none of them. The partner's post-wealth needs no
@@ -435,10 +434,6 @@ class DiscreteKernel:
         self.row_k = row_k
         self.abs_delta = abs_delta
         self.trunc_coef = trunc_coef
-        self.truncated_pairs = np.zeros((self.cells, self.cells), dtype=bool)
-        rows = np.repeat(np.arange(self.cells), np.diff(trunc_coef.indptr))
-        self.truncated_pairs[rows, trunc_coef.indices] = trunc_coef.data > 0.0
-        self.has_truncation = trunc_coef.nnz > 0
 
 
 def _append(buf: np.ndarray, part: np.ndarray) -> None:
@@ -460,8 +455,10 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
 
     Returns (key, value) of every non-zero entry in (a, k, b) order, with
     key ((a - a0) * n + k) * n + b. Adds the block's |delta| terms to
-    ``abs_delta`` and its overshoot to ``trunc`` (both rows a0..a1 only).
-    Each entry sums its contributions in one order: per lambda node, the
+    ``abs_delta`` and its truncation to ``trunc`` (both rows a0..a1 only),
+    both from the winner's overshoot past the top point, formed once per
+    node: the loser's post-wealth never passes it (d_minus <= 0). Each
+    entry sums its contributions in one order: per lambda node, the
     winner's atom then the loser's, each at its lower point then its upper
     one, and the loss -1 last; a stable sort of the keys keeps that order
     and ``np.add.reduceat`` sums each run of equal keys. Every pair lies in
@@ -482,9 +479,7 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
         for d, p in ((d_plus, p_win), (d_minus, p_lose)):
             q = np.flatnonzero(p)  # the atom's pairs (a - a0) * n + b
             p = p.ravel()[q]
-            lo, hi, w_lo, over = _split_points(c, (ca + d).ravel()[q])
-            trunc.ravel()[q] += p * over
-            del over
+            lo, hi, w_lo = _split_points(c, (ca + d).ravel()[q])
             b = q % n
             q -= b
             q *= n
@@ -494,7 +489,10 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
                 val[end:end + q.size] = w
                 end += q.size
             del p, q, b, lo, hi, w_lo, k, w  # before the next atom's split
-        abs_delta += p_win * np.abs(np.where(ca + d_plus > c[-1], c[-1] - ca, d_plus))
+        over = np.maximum(ca + d_plus - c[-1], 0.0)
+        abs_delta += p_win * np.abs(np.where(over > 0.0, c[-1] - ca, d_plus))
+        trunc += p_win * over
+        del over
         if rule.unbiased:
             abs_delta += p_win * d_plus
         else:
@@ -587,14 +585,13 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     gain = CSRMatrix(data, indices, indptr, (row_a.size, n))
     indptr = np.concatenate(([0], np.cumsum(trunc_nnz)), dtype=np.int32)
     trunc_coef = CSRMatrix(trunc_data, trunc_indices, indptr, (n, n))
-    kernel = DiscreteKernel(rule, c, gain, row_a, row_k, abs_delta, trunc_coef)
-    if kernel.has_truncation:
+    if trunc_coef.nnz:
         log.debug(
             "kernel truncates wealth at the top cell for %d of %d pairs",
-            int(kernel.truncated_pairs.sum()),
+            trunc_coef.nnz,
             n * n,
         )
-    return kernel
+    return DiscreteKernel(rule, c, gain, row_a, row_k, abs_delta, trunc_coef)
 
 
 @dataclass
@@ -640,10 +637,11 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
     passed = bool(norm_error.max() <= KernelCheckReport.NORM_TOL)
+    trunc = kernel.trunc_coef
     if kernel.rule.unbiased:
-        faithful = bias_rel[~kernel.truncated_pairs]
-        worst = float(faithful.max()) if faithful.size else 0.0
-        passed = passed and worst <= KernelCheckReport.BIAS_REL_TOL
+        gated = bias_rel.copy()
+        gated[np.repeat(np.arange(n), np.diff(trunc.indptr)), trunc.indices] = 0.0
+        passed = passed and float(gated.max()) <= KernelCheckReport.BIAS_REL_TOL
     return KernelCheckReport(
         max_norm_error=float(norm_error.max()),
         max_bias=float(np.abs(bias).max()),
@@ -651,7 +649,7 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
         passed=passed,
         norm_error=norm_error,
         bias=bias,
-        truncated_pairs=int(kernel.truncated_pairs.sum()),
+        truncated_pairs=trunc.nnz,
     )
 
 
@@ -678,7 +676,7 @@ def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
 
 def _trunc_rate(kernel: DiscreteKernel, m: np.ndarray) -> float:
     """Wealth lost past the top cell per unit time at masses ``m``."""
-    return float(m @ (kernel.trunc_coef @ m)) if kernel.has_truncation else 0.0
+    return float(m @ (kernel.trunc_coef @ m))
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:

@@ -445,6 +445,26 @@ class TestIntegrateCommand:
         # plain floats, which np.float64(...) is not
         assert float(drift) != 0.0 and float(t[2:]) > 0.0
 
+    def test_mass_drift_exits_3(self, tmp_path, monkeypatch):
+        # a rate that leaks mass into the zero cell keeps the mean
+        import kinex.master_eq as master_eq
+
+        inner = master_eq._rhs_masses
+
+        def leaking(kernel, m):
+            r = inner(kernel, m)
+            r[0] += 1e-6
+            return r
+
+        monkeypatch.setattr(master_eq, "_rhs_masses", leaking)
+        code, _, err = run_cli(
+            "integrate", "--rule", "yardsale:lambda=0.5",
+            "--grid", "log:1e-3:1e3:64", "--init", "exp:1",
+            "--dt", "1", "--t-end", "10", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert err.startswith("kinex: integration aborted: mass drift ")
+
     def test_gini_decrease_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr("kinex.master_eq._weighted_gini", gini_dip(call=4))
         code, _, err = run_cli(
@@ -952,7 +972,7 @@ class TestStartup:
             "from kinex import RuleKind, RuleSpec, build_grid, build_kernel, rhs\n"
             "grid = build_grid(me.LogScheme(1e-3, 200.0, 96), me.Exponential(1.0))\n"
             "kernel = build_kernel(RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), grid)\n"
-            "assert kernel.has_truncation\n"
+            "assert kernel.trunc_coef.nnz\n"
             "def products():\n"
             "    return (rhs(grid, kernel).view(np.int64).tolist(),\n"
             "            np.float64(me._trunc_rate(kernel, grid.masses)).view(np.int64))\n"
