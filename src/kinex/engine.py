@@ -255,7 +255,7 @@ def _load():
     once at WARNING, where it cannot be built. The Monte Carlo runs reach
     it through ``_compiled_sweep``, the master-equation products of
     ``master_eq.CSRMatrix`` directly; where it is None, they sweep in
-    Python and multiply with scipy's ``csr_array``. Builds are cached in
+    Python and multiply with numpy's ``bincount``. Builds are cached in
     ``$XDG_CACHE_HOME/kinex`` (``~/.cache/kinex``) under the sha256 of the
     source, ``_CFLAGS`` and the extension suffix. A cache directory others
     may write to is never read: the module is then built in a private one."""
@@ -288,7 +288,7 @@ def _load():
     except (OSError, ImportError) as e:
         log.warning(
             "no compiled module (%s); sweeping in Python and multiplying "
-            "master-equation operators with scipy", e
+            "master-equation operators with numpy", e
         )
         return None
     if os.path.dirname(path) != cache:  # a private build, loaded

@@ -18,9 +18,9 @@ kernel's own arrays.
 The kernel holds its sparse operators in ``CSRMatrix``, a container of
 the compressed-sparse-row arrays whose product with a vector is
 ``_sweep.c``'s ``csr_matvec``, loaded through ``engine._load`` at the first
-product. It sums each row as scipy's ``csr_array`` product does, so the
-two give the same bits; scipy's product is the fallback where the module
-does not load, and only then is scipy imported.
+product. Where the module does not load, it is a numpy ``bincount`` over
+the same arrays; both sum each row from 0.0 in stored order, as scipy's
+``csr_array`` product does, so all three give the same bits.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
@@ -345,15 +345,15 @@ class CSRMatrix:
     indptr[i + 1]``, with int32 ``indices`` and ``indptr`` and float64
     ``data``, as scipy's ``csr_array`` keeps them.
 
-    ``A @ x`` with a float64 vector x of ``shape[1]`` items is ``_sweep.c``'s
-    ``csr_matvec``, which sums each row from 0.0 in stored order, as
-    scipy's product does, so both give the same bits. Where the compiled
-    module does not load, it is scipy's ``csr_array`` product itself, on an
-    array made once, at the first such product, over the same buffers.
-    The arrays are checked here, once: ``csr_matvec`` trusts that every
-    index lies in [0, shape[1]), so ``indices`` and ``indptr`` are then made
-    read-only. ``data`` stays writable. Raises ValueError on arrays that do
-    not form a CSR matrix of ``shape``.
+    ``A @ x`` with a C-contiguous float64 vector x of ``shape[1]`` items is
+    ``_sweep.c``'s ``csr_matvec``, or, where the compiled module does not
+    load, ``np.bincount`` of ``x[indices] * data`` by row. Both sum each row
+    from 0.0 in stored order, as scipy's product does, so they give the
+    same bits. Any other x, strided ones included, raises ValueError on
+    both paths. The arrays are checked here, once: ``csr_matvec`` trusts
+    that every index lies in [0, shape[1]), so ``indices`` and ``indptr``
+    are then made read-only. ``data`` stays writable. Raises ValueError on
+    arrays that do not form a CSR matrix of ``shape``.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
@@ -375,23 +375,22 @@ class CSRMatrix:
         self.indptr = indptr
         self.shape = (rows, cols)
         self.nnz = data.size
-        self._scipy = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self.shape[1:]:
-            raise ValueError(f"vector of shape {x.shape} for {self.shape[1]} columns")
+        rows, cols = self.shape
+        if x.shape != (cols,) or x.dtype != np.float64 or not x.flags.c_contiguous:
+            raise ValueError(f"{x.dtype} vector of shape {x.shape} for {cols} "
+                             "columns: need contiguous float64")
         module = _load()
         if module is None:
-            if self._scipy is None:
-                from scipy.sparse import csr_array
-
-                self._scipy = csr_array(
-                    (self.data, self.indices, self.indptr), shape=self.shape, copy=False
-                )
-            return self._scipy @ x
-        return module.csr_matvec(
-            self.indptr, self.indices, self.data, x, np.empty(self.shape[0])
-        )
+            # x first: numpy keeps the first of two NaNs, csr_matvec and scipy
+            # x's; and like them it stays quiet on overflow and NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = x[self.indices] * self.data
+            row = np.repeat(np.arange(rows), np.diff(self.indptr))
+            y = np.bincount(row, weights=terms, minlength=rows)
+            return y.astype(np.float64, copy=False)  # integer zeros where nnz is 0
+        return module.csr_matvec(self.indptr, self.indices, self.data, x, np.empty(rows))
 
 
 class DiscreteKernel:

@@ -30,7 +30,8 @@ def compiled_sweep():
 def compiled_product():
     """The compiled module as the master-equation products load it, through
     ``engine._load`` (no draw self-check), with its ``csr_matvec``; skips or
-    fails as ``compiled_sweep``, scipy's product then serving every run."""
+    fails as ``compiled_sweep``, numpy's ``bincount`` then serving every
+    product."""
     import kinex.engine as engine
 
     return _compiled(engine._load)
@@ -55,6 +56,19 @@ def sweep_path(request, monkeypatch):
         compiled_sweep()
     else:
         monkeypatch.setattr(engine, "_compiled_sweep", lambda: None)
+    return request.param
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def product_path(request, monkeypatch):
+    """Run the test on the compiled product and on numpy's, forced as where
+    no compiler is found."""
+    import kinex.master_eq as master_eq
+
+    if request.param == "compiled":
+        compiled_product()
+    else:
+        monkeypatch.setattr(master_eq, "_load", lambda: None)
     return request.param
 
 

@@ -934,11 +934,11 @@ def run_python(code, cwd, **env):
 class TestStartup:
     def test_commands_never_load_scipy(self, tmp_path):
         # one worker: the ensemble runs in this process and starts no pool;
-        # the master-equation commands load scipy only for the fallback
-        # product, where the compiled module does not load
+        # the master-equation commands multiply with the compiled module or,
+        # where it does not load, with numpy
         run_python(
             "import sys\n"
-            "import kinex, kinex.cli, kinex.engine\n"
+            "import kinex, kinex.cli\n"
             "def scipy_loaded():\n"
             "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "flags = ['--rule', 'yardsale:lambda=0.5', '--n', '16', '--sweeps', '3']\n"
@@ -955,33 +955,39 @@ class TestStartup:
             "                       '--dt', '5', '--t-end', '40', '--out', 'i.csv']) == 0\n"
             "assert kinex.cli.main(['kernel-check', '--rule', 'yardsale:lambda=0.5',\n"
             "                       '--grid', 'log:1e-3:200:96']) == 0\n"
-            "if kinex.engine._load() is not None:\n"
-            "    assert not scipy_loaded(), scipy_loaded()\n",
+            "assert not scipy_loaded(), scipy_loaded()\n",
             tmp_path,
             KINEX_THREADS="1",
         )
 
-    def test_fallback_product_loads_scipy_and_gives_the_same_bits(self, tmp_path):
-        # the master-equation products with the module lookup made to find
-        # nothing, as where no compiler is found, against the compiled ones
+    def test_fallback_products_load_no_scipy_and_give_the_same_bits(self, tmp_path):
+        # the master-equation products and commands with the module lookup
+        # made to find nothing, as where no compiler is found, against the
+        # compiled ones
         compiled_product()
         run_python(
             "import sys\n"
             "import numpy as np\n"
-            "import kinex.master_eq as me\n"
-            "from kinex import RuleKind, RuleSpec, build_grid, build_kernel, rhs\n"
+            "import kinex.cli, kinex.master_eq as me\n"
+            "from kinex import RuleKind, RuleSpec, build_grid, build_kernel, gini_rate, rhs\n"
             "grid = build_grid(me.LogScheme(1e-3, 200.0, 96), me.Exponential(1.0))\n"
             "kernel = build_kernel(RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5), grid)\n"
             "assert kernel.trunc_coef.nnz\n"
-            "def products():\n"
+            "flags = ['--rule', 'yardsale:lambda=0.5', '--grid', 'log:1e-3:200:96']\n"
+            "def products(out):\n"
+            "    assert kinex.cli.main(['integrate', *flags, '--init', 'exp:1', '--dt', '5',\n"
+            "                           '--t-end', '40', '--out', out]) == 0\n"
+            "    assert kinex.cli.main(['kernel-check', *flags]) == 0\n"
+            "    rates = [me._trunc_rate(kernel, grid.masses), gini_rate(grid, kernel)]\n"
             "    return (rhs(grid, kernel).view(np.int64).tolist(),\n"
-            "            np.float64(me._trunc_rate(kernel, grid.masses)).view(np.int64))\n"
-            "compiled = products()\n"
+            "            np.array(rates).view(np.int64).tolist(), open(out, 'rb').read())\n"
+            "compiled = products('compiled.csv')\n"
             "assert me._load() is not None\n"
-            "assert 'scipy.sparse' not in sys.modules\n"
-            "me._load = lambda: None\n"
-            "assert products() == compiled\n"
-            "assert 'scipy.sparse' in sys.modules\n",
+            "lookups = []\n"
+            "me._load = lambda: lookups.append(None)\n"
+            "assert products('numpy.csv') == compiled and lookups\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n",
             tmp_path,
         )
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinex import (
@@ -375,9 +375,10 @@ def bits(array):
     return np.asarray(array, dtype=np.float64).view(np.int64).tolist()
 
 
-# floats whose products and sums round in every special way
+# floats whose products and sums round in every special way; a product of
+# NaNs of opposite signs keeps the sign of one of them
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-           math.inf, -math.inf, math.nan, 1.0, -3.0]
+           math.inf, -math.inf, math.nan, -math.nan, 1.0, -3.0]
 
 
 @st.composite
@@ -399,8 +400,8 @@ def csr_and_vector(draw):
 
 
 class TestCSRProduct:
-    """``CSRMatrix @ x``, ``_sweep.c``'s ``csr_matvec``, gives scipy's
-    ``csr_array`` product bit for bit."""
+    """``CSRMatrix @ x``, ``_sweep.c``'s ``csr_matvec`` or numpy's
+    ``bincount``, gives scipy's ``csr_array`` product bit for bit."""
 
     SMALL = (np.array([0, 2, 2, 3], np.int32), np.array([1, 0, 2], np.int32),
              np.array([0.5, -1.0, 2.0]))
@@ -412,8 +413,7 @@ class TestCSRProduct:
          CL(UNIFORM_LAMBDA), IA],
         ids=format_rule,
     )
-    def test_kernel_products_match_scipy(self, rule, cells):
-        compiled_product()
+    def test_kernel_products_match_scipy(self, product_path, rule, cells):
         scheme = LogScheme(1e-4, 1e5, cells)
         grid = build_grid(scheme, PointMass(1.0))
         kernel = build_kernel(rule, grid)
@@ -425,17 +425,20 @@ class TestCSRProduct:
             for matrix in (kernel.gain, kernel.trunc_coef):
                 assert bits(matrix @ m) == bits(scipy_csr(matrix) @ m)
 
-    @settings(max_examples=300, deadline=None)
-    @given(csr_and_vector())
-    def test_random_products_match_scipy(self, arrays):
-        module = compiled_product()
+    # the product path is patched once per test, not per example
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=csr_and_vector())
+    def test_random_products_match_scipy(self, product_path, arrays):
         indptr, indices, data, x = arrays
         shape = (indptr.size - 1, x.size)
         want = scipy.sparse.csr_array((data, indices, indptr), shape=shape) @ x
-        y = np.full(shape[0], 7.0)
-        assert module.csr_matvec(indptr, indices, data, x, y) is y
-        assert bits(y) == bits(want)
-        assert bits(CSRMatrix(data, indices, indptr, shape) @ x) == bits(want)
+        got = CSRMatrix(data, indices, indptr, shape) @ x
+        assert got.dtype == np.float64 and bits(got) == bits(want)
+        if product_path == "compiled":
+            y = np.full(shape[0], 7.0)
+            assert compiled_product().csr_matvec(indptr, indices, data, x, y) is y
+            assert bits(y) == bits(want)
 
     def call(self, **given):
         """Call ``csr_matvec`` on the SMALL matrix, x and y with the
@@ -465,14 +468,18 @@ class TestCSRProduct:
         assert "from 0" in self.call(indptr=np.array([0, 2, 2, 2], np.int32))
         assert "from 0" in self.call(indptr=np.array([1, 2, 2, 3], np.int32))
 
-    def test_container_checks_its_arrays_once(self):
+    def test_container_checks_its_arrays_once(self, product_path):
         indptr, indices, data = self.SMALL
         matrix = CSRMatrix(data.copy(), indices.copy(), indptr.copy(), (3, 3))
         assert matrix.nnz == 3 and matrix.shape == (3, 3)
         assert not matrix.indices.flags.writeable and not matrix.indptr.flags.writeable
         assert matrix.data.flags.writeable
-        with pytest.raises(ValueError, match="3 columns"):
-            matrix @ np.ones(4)
+        assert bits(matrix @ np.ones(3)) == bits([-0.5, 0.0, 2.0])
+        # one ValueError on both paths: strided vectors are rejected, not copied
+        for x in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
+                  np.ones(3, np.float32), np.ones(6)[::2]):
+            with pytest.raises(ValueError, match="3 columns: need contiguous float64"):
+                matrix @ x
         with pytest.raises(ValueError, match="outside"):
             CSRMatrix(data, np.array([1, 0, 3], np.int32), indptr, (3, 3))
         with pytest.raises(ValueError, match="outside"):
