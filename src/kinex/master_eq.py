@@ -9,9 +9,12 @@ gain therefore survive discretization to rounding error, which is what makes
 the monotone-Gini and condensation statements hold for the discrete system
 as well. Gain and loss of every pair are stored together in one net gain
 operator N = G - L, laid out by pair rows: row (a, k) holds N[k, (a, b)]
-over partners b, so one sparse product with m followed by a weighted
-bincount over the rows gives dm/dt, and the Gini rate is a dot product
-with it. The operator is built in blocks of tagged cells a whose
+over partners b. Where the rule's law gives every partner b >= a the same
+outcome (yard-sale: delta = +-lambda min(c_a, c_b) = +-lambda c_a), those
+entries are stored once, in suffix column n + a, which multiplies
+S_a = sum_{b >= a} m_b. So one sparse product with [m; S] followed by a
+weighted bincount over the rows gives dm/dt, and the Gini rate is a dot
+product with it. The operator is built in blocks of tagged cells a whose
 temporaries fit ``BLOCK_BYTES``, each block's rows appended to the
 kernel's own arrays.
 
@@ -383,10 +386,14 @@ class CSRMatrix:
                              "columns: need contiguous float64")
         module = _load()
         if module is None:
-            # x first: numpy keeps the first of two NaNs, csr_matvec and scipy
-            # x's; and like them it stays quiet on overflow and NaN
+            # like csr_matvec and scipy it stays quiet on overflow and NaN
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = x[self.indices] * self.data
+                xs = x[self.indices]
+                terms = xs * self.data
+                # of two NaNs numpy keeps the first below 9 items and the
+                # second from 9 on; csr_matvec and scipy keep x's, quieted
+                nan = np.isnan(xs)
+                terms[nan] = xs[nan] * 1.0
             row = np.repeat(np.arange(rows), np.diff(self.indptr))
             y = np.bincount(row, weights=terms, minlength=rows)
             return y.astype(np.float64, copy=False)  # integer zeros where nnz is 0
@@ -399,9 +406,14 @@ class DiscreteKernel:
     - ``gain`` is the net gain operator N = G - L laid out by pair rows:
       Nt[(a, k), b] = N[k, (a, b)], a ``CSRMatrix`` with one row per
       (tagged cell a, destination cell k) that holds an entry, in (a, k)
-      order, and one column per partner cell b. ``row_a`` and ``row_k``
-      (int32) name each row's a and k. dm_k/dt is then the sum over rows
-      (a, k) of m_a (Nt m)_(a, k), so ``gain @ m`` is the only product with
+      order, and 2n columns: one per partner cell b < n, and suffix column
+      n + a. Where every partner b >= a of a cell a < n - 1 has bitwise the
+      same law at every lambda node, row (a, k) stores the partners b < a
+      in their columns and N[k, (a, a)], which stands for each b >= a, in
+      column n + a alone. Other rows leave the suffix columns empty.
+      ``row_a`` and ``row_k`` (int32) name each row's a and k. dm_k/dt is
+      then the sum over rows (a, k) of m_a (Nt [m; S])_(a, k), with
+      S_a = sum_{b >= a} m_b, so ``gain @ [m; S]`` is the only product with
       the operator. G sends the pair's mass to the cells where the tagged
       agent lands: each delta atom splits the agent's post-wealth between
       the two grid points bracketing it. L[a, (a, b)] = 1 removes the agent
@@ -452,42 +464,36 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     """Summed entries of the pair rows (a, k), a0 <= a < a1, of N.
 
-    Returns (key, value) of every non-zero entry in (a, k, b) order, with
-    key ((a - a0) * n + k) * n + b. Adds the block's |delta| terms to
-    ``abs_delta`` and its truncation to ``trunc`` (both rows a0..a1 only),
-    both from the winner's overshoot past the top point, formed once per
-    node: the loser's post-wealth never passes it (d_minus <= 0). Each
-    entry sums its contributions in one order: per lambda node, the
-    winner's atom then the loser's, each at its lower point then its upper
-    one, and the loss -1 last; a stable sort of the keys keeps that order
-    and ``np.add.reduceat`` sums each run of equal keys. Every pair lies in
-    one block, so the sums do not depend on the block size.
+    Returns (key, value) of every non-zero entry in (a, k, column) order,
+    with key ((a - a0) * n + k) * 2n + column. A first pass over the lambda
+    nodes adds the block's |delta| terms to ``abs_delta`` and its truncation
+    to ``trunc`` (both rows a0..a1 only), both from the winner's overshoot
+    past the top point: the loser's post-wealth never passes it (d_minus <=
+    0). The same pass finds the suffix cells: each a < n - 1 whose three
+    law arrays, at every node, are bitwise equal over the partners b >= a
+    to their value at b = a. All those pairs then have the same entries,
+    so a suffix cell forms only its pairs b < a, in columns b, and pair
+    (a, a), in column n + a, which stands for every b >= a; any other cell
+    forms its pairs in columns b. The second pass forms the atoms of those
+    pairs. Each entry sums its contributions in one order: per lambda node,
+    the winner's atom then the loser's, each at its lower point then its
+    upper one, and the loss -1 last; a stable sort of the keys keeps that
+    order and ``np.add.reduceat`` sums each run of equal keys. Every pair
+    lies in one block, so the sums do not depend on the block size.
     """
     n = c.size
+    width = 2 * n
     ca = c[a0:a1, None]
-    pairs = (a1 - a0) * n
-    key_type = np.int32 if pairs * n <= np.iinfo(np.int32).max else np.int64
-    # room for both points of each node's two atoms, and the loss
-    key = np.empty((4 * len(nodes) + 1) * pairs, dtype=key_type)
-    val = np.empty(key.size)
-    end = 0
+    cells = np.arange(a0, a1)
+    upper = np.arange(n) >= cells[:, None]  # the partners b >= a
+    suffix = cells < n - 1  # a suffix of one pair saves nothing
     for lam, wnode in nodes:
-        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
+        law = two_point_law(rule, ca, c[None, :], lam)
+        for x in law:
+            x = x.view(np.int64)
+            suffix &= ~np.any((x != x[:, a0:a1].diagonal()[:, None]) & upper, axis=1)
+        d_plus, p_plus, d_minus = law
         p_win = p_plus * wnode
-        p_lose = (1.0 - p_plus) * wnode
-        for d, p in ((d_plus, p_win), (d_minus, p_lose)):
-            q = np.flatnonzero(p)  # the atom's pairs (a - a0) * n + b
-            p = p.ravel()[q]
-            lo, hi, w_lo = _split_points(c, (ca + d).ravel()[q])
-            b = q % n
-            q -= b
-            q *= n
-            q += b  # the key of destination k = 0
-            for k, w in ((lo, p * w_lo), (hi, p * (1.0 - w_lo))):
-                np.add(k * n, q, out=key[end:end + q.size], casting="unsafe")
-                val[end:end + q.size] = w
-                end += q.size
-            del p, q, b, lo, hi, w_lo, k, w  # before the next atom's split
         over = np.maximum(ca + d_plus - c[-1], 0.0)
         abs_delta += p_win * np.abs(np.where(over > 0.0, c[-1] - ca, d_plus))
         trunc += p_win * over
@@ -495,14 +501,42 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
         if rule.unbiased:
             abs_delta += p_win * d_plus
         else:
-            abs_delta += p_lose * np.abs(d_minus)
-        del d_plus, p_plus, d_minus, p_win, p_lose, d
+            abs_delta += (1.0 - p_plus) * wnode * np.abs(d_minus)
+        del law, d_plus, p_plus, d_minus, p_win, x
+    formed = ~(upper & suffix[:, None])
+    del upper
+    shift = np.flatnonzero(suffix)
+    formed[shift, shift + a0] = True
+    key_type = np.int32 if (a1 - a0) * n * width <= np.iinfo(np.int32).max else np.int64
+    # each pair's key at destination k = 0
+    pair_key = np.add.outer(np.arange(a1 - a0, dtype=key_type) * (n * width),
+                            np.arange(n, dtype=key_type))
+    pair_key[shift, shift + a0] += n
+    del shift
+    pairs = np.count_nonzero(formed)
+    # room for both points of each node's two atoms, and the loss
+    key = np.empty((4 * len(nodes) + 1) * pairs, dtype=key_type)
+    val = np.empty(key.size)
+    end = 0
+    for lam, wnode in nodes:
+        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
+        for d, p in ((d_plus, p_plus * wnode), (d_minus, (1.0 - p_plus) * wnode)):
+            q = np.flatnonzero(formed & (p != 0.0))  # the atom's pairs (a - a0) * n + b
+            p = p.ravel()[q]
+            lo, hi, w_lo = _split_points(c, (ca + d).ravel()[q])
+            q = pair_key.ravel()[q]
+            for k, w in ((lo, p * w_lo), (hi, p * (1.0 - w_lo))):
+                np.add(k * width, q, out=key[end:end + q.size], casting="unsafe")
+                val[end:end + q.size] = w
+                end += q.size
+            del p, q, lo, hi, w_lo, k, w  # before the next atom's split
+        del d_plus, p_plus, d_minus, d
     # the loss entry of pair (a, b) sits in row (a, a)
-    key[end:end + pairs].reshape(a1 - a0, n)[...] = (
-        ((np.arange(a1 - a0) * (n + 1) + a0) * n)[:, None] + np.arange(n)
-    )
+    pair_key += (cells.astype(key_type) * width)[:, None]
+    key[end:end + pairs] = pair_key[formed]
     val[end:end + pairs] = -1.0
     end += pairs
+    del pair_key, formed
     order = np.argsort(key[:end], kind="stable")
     key = key[order]
     val = val[order]
@@ -520,19 +554,21 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
 
     The tagged cells a are taken in blocks of consecutive cells, each as
     large as lets its temporaries fit ``BLOCK_BYTES`` (one cell at least).
-    Per block, one pass per node of the rule's lambda mixture evaluates
-    ``two_point_law`` once on the block's pairs ``c[a0:a1, None],
-    c[None, :]``. Each of the node's two delta atoms maps the tagged agent's
+    Per block, two passes over the nodes of the rule's lambda mixture each
+    evaluate ``two_point_law`` once per node on the block's pairs
+    ``c[a0:a1, None], c[None, :]``: the first sums ``abs_delta`` and the
+    truncation and finds the suffix cells, the second forms the atoms of the
+    pairs ``gain`` stores. Each of the node's two delta atoms maps the tagged agent's
     post-exchange wealth to grid cells by the mean-exact two-point split, so
     per-pair normalization is exact and the represented expected gain is
     zero to rounding error for the unbiased rules. Post-wealths above the
     top representative point are assigned to the top cell; the resulting
     wealth loss is tracked by the integrator and flags the run
-    non-conservative beyond 1e-8 relative. The block's summed entries are
-    a run of whole pair rows of ``gain``, appended to arrays the kernel
-    owns, which grow by exactly that run; no block's entries outlive it.
+    non-conservative beyond 1e-8 relative. The block's summed entries are a
+    run of whole pair rows of ``gain``, appended to arrays the kernel owns,
+    which grow by exactly that run; no block's entries outlive it.
 
-    ``abs_delta`` sums each node's |delta| terms from the same arrays. The
+    ``abs_delta`` sums each node's |delta| terms from the law's arrays. The
     winner's gain is the one truncated at the top cell, as in ``gain``. For
     an unbiased rule the loser's atom carries the winner's |delta| mass,
     (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
@@ -543,8 +579,9 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     nodes = _lambda_mixture(rule)
     # Temporaries per pair of a block: per contribution (both points of each
     # of a node's two atoms, and the loss) a 4-byte key and a value, and as
-    # much again to sort them, plus about 16 floats while an atom is split.
-    pair_bytes = 28 * (4 * len(nodes) + 1) + 8 * 16
+    # much again to sort them, plus about 16 floats while an atom is split,
+    # and the pair's key at k = 0, its masks and its loss key (24 bytes).
+    pair_bytes = 28 * (4 * len(nodes) + 1) + 8 * 16 + 24
     step = max(1, BLOCK_BYTES // (pair_bytes * n))
     abs_delta = np.zeros((n, n))
     data = np.empty(0)
@@ -562,10 +599,10 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         a1 = min(a0 + step, n)
         trunc = np.zeros((a1 - a0, n))
         key, val = _block_entries(rule, nodes, c, a0, a1, abs_delta[a0:a1], trunc)
-        rows = key // n  # (a - a0) * n + k
+        rows = key // (2 * n)  # (a - a0) * n + k
         _append(data, val)
         del val
-        _append(indices, key - rows * n)
+        _append(indices, key - rows * (2 * n))
         del key
         first = _run_starts(rows)
         _append(row_nnz, np.diff(first, append=rows.size))
@@ -581,7 +618,7 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         del trunc, stored
 
     indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
-    gain = CSRMatrix(data, indices, indptr, (row_a.size, n))
+    gain = CSRMatrix(data, indices, indptr, (row_a.size, 2 * n))
     indptr = np.concatenate(([0], np.cumsum(trunc_nnz)), dtype=np.int32)
     trunc_coef = CSRMatrix(trunc_data, trunc_indices, indptr, (n, n))
     if trunc_coef.nnz:
@@ -612,10 +649,14 @@ class KernelCheckReport:
 def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     """Audit the net gain operator N that the integrator uses, pair by pair.
 
-    Pair (a, b)'s entries of N, column b of the pair rows (a, k), hold the
-    pair's atoms split onto the grid minus one unit at c_a, so their sum is
-    the pair's normalization error and their first moment sum_k c_k N[k,
-    (a, b)] is the represented expected gain (the bias). Passes
+    Pair (a, b)'s entries of N, column b of the pair rows (a, k) or, for
+    b >= a, suffix column n + a, hold the pair's atoms split onto the grid
+    minus one unit at c_a, so their sum is the pair's normalization error
+    and their first moment sum_k c_k N[k, (a, b)] is the represented
+    expected gain (the bias). Both are formed per stored column and the
+    suffix column's sums are expanded over its pairs b >= a, so the
+    reports are n x n as for the pairs stored one by one; of those pairs,
+    (a, a) has the smallest bias scale, so the gate is no looser. Passes
     iff every pair is normalized within 1e-12 and, for unbiased rules, the
     bias is within 1e-10 * (x_k + x_k') of zero on every pair whose
     post-wealths fit the grid. Pairs truncated at the top cell are
@@ -627,11 +668,18 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     c = kernel.centers
     gain = kernel.gain
     row_nnz = np.diff(gain.indptr)
-    pair = np.repeat(kernel.row_a * np.int64(n), row_nnz) + gain.indices  # a*n + b
-    norm_error = np.abs(np.bincount(pair, weights=gain.data, minlength=n * n))
-    norm_error = norm_error.reshape(n, n)
+    pair = np.repeat(kernel.row_a * np.int64(2 * n), row_nnz) + gain.indices
     moment = gain.data * np.repeat(c[kernel.row_k], row_nnz)
-    bias = np.bincount(pair, weights=moment, minlength=n * n).reshape(n, n)
+    a = np.arange(n)
+
+    def by_pair(weights):
+        # sums by (a, column), then column n + a added to each b >= a; where
+        # a column holds no entry its sum is 0.0, which adds nothing
+        sums = np.bincount(pair, weights=weights, minlength=2 * n * n).reshape(n, 2 * n)
+        return sums[:, :n] + np.triu(np.broadcast_to(sums[a, n + a][:, None], (n, n)))
+
+    norm_error = np.abs(by_pair(gain.data))
+    bias = by_pair(moment)
     del pair, moment
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
@@ -657,19 +705,26 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
 
     dm_k/dt = sum_(a, b) N[k, (a, b)] m_a m_b for the net gain operator
     N = G - L. On the pair rows of ``gain`` that is one sparse product
-    (Nt m)_(a, k) = sum_b N[k, (a, b)] m_b, weighted by m_a and summed over
-    the rows of each k in (a, k) order. Each pair's gain and loss are
-    summed into the same entries of N, so a pair that moves no wealth
-    contributes exactly nothing and zero wealth is exactly absorbing. Total
-    mass of the result is zero to rounding (per-pair probabilities and
-    split weights both sum to one) and total wealth is zero within 1e-12
-    relative for unbiased kernels (mean-exact splitting).
+    (Nt [m; S])_(a, k) = sum_b N[k, (a, b)] m_b, where a suffix column
+    n + a multiplies S_a = sum_{b >= a} m_b (one reversed cumulative sum),
+    weighted by m_a and summed over the rows of each k in (a, k) order. Each
+    pair's gain and loss are summed into the same entries of N, so a pair
+    that moves no wealth contributes exactly nothing and zero wealth is
+    exactly absorbing (S_a of a > 0 holds no m_0). Total mass of the result
+    is zero to rounding (per-pair probabilities and split weights both sum
+    to one) and total wealth is zero within 1e-12 relative for unbiased
+    kernels (mean-exact splitting).
     """
     return _rhs_masses(kernel, grid.masses)
 
 
+def _with_suffix_sums(m: np.ndarray) -> np.ndarray:
+    """[m; S] with S_a = sum_{b >= a} m_b: what ``gain``'s columns multiply."""
+    return np.concatenate((m, np.cumsum(m[::-1])[::-1]))
+
+
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    pair_rows = (kernel.gain @ m) * m[kernel.row_a]
+    pair_rows = (kernel.gain @ _with_suffix_sums(m)) * m[kernel.row_a]
     return np.bincount(kernel.row_k, weights=pair_rows, minlength=kernel.cells)
 
 

@@ -475,7 +475,7 @@ class TestIntegrateCommand:
         assert code == 3
         assert err == (
             "kinex: integration aborted: Gini decrease -0.07698582345763394 "
-            "at t=1.6611810063743373 with dt=1.0\n"
+            "at t=1.6611810063743375 with dt=1.0\n"
         )
 
     def test_random_lambda_kernel(self, tmp_path):
@@ -765,7 +765,7 @@ INTEGRATE_COMMANDS = {
 
 GOLDEN_SHA256.update({
     "integrate-yardsale-0.5-condense": (
-        "08dc6e0aa6c35767c6537dae8cda48cac4e53494ec018da276496aeb98b003ac",
+        "41f4bac4fc450cec4231036cc0217a0f61d2aa14a03f9fd58befe94da67802c7",
         "329d2d2919cdd576ecfb7356352d5d633a396d4e56c3f924af2f159c054b0718",
     ),
     "integrate-loser-0.5": (
@@ -777,7 +777,7 @@ GOLDEN_SHA256.update({
         "ab58b6bd25a20b0761676e8a3c631c9bf638fe8283cd50d27c1d08b27474ae86",
     ),
     "integrate-yardsale-uniform": (
-        "3acd453c90a26ca8bca4460e2ec4a4d7e86e57f0136ed780d242c311753e85b5",
+        "695017172b7d5f34b09d1ed0d9c2afef0467a35e830355c05274cf17df01408a",
         "9bbf72137dd1605f0676bab874160a97cace2491dc93d4af7204828e70e1182c",
     ),
     "simulate-n8192-yardsale-0.5": (
