@@ -1,11 +1,12 @@
 /* One Monte Carlo sweep of the four exchange rules, its draws, and the
-   sparse product of the master equation, compiled.
+   sparse products and Gini sums of the master equation, compiled.
 
    kinex.engine builds this file on first use (see engine._load) with -O2
    -ffp-contract=off, so that no fused multiply-add changes a rounding. The
-   Monte Carlo runs call draw() then sweep() once per sweep; the
-   master-equation integrator calls csr_matvec() for each product of its
-   kernel's operators with the cell masses.
+   Monte Carlo runs call draw() then sweep() once per sweep; each step of
+   the master-equation integrator calls pair_rhs() once for dm/dt and
+   gini_sums() twice, for the Gini rate and the Gini check, and
+   csr_matvec() serves the kernel's other products with the cell masses.
 
    draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins)
      fills the draws with engine._draw_exchanges' for n agents, 2 <= n <
@@ -33,6 +34,26 @@
      container of kinex.master_eq, checks once that every index lies in
      [0, len(x)). A bad argument raises TypeError or ValueError and leaves
      y as it was.
+   pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out
+     writes dm/dt of master_eq's pair-row operator into out: with
+     x = [m; S], S_a = sum_{b >= a} m_b summed from the top cell down, each
+     pair row i is summed as csr_matvec sums it, times m[row_a[i]], and
+     added into out[row_k[i]], which starts at 0.0, in row order. That is
+     master_eq's numpy fallback, gain @ x then np.bincount, bitwise. row_a
+     and row_k hold int32, one item per row, m and out float64, one item
+     per cell; it checks what csr_matvec checks and these lengths, and the
+     caller, master_eq.DiscreteKernel, checks once that every index lies in
+     [0, 2 len(m)) and every row cell in [0, len(m)). It allocates 2 len(m)
+     floats, for x.
+   gini_sums(m, c, r) -> (M0, M1, pair, phi_r)
+     the sums of metrics._gini_sums over the masses m at the sorted points
+     c, in index order: M0 = sum m_k, M1 = sum m_k c_k, the half pair sum
+     sum_k m_k (c_k P_k - Q_k) with P_k and Q_k the sums of m_j and m_j c_j
+     over j < k, and phi_r = sum_k phi'_k r_k for master_eq.gini_rate's
+     shifted phi'_k = 2 (c_k (P_k + m_k - m_0) - (Q_k + m_k c_k)), or None
+     where r is None. Each sum starts at its first term, as np.cumsum's do,
+     so it gives the numpy fallback's bits. m, c and r are float64 of one
+     equal length, at least 1.
 
    The draws: ii, jj int64 agent indices (for sweep, in [0, len(w)) and
    ii[k] != jj[k]), lams float64 lambdas or None, coins int64 or, for the
@@ -95,9 +116,9 @@ get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
 }
 
 static void
-release_draws(Py_buffer *views)
+release_vectors(Py_buffer *views, int count)
 {
-    for (int k = 0; k < 4; k++)
+    for (int k = 0; k < count; k++)
         if (views[k].obj != NULL)
             PyBuffer_Release(&views[k]);
 }
@@ -184,7 +205,7 @@ draw(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         for (Py_ssize_t k = 0; coin == 'd' && k < s; k++)
             uniforms[k] = bitgen->next_double(bitgen->state);
     }
-    release_draws(views);
+    release_vectors(views, 4);
     return s < 0 ? NULL : PyTuple_Pack(4, args[2], args[3], args[4], args[5]);
 }
 
@@ -270,9 +291,68 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     result = PyFloat_FromDouble(sum_abs);
 done:
-    release_draws(views);
+    release_vectors(views, 4);
     PyBuffer_Release(&bw);
     return result;
+}
+
+/* Take the arguments named `names` into `views`, zeroed by the caller,
+   as one-dimensional C-contiguous buffers of the kinds `wants`: 'd'
+   float64, 'i' int32, 'w' writable float64, 'n' float64 or None (None
+   leaves its view's obj NULL). 1 on success, 0 with an exception set. */
+static int
+take_vectors(PyObject *const *args, Py_buffer *views, int count,
+             const char *wants, const char *const *names)
+{
+    for (int k = 0; k < count; k++) {
+        if (wants[k] == 'n' && args[k] == Py_None)
+            continue;
+        char want = wants[k] == 'i' ? 'i' : 'd';
+        if (!get_vector(args[k], &views[k], want, wants[k] == 'w', names[k]))
+            return 0;
+    }
+    return 1;
+}
+
+/* The rows of the CSR arrays indptr, indices and data in views[0..2]:
+   indices and data of equal lengths, indptr from 0 to len(data), never
+   decreasing; -1 with an exception set where they do not form a CSR
+   matrix. */
+static Py_ssize_t
+csr_rows(const Py_buffer *views)
+{
+    const int *indptr = views[0].buf;
+    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
+    if (views[2].len / 8 != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indices and data must have equal lengths");
+        return -1;
+    }
+    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indptr must run from 0 to len(data)");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        if (indptr[i + 1] < indptr[i]) {
+            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
+            return -1;
+        }
+    }
+    return rows;
+}
+
+/* Row i of the CSR matrix times x: 0.0 plus data[j] * x[indices[j]] over
+   the row's entries, in stored order. */
+static inline double
+csr_row(const Py_buffer *views, Py_ssize_t i, const double *x)
+{
+    const int *indptr = views[0].buf, *indices = views[1].buf;
+    const double *data = views[2].buf;
+    double sum = 0.0;
+    for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
+        sum += data[j] * x[indices[j]];
+    return sum;
 }
 
 static PyObject *
@@ -284,49 +364,125 @@ csr_matvec(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      "csr_matvec takes 5 arguments (%zd given)", nargs);
         return NULL;
     }
-    static const char *names[] = {"indptr", "indices", "data", "x", "y"};
-    const char wants[] = {'i', 'i', 'd', 'd', 'd'};
+    static const char *const names[] = {"indptr", "indices", "data", "x", "y"};
     Py_buffer views[5] = {{0}};
     PyObject *result = NULL;
-    int k = 0;
-    for (; k < 5; k++)
-        if (!get_vector(args[k], &views[k], wants[k], k == 4, names[k]))
-            goto done;
-    const int *indptr = views[0].buf, *indices = views[1].buf;
-    const double *data = views[2].buf, *x = views[3].buf;
-    double *y = views[4].buf;
-    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
-    if (views[2].len / 8 != nnz) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indices and data must have equal lengths");
+    Py_ssize_t rows;
+    if (!take_vectors(args, views, 5, "iiddw", names)
+        || (rows = csr_rows(views)) < 0)
         goto done;
-    }
-    if (rows < 0 || views[4].len / 8 != rows) {
+    if (views[4].len / 8 != rows) {
         PyErr_SetString(PyExc_ValueError,
                         "y must have one item per row, len(indptr) - 1");
         goto done;
     }
-    if (indptr[0] != 0 || indptr[rows] != nnz) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indptr must run from 0 to len(data)");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        if (indptr[i + 1] < indptr[i]) {
-            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
-            goto done;
-        }
-    }
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        double sum = 0.0;
-        for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
-            sum += data[j] * x[indices[j]];
-        y[i] = sum;
-    }
+    const double *x = views[3].buf;
+    double *y = views[4].buf;
+    for (Py_ssize_t i = 0; i < rows; i++)
+        y[i] = csr_row(views, i, x);
     result = Py_NewRef(args[4]);
 done:
-    while (k-- > 0)
-        PyBuffer_Release(&views[k]);
+    release_vectors(views, 5);
+    return result;
+}
+
+static PyObject *
+pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "pair_rhs takes 7 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    static const char *const names[] = {"indptr", "indices", "data", "row_a",
+                                        "row_k", "m", "out"};
+    Py_buffer views[7] = {{0}};
+    PyObject *result = NULL;
+    double *x = NULL;
+    Py_ssize_t rows;
+    if (!take_vectors(args, views, 7, "iidiidw", names)
+        || (rows = csr_rows(views)) < 0)
+        goto done;
+    if (views[3].len / 4 != rows || views[4].len / 4 != rows) {
+        PyErr_SetString(PyExc_ValueError, "row_a and row_k must have one "
+                        "item per row, len(indptr) - 1");
+        goto done;
+    }
+    Py_ssize_t n = views[5].len / 8;
+    if (views[6].len / 8 != n) {
+        PyErr_SetString(PyExc_ValueError, "out must have one item per cell of m");
+        goto done;
+    }
+    x = PyMem_Malloc((size_t)(2 * n + 1) * sizeof(double));
+    if (x == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const int *row_a = views[3].buf, *row_k = views[4].buf;
+    const double *m = views[5].buf;
+    double *out = views[6].buf;
+    /* [m; S] with S_a = sum_{b >= a} m_b, summed from the top cell down
+       and from its first term, as np.cumsum sums: -0.0 + t is t */
+    double suffix = -0.0;
+    for (Py_ssize_t a = n - 1; a >= 0; a--) {
+        x[a] = m[a];
+        x[n + a] = suffix += m[a];
+    }
+    for (Py_ssize_t k = 0; k < n; k++)
+        out[k] = 0.0;
+    for (Py_ssize_t i = 0; i < rows; i++)
+        out[row_k[i]] += csr_row(views, i, x) * m[row_a[i]];
+    result = Py_NewRef(args[6]);
+done:
+    PyMem_Free(x);
+    release_vectors(views, 7);
+    return result;
+}
+
+static PyObject *
+gini_sums(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "gini_sums takes 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    static const char *const names[] = {"m", "c", "r"};
+    Py_buffer views[3] = {{0}};
+    PyObject *result = NULL;
+    if (!take_vectors(args, views, 3, "ddn", names))
+        goto done;
+    const double *m = views[0].buf, *c = views[1].buf, *r = views[2].buf;
+    Py_ssize_t n = views[0].len / 8;
+    if (n == 0 || views[1].len != views[0].len
+        || (r != NULL && views[2].len != views[0].len)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "m, c and r must have equal lengths, at least 1");
+        goto done;
+    }
+    /* The sums of m and m c before cell k start at 0.0; the ones through
+       cell k and the two sums over k start at their first term, as
+       np.cumsum does: -0.0 + t is t for every t. */
+    double m0 = m[0], before_m = 0.0, before_mc = 0.0;
+    double through_m = -0.0, through_mc = -0.0, pair = -0.0, phi_r = -0.0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        double mk = m[k], ck = c[k];
+        pair += mk * (ck * before_m - before_mc);
+        through_m += mk;
+        through_mc += mk * ck;
+        if (r != NULL)
+            phi_r += 2.0 * (ck * (through_m - m0) - through_mc) * r[k];
+        before_m = through_m;
+        before_mc = through_mc;
+    }
+    if (r != NULL)
+        result = Py_BuildValue("dddd", through_m, through_mc, pair, phi_r);
+    else
+        result = Py_BuildValue("dddO", through_m, through_mc, pair, Py_None);
+done:
+    release_vectors(views, 3);
     return result;
 }
 
@@ -342,6 +498,14 @@ static PyMethodDef methods[] = {
      "csr_matvec(indptr, indices, data, x, y) -> y: write the product of "
      "the CSR matrix (indptr, indices, data) with x into y, each row summed "
      "from 0.0 in stored order, as scipy's csr_array product."},
+    {"pair_rhs", (PyCFunction)(void (*)(void))pair_rhs, METH_FASTCALL,
+     "pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out: write "
+     "dm/dt of the pair-row operator (indptr, indices, data) at masses m "
+     "into out, as master_eq's numpy product and bincount sum it."},
+    {"gini_sums", (PyCFunction)(void (*)(void))gini_sums, METH_FASTCALL,
+     "gini_sums(m, c, r) -> (M0, M1, pair, phi_r): the grid Gini's and its "
+     "rate's prefix sums over masses m at sorted points c, in index order; "
+     "phi_r is None where r is None."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -349,7 +513,8 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_sweep",
     .m_doc = "The compiled Monte Carlo sweep of kinex.engine and its draws, "
-             "and the CSR matrix-vector product of kinex.master_eq.",
+             "and the CSR matrix-vector product, pair-row right-hand side "
+             "and Gini sums of kinex.master_eq.",
     .m_size = -1,
     .m_methods = methods,
 };

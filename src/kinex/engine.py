@@ -209,7 +209,10 @@ def _draw_source(n: int, rule: RuleSpec, gen: np.random.Generator, module):
     if module is None:
         return functools.partial(_draw_exchanges, n, rule, gen)
     arrays = _layout(n, rule, lambda b: np.empty(n // 2, float if b is None else np.int64))
-    return functools.partial(module.draw, gen.bit_generator.capsule, n, *arrays)
+    draw = functools.partial(module.draw, gen.bit_generator.capsule, n, *arrays)
+    # the capsule points into the bit generator but does not keep it alive
+    draw.generator = gen
+    return draw
 
 
 def _draw_matches_numpy(module) -> bool:

@@ -23,13 +23,21 @@ the compressed-sparse-row arrays whose product with a vector is
 ``_sweep.c``'s ``csr_matvec``, loaded through ``engine._load`` at the first
 product. Where the module does not load, it is a numpy ``bincount`` over
 the same arrays; both sum each row from 0.0 in stored order, as scipy's
-``csr_array`` product does, so all three give the same bits.
+``csr_array`` product does, so all three give the same bits. Each
+integrator step makes one compiled call per seam: ``_rhs_masses`` is
+``_sweep.c``'s ``pair_rhs``, which forms [m; S], the product, the weights
+m_a and the sums per k in one pass, and ``_weighted_gini`` and
+``_gini_rate_masses`` each one ``gini_sums``, the prefix sums of the grid
+Gini and its rate in index order. Their numpy fallbacks (the product and
+``bincount``, and ``metrics._gini_sums``' ``cumsum``) add in the same
+order, so both paths give the same bits.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
 negative. For an unbiased rule every step is then audited: the Gini index
 is a Lyapunov function of the dynamics, so a decrease aborts the run
-instead of being stepped around.
+instead of being stepped around. Every audit is written so that a NaN
+fails it: a step that makes one aborts rather than writes it into a row.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 
 from .core import RuleKind, RuleSpec, WealthGrid
 from .engine import _load
-from .metrics import _weighted_gini
+from .metrics import _gini_of_sums, _gini_sums
 from .rules import two_point_law
 
 log = logging.getLogger("kinex.master_eq")
@@ -411,7 +419,8 @@ class DiscreteKernel:
       same law at every lambda node, row (a, k) stores the partners b < a
       in their columns and N[k, (a, a)], which stands for each b >= a, in
       column n + a alone. Other rows leave the suffix columns empty.
-      ``row_a`` and ``row_k`` (int32) name each row's a and k. dm_k/dt is
+      ``row_a`` and ``row_k`` (int32, checked here once to lie in
+      [0, n) and then made read-only) name each row's a and k. dm_k/dt is
       then the sum over rows (a, k) of m_a (Nt [m; S])_(a, k), with
       S_a = sum_{b >= a} m_b, so ``gain @ [m; S]`` is the only product with
       the operator. G sends the pair's mass to the cells where the tagged
@@ -437,9 +446,22 @@ class DiscreteKernel:
         self, rule: RuleSpec, centers: np.ndarray, gain: CSRMatrix, row_a: np.ndarray,
         row_k: np.ndarray, abs_delta: np.ndarray, trunc_coef: CSRMatrix,
     ):
+        n = centers.size
+        rows = gain.shape[0]
+        if gain.shape[1] != 2 * n or not row_a.shape == row_k.shape == (rows,):
+            raise ValueError(f"gain of shape {gain.shape} and {row_a.shape} row "
+                             f"cells for {n} cells")
+        if not row_a.dtype == row_k.dtype == np.int32:
+            raise ValueError("row cells must be int32")
+        if rows and not (0 <= min(row_a.min(), row_k.min())
+                         and max(row_a.max(), row_k.max()) < n):
+            raise ValueError(f"row cells outside [0, {n})")
+        # pair_rhs trusts them, as csr_matvec trusts gain's indices
+        row_a.flags.writeable = False
+        row_k.flags.writeable = False
         self.rule = rule
         self.centers = centers
-        self.cells = centers.size
+        self.cells = n
         self.gain = gain
         self.row_a = row_a
         self.row_k = row_k
@@ -490,6 +512,8 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     for lam, wnode in nodes:
         law = two_point_law(rule, ca, c[None, :], lam)
         for x in law:
+            if not suffix.any():  # no candidate left to compare
+                break
             x = x.view(np.int64)
             suffix &= ~np.any((x != x[:, a0:a1].diagonal()[:, None]) & upper, axis=1)
         d_plus, p_plus, d_minus = law
@@ -724,8 +748,18 @@ def _with_suffix_sums(m: np.ndarray) -> np.ndarray:
 
 
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    pair_rows = (kernel.gain @ _with_suffix_sums(m)) * m[kernel.row_a]
-    return np.bincount(kernel.row_k, weights=pair_rows, minlength=kernel.cells)
+    """``rhs`` at the C-contiguous float64 masses ``m``: ``_sweep.c``'s
+    ``pair_rhs`` in one call, or, where the module does not load, the
+    product ``gain @ [m; S]``, times m_a and summed per k by ``bincount``.
+    Both sum each pair row from 0.0 in stored order and add the rows into
+    each k in row order, so they give the same bits."""
+    module = _load()
+    if module is None:
+        pair_rows = (kernel.gain @ _with_suffix_sums(m)) * m[kernel.row_a]
+        return np.bincount(kernel.row_k, weights=pair_rows, minlength=kernel.cells)
+    gain = kernel.gain
+    return module.pair_rhs(gain.indptr, gain.indices, gain.data, kernel.row_a,
+                           kernel.row_k, m, np.empty(kernel.cells))
 
 
 def _trunc_rate(kernel: DiscreteKernel, m: np.ndarray) -> float:
@@ -771,15 +805,26 @@ def _gini_rate_masses(
     kernel: DiscreteKernel, m: np.ndarray, r: np.ndarray, trunc_rate: float
 ) -> float:
     """``gini_rate`` of masses ``m`` whose right-hand side is ``r`` and
-    whose truncation rate is ``trunc_rate``."""
-    c = kernel.centers
-    cum_m = np.cumsum(m)
-    cum_mc = np.cumsum(m * c)
-    # phi' = 2 sum_{0 < c_j <= c_k} m_j (c_k - c_j), with c_0 = 0
-    phi_shifted = 2.0 * (c * (cum_m - m[0]) - cum_mc)
-    return float(
-        (np.dot(phi_shifted, r) - (2.0 * m[0] - cum_m[-1]) * trunc_rate) / cum_mc[-1]
-    )
+    whose truncation rate is ``trunc_rate``, from one pass of
+    ``_grid_sums``."""
+    mass, mean, _, phi_r = _grid_sums(m, kernel.centers, r)
+    return (phi_r - (2.0 * float(m[0]) - mass) * trunc_rate) / mean
+
+
+def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
+    """``metrics.gini_grid`` of masses ``m`` at the sorted points ``c``
+    without its checks, from one pass of ``_grid_sums``: the integrator's
+    Gini of every candidate state. All mass at zero wealth has Gini 0."""
+    return _gini_of_sums(_grid_sums(m, c, None))
+
+
+def _grid_sums(m: np.ndarray, c: np.ndarray, r: np.ndarray | None) -> tuple:
+    """``metrics._gini_sums`` of C-contiguous float64 arrays: ``_sweep.c``'s
+    ``gini_sums``, or numpy's cumulative sums where the module does not
+    load. Both sum in index order from the first term, so they give the
+    same bits."""
+    module = _load()
+    return _gini_sums(m, c, r) if module is None else module.gini_sums(m, c, r)
 
 
 def _mobility_ratios(
@@ -875,6 +920,8 @@ def integrate(
     m = grid.masses.copy()
     mass0 = math.fsum(m)
     mean0 = float(np.dot(m, c))
+    if not mean0 > 0.0:
+        raise ValueError("degenerate: zero mean wealth")
     two_mean0 = 2.0 * mean0
 
     report = IntegrationReport()
@@ -917,8 +964,9 @@ def integrate(
                     raise IntegrationAbort("positivity unreachable by halving", report)
 
             g_new = _weighted_gini(candidate, c)
-            # Gini is a Lyapunov function only for unbiased kernels
-            if kernel.rule.unbiased and g_new < g_prev - GINI_DECREASE_TOL:
+            # Gini is a Lyapunov function only for unbiased kernels; a NaN
+            # Gini fails the check
+            if kernel.rule.unbiased and not g_new >= g_prev - GINI_DECREASE_TOL:
                 raise IntegrationAbort(
                     f"Gini decrease {float(g_new - g_prev)!r} at t={float(t)!r} "
                     f"with dt={float(dt_eff)!r}",
@@ -939,14 +987,15 @@ def integrate(
                     TRUNCATION_TOL,
                 )
 
-            mass = math.fsum(m)
+            mass = math.fsum(m.tolist())
             mean = float(np.dot(m, c))
-            if abs(mass - mass_prev) > STEP_MASS_TOL:
+            # written so that a NaN fails them, as a breach
+            if not abs(mass - mass_prev) <= STEP_MASS_TOL:
                 raise IntegrationAbort(
                     f"mass drift {mass - mass_prev!r} in one step at t={float(t)!r}",
                     report,
                 )
-            if abs(mean - mean_prev + step_trunc) > STEP_MEAN_TOL * mean0:
+            if not abs(mean - mean_prev + step_trunc) <= STEP_MEAN_TOL * mean0:
                 raise IntegrationAbort(
                     f"unexplained mean drift {mean - mean_prev!r} at t={float(t)!r}",
                     report,

@@ -4,7 +4,10 @@ Gini is the normalized mean absolute pairwise wealth difference; mobility
 l(x) is the expected |delta| per unit time for an agent at wealth x against
 a partner drawn from the density; liquidity L is the density-weighted
 mobility over twice the mean wealth. All grid-side quantities are exact
-quadratures over cell masses at the representative points.
+quadratures over cell masses at the representative points. The grid Gini
+comes from ``_gini_sums``, numpy's reference of the prefix sums that
+``_sweep.c``'s ``gini_sums`` computes for the master-equation integrator,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -84,23 +87,39 @@ def gini_grid(grid: WealthGrid) -> float:
     _require_normalized(grid)
     if grid.mean <= 0.0:
         raise ValueError("degenerate: zero mean wealth")
-    return _weighted_gini(grid.masses, grid.centers)
+    return _gini_of_sums(_gini_sums(grid.masses, grid.centers))
 
 
-def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
-    """Gini of masses ``m`` at sorted points ``c``, normalized by their mean.
+def _gini_sums(m: np.ndarray, c: np.ndarray, r: np.ndarray | None = None) -> tuple:
+    """(M0, M1, pair, phi' . r) of masses ``m`` at sorted points ``c``.
 
-    The unchecked core of ``gini_grid``, which the integrator calls on every
-    candidate state; all mass at zero wealth has Gini 0.
+    M0 = sum m_k and M1 = sum m_k c_k. The points are sorted, so the half
+    pair sum sum_{j < k} m_j m_k (c_k - c_j) folds into prefix sums:
+    pair = sum_k m_k (c_k P_k - Q_k) with P_k and Q_k the sums of m_j and
+    m_j c_j over j < k. phi'_k = 2 (c_k (P_k + m_k - m_0) - (Q_k + m_k c_k))
+    is the shifted phi of ``master_eq.gini_rate``, and the fourth item its
+    dot product with ``r``, or None where ``r`` is None. Every sum runs in
+    index order from its first term (``np.cumsum``), as ``_sweep.c``'s
+    ``gini_sums`` sums them, so both give the same bits.
     """
-    mean = float(np.dot(m, c))
+    cum_m = np.cumsum(m)
+    cum_mc = np.cumsum(m * c)
+    before_m = np.concatenate(([0.0], cum_m[:-1]))
+    before_mc = np.concatenate(([0.0], cum_mc[:-1]))
+    pair = np.cumsum(m * (c * before_m - before_mc))[-1]
+    phi_r = None
+    if r is not None:
+        phi_r = float(np.cumsum(2.0 * (c * (cum_m - m[0]) - cum_mc) * r)[-1])
+    return float(cum_m[-1]), float(cum_mc[-1]), float(pair), phi_r
+
+
+def _gini_of_sums(sums: tuple) -> float:
+    """The Gini index 2 pair / (2 M1) of ``_gini_sums``' sums; 0 where the
+    mean M1 is not positive (all mass at zero wealth)."""
+    _, mean, pair, _ = sums
     if mean <= 0.0:
         return 0.0
-    # Points are sorted, so sum_{k,k'} m m' |c - c'| folds into prefix sums.
-    cum_m = np.concatenate(([0.0], np.cumsum(m)))[:-1]
-    cum_mc = np.concatenate(([0.0], np.cumsum(m * c)))[:-1]
-    pair_sum = 2.0 * float(np.dot(m, c * cum_m - cum_mc))
-    return pair_sum / (2.0 * mean)
+    return 2.0 * pair / (2.0 * mean)
 
 
 def mobility_profile(grid: WealthGrid, rule: RuleSpec) -> np.ndarray:

@@ -465,6 +465,33 @@ class TestIntegrateCommand:
         assert code == 3
         assert err.startswith("kinex: integration aborted: mass drift ")
 
+    def test_nan_rate_exits_3_and_writes_no_row(self, tmp_path, monkeypatch):
+        # a NaN in the rate of step 3 fails the step's audits; the run
+        # writes no file with a NaN row in it
+        import itertools
+
+        import kinex.master_eq as master_eq
+
+        inner = master_eq._rhs_masses
+        calls = itertools.count(1)
+
+        def poisoned(kernel, m):
+            r = inner(kernel, m)
+            if next(calls) == 3:
+                r[5] = float("nan")
+            return r
+
+        monkeypatch.setattr(master_eq, "_rhs_masses", poisoned)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "integrate", "--rule", "yardsale:lambda=0.5",
+            "--grid", "log:1e-3:1e3:64", "--init", "exp:1",
+            "--dt", "1", "--t-end", "10", "--out", str(out),
+        )
+        assert code == 3
+        assert err.startswith("kinex: integration aborted: ") and "nan" in err
+        assert not out.exists()
+
     def test_gini_decrease_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr("kinex.master_eq._weighted_gini", gini_dip(call=4))
         code, _, err = run_cli(
@@ -474,7 +501,7 @@ class TestIntegrateCommand:
         )
         assert code == 3
         assert err == (
-            "kinex: integration aborted: Gini decrease -0.07698582345763394 "
+            "kinex: integration aborted: Gini decrease -0.0769858234576336 "
             "at t=1.6611810063743375 with dt=1.0\n"
         )
 

@@ -10,6 +10,8 @@ import logging
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -385,6 +387,30 @@ class TestCompiledDraw:
                     np.testing.assert_array_equal(block, call)
                     assert block.dtype == call.dtype
         assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_source_keeps_its_generator_alive(self, tmp_path):
+        # the partial holds the bit generator's capsule, which does not keep
+        # the generator alive; once it was freed, draw() read freed memory
+        # and crashed or drew other numbers. In a fresh interpreter, so that
+        # a crash fails this test alone
+        compiled_sweep()
+        code = (
+            "import gc\n"
+            "import numpy as np\n"
+            "import kinex.engine as engine\n"
+            "from kinex import RuleKind, RuleSpec\n"
+            "rule = RuleSpec(kind=RuleKind.YARD_SALE, lam=0.5)\n"
+            "draw = engine._draw_source(128, rule, np.random.default_rng(1), engine._load())\n"
+            "gc.collect()\n"
+            "others = [np.random.default_rng(k) for k in range(64)]\n"
+            "want = engine._draw_exchanges(128, rule, np.random.default_rng(1))\n"
+            "assert all(map(np.array_equal, draw(), want))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
     @pytest.mark.parametrize(

@@ -147,6 +147,9 @@ def test_simulate_calls_gini_population_once_per_record(monkeypatch, tmp_path):
 def test_integrate_calls_gini_hooks_once_per_step(monkeypatch, tmp_path):
     gini = _count_calls(monkeypatch, "kinex.master_eq._weighted_gini")
     rate = _count_calls(monkeypatch, "kinex.master_eq._gini_rate_masses")
+    # the product with the gain operator has no hook of its own: the
+    # compiled path reads gain's arrays inside _rhs_masses
+    products = _count_calls(monkeypatch, "kinex.master_eq._rhs_masses")
     out = tmp_path / "i.csv"
     code = kinex.cli.main([
         "integrate", "--rule", "yardsale:lambda=0.5", "--grid", "log:1e-3:1e3:40",
@@ -157,3 +160,4 @@ def test_integrate_calls_gini_hooks_once_per_step(monkeypatch, tmp_path):
     assert steps >= 5
     assert len(gini) == 1 + steps
     assert len(rate) == steps
+    assert len(products) == steps

@@ -30,8 +30,10 @@ from kinex import (
 )
 from kinex.master_eq import (
     CSRMatrix,
+    DiscreteKernel,
     Exponential,
     IntegrationAbort,
+    IntegrationReport,
     LinearScheme,
     LogScheme,
     TRUNCATION_TOL,
@@ -45,6 +47,7 @@ from kinex.master_eq import (
     parse_grid_scheme,
 )
 import kinex.master_eq as master_eq
+from kinex.metrics import _gini_sums
 
 from conftest import compiled_product, gini_dip, make_grid
 
@@ -637,6 +640,136 @@ class TestRhs:
         assert norms[2] <= 1e-4
 
 
+def gini_sums_loop(m, c, r):
+    """``_gini_sums`` in Python floats, one term at a time: the prefix sums
+    before cell k from 0.0, every other sum from its first term."""
+    m, c = m.tolist(), c.tolist()
+    before_m = before_mc = 0.0
+    pair = phi_r = through_m = through_mc = None
+    for k, (mk, ck) in enumerate(zip(m, c)):
+        term = mk * (ck * before_m - before_mc)
+        pair = term if pair is None else pair + term
+        through_m = mk if through_m is None else through_m + mk
+        through_mc = mk * ck if through_mc is None else through_mc + mk * ck
+        if r is not None:
+            term = 2.0 * (ck * (through_m - m[0]) - through_mc) * float(r[k])
+            phi_r = term if phi_r is None else phi_r + term
+        before_m, before_mc = through_m, through_mc
+    return through_m, through_mc, pair, phi_r
+
+
+def bits_any_nan(values):
+    """``bits``, with every NaN counted as one: the sign and payload of a
+    NaN made by arithmetic depend on the instructions that made it."""
+    return bits([math.nan if math.isnan(v) else v for v in values])
+
+
+def random_masses(gen, cells):
+    """Normalized masses with about a third of the cells empty, the zero
+    cell among them half the time."""
+    m = gen.dirichlet(np.full(cells, 0.3))
+    m[gen.random(cells) < 0.33] = 0.0
+    m[0] = 0.0 if gen.random() < 0.5 else m[0]
+    m[gen.integers(1, cells)] += 0.1  # not all mass at zero
+    return m / m.sum()
+
+
+class TestStepSeams:
+    """The integrator's seams ``_rhs_masses``, ``_weighted_gini`` and
+    ``_gini_rate_masses`` give the same bits whether ``_sweep.c``'s
+    ``pair_rhs`` and ``gini_sums`` or numpy compute them."""
+
+    @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
+    def test_rhs_keeps_the_product_and_bincount_bits(self, product_path, rule):
+        grid = build_grid(LogScheme(1e-3, 1e3, 48), Exponential(1.0))
+        kernel = build_kernel(rule, grid)
+        gen = np.random.Generator(np.random.PCG64(23))
+        for _ in range(8):
+            m = random_masses(gen, grid.cells)
+            pair_rows = (scipy_csr(kernel.gain) @ _with_suffix_sums(m)) * m[kernel.row_a]
+            want = np.bincount(kernel.row_k, weights=pair_rows, minlength=grid.cells)
+            assert bits(master_eq._rhs_masses(kernel, m)) == bits(want)
+
+    @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
+    def test_gini_and_rate_sum_in_index_order(self, product_path, rule):
+        grid = build_grid(LogScheme(1e-3, 1e3, 48), Exponential(1.0))
+        kernel = build_kernel(rule, grid)
+        c = kernel.centers
+        gen = np.random.Generator(np.random.PCG64(29))
+        for _ in range(8):
+            m = random_masses(gen, grid.cells)
+            r = master_eq._rhs_masses(kernel, m)
+            trunc_rate = master_eq._trunc_rate(kernel, m)
+            mass, mean, pair, phi_r = gini_sums_loop(m, c, r)
+            assert bits(master_eq._grid_sums(m, c, r)) == bits([mass, mean, pair, phi_r])
+            assert master_eq._grid_sums(m, c, None)[3] is None
+            assert bits([master_eq._weighted_gini(m, c)]) == bits([2.0 * pair / (2.0 * mean)])
+            want = (phi_r - (2.0 * m[0] - mass) * trunc_rate) / mean
+            got = master_eq._gini_rate_masses(kernel, m, r, trunc_rate)
+            assert bits([got]) == bits([want])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(width=64) | st.sampled_from(SPECIAL),
+                           min_size=3, max_size=30))
+    def test_compiled_gini_sums_match_numpy_on_any_floats(self, values):
+        module = compiled_product()
+        n = len(values) // 3
+        m, c, r = (np.array(values[k * n:(k + 1) * n]) for k in range(3))
+        with np.errstate(all="ignore"):
+            want = bits_any_nan(gini_sums_loop(m, c, r))
+            assert bits_any_nan(_gini_sums(m, c, r)) == want
+            assert bits_any_nan(module.gini_sums(m, c, r)) == want
+            assert bits_any_nan(module.gini_sums(m, c, None)[:3]) == want[:3]
+
+    def test_all_mass_at_zero_has_gini_0(self, product_path):
+        c = np.linspace(0.0, 3.0, 4)
+        assert master_eq._weighted_gini(np.array([1.0, 0.0, 0.0, 0.0]), c) == 0.0
+
+    def test_malformed_calls_raise_before_writing(self):
+        module = compiled_product()
+        kernel = build_kernel(YS(0.5), small_grid())
+        gain, n = kernel.gain, kernel.cells
+        args = [gain.indptr, gain.indices, gain.data, kernel.row_a, kernel.row_k,
+                np.full(n, 1.0 / n)]
+        for k, bad in [(5, np.ones(n + 1)), (3, kernel.row_a[1:]),
+                       (4, kernel.row_k.astype(np.int64)), (5, np.ones(2 * n)[::2]),
+                       (2, gain.data[1:]), (0, gain.indptr[::-1].copy())]:
+            out = np.full(n, 7.0)
+            with pytest.raises((TypeError, ValueError)):
+                module.pair_rhs(*args[:k], bad, *args[k + 1:], out)
+            assert bits(out) == bits(np.full(n, 7.0))
+        with pytest.raises(ValueError, match="one item per cell"):
+            module.pair_rhs(*args, np.empty(n + 1))
+        with pytest.raises(TypeError, match="7 arguments"):
+            module.pair_rhs(*args)
+        c = kernel.centers
+        for m, c, r in [(np.ones(n - 1), c, None), (np.ones(n), c, np.ones(n - 1)),
+                        (np.ones(n, np.float32), c, None), (np.empty(0), c[:0], None),
+                        (np.ones(n), c, np.ones(n, np.int64))]:
+            with pytest.raises((TypeError, ValueError)):
+                module.gini_sums(m, c, r)
+
+    def test_kernel_checks_its_row_cells_once(self):
+        kernel = build_kernel(YS(0.5), small_grid())
+        assert not kernel.row_a.flags.writeable and not kernel.row_k.flags.writeable
+        parts = dict(rule=kernel.rule, centers=kernel.centers, gain=kernel.gain,
+                     row_a=kernel.row_a, row_k=kernel.row_k,
+                     abs_delta=kernel.abs_delta, trunc_coef=kernel.trunc_coef)
+        n = kernel.cells
+        too_high, negative = kernel.row_k.copy(), kernel.row_a.copy()
+        too_high[-1] = n
+        negative[0] = -1
+        for name, bad, match in [
+            ("row_k", too_high, "outside"),
+            ("row_a", negative, "outside"),
+            ("row_a", kernel.row_a[1:].copy(), "shape"),
+            ("row_k", kernel.row_k.astype(np.int64), "int32"),
+            ("centers", kernel.centers[1:], "shape"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                DiscreteKernel(**{**parts, name: bad})
+
+
 def gini_rate_bruteforce(grid, rule, lam=None):
     """O(cells^3) direct triple sum of the Gini evolution functional,
     rebuilt from the exact delta laws (independent of the kernel arrays)."""
@@ -959,6 +1092,43 @@ class TestIntegrate:
         report = exc.value.report
         assert report.steps == 2
         assert report.mass_drift.size == 2
+
+    def test_nan_rate_aborts_without_a_nan_row(self, monkeypatch):
+        # one NaN in the rate of step 3 makes the candidate's Gini, mass and
+        # mean NaN; the audits refuse it rather than write it into a row
+        inner = master_eq._rhs_masses
+        calls = itertools.count(1)
+
+        def poisoned(kernel, m):
+            r = inner(kernel, m)
+            if next(calls) == 3:
+                r[5] = math.nan
+            return r
+
+        monkeypatch.setattr(master_eq, "_rhs_masses", poisoned)
+        grid = build_grid(LogScheme(1e-3, 1e3, 64), Exponential(1.0))
+        kernel = build_kernel(YS(0.5), grid)
+        with pytest.raises(IntegrationAbort, match="nan") as exc:
+            integrate(grid, kernel, dt=1.0, t_end=10.0)
+        report = exc.value.report
+        assert report.steps == 2
+        for name in IntegrationReport.COLUMNS:
+            assert np.isfinite(getattr(report, name)).all(), name
+
+    @pytest.mark.parametrize("rule", [YS(0.5), CL(0.5)], ids=format_rule)
+    def test_final_snapshot_gini_is_the_last_row(self, product_path, rule):
+        grid = build_grid(LogScheme(1e-4, 1e5, 120), PointMass(1.0))
+        kernel = build_kernel(rule, grid)
+        snaps, report = integrate(grid, kernel, dt=50.0, t_end=400.0)
+        assert report.steps > 5
+        assert bits([gini_grid(snaps[-1][1])]) == bits(report.gini[-1:])
+
+    def test_rejects_zero_mean(self):
+        grid = small_grid()
+        masses = np.zeros(grid.cells)
+        masses[0] = 1.0
+        with pytest.raises(ValueError, match="degenerate: zero mean wealth"):
+            integrate(grid.with_masses(masses), build_kernel(YS(0.5), grid), 1.0, 1.0)
 
     def test_step_budget_aborts_with_report(self, monkeypatch):
         monkeypatch.setattr(master_eq, "MAX_STEPS", 3)
