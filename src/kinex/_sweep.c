@@ -4,9 +4,9 @@
    kinex.engine builds this file on first use (see engine._load) with -O2
    -ffp-contract=off, so that no fused multiply-add changes a rounding. The
    Monte Carlo runs call draw() then sweep() once per sweep; each step of
-   the master-equation integrator calls pair_rhs() once for dm/dt and
-   gini_sums() twice, for the Gini rate and the Gini check, and
-   csr_matvec() serves the kernel's other products with the cell masses.
+   the master-equation integrator calls pair_rhs() twice, for dm/dt and the
+   truncation rate, and gini_sums() twice, for the Gini rate and the Gini
+   check.
 
    draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins)
      fills the draws with engine._draw_exchanges' for n agents, 2 <= n <
@@ -23,28 +23,21 @@
      i's gain on a win, its loss on a loss and the win test, one place
      applies them, and both give bitwise one result for the same draws.
 
-   csr_matvec(indptr, indices, data, x, y) -> y
-     writes the product of the CSR matrix (indptr, indices, data) with the
-     vector x into y, as scipy's csr_array product does, bitwise: each
-     y[i] is 0.0 plus data[j] * x[indices[j]] over the row's entries, added
-     in stored order. indptr and indices hold int32, data, x and y float64,
-     in one-dimensional C-contiguous buffers; y has one item per row. Each
-     call checks the formats, the lengths and the ends of indptr (0 and
-     len(data)), and that indptr does not decrease; the caller, the
-     container of kinex.master_eq, checks once that every index lies in
-     [0, len(x)). A bad argument raises TypeError or ValueError and leaves
-     y as it was.
    pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out
-     writes dm/dt of master_eq's pair-row operator into out: with
-     x = [m; S], S_a = sum_{b >= a} m_b summed from the top cell down, each
-     pair row i is summed as csr_matvec sums it, times m[row_a[i]], and
-     added into out[row_k[i]], which starts at 0.0, in row order. That is
-     master_eq's numpy fallback, gain @ x then np.bincount, bitwise. row_a
-     and row_k hold int32, one item per row, m and out float64, one item
-     per cell; it checks what csr_matvec checks and these lengths, and the
-     caller, master_eq.DiscreteKernel, checks once that every index lies in
-     [0, 2 len(m)) and every row cell in [0, len(m)). It allocates 2 len(m)
-     floats, for x.
+     writes the product of master_eq's pair-row operator at the masses m
+     into out: with x = [m; S], S_a = sum_{b >= a} m_b summed from the top
+     cell down, each pair row i is summed as scipy's csr_array product sums
+     it, 0.0 plus data[j] * x[indices[j]] over the row's entries in stored
+     order, times m[row_a[i]], and added into out[row_k[i]], which starts at
+     0.0, in row order. That is master_eq's numpy fallback, the product then
+     np.bincount, bitwise. indptr, indices, row_a and row_k hold int32, data,
+     m and out float64, in one-dimensional C-contiguous buffers; row_a and
+     row_k have one item per row, out one per cell of m. Each call checks
+     the formats, these lengths, the ends of indptr (0 and len(data)) and
+     that indptr does not decrease; the caller, master_eq.PairRows, checks
+     once that every index lies in [0, 2 len(m)) and every row cell in
+     [0, len(m)). A bad argument raises TypeError or ValueError and leaves
+     out as it was. It allocates 2 len(m) floats, for x.
    gini_sums(m, c, r) -> (M0, M1, pair, phi_r)
      the sums of metrics._gini_sums over the masses m at the sorted points
      c, in index order: M0 = sum m_k, M1 = sum m_k c_k, the half pair sum
@@ -314,78 +307,6 @@ take_vectors(PyObject *const *args, Py_buffer *views, int count,
     return 1;
 }
 
-/* The rows of the CSR arrays indptr, indices and data in views[0..2]:
-   indices and data of equal lengths, indptr from 0 to len(data), never
-   decreasing; -1 with an exception set where they do not form a CSR
-   matrix. */
-static Py_ssize_t
-csr_rows(const Py_buffer *views)
-{
-    const int *indptr = views[0].buf;
-    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
-    if (views[2].len / 8 != nnz) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indices and data must have equal lengths");
-        return -1;
-    }
-    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indptr must run from 0 to len(data)");
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        if (indptr[i + 1] < indptr[i]) {
-            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
-            return -1;
-        }
-    }
-    return rows;
-}
-
-/* Row i of the CSR matrix times x: 0.0 plus data[j] * x[indices[j]] over
-   the row's entries, in stored order. */
-static inline double
-csr_row(const Py_buffer *views, Py_ssize_t i, const double *x)
-{
-    const int *indptr = views[0].buf, *indices = views[1].buf;
-    const double *data = views[2].buf;
-    double sum = 0.0;
-    for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
-        sum += data[j] * x[indices[j]];
-    return sum;
-}
-
-static PyObject *
-csr_matvec(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError,
-                     "csr_matvec takes 5 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    static const char *const names[] = {"indptr", "indices", "data", "x", "y"};
-    Py_buffer views[5] = {{0}};
-    PyObject *result = NULL;
-    Py_ssize_t rows;
-    if (!take_vectors(args, views, 5, "iiddw", names)
-        || (rows = csr_rows(views)) < 0)
-        goto done;
-    if (views[4].len / 8 != rows) {
-        PyErr_SetString(PyExc_ValueError,
-                        "y must have one item per row, len(indptr) - 1");
-        goto done;
-    }
-    const double *x = views[3].buf;
-    double *y = views[4].buf;
-    for (Py_ssize_t i = 0; i < rows; i++)
-        y[i] = csr_row(views, i, x);
-    result = Py_NewRef(args[4]);
-done:
-    release_vectors(views, 5);
-    return result;
-}
-
 static PyObject *
 pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -400,16 +321,35 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_buffer views[7] = {{0}};
     PyObject *result = NULL;
     double *x = NULL;
-    Py_ssize_t rows;
-    if (!take_vectors(args, views, 7, "iidiidw", names)
-        || (rows = csr_rows(views)) < 0)
+    if (!take_vectors(args, views, 7, "iidiidw", names))
         goto done;
+    const int *indptr = views[0].buf, *indices = views[1].buf;
+    const int *row_a = views[3].buf, *row_k = views[4].buf;
+    const double *data = views[2].buf, *m = views[5].buf;
+    double *out = views[6].buf;
+    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
+    Py_ssize_t n = views[5].len / 8;
+    if (views[2].len / 8 != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indices and data must have equal lengths");
+        goto done;
+    }
+    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indptr must run from 0 to len(data)");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        if (indptr[i + 1] < indptr[i]) {
+            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
+            goto done;
+        }
+    }
     if (views[3].len / 4 != rows || views[4].len / 4 != rows) {
         PyErr_SetString(PyExc_ValueError, "row_a and row_k must have one "
                         "item per row, len(indptr) - 1");
         goto done;
     }
-    Py_ssize_t n = views[5].len / 8;
     if (views[6].len / 8 != n) {
         PyErr_SetString(PyExc_ValueError, "out must have one item per cell of m");
         goto done;
@@ -419,9 +359,6 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_NoMemory();
         goto done;
     }
-    const int *row_a = views[3].buf, *row_k = views[4].buf;
-    const double *m = views[5].buf;
-    double *out = views[6].buf;
     /* [m; S] with S_a = sum_{b >= a} m_b, summed from the top cell down
        and from its first term, as np.cumsum sums: -0.0 + t is t */
     double suffix = -0.0;
@@ -431,8 +368,12 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     for (Py_ssize_t k = 0; k < n; k++)
         out[k] = 0.0;
-    for (Py_ssize_t i = 0; i < rows; i++)
-        out[row_k[i]] += csr_row(views, i, x) * m[row_a[i]];
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        double row = 0.0;
+        for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
+            row += data[j] * x[indices[j]];
+        out[row_k[i]] += row * m[row_a[i]];
+    }
     result = Py_NewRef(args[6]);
 done:
     PyMem_Free(x);
@@ -494,14 +435,10 @@ static PyMethodDef methods[] = {
     {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
      "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
-    {"csr_matvec", (PyCFunction)(void (*)(void))csr_matvec, METH_FASTCALL,
-     "csr_matvec(indptr, indices, data, x, y) -> y: write the product of "
-     "the CSR matrix (indptr, indices, data) with x into y, each row summed "
-     "from 0.0 in stored order, as scipy's csr_array product."},
     {"pair_rhs", (PyCFunction)(void (*)(void))pair_rhs, METH_FASTCALL,
      "pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out: write "
-     "dm/dt of the pair-row operator (indptr, indices, data) at masses m "
-     "into out, as master_eq's numpy product and bincount sum it."},
+     "the product of the pair-row operator (indptr, indices, data) at masses "
+     "m into out, as master_eq's numpy product and bincount sum it."},
     {"gini_sums", (PyCFunction)(void (*)(void))gini_sums, METH_FASTCALL,
      "gini_sums(m, c, r) -> (M0, M1, pair, phi_r): the grid Gini's and its "
      "rate's prefix sums over masses m at sorted points c, in index order; "
@@ -513,8 +450,7 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_sweep",
     .m_doc = "The compiled Monte Carlo sweep of kinex.engine and its draws, "
-             "and the CSR matrix-vector product, pair-row right-hand side "
-             "and Gini sums of kinex.master_eq.",
+             "and the pair-row product and Gini sums of kinex.master_eq.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -23,9 +23,9 @@ test, with bitwise the same wealths and sums of |delta|.
 compiler into a per-user cache, loads it once per process and checks its
 draws against ``_draw_exchanges``. Where no compiler or ``Python.h`` is
 found, or the check fails, ``_draw_exchanges`` and the Python loop run
-instead, logged once. The same module holds the sparse product of
-``master_eq.CSRMatrix``, which loads it through ``_load``, without the
-draw check.
+instead, logged once. The same module holds the pair-row product of
+``master_eq.PairRows`` and the Gini sums of the master equation, which
+load it through ``_load``, without the draw check.
 
 A run keeps one ``Population``, which the sweeps change and each record
 reads in place; ``run`` returns it. Each record, and the final state, is
@@ -257,7 +257,7 @@ def _load():
     """The module of ``_sweep.c``, loaded once per process; None, logged
     once at WARNING, where it cannot be built. The Monte Carlo runs reach
     it through ``_compiled_sweep``, the master-equation products of
-    ``master_eq.CSRMatrix`` directly; where it is None, they sweep in
+    ``master_eq.PairRows`` directly; where it is None, they sweep in
     Python and multiply with numpy's ``bincount``. Builds are cached in
     ``$XDG_CACHE_HOME/kinex`` (``~/.cache/kinex``) under the sha256 of the
     source, ``_CFLAGS`` and the extension suffix. A cache directory others

@@ -18,19 +18,19 @@ product with it. The operator is built in blocks of tagged cells a whose
 temporaries fit ``BLOCK_BYTES``, each block's rows appended to the
 kernel's own arrays.
 
-The kernel holds its sparse operators in ``CSRMatrix``, a container of
-the compressed-sparse-row arrays whose product with a vector is
-``_sweep.c``'s ``csr_matvec``, loaded through ``engine._load`` at the first
-product. Where the module does not load, it is a numpy ``bincount`` over
-the same arrays; both sum each row from 0.0 in stored order, as scipy's
-``csr_array`` product does, so all three give the same bits. Each
-integrator step makes one compiled call per seam: ``_rhs_masses`` is
-``_sweep.c``'s ``pair_rhs``, which forms [m; S], the product, the weights
-m_a and the sums per k in one pass, and ``_weighted_gini`` and
-``_gini_rate_masses`` each one ``gini_sums``, the prefix sums of the grid
-Gini and its rate in index order. Their numpy fallbacks (the product and
-``bincount``, and ``metrics._gini_sums``' ``cumsum``) add in the same
-order, so both paths give the same bits.
+The kernel holds both sparse operators, ``gain`` and the truncation rate
+``trunc_coef``, in ``PairRows``: the compressed-sparse-row arrays of the
+pair rows and each row's (a, k). Its one product is ``_sweep.c``'s
+``pair_rhs``, loaded through ``engine._load`` at the first product, which
+forms [m; S], sums each pair row from 0.0 in stored order, as scipy's
+``csr_array`` product does, weights it by m_a and adds it into cell k, in
+one pass. Where the module does not load, it is numpy's product and
+``bincount`` over the same arrays, adding in the same order, so both give
+the same bits. Each integrator step makes one compiled call per seam:
+``_rhs_masses`` and ``_trunc_rate`` one ``pair_rhs`` each, and
+``_weighted_gini`` and ``_gini_rate_masses`` one ``gini_sums`` each, the
+prefix sums of the grid Gini and its rate in index order, whose numpy
+fallback (``metrics._gini_sums``' ``cumsum``) adds in the same order.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
@@ -350,90 +350,104 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
     return [(float(rule.lam), 1.0)]
 
 
-class CSRMatrix:
-    """A sparse matrix in compressed sparse row (CSR) form: row i holds
-    ``data[j]`` in column ``indices[j]`` for ``indptr[i] <= j <
-    indptr[i + 1]``, with int32 ``indices`` and ``indptr`` and float64
-    ``data``, as scipy's ``csr_array`` keeps them.
+class PairRows:
+    """A sparse operator A on [m; S], S_a = sum_{b >= a} m_b, of a grid of
+    ``cells`` cells, laid out by pair rows: row i is pair row (``row_a[i]``,
+    ``row_k[i]``) and holds ``data[j]`` in column ``indices[j]`` for
+    ``indptr[i] <= j < indptr[i + 1]``, in compressed sparse row form with
+    int32 ``indices``, ``indptr``, ``row_a`` and ``row_k`` and float64
+    ``data``; ``shape`` is (rows, 2 cells).
 
-    ``A @ x`` with a C-contiguous float64 vector x of ``shape[1]`` items is
-    ``_sweep.c``'s ``csr_matvec``, or, where the compiled module does not
-    load, ``np.bincount`` of ``x[indices] * data`` by row. Both sum each row
-    from 0.0 in stored order, as scipy's product does, so they give the
-    same bits. Any other x, strided ones included, raises ValueError on
-    both paths. The arrays are checked here, once: ``csr_matvec`` trusts
-    that every index lies in [0, shape[1]), so ``indices`` and ``indptr``
-    are then made read-only. ``data`` stays writable. Raises ValueError on
-    arrays that do not form a CSR matrix of ``shape``.
+    Its one product, ``product(m)`` at C-contiguous float64 masses m of
+    ``cells`` items, is out[k] = sum over rows (a, k) of m_a (A [m; S])_(a, k):
+    ``_sweep.c``'s ``pair_rhs``, or, where the compiled module does not
+    load, ``np.bincount`` of ``x[indices] * data`` by row, times m_a, and
+    ``np.bincount`` of that by k. Both sum each row from 0.0 in stored order,
+    as scipy's product does, and add the rows into each k in row order, so
+    they give the same bits. Any other m, strided ones included, raises
+    ValueError on both paths. The arrays are checked here, once:
+    ``pair_rhs`` trusts that every column lies in [0, 2 cells) and every row
+    cell in [0, cells), so all but ``data``, which stays writable, are then
+    made read-only. Raises ValueError on arrays that do not form such an
+    operator.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 shape: tuple[int, int]):
-        rows, cols = shape
-        if data.dtype != np.float64 or not indices.dtype == indptr.dtype == np.int32:
-            raise ValueError("CSR arrays must be float64 data and int32 indices")
+                 row_a: np.ndarray, row_k: np.ndarray, cells: int):
+        rows = row_a.size
+        index_arrays = (indices, indptr, row_a, row_k)
+        if data.dtype != np.float64 or any(x.dtype != np.int32 for x in index_arrays):
+            raise ValueError("pair-row arrays must be float64 data and int32 indices")
         if (
             data.ndim != 1 or indices.shape != data.shape or indptr.shape != (rows + 1,)
+            or not row_a.shape == row_k.shape == (rows,)
             or indptr[0] != 0 or indptr[-1] != data.size or np.any(np.diff(indptr) < 0)
         ):
-            raise ValueError(f"CSR arrays do not form {rows} rows of {data.size} entries")
-        if data.size and not 0 <= indices.min() <= indices.max() < cols:
-            raise ValueError(f"CSR column indices outside [0, {cols})")
-        indices.flags.writeable = False
-        indptr.flags.writeable = False
+            raise ValueError(f"pair-row arrays do not form {rows} rows of {data.size} entries")
+        if data.size and not 0 <= indices.min() <= indices.max() < 2 * cells:
+            raise ValueError(f"column indices outside [0, {2 * cells})")
+        if rows and not (0 <= min(row_a.min(), row_k.min())
+                         and max(row_a.max(), row_k.max()) < cells):
+            raise ValueError(f"row cells outside [0, {cells})")
+        for x in index_arrays:
+            x.flags.writeable = False
         self.data = data
         self.indices = indices
         self.indptr = indptr
-        self.shape = (rows, cols)
+        self.row_a = row_a
+        self.row_k = row_k
+        self.cells = cells
+        self.shape = (rows, 2 * cells)
         self.nnz = data.size
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        rows, cols = self.shape
-        if x.shape != (cols,) or x.dtype != np.float64 or not x.flags.c_contiguous:
-            raise ValueError(f"{x.dtype} vector of shape {x.shape} for {cols} "
-                             "columns: need contiguous float64")
+    def product(self, m: np.ndarray) -> np.ndarray:
+        n = self.cells
+        if m.shape != (n,) or m.dtype != np.float64 or not m.flags.c_contiguous:
+            raise ValueError(f"{m.dtype} masses of shape {m.shape} for {n} cells: "
+                             "need contiguous float64")
         module = _load()
-        if module is None:
-            # like csr_matvec and scipy it stays quiet on overflow and NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                xs = x[self.indices]
-                terms = xs * self.data
-                # of two NaNs numpy keeps the first below 9 items and the
-                # second from 9 on; csr_matvec and scipy keep x's, quieted
-                nan = np.isnan(xs)
-                terms[nan] = xs[nan] * 1.0
+        if module is not None:
+            return module.pair_rhs(self.indptr, self.indices, self.data, self.row_a,
+                                   self.row_k, m, np.empty(n))
+        rows = self.shape[0]
+        # like pair_rhs and scipy it stays quiet on overflow and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = _with_suffix_sums(m)[self.indices]
+            terms = xs * self.data
+            # of two NaNs numpy keeps the first below 9 items and the
+            # second from 9 on; pair_rhs and scipy keep x's, quieted
+            nan = np.isnan(xs)
+            terms[nan] = xs[nan] * 1.0
             row = np.repeat(np.arange(rows), np.diff(self.indptr))
-            y = np.bincount(row, weights=terms, minlength=rows)
-            return y.astype(np.float64, copy=False)  # integer zeros where nnz is 0
-        return module.csr_matvec(self.indptr, self.indices, self.data, x, np.empty(rows))
+            pair_rows = np.bincount(row, weights=terms, minlength=rows) * m[self.row_a]
+        out = np.bincount(self.row_k, weights=pair_rows, minlength=n)
+        return out.astype(np.float64, copy=False)  # integer zeros where no row is
 
 
 class DiscreteKernel:
     """Discretized transfer kernel on a wealth grid: what the integrator reads.
 
     - ``gain`` is the net gain operator N = G - L laid out by pair rows:
-      Nt[(a, k), b] = N[k, (a, b)], a ``CSRMatrix`` with one row per
+      Nt[(a, k), b] = N[k, (a, b)], a ``PairRows`` with one row per
       (tagged cell a, destination cell k) that holds an entry, in (a, k)
-      order, and 2n columns: one per partner cell b < n, and suffix column
-      n + a. Where every partner b >= a of a cell a < n - 1 has bitwise the
+      order. Where every partner b >= a of a cell a < n - 1 has bitwise the
       same law at every lambda node, row (a, k) stores the partners b < a
       in their columns and N[k, (a, a)], which stands for each b >= a, in
-      column n + a alone. Other rows leave the suffix columns empty.
-      ``row_a`` and ``row_k`` (int32, checked here once to lie in
-      [0, n) and then made read-only) name each row's a and k. dm_k/dt is
-      then the sum over rows (a, k) of m_a (Nt [m; S])_(a, k), with
-      S_a = sum_{b >= a} m_b, so ``gain @ [m; S]`` is the only product with
-      the operator. G sends the pair's mass to the cells where the tagged
-      agent lands: each delta atom splits the agent's post-wealth between
-      the two grid points bracketing it. L[a, (a, b)] = 1 removes the agent
+      column n + a alone. Other rows leave the suffix columns empty. dm/dt
+      is then ``gain.product(m)``, the operator's only product. G sends
+      the pair's mass to the cells where the tagged agent lands: each
+      delta atom splits the agent's post-wealth between the two grid
+      points bracketing it. L[a, (a, b)] = 1 removes the agent
       from its source cell. A pair's entries sum to zero to rounding; for a
       pair that transfers nothing the tagged agent's entries cancel the -1
       exactly and the pair stores nothing.
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
       integrand, a dense n x n array indexed [a, b].
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
-      and time, an n x n ``CSRMatrix`` indexed [a, b] that stores exactly
-      the pairs that truncate: the kernel's one record of truncation.
+      and time, tau_ab, a ``PairRows`` with one row (a, a) per cell a whose
+      pairs truncate, each holding those partners b in column b: the
+      kernel's one record of truncation. Its product at m holds
+      m_a sum_b tau_ab m_b in cell a.
 
     The build forms the atoms one lambda node and one block of tagged cells
     at a time and keeps none of them. The partner's post-wealth needs no
@@ -442,29 +456,16 @@ class DiscreteKernel:
     covers.
     """
 
-    def __init__(
-        self, rule: RuleSpec, centers: np.ndarray, gain: CSRMatrix, row_a: np.ndarray,
-        row_k: np.ndarray, abs_delta: np.ndarray, trunc_coef: CSRMatrix,
-    ):
+    def __init__(self, rule: RuleSpec, centers: np.ndarray, gain: PairRows,
+                 abs_delta: np.ndarray, trunc_coef: PairRows):
         n = centers.size
-        rows = gain.shape[0]
-        if gain.shape[1] != 2 * n or not row_a.shape == row_k.shape == (rows,):
-            raise ValueError(f"gain of shape {gain.shape} and {row_a.shape} row "
-                             f"cells for {n} cells")
-        if not row_a.dtype == row_k.dtype == np.int32:
-            raise ValueError("row cells must be int32")
-        if rows and not (0 <= min(row_a.min(), row_k.min())
-                         and max(row_a.max(), row_k.max()) < n):
-            raise ValueError(f"row cells outside [0, {n})")
-        # pair_rhs trusts them, as csr_matvec trusts gain's indices
-        row_a.flags.writeable = False
-        row_k.flags.writeable = False
+        if gain.shape[1] != 2 * n or trunc_coef.shape[1] != 2 * n:
+            raise ValueError(f"operators of shapes {gain.shape} and "
+                             f"{trunc_coef.shape} for {n} cells")
         self.rule = rule
         self.centers = centers
         self.cells = n
         self.gain = gain
-        self.row_a = row_a
-        self.row_k = row_k
         self.abs_delta = abs_delta
         self.trunc_coef = trunc_coef
 
@@ -608,50 +609,61 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     pair_bytes = 28 * (4 * len(nodes) + 1) + 8 * 16 + 24
     step = max(1, BLOCK_BYTES // (pair_bytes * n))
     abs_delta = np.zeros((n, n))
-    data = np.empty(0)
-    indices = np.empty(0, dtype=np.int32)
-    row_a = np.empty(0, dtype=np.int32)
-    row_k = np.empty(0, dtype=np.int32)
-    row_nnz = np.empty(0, dtype=np.int32)
+    gain = _new_rows()
     # Wealth lost by the evolved density per unit (pair-mass * time), the
     # tagged agent's overshoot alone (the partner's outcome of pair (a, b)
-    # is the tagged outcome of pair (b, a)), stored by rows a like gain.
-    trunc_data = np.empty(0)
-    trunc_indices = np.empty(0, dtype=np.int32)
-    trunc_nnz = np.empty(0, dtype=np.int32)
+    # is the tagged outcome of pair (b, a)), stored in rows (a, a).
+    trunc_coef = _new_rows()
     for a0 in range(0, n, step):
         a1 = min(a0 + step, n)
         trunc = np.zeros((a1 - a0, n))
         key, val = _block_entries(rule, nodes, c, a0, a1, abs_delta[a0:a1], trunc)
         rows = key // (2 * n)  # (a - a0) * n + k
-        _append(data, val)
-        del val
-        _append(indices, key - rows * (2 * n))
-        del key
-        first = _run_starts(rows)
-        _append(row_nnz, np.diff(first, append=rows.size))
-        rows = rows[first]
-        del first
-        _append(row_a, rows // n + a0)
-        _append(row_k, rows % n)
-        del rows
+        key -= rows * (2 * n)
+        _append_rows(gain, rows, key, val, a0, n)
+        del rows, key, val
         stored = np.flatnonzero(trunc)
-        _append(trunc_data, trunc.ravel()[stored])
-        _append(trunc_indices, stored % n)
-        _append(trunc_nnz, np.bincount(stored // n, minlength=a1 - a0))
-        del trunc, stored
+        rows = stored // n  # a - a0, and row (a, a) is (a - a0) * (n + 1) + a0
+        _append_rows(trunc_coef, rows * (n + 1) + a0, stored - rows * n,
+                     trunc.ravel()[stored], a0, n)
+        del trunc, stored, rows
 
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
-    gain = CSRMatrix(data, indices, indptr, (row_a.size, 2 * n))
-    indptr = np.concatenate(([0], np.cumsum(trunc_nnz)), dtype=np.int32)
-    trunc_coef = CSRMatrix(trunc_data, trunc_indices, indptr, (n, n))
+    gain = _pair_rows(gain, n)
+    trunc_coef = _pair_rows(trunc_coef, n)
     if trunc_coef.nnz:
         log.debug(
             "kernel truncates wealth at the top cell for %d of %d pairs",
             trunc_coef.nnz,
             n * n,
         )
-    return DiscreteKernel(rule, c, gain, row_a, row_k, abs_delta, trunc_coef)
+    return DiscreteKernel(rule, c, gain, abs_delta, trunc_coef)
+
+
+def _new_rows() -> list[np.ndarray]:
+    """Empty growing arrays of a ``PairRows``: data, indices, row lengths,
+    row_a and row_k."""
+    return [np.empty(0)] + [np.empty(0, dtype=np.int32) for _ in range(4)]
+
+
+def _append_rows(parts, rows, cols, vals, a0, n) -> None:
+    """Append to the arrays ``parts`` of ``_new_rows`` the entries ``vals`` in
+    columns ``cols`` of the pair rows ``rows`` = (a - a0) * n + k, given in
+    (row, column) order."""
+    data, indices, row_nnz, row_a, row_k = parts
+    _append(data, vals)
+    _append(indices, cols)
+    first = _run_starts(rows)
+    _append(row_nnz, np.diff(first, append=rows.size))
+    rows = rows[first]
+    _append(row_a, rows // n + a0)
+    _append(row_k, rows % n)
+
+
+def _pair_rows(parts, n) -> PairRows:
+    """The ``PairRows`` of the arrays ``parts`` of ``_new_rows``."""
+    data, indices, row_nnz, row_a, row_k = parts
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
+    return PairRows(data, indices, indptr, row_a, row_k, n)
 
 
 @dataclass
@@ -692,8 +704,8 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     c = kernel.centers
     gain = kernel.gain
     row_nnz = np.diff(gain.indptr)
-    pair = np.repeat(kernel.row_a * np.int64(2 * n), row_nnz) + gain.indices
-    moment = gain.data * np.repeat(c[kernel.row_k], row_nnz)
+    pair = np.repeat(gain.row_a * np.int64(2 * n), row_nnz) + gain.indices
+    moment = gain.data * np.repeat(c[gain.row_k], row_nnz)
     a = np.arange(n)
 
     def by_pair(weights):
@@ -711,7 +723,7 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     trunc = kernel.trunc_coef
     if kernel.rule.unbiased:
         gated = bias_rel.copy()
-        gated[np.repeat(np.arange(n), np.diff(trunc.indptr)), trunc.indices] = 0.0
+        gated[np.repeat(trunc.row_a, np.diff(trunc.indptr)), trunc.indices] = 0.0
         passed = passed and float(gated.max()) <= KernelCheckReport.BIAS_REL_TOL
     return KernelCheckReport(
         max_norm_error=float(norm_error.max()),
@@ -743,28 +755,19 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
 
 
 def _with_suffix_sums(m: np.ndarray) -> np.ndarray:
-    """[m; S] with S_a = sum_{b >= a} m_b: what ``gain``'s columns multiply."""
+    """[m; S] with S_a = sum_{b >= a} m_b: what a ``PairRows`` multiplies."""
     return np.concatenate((m, np.cumsum(m[::-1])[::-1]))
 
 
 def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    """``rhs`` at the C-contiguous float64 masses ``m``: ``_sweep.c``'s
-    ``pair_rhs`` in one call, or, where the module does not load, the
-    product ``gain @ [m; S]``, times m_a and summed per k by ``bincount``.
-    Both sum each pair row from 0.0 in stored order and add the rows into
-    each k in row order, so they give the same bits."""
-    module = _load()
-    if module is None:
-        pair_rows = (kernel.gain @ _with_suffix_sums(m)) * m[kernel.row_a]
-        return np.bincount(kernel.row_k, weights=pair_rows, minlength=kernel.cells)
-    gain = kernel.gain
-    return module.pair_rhs(gain.indptr, gain.indices, gain.data, kernel.row_a,
-                           kernel.row_k, m, np.empty(kernel.cells))
+    """``rhs`` at the C-contiguous float64 masses ``m``: ``gain``'s product."""
+    return kernel.gain.product(m)
 
 
 def _trunc_rate(kernel: DiscreteKernel, m: np.ndarray) -> float:
-    """Wealth lost past the top cell per unit time at masses ``m``."""
-    return float(m @ (kernel.trunc_coef @ m))
+    """Wealth lost past the top cell per unit time at masses ``m``,
+    sum_a m_a sum_b tau_ab m_b: the sum of ``trunc_coef``'s product."""
+    return float(kernel.trunc_coef.product(m).sum())
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -919,7 +922,8 @@ def integrate(
         raise ValueError("kernel was built for a different grid")
     m = grid.masses.copy()
     mass0 = math.fsum(m)
-    mean0 = float(np.dot(m, c))
+    # M1 in index order: a BLAS dot's order depends on the CPU
+    mean0 = _grid_sums(m, c, None)[1]
     if not mean0 > 0.0:
         raise ValueError("degenerate: zero mean wealth")
     two_mean0 = 2.0 * mean0
@@ -988,7 +992,7 @@ def integrate(
                 )
 
             mass = math.fsum(m.tolist())
-            mean = float(np.dot(m, c))
+            mean = _grid_sums(m, c, None)[1]
             # written so that a NaN fails them, as a breach
             if not abs(mass - mass_prev) <= STEP_MASS_TOL:
                 raise IntegrationAbort(

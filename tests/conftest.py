@@ -29,7 +29,7 @@ def compiled_sweep():
 
 def compiled_product():
     """The compiled module as the master-equation products load it, through
-    ``engine._load`` (no draw self-check), with its ``csr_matvec``; skips or
+    ``engine._load`` (no draw self-check), with its ``pair_rhs``; skips or
     fails as ``compiled_sweep``, numpy's ``bincount`` then serving every
     product."""
     import kinex.engine as engine

@@ -552,6 +552,22 @@ class TestKernelCheckCommand:
             "FAILED",
         ]
 
+    @pytest.mark.parametrize("rule, norm_error", [
+        ("yardsale:lambda=uniform", "2.74086309204e-16"),
+        ("unbiased-loser:lambda=uniform", "3.78820239066e-16"),
+    ])
+    def test_truncated_pairs_leave_the_gate(self, rule, norm_error):
+        # the top cell's pairs lose wealth past it and are biased by 1/8 of
+        # their scale; the gate skips the pairs the truncation rows name
+        code, stdout, _ = run_cli("kernel-check", "--rule", rule, "--grid", "log:1e-3:200:96")
+        assert code == 0
+        assert stdout.splitlines() == [
+            f"max normalization error: {norm_error}",
+            "max bias: 47.0151143815",
+            "max relative bias: 0.125",
+            "passed",
+        ]
+
 
 class TestSweepCommand:
     def test_lambda_sweep_rows(self, tmp_path):
@@ -732,7 +748,7 @@ GOLDEN_SHA256 = {
         "4531e2517b7b302844ab24a9968a1dfd79046693b258658cfc18a5b775636c33",
     ),
     "integrate": (
-        "88baa0b9933ce65929fc90dbcbc254ff037965eb6fcbabe93483bc0f9f1ea627",
+        "cc49268fc10e22b2171487e995f32c9b14e04a6fc1c7913c785920f07bc7d484",
         "eb018562ed6b325c3d888a472e7d8b4db2186f17ea3c1e4f1ee38b859e99dd1e",
     ),
     "sweep": (
@@ -792,19 +808,19 @@ INTEGRATE_COMMANDS = {
 
 GOLDEN_SHA256.update({
     "integrate-yardsale-0.5-condense": (
-        "41f4bac4fc450cec4231036cc0217a0f61d2aa14a03f9fd58befe94da67802c7",
+        "fa9ef3fd04bb71f477e770ad6f0437112084183755ab4b15db41a64b9bc1fcce",
         "329d2d2919cdd576ecfb7356352d5d633a396d4e56c3f924af2f159c054b0718",
     ),
     "integrate-loser-0.5": (
-        "52d6be323de98e9644802cb95d47e2ef3d4e247186c5268641da8cf187336b9c",
+        "d16be6422eaea1af269661c4dcbe67c53a6e058ddb1ecdf6208d724b92c296c6",
         "fd9aa38a5335cca299de5f29ce10f4f0c9578ed38636a7d24a5be027da1f3c6c",
     ),
     "integrate-unbiased-loser-uniform": (
-        "6dda875744cc98e22c67b69b15e78a867070644734058dbf13e12ccc26ee2bbd",
+        "2bc5b49d1770b784fbbeca6e462645967a38dffc53aaa8054f43245ba83e2b71",
         "ab58b6bd25a20b0761676e8a3c631c9bf638fe8283cd50d27c1d08b27474ae86",
     ),
     "integrate-yardsale-uniform": (
-        "695017172b7d5f34b09d1ed0d9c2afef0467a35e830355c05274cf17df01408a",
+        "6bca522fa69a03cf171ab1546ae5f58f8244f1e5a053fdf90809026fd5824464",
         "9bbf72137dd1605f0676bab874160a97cace2491dc93d4af7204828e70e1182c",
     ),
     "simulate-n8192-yardsale-0.5": (

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinex import (
@@ -29,13 +29,13 @@ from kinex import (
     two_point_law,
 )
 from kinex.master_eq import (
-    CSRMatrix,
     DiscreteKernel,
     Exponential,
     IntegrationAbort,
     IntegrationReport,
     LinearScheme,
     LogScheme,
+    PairRows,
     TRUNCATION_TOL,
     PointMass,
     UniformBand,
@@ -77,11 +77,27 @@ def pair_atoms(rule, c):
 
 
 def scipy_csr(matrix):
-    """scipy's ``csr_array`` over the arrays of the kernel's ``CSRMatrix``
-    ``matrix``: the reference of its product, and scipy's methods."""
+    """scipy's ``csr_array`` over the CSR arrays of the ``PairRows``
+    ``matrix``: the reference of its row sums, and scipy's methods."""
     return scipy.sparse.csr_array(
         (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
     )
+
+
+def scipy_product(matrix, m):
+    """``matrix.product(m)`` from scipy's product with [m; S], times m_a and
+    summed per k by ``np.bincount``: the sums in the order the product
+    takes them."""
+    pair_rows = (scipy_csr(matrix) @ _with_suffix_sums(m)) * m[matrix.row_a]
+    return np.bincount(matrix.row_k, weights=pair_rows, minlength=matrix.shape[1] // 2)
+
+
+def trunc_matrix(kernel):
+    """``kernel.trunc_coef`` as the dense [a, b] array of tau_ab."""
+    trunc = kernel.trunc_coef
+    tau = np.zeros((kernel.cells, kernel.cells))
+    tau[np.repeat(trunc.row_a, np.diff(trunc.indptr)), trunc.indices] = trunc.data
+    return tau
 
 
 def net_gain(kernel):
@@ -90,14 +106,14 @@ def net_gain(kernel):
     entry of suffix column n + a in every column b >= a."""
     n = kernel.cells
     rows = scipy_csr(kernel.gain).tocoo()
-    a = kernel.row_a[rows.row].astype(np.int64)
+    a = kernel.gain.row_a[rows.row].astype(np.int64)
     col = rows.col.astype(np.int64)
     span = np.where(col >= n, n - a, 1)
     entry = np.repeat(np.arange(col.size), span)
     b = col[entry] + np.arange(entry.size) - np.repeat(np.cumsum(span) - span, span)
     b = np.where(b >= n, b - n, b)  # column n + a spans b = a, ..., n - 1
     return scipy.sparse.csr_matrix(
-        (rows.data[entry], (kernel.row_k[rows.row][entry], a[entry] * n + b)),
+        (rows.data[entry], (kernel.gain.row_k[rows.row][entry], a[entry] * n + b)),
         shape=(n, n * n),
     )
 
@@ -106,7 +122,7 @@ def pair_entries(kernel, a, b):
     """Positions in ``kernel.gain.data`` of pair (a, b)'s entries of N: in
     column b, or, for b >= a, in suffix column n + a."""
     gain = kernel.gain
-    row_a = np.repeat(kernel.row_a, np.diff(gain.indptr))
+    row_a = np.repeat(gain.row_a, np.diff(gain.indptr))
     suffix = (gain.indices == kernel.cells + a) & (b >= a)
     return np.flatnonzero((row_a == a) & ((gain.indices == b) | suffix))
 
@@ -138,12 +154,14 @@ def kernel_arrays(kernel):
         "gain.data": kernel.gain.data,
         "gain.indices": kernel.gain.indices,
         "gain.indptr": kernel.gain.indptr,
-        "row_a": kernel.row_a,
-        "row_k": kernel.row_k,
+        "gain.row_a": kernel.gain.row_a,
+        "gain.row_k": kernel.gain.row_k,
         "abs_delta": kernel.abs_delta,
         "trunc_coef.data": kernel.trunc_coef.data,
         "trunc_coef.indices": kernel.trunc_coef.indices,
         "trunc_coef.indptr": kernel.trunc_coef.indptr,
+        "trunc_coef.row_a": kernel.trunc_coef.row_a,
+        "trunc_coef.row_k": kernel.trunc_coef.row_k,
         "centers": kernel.centers,
     }
 
@@ -151,7 +169,7 @@ def kernel_arrays(kernel):
 def truncated(kernel):
     """Dense [a, b] mask of the pairs that lose wealth past the top cell,
     the pairs ``kernel.trunc_coef`` stores."""
-    return scipy_csr(kernel.trunc_coef).toarray() > 0.0
+    return trunc_matrix(kernel) > 0.0
 
 
 def buffer_nbytes(array):
@@ -379,7 +397,11 @@ class TestBuildKernel:
         np.add.at(lost, (pair_a, pair_b), prob * over)
         kernel = build_kernel(rule, grid)
         assert kernel.trunc_coef.nnz == np.count_nonzero(lost) > 0
-        assert bits(scipy_csr(kernel.trunc_coef).toarray()) == bits(lost)
+        assert bits(trunc_matrix(kernel)) == bits(lost)
+        # one row (a, a) per cell a whose pairs truncate, in a order
+        trunc = kernel.trunc_coef
+        assert trunc.row_a.tolist() == trunc.row_k.tolist()
+        assert trunc.row_a.tolist() == np.flatnonzero(lost.any(axis=1)).tolist()
 
     @pytest.mark.parametrize(
         "rule", [YS(0.5), YS(UNIFORM_LAMBDA), UL(UNIFORM_LAMBDA), IA, CL(0.5)],
@@ -408,7 +430,7 @@ class TestBuildKernel:
         assert bits(net.data[order]) == bits(val)
         # yard-sale's delta = +-lambda c_a for every partner b >= a fills
         # suffix columns, of cells a > 0 alone; no other rule has one
-        row_a = np.repeat(kernel.row_a, np.diff(kernel.gain.indptr))
+        row_a = np.repeat(kernel.gain.row_a, np.diff(kernel.gain.indptr))
         suffix = kernel.gain.indices >= n
         if rule.kind is RuleKind.YARD_SALE:
             assert suffix.any()
@@ -445,29 +467,35 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
 
 
 @st.composite
-def csr_and_vector(draw):
-    """(indptr, indices, data, x) of a random CSR matrix, some of its rows
-    empty and its columns unsorted or repeated, and a vector of its columns,
+def pair_rows_and_masses(draw):
+    """(data, indices, indptr, row_a, row_k, m) of a random pair-row
+    operator on up to 4 cells, some of its rows empty, its columns unsorted
+    or repeated and its row cells in any order, and masses m of its cells,
     with -0.0, subnormals, infinities and NaN among the values."""
     value = st.floats(width=64) | st.sampled_from(SPECIAL)
-    cols = draw(st.integers(1, 8))
-    rows = draw(st.lists(
-        st.lists(st.tuples(st.integers(0, cols - 1), value), max_size=6), max_size=8
-    ))
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int32)
-    entries = [entry for row in rows for entry in row]
-    indices = np.array([col for col, _ in entries], dtype=np.int32)
-    data = np.array([v for _, v in entries], dtype=np.float64)
-    x = np.array(draw(st.lists(value, min_size=cols, max_size=cols)), dtype=np.float64)
-    return indptr, indices, data, x
+    cells = draw(st.integers(1, 4))
+    cell = st.integers(0, cells - 1)
+    entries = st.lists(st.tuples(st.integers(0, 2 * cells - 1), value), max_size=6)
+    rows = draw(st.lists(st.tuples(cell, cell, entries), max_size=8))
+    indptr = np.cumsum([0] + [len(row) for _, _, row in rows], dtype=np.int32)
+    flat = [entry for _, _, row in rows for entry in row]
+    indices = np.array([col for col, _ in flat], dtype=np.int32)
+    data = np.array([v for _, v in flat], dtype=np.float64)
+    row_a = np.array([a for a, _, _ in rows], dtype=np.int32)
+    row_k = np.array([k for _, k, _ in rows], dtype=np.int32)
+    m = np.array(draw(st.lists(value, min_size=cells, max_size=cells)), dtype=np.float64)
+    return data, indices, indptr, row_a, row_k, m
 
 
-class TestCSRProduct:
-    """``CSRMatrix @ x``, ``_sweep.c``'s ``csr_matvec`` or numpy's
-    ``bincount``, gives scipy's ``csr_array`` product bit for bit."""
+class TestPairRowProduct:
+    """``PairRows.product``, ``_sweep.c``'s ``pair_rhs`` or numpy's
+    ``bincount``, gives scipy's ``csr_array`` product with [m; S], times m_a
+    and summed per k by ``bincount``, bit for bit."""
 
-    SMALL = (np.array([0, 2, 2, 3], np.int32), np.array([1, 0, 2], np.int32),
-             np.array([0.5, -1.0, 2.0]))
+    # three rows of three cells: (0, 1), (2, 1) empty and (1, 0)
+    SMALL = dict(data=np.array([0.5, -1.0, 2.0]), indices=np.array([1, 3, 5], np.int32),
+                 indptr=np.array([0, 2, 2, 3], np.int32), row_a=np.array([0, 2, 1], np.int32),
+                 row_k=np.array([1, 1, 0], np.int32))
 
     @pytest.mark.parametrize("cells", [200, 800])
     @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
@@ -480,78 +508,107 @@ class TestCSRProduct:
         spread = build_grid(scheme, Exponential(1.0)).masses
         condensed = (1.0 - 1e-9) * oligarchy_surrogate(grid, 1e4).masses + 1e-9 * spread
         for m in (spread, condensed):
-            for matrix, x in ((kernel.gain, _with_suffix_sums(m)),
-                              (kernel.trunc_coef, m)):
-                assert bits(matrix @ x) == bits(scipy_csr(matrix) @ x)
+            for matrix in (kernel.gain, kernel.trunc_coef):
+                assert bits(matrix.product(m)) == bits(scipy_product(matrix, m))
 
     # the product path is patched once per test, not per example
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(arrays=csr_and_vector())
-    # nine NaN x -NaN terms: from 9 items on, numpy's multiply keeps the
-    # second operand's NaN, csr_matvec and scipy x's
-    @example(arrays=(np.arange(10, dtype=np.int32), np.zeros(9, np.int32),
-                     np.full(9, -math.nan), np.array([math.nan])))
+    @given(arrays=pair_rows_and_masses())
     def test_random_products_match_scipy(self, product_path, arrays):
-        indptr, indices, data, x = arrays
-        shape = (indptr.size - 1, x.size)
-        want = scipy.sparse.csr_array((data, indices, indptr), shape=shape) @ x
-        got = CSRMatrix(data, indices, indptr, shape) @ x
-        assert got.dtype == np.float64 and bits(got) == bits(want)
+        # NaN counted as one: of two NaNs, the one a sum or product keeps
+        # depends on the order the compiler gives its operands
+        data, indices, indptr, row_a, row_k, m = arrays
+        with np.errstate(all="ignore"):
+            want = bits_any_nan(scipy_product(PairRows(*arrays[:5], m.size), m))
+        got = PairRows(*arrays[:5], m.size).product(m)
+        assert got.dtype == np.float64 and bits_any_nan(got) == want
         if product_path == "compiled":
-            y = np.full(shape[0], 7.0)
-            assert compiled_product().csr_matvec(indptr, indices, data, x, y) is y
-            assert bits(y) == bits(want)
+            out = np.full(m.size, 7.0)
+            assert compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
+                                               m, out) is out
+            assert bits_any_nan(out) == want
+
+    def test_nan_terms_keep_the_masses_nan(self, product_path):
+        # nine rows of one NaN term each, whose x, S_0 = -inf + inf, is the
+        # default NaN: of 9 items numpy's multiply keeps the second operand's
+        # NaN in the last, pair_rhs and scipy x's; that row alone adds into
+        # cell 1, so no sum has two NaNs to choose from
+        arrays = (np.full(9, math.nan), np.full(9, 2, np.int32),
+                  np.arange(10, dtype=np.int32), np.zeros(9, np.int32),
+                  np.array([0] * 8 + [1], np.int32))
+        m = np.array([math.inf, -math.inf])
+        with np.errstate(all="ignore"):
+            want = scipy_product(PairRows(*arrays, 2), m)
+        assert bits(PairRows(*arrays, 2).product(m)) == bits(want)
 
     def call(self, **given):
-        """Call ``csr_matvec`` on the SMALL matrix, x and y with the
-        arguments ``given`` in place of its own; it must raise and leave y
+        """Call ``pair_rhs`` on the SMALL operator, masses and out with the
+        arguments ``given`` in place of its own; it must raise and leave out
         as it was."""
-        args = dict(zip(("indptr", "indices", "data"), self.SMALL),
-                    x=np.ones(3), y=np.full(3, 7.0))
-        args.update(given)
-        before = bits(args["y"])
+        args = {**{name: self.SMALL[name] for name in
+                   ("indptr", "indices", "data", "row_a", "row_k")},
+                "m": np.ones(3), "out": np.full(3, 7.0), **given}
+        before = bits(args["out"])
         with pytest.raises((TypeError, ValueError)) as err:
-            compiled_product().csr_matvec(*args.values())
-        assert bits(args["y"]) == before
+            compiled_product().pair_rhs(*args.values())
+        assert bits(args["out"]) == before
         return str(err.value)
 
     def test_malformed_calls_raise_before_writing(self):
-        assert "int32" in self.call(indices=np.array([1, 0, 2], np.int64))
+        assert "int32" in self.call(indices=np.array([1, 3, 5], np.int64))
         assert "int32" in self.call(indptr=np.array([0, 2, 2, 3], np.int64))
-        assert "float64" in self.call(x=np.ones(3, np.float32))
-        assert "one-dimensional" in self.call(x=np.ones((3, 1)))
-        self.call(x=np.ones(6)[::2])
+        assert "int32" in self.call(row_k=np.array([1, 1, 0], np.int64))
+        assert "float64" in self.call(m=np.ones(3, np.float32))
+        assert "one-dimensional" in self.call(m=np.ones((3, 1)))
+        self.call(m=np.ones(6)[::2])
         frozen = np.full(3, 7.0)
         frozen.flags.writeable = False
-        self.call(y=frozen)
-        assert "one item per row" in self.call(y=np.full(4, 7.0))
+        self.call(out=frozen)
+        assert "one item per cell" in self.call(out=np.full(4, 7.0))
+        assert "one item per cell" in self.call(m=np.ones(4))
+        assert "one item per row" in self.call(row_a=np.array([0, 2], np.int32))
         assert "equal lengths" in self.call(data=np.ones(2))
         assert "decreases" in self.call(indptr=np.array([0, 3, 2, 3], np.int32))
         assert "from 0" in self.call(indptr=np.array([0, 2, 2, 2], np.int32))
         assert "from 0" in self.call(indptr=np.array([1, 2, 2, 3], np.int32))
+        with pytest.raises(TypeError, match="7 arguments"):
+            compiled_product().pair_rhs(*self.SMALL.values())
 
     def test_container_checks_its_arrays_once(self, product_path):
-        indptr, indices, data = self.SMALL
-        matrix = CSRMatrix(data.copy(), indices.copy(), indptr.copy(), (3, 3))
-        assert matrix.nnz == 3 and matrix.shape == (3, 3)
-        assert not matrix.indices.flags.writeable and not matrix.indptr.flags.writeable
+        matrix = PairRows(**{name: x.copy() for name, x in self.SMALL.items()}, cells=3)
+        assert matrix.nnz == 3 and matrix.shape == (3, 6)
+        for name in ("indices", "indptr", "row_a", "row_k"):
+            assert not getattr(matrix, name).flags.writeable, name
         assert matrix.data.flags.writeable
-        assert bits(matrix @ np.ones(3)) == bits([-0.5, 0.0, 2.0])
-        # one ValueError on both paths: strided vectors are rejected, not copied
-        for x in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
+        # x = [m; S] = [1, 2, 4, 7, 6, 4]: row (0, 1) is 0.5 * 2 - 7, times
+        # m_0, and row (1, 0) 2 * 4, times m_1
+        assert bits(matrix.product(np.array([1.0, 2.0, 4.0]))) == bits([16.0, -6.0, 0.0])
+        # one ValueError on both paths: strided masses are rejected, not copied
+        for m in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
                   np.ones(3, np.float32), np.ones(6)[::2]):
-            with pytest.raises(ValueError, match="3 columns: need contiguous float64"):
-                matrix @ x
-        with pytest.raises(ValueError, match="outside"):
-            CSRMatrix(data, np.array([1, 0, 3], np.int32), indptr, (3, 3))
-        with pytest.raises(ValueError, match="outside"):
-            CSRMatrix(data, np.array([1, -1, 2], np.int32), indptr, (3, 3))
-        for bad in ([0, 3, 2, 3], [0, 2, 2, 2], [1, 2, 2, 3], [0, 2, 3]):
-            with pytest.raises(ValueError, match="form"):
-                CSRMatrix(data, indices, np.array(bad, np.int32), (3, 3))
-        with pytest.raises(ValueError, match="int32"):
-            CSRMatrix(data, indices.astype(np.int64), indptr, (3, 3))
+            with pytest.raises(ValueError, match="3 cells: need contiguous float64"):
+                matrix.product(m)
+        for name, bad, match in [
+            ("indices", [1, 3, 6], "outside"),
+            ("indices", [1, -1, 2], "outside"),
+            ("row_k", [1, 1, 3], "outside"),
+            ("row_a", [0, -1, 1], "outside"),
+            ("indptr", [0, 3, 2, 3], "form"),
+            ("indptr", [0, 2, 2, 2], "form"),
+            ("indptr", [1, 2, 2, 3], "form"),
+            ("indptr", [0, 2, 3], "form"),
+            ("row_a", [0, 2], "form"),
+            ("row_k", np.array([1, 1, 0], np.int64), "int32"),
+            ("indices", np.array([1, 3, 5], np.int64), "int32"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                PairRows(**{**self.SMALL, name: np.asarray(bad, getattr(bad, "dtype", np.int32))},
+                         cells=3)
+        kernel = build_kernel(YS(0.5), small_grid())
+        with pytest.raises(ValueError, match="shapes"):
+            DiscreteKernel(kernel.rule, kernel.centers[1:], kernel.gain,
+                           kernel.abs_delta, kernel.trunc_coef)
 
 
 def rhs_longdouble(kernel, m):
@@ -686,8 +743,7 @@ class TestStepSeams:
         gen = np.random.Generator(np.random.PCG64(23))
         for _ in range(8):
             m = random_masses(gen, grid.cells)
-            pair_rows = (scipy_csr(kernel.gain) @ _with_suffix_sums(m)) * m[kernel.row_a]
-            want = np.bincount(kernel.row_k, weights=pair_rows, minlength=grid.cells)
+            want = scipy_product(kernel.gain, m)
             assert bits(master_eq._rhs_masses(kernel, m)) == bits(want)
 
     @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
@@ -725,49 +781,37 @@ class TestStepSeams:
         c = np.linspace(0.0, 3.0, 4)
         assert master_eq._weighted_gini(np.array([1.0, 0.0, 0.0, 0.0]), c) == 0.0
 
-    def test_malformed_calls_raise_before_writing(self):
+    def test_malformed_gini_sums_calls_raise(self):
         module = compiled_product()
-        kernel = build_kernel(YS(0.5), small_grid())
-        gain, n = kernel.gain, kernel.cells
-        args = [gain.indptr, gain.indices, gain.data, kernel.row_a, kernel.row_k,
-                np.full(n, 1.0 / n)]
-        for k, bad in [(5, np.ones(n + 1)), (3, kernel.row_a[1:]),
-                       (4, kernel.row_k.astype(np.int64)), (5, np.ones(2 * n)[::2]),
-                       (2, gain.data[1:]), (0, gain.indptr[::-1].copy())]:
-            out = np.full(n, 7.0)
-            with pytest.raises((TypeError, ValueError)):
-                module.pair_rhs(*args[:k], bad, *args[k + 1:], out)
-            assert bits(out) == bits(np.full(n, 7.0))
-        with pytest.raises(ValueError, match="one item per cell"):
-            module.pair_rhs(*args, np.empty(n + 1))
-        with pytest.raises(TypeError, match="7 arguments"):
-            module.pair_rhs(*args)
-        c = kernel.centers
+        n = 5
+        c = np.linspace(0.0, 4.0, n)
         for m, c, r in [(np.ones(n - 1), c, None), (np.ones(n), c, np.ones(n - 1)),
                         (np.ones(n, np.float32), c, None), (np.empty(0), c[:0], None),
                         (np.ones(n), c, np.ones(n, np.int64))]:
             with pytest.raises((TypeError, ValueError)):
                 module.gini_sums(m, c, r)
 
-    def test_kernel_checks_its_row_cells_once(self):
-        kernel = build_kernel(YS(0.5), small_grid())
-        assert not kernel.row_a.flags.writeable and not kernel.row_k.flags.writeable
-        parts = dict(rule=kernel.rule, centers=kernel.centers, gain=kernel.gain,
-                     row_a=kernel.row_a, row_k=kernel.row_k,
-                     abs_delta=kernel.abs_delta, trunc_coef=kernel.trunc_coef)
-        n = kernel.cells
-        too_high, negative = kernel.row_k.copy(), kernel.row_a.copy()
-        too_high[-1] = n
-        negative[0] = -1
-        for name, bad, match in [
-            ("row_k", too_high, "outside"),
-            ("row_a", negative, "outside"),
-            ("row_a", kernel.row_a[1:].copy(), "shape"),
-            ("row_k", kernel.row_k.astype(np.int64), "int32"),
-            ("centers", kernel.centers[1:], "shape"),
-        ]:
-            with pytest.raises(ValueError, match=match):
-                DiscreteKernel(**{**parts, name: bad})
+    @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
+    def test_trunc_rate_sums_the_product(self, product_path, rule):
+        # the sum of trunc_coef's product, bitwise on both paths, and within
+        # the rounding of its sums of sum_ab tau_ab m_a m_b, all terms >= 0:
+        # a row of r entries and its weight m_a round r + 1 times, the sum
+        # over cells n - 1 times
+        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
+        kernel = build_kernel(rule, grid)
+        trunc = kernel.trunc_coef
+        tau = trunc_matrix(kernel)
+        bound = (np.diff(trunc.indptr).max(initial=0) + grid.cells) * 2.0**-53
+        gen = np.random.Generator(np.random.PCG64(31))
+        rates = []
+        for _ in range(8):
+            m = random_masses(gen, grid.cells)
+            rate = master_eq._trunc_rate(kernel, m)
+            assert bits([rate]) == bits([scipy_product(trunc, m).sum()])
+            exact = math.fsum((tau * np.outer(m, m)).ravel().tolist())
+            assert abs(rate - exact) <= bound * exact
+            rates.append(rate)
+        assert max(rates) > 0.0
 
 
 def gini_rate_bruteforce(grid, rule, lam=None):
@@ -833,7 +877,7 @@ class TestGiniRate:
             masses = np.zeros(grid0.cells)
             masses[support] = gen.dirichlet(np.full(int(support.sum()), 0.5))
             grid = grid0.with_masses(masses)
-            lost = float((scipy_csr(kernel.trunc_coef) * np.outer(masses, masses)).sum())
+            lost = float((trunc_matrix(kernel) * np.outer(masses, masses)).sum())
             assert (lost > 0.0) == truncating
             assert gini_rate(grid, kernel) == pytest.approx(
                 gini_rate_per_entry(grid, kernel), rel=1e-10
@@ -865,7 +909,7 @@ class TestGiniRate:
         grid = make_grid(centers, masses)
         kernel = build_kernel(rule, grid)
         weighted_truncation = float(
-            (scipy_csr(kernel.trunc_coef) * np.outer(masses, masses)).sum()
+            (trunc_matrix(kernel) * np.outer(masses, masses)).sum()
         )
         assert weighted_truncation == 0.0
         fast = gini_rate(grid, kernel)
