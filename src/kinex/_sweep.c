@@ -30,11 +30,13 @@
      it, 0.0 plus data[j] * x[indices[j]] over the row's entries in stored
      order, times m[row_a[i]], and added into out[row_k[i]], which starts at
      0.0, in row order. That is master_eq's numpy fallback, the product then
-     np.bincount, bitwise. indptr, indices, row_a and row_k hold int32, data,
-     m and out float64, in one-dimensional C-contiguous buffers; row_a and
-     row_k have one item per row, out one per cell of m. Each call checks
-     the formats, these lengths, the ends of indptr (0 and len(data)) and
-     that indptr does not decrease; the caller, master_eq.PairRows, checks
+     np.bincount, bitwise for every output that is not NaN; where a cell's
+     sum meets two NaNs, each may keep a different one. indptr, indices,
+     row_a and row_k hold int32, data, m and out float64, in
+     one-dimensional C-contiguous buffers; row_a and row_k have one item
+     per row, out one per cell of m. Each call checks the formats, these
+     lengths, the ends of indptr (0 and len(data)) and that indptr does
+     not decrease; the caller, master_eq.PairRows, checks
      once that every index lies in [0, 2 len(m)) and every row cell in
      [0, len(m)). A bad argument raises TypeError or ValueError and leaves
      out as it was. It allocates 2 len(m) floats, for x.

@@ -26,11 +26,13 @@ forms [m; S], sums each pair row from 0.0 in stored order, as scipy's
 ``csr_array`` product does, weights it by m_a and adds it into cell k, in
 one pass. Where the module does not load, it is numpy's product and
 ``bincount`` over the same arrays, adding in the same order, so both give
-the same bits. Each integrator step makes one compiled call per seam:
-``_rhs_masses`` and ``_trunc_rate`` one ``pair_rhs`` each, and
-``_weighted_gini`` and ``_gini_rate_masses`` one ``gini_sums`` each, the
-prefix sums of the grid Gini and its rate in index order, whose numpy
-fallback (``metrics._gini_sums``' ``cumsum``) adds in the same order.
+the same bits for every output that is not NaN; where a cell's sum meets
+two NaNs, each may keep a different one. Each integrator step makes one
+compiled call per seam: ``_rhs_masses`` and ``_trunc_rate`` one
+``pair_rhs`` each, and ``_weighted_gini`` and ``_gini_rate_masses`` one
+``gini_sums`` each, the prefix sums of the grid Gini and its rate in index
+order, whose numpy fallback (``metrics._gini_sums``' ``cumsum``) adds in
+the same order.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
@@ -364,8 +366,9 @@ class PairRows:
     load, ``np.bincount`` of ``x[indices] * data`` by row, times m_a, and
     ``np.bincount`` of that by k. Both sum each row from 0.0 in stored order,
     as scipy's product does, and add the rows into each k in row order, so
-    they give the same bits. Any other m, strided ones included, raises
-    ValueError on both paths. The arrays are checked here, once:
+    they give the same bits for every output that is not NaN; where a
+    cell's sum meets two NaNs, each may keep a different one. Any other m,
+    strided ones included, raises ValueError on both paths. The arrays are checked here, once:
     ``pair_rhs`` trusts that every column lies in [0, 2 cells) and every row
     cell in [0, cells), so all but ``data``, which stays writable, are then
     made read-only. Raises ValueError on arrays that do not form such an
@@ -814,11 +817,13 @@ def _gini_rate_masses(
     return (phi_r - (2.0 * float(m[0]) - mass) * trunc_rate) / mean
 
 
-def _weighted_gini(m: np.ndarray, c: np.ndarray) -> float:
-    """``metrics.gini_grid`` of masses ``m`` at the sorted points ``c``
-    without its checks, from one pass of ``_grid_sums``: the integrator's
-    Gini of every candidate state. All mass at zero wealth has Gini 0."""
-    return _gini_of_sums(_grid_sums(m, c, None))
+def _weighted_gini(m: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """(``metrics.gini_grid``, M1) of masses ``m`` at the sorted points
+    ``c`` without its checks, from one pass of ``_grid_sums``: the
+    integrator's Gini and mean of every candidate state, M1 in index order.
+    All mass at zero wealth has Gini 0."""
+    sums = _grid_sums(m, c, None)
+    return _gini_of_sums(sums), sums[1]
 
 
 def _grid_sums(m: np.ndarray, c: np.ndarray, r: np.ndarray | None) -> tuple:
@@ -923,7 +928,7 @@ def integrate(
     m = grid.masses.copy()
     mass0 = math.fsum(m)
     # M1 in index order: a BLAS dot's order depends on the CPU
-    mean0 = _grid_sums(m, c, None)[1]
+    g_prev, mean0 = _weighted_gini(m, c)
     if not mean0 > 0.0:
         raise ValueError("degenerate: zero mean wealth")
     two_mean0 = 2.0 * mean0
@@ -934,7 +939,6 @@ def integrate(
     t = 0.0
     cum_trunc = 0.0
     trunc_warned = False
-    g_prev = _weighted_gini(m, c)
     mass_prev = mass0
     mean_prev = mean0
     stop_hit = False
@@ -967,7 +971,7 @@ def integrate(
                 else:
                     raise IntegrationAbort("positivity unreachable by halving", report)
 
-            g_new = _weighted_gini(candidate, c)
+            g_new, mean = _weighted_gini(candidate, c)
             # Gini is a Lyapunov function only for unbiased kernels; a NaN
             # Gini fails the check
             if kernel.rule.unbiased and not g_new >= g_prev - GINI_DECREASE_TOL:
@@ -992,7 +996,6 @@ def integrate(
                 )
 
             mass = math.fsum(m.tolist())
-            mean = _grid_sums(m, c, None)[1]
             # written so that a NaN fails them, as a breach
             if not abs(mass - mass_prev) <= STEP_MASS_TOL:
                 raise IntegrationAbort(

@@ -94,8 +94,8 @@ def gini_dip(call, by=0.1):
     calls = itertools.count(1)
 
     def dipped(m, c):
-        g = inner(m, c)
-        return g - by if next(calls) == call else g
+        g, mean = inner(m, c)
+        return (g - by if next(calls) == call else g), mean
 
     return dipped
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kinex import (
@@ -460,6 +460,13 @@ def bits(array):
     return np.asarray(array, dtype=np.float64).view(np.int64).tolist()
 
 
+def bits_nan_pooled(values, pooled):
+    """``bits``, with every NaN in a cell where ``pooled`` is true counted
+    as one."""
+    values = np.asarray(values, dtype=np.float64)
+    return bits(np.where(pooled & np.isnan(values), math.nan, values))
+
+
 # floats whose products and sums round in every special way; a product of
 # NaNs of opposite signs keeps the sign of one of them
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -490,7 +497,8 @@ def pair_rows_and_masses(draw):
 class TestPairRowProduct:
     """``PairRows.product``, ``_sweep.c``'s ``pair_rhs`` or numpy's
     ``bincount``, gives scipy's ``csr_array`` product with [m; S], times m_a
-    and summed per k by ``bincount``, bit for bit."""
+    and summed per k by ``bincount``, bit for bit; only where a compiled
+    sum meets two NaNs may it keep the other one."""
 
     # three rows of three cells: (0, 1), (2, 1) empty and (1, 0)
     SMALL = dict(data=np.array([0.5, -1.0, 2.0]), indices=np.array([1, 3, 5], np.int32),
@@ -515,32 +523,38 @@ class TestPairRowProduct:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays=pair_rows_and_masses())
+    # nine NaN x NaN terms, one row into each of nine cells: x = S_0 =
+    # inf - inf is the default NaN, not data's; from 9 items on, numpy's
+    # multiply keeps the second operand's NaN, pair_rhs and scipy x's
+    @example(arrays=(np.full(9, math.nan), np.full(9, 9, np.int32),
+                     np.arange(10, dtype=np.int32), np.full(9, 2, np.int32),
+                     np.arange(9, dtype=np.int32), np.array([math.inf, -math.inf] + [1.0] * 7)))
     def test_random_products_match_scipy(self, product_path, arrays):
-        # NaN counted as one: of two NaNs, the one a sum or product keeps
-        # depends on the order the compiler gives its operands
         data, indices, indptr, row_a, row_k, m = arrays
+        matrix = PairRows(*arrays[:5], m.size)
         with np.errstate(all="ignore"):
-            want = bits_any_nan(scipy_product(PairRows(*arrays[:5], m.size), m))
-        got = PairRows(*arrays[:5], m.size).product(m)
-        assert got.dtype == np.float64 and bits_any_nan(got) == want
-        if product_path == "compiled":
-            out = np.full(m.size, 7.0)
-            assert compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
-                                               m, out) is out
-            assert bits_any_nan(out) == want
+            want = scipy_product(matrix, m)
+            pair_rows = (scipy_csr(matrix) @ _with_suffix_sums(m)) * m[row_a]
+        got = matrix.product(m)
+        assert got.dtype == np.float64
+        if product_path == "numpy":
+            # the fallback is scipy_product's own multiply and bincount
+            assert bits(got) == bits(want)
+            return
+        # of two NaNs, the one a compiled sum keeps depends on the order
+        # the compiler gives its operands: where a cell's sum can meet two,
+        # from NaN pair rows or one made by inf - inf, any NaN counts there
+        def rows_per_cell(where):
+            return np.bincount(row_k, weights=where, minlength=m.size)
 
-    def test_nan_terms_keep_the_masses_nan(self, product_path):
-        # nine rows of one NaN term each, whose x, S_0 = -inf + inf, is the
-        # default NaN: of 9 items numpy's multiply keeps the second operand's
-        # NaN in the last, pair_rhs and scipy x's; that row alone adds into
-        # cell 1, so no sum has two NaNs to choose from
-        arrays = (np.full(9, math.nan), np.full(9, 2, np.int32),
-                  np.arange(10, dtype=np.int32), np.zeros(9, np.int32),
-                  np.array([0] * 8 + [1], np.int32))
-        m = np.array([math.inf, -math.inf])
-        with np.errstate(all="ignore"):
-            want = scipy_product(PairRows(*arrays, 2), m)
-        assert bits(PairRows(*arrays, 2).product(m)) == bits(want)
+        pooled = (rows_per_cell(np.isnan(pair_rows))
+                  + ((rows_per_cell(pair_rows == math.inf) > 0)
+                     & (rows_per_cell(pair_rows == -math.inf) > 0))) >= 2
+        assert bits_nan_pooled(got, pooled) == bits_nan_pooled(want, pooled)
+        out = np.full(m.size, 7.0)
+        assert compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
+                                           m, out) is out
+        assert bits(out) == bits(got)
 
     def call(self, **given):
         """Call ``pair_rhs`` on the SMALL operator, masses and out with the
@@ -759,7 +773,7 @@ class TestStepSeams:
             mass, mean, pair, phi_r = gini_sums_loop(m, c, r)
             assert bits(master_eq._grid_sums(m, c, r)) == bits([mass, mean, pair, phi_r])
             assert master_eq._grid_sums(m, c, None)[3] is None
-            assert bits([master_eq._weighted_gini(m, c)]) == bits([2.0 * pair / (2.0 * mean)])
+            assert bits(master_eq._weighted_gini(m, c)) == bits([2.0 * pair / (2.0 * mean), mean])
             want = (phi_r - (2.0 * m[0] - mass) * trunc_rate) / mean
             got = master_eq._gini_rate_masses(kernel, m, r, trunc_rate)
             assert bits([got]) == bits([want])
@@ -779,7 +793,7 @@ class TestStepSeams:
 
     def test_all_mass_at_zero_has_gini_0(self, product_path):
         c = np.linspace(0.0, 3.0, 4)
-        assert master_eq._weighted_gini(np.array([1.0, 0.0, 0.0, 0.0]), c) == 0.0
+        assert master_eq._weighted_gini(np.array([1.0, 0.0, 0.0, 0.0]), c) == (0.0, 0.0)
 
     def test_malformed_gini_sums_calls_raise(self):
         module = compiled_product()
