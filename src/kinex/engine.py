@@ -275,11 +275,14 @@ def _load():
         private = False
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
     suffix = EXTENSION_SUFFIXES[0]
-    try:
-        try:  # CPython's own sha256: hashlib's loads OpenSSL, 3.6 MiB resident
-            from _sha2 import sha256  # Python >= 3.12
-        except ImportError:
+    try:  # CPython's own sha256: hashlib's loads OpenSSL, 3.6 MiB resident
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
             from _sha256 import sha256
+        except ImportError:  # a CPython built without either
+            from hashlib import sha256
+    try:
         with open(source, "rb") as f:
             key = sha256(f.read() + repr((_CFLAGS, suffix)).encode()).hexdigest()
         path = os.path.join(cache, f"_sweep-{key[:32]}{suffix}")

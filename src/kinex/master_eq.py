@@ -231,8 +231,9 @@ def _split_points(centers: np.ndarray, post: np.ndarray):
 
 def _mean_correct(masses: np.ndarray, centers: np.ndarray, target: float) -> None:
     """Shift mass between one cell below and one above the target mean so the
-    first moment equals ``target`` exactly, without changing total mass."""
-    current = float(np.dot(masses, centers))
+    first moment, summed in index order as the integrator sums it, equals
+    ``target`` exactly, without changing total mass."""
+    current = _gini_sums(masses, centers)[1]
     diff = target - current
     if diff == 0.0:
         return
@@ -491,46 +492,33 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     """Summed entries of the pair rows (a, k), a0 <= a < a1, of N.
 
     Returns (key, value) of every non-zero entry in (a, k, column) order,
-    with key ((a - a0) * n + k) * 2n + column. A first pass over the lambda
-    nodes adds the block's |delta| terms to ``abs_delta`` and its truncation
-    to ``trunc`` (both rows a0..a1 only), both from the winner's overshoot
-    past the top point: the loser's post-wealth never passes it (d_minus <=
-    0). The same pass finds the suffix cells: each a < n - 1 whose three
-    law arrays, at every node, are bitwise equal over the partners b >= a
-    to their value at b = a. All those pairs then have the same entries,
-    so a suffix cell forms only its pairs b < a, in columns b, and pair
-    (a, a), in column n + a, which stands for every b >= a; any other cell
-    forms its pairs in columns b. The second pass forms the atoms of those
-    pairs. Each entry sums its contributions in one order: per lambda node,
-    the winner's atom then the loser's, each at its lower point then its
-    upper one, and the loss -1 last; a stable sort of the keys keeps that
-    order and ``np.add.reduceat`` sums each run of equal keys. Every pair
-    lies in one block, so the sums do not depend on the block size.
+    with key ((a - a0) * n + k) * 2n + column. The law of each lambda node
+    is evaluated once. Over it the suffix cells are found first: each
+    a < n - 1 whose three law arrays, at every node, are bitwise equal over
+    the partners b >= a to their value at b = a. All those pairs have the
+    same entries, so a suffix cell forms only its pairs b < a, in columns
+    b, and pair (a, a), in column n + a, which stands for every b >= a; any
+    other cell forms its pairs in columns b. Then one node loop adds the
+    |delta| terms to ``abs_delta`` and the truncation, the winner's
+    overshoot past the top point, to ``trunc`` (rows a0..a1 only), and
+    forms the atoms. Each entry sums its contributions in one order: per
+    node, the winner's atom then the loser's, each at its lower point then
+    its upper one, and the loss -1 last; a stable sort of the keys keeps
+    that order and ``np.add.reduceat`` sums each run of equal keys. Every
+    pair lies in one block, so the sums do not depend on the block size.
     """
     n = c.size
     width = 2 * n
     ca = c[a0:a1, None]
     cells = np.arange(a0, a1)
+    laws = [two_point_law(rule, ca, c[None, :], lam) for lam, _ in nodes]
     upper = np.arange(n) >= cells[:, None]  # the partners b >= a
     suffix = cells < n - 1  # a suffix of one pair saves nothing
-    for lam, wnode in nodes:
-        law = two_point_law(rule, ca, c[None, :], lam)
-        for x in law:
-            if not suffix.any():  # no candidate left to compare
-                break
-            x = x.view(np.int64)
-            suffix &= ~np.any((x != x[:, a0:a1].diagonal()[:, None]) & upper, axis=1)
-        d_plus, p_plus, d_minus = law
-        p_win = p_plus * wnode
-        over = np.maximum(ca + d_plus - c[-1], 0.0)
-        abs_delta += p_win * np.abs(np.where(over > 0.0, c[-1] - ca, d_plus))
-        trunc += p_win * over
-        del over
-        if rule.unbiased:
-            abs_delta += p_win * d_plus
-        else:
-            abs_delta += (1.0 - p_plus) * wnode * np.abs(d_minus)
-        del law, d_plus, p_plus, d_minus, p_win, x
+    for x in (x for law in laws for x in law):
+        if not suffix.any():  # no candidate left to compare
+            break
+        x = x.view(np.int64)
+        suffix &= ~np.any((x != x[:, a0:a1].diagonal()[:, None]) & upper, axis=1)
     formed = ~(upper & suffix[:, None])
     del upper
     shift = np.flatnonzero(suffix)
@@ -546,9 +534,17 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     key = np.empty((4 * len(nodes) + 1) * pairs, dtype=key_type)
     val = np.empty(key.size)
     end = 0
-    for lam, wnode in nodes:
-        d_plus, p_plus, d_minus = two_point_law(rule, ca, c[None, :], lam)
-        for d, p in ((d_plus, p_plus * wnode), (d_minus, (1.0 - p_plus) * wnode)):
+    for (_, wnode), (d_plus, p_plus, d_minus) in zip(nodes, laws):
+        p_win = p_plus * wnode
+        over = np.maximum(ca + d_plus - c[-1], 0.0)  # d_minus <= 0 never passes
+        abs_delta += p_win * np.abs(np.where(over > 0.0, c[-1] - ca, d_plus))
+        trunc += p_win * over
+        del over
+        if rule.unbiased:
+            abs_delta += p_win * d_plus
+        else:
+            abs_delta += (1.0 - p_plus) * wnode * np.abs(d_minus)
+        for d, p in ((d_plus, p_win), (d_minus, (1.0 - p_plus) * wnode)):
             q = np.flatnonzero(formed & (p != 0.0))  # the atom's pairs (a - a0) * n + b
             p = p.ravel()[q]
             lo, hi, w_lo = _split_points(c, (ca + d).ravel()[q])
@@ -558,7 +554,7 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
                 val[end:end + q.size] = w
                 end += q.size
             del p, q, lo, hi, w_lo, k, w  # before the next atom's split
-        del d_plus, p_plus, d_minus, d
+    del laws, d_plus, p_plus, d_minus, p_win, d
     # the loss entry of pair (a, b) sits in row (a, a)
     pair_key += (cells.astype(key_type) * width)[:, None]
     key[end:end + pairs] = pair_key[formed]
@@ -582,19 +578,19 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
 
     The tagged cells a are taken in blocks of consecutive cells, each as
     large as lets its temporaries fit ``BLOCK_BYTES`` (one cell at least).
-    Per block, two passes over the nodes of the rule's lambda mixture each
-    evaluate ``two_point_law`` once per node on the block's pairs
-    ``c[a0:a1, None], c[None, :]``: the first sums ``abs_delta`` and the
-    truncation and finds the suffix cells, the second forms the atoms of the
-    pairs ``gain`` stores. Each of the node's two delta atoms maps the tagged agent's
-    post-exchange wealth to grid cells by the mean-exact two-point split, so
-    per-pair normalization is exact and the represented expected gain is
-    zero to rounding error for the unbiased rules. Post-wealths above the
-    top representative point are assigned to the top cell; the resulting
-    wealth loss is tracked by the integrator and flags the run
-    non-conservative beyond 1e-8 relative. The block's summed entries are a
-    run of whole pair rows of ``gain``, appended to arrays the kernel owns,
-    which grow by exactly that run; no block's entries outlive it.
+    Per block, ``two_point_law`` is evaluated once per node of the rule's
+    lambda mixture on the block's pairs ``c[a0:a1, None], c[None, :]`` and
+    kept: the suffix cells are found over those arrays first, then one loop
+    over the nodes sums ``abs_delta`` and the truncation and forms the atoms
+    of the pairs ``gain`` stores. Each of the node's two delta atoms maps the
+    tagged agent's post-exchange wealth to grid cells by the mean-exact
+    two-point split, so per-pair normalization is exact and the represented
+    expected gain is zero to rounding error for the unbiased rules.
+    Post-wealths above the top representative point are assigned to the top
+    cell; the resulting wealth loss is tracked by the integrator and flags
+    the run non-conservative beyond 1e-8 relative. A block's summed entries,
+    a run of whole pair rows of ``gain``, are appended to arrays the kernel
+    owns, which grow by exactly that run; no block's entries outlive it.
 
     ``abs_delta`` sums each node's |delta| terms from the law's arrays. The
     winner's gain is the one truncated at the top cell, as in ``gain``. For
@@ -607,9 +603,10 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     nodes = _lambda_mixture(rule)
     # Temporaries per pair of a block: per contribution (both points of each
     # of a node's two atoms, and the loss) a 4-byte key and a value, and as
-    # much again to sort them, plus about 16 floats while an atom is split,
-    # and the pair's key at k = 0, its masks and its loss key (24 bytes).
-    pair_bytes = 28 * (4 * len(nodes) + 1) + 8 * 16 + 24
+    # much again to sort them, the three law arrays of each node (24 bytes),
+    # plus about 16 floats while an atom is split, and the pair's key at
+    # k = 0, its masks and its loss key (24 bytes).
+    pair_bytes = 28 * (4 * len(nodes) + 1) + 24 * len(nodes) + 8 * 16 + 24
     step = max(1, BLOCK_BYTES // (pair_bytes * n))
     abs_delta = np.zeros((n, n))
     gain = _new_rows()
@@ -625,11 +622,9 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         key -= rows * (2 * n)
         _append_rows(gain, rows, key, val, a0, n)
         del rows, key, val
-        stored = np.flatnonzero(trunc)
-        rows = stored // n  # a - a0, and row (a, a) is (a - a0) * (n + 1) + a0
-        _append_rows(trunc_coef, rows * (n + 1) + a0, stored - rows * n,
-                     trunc.ravel()[stored], a0, n)
-        del trunc, stored, rows
+        a, b = np.nonzero(trunc)  # a - a0: row (a, a) is (a - a0) * (n + 1) + a0
+        _append_rows(trunc_coef, a * (n + 1) + a0, b, trunc[a, b], a0, n)
+        del trunc, a, b
 
     gain = _pair_rows(gain, n)
     trunc_coef = _pair_rows(trunc_coef, n)

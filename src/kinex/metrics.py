@@ -40,13 +40,14 @@ def gini_population(pop: Population) -> float:
 
     Equals (sum_{i,j} |x_i - x_j|) / (2 N^2 <x>). Ties contribute zero and
     the result is independent of the order among tied entries, since equal
-    values receive coefficients that sum identically.
+    values receive coefficients that sum identically. Its sum is numpy's
+    pairwise one: a BLAS dot's bits vary with the kernel the CPU selects.
     """
     if pop.total <= 0.0:
         raise ValueError("degenerate: zero total wealth")
     x = np.sort(pop.wealth)
     n = x.size
-    return float(np.dot(_gini_coefficients(n), x) / (n * pop.total))
+    return float((_gini_coefficients(n) * x).sum() / (n * pop.total))
 
 
 @functools.lru_cache(maxsize=8)

@@ -748,7 +748,7 @@ GOLDEN_SHA256 = {
         "4531e2517b7b302844ab24a9968a1dfd79046693b258658cfc18a5b775636c33",
     ),
     "integrate": (
-        "cc49268fc10e22b2171487e995f32c9b14e04a6fc1c7913c785920f07bc7d484",
+        "0af8e95cb30b7d02887eb5f49fd44533808f4bbbcb562b443ad202dd88f87f83",
         "eb018562ed6b325c3d888a472e7d8b4db2186f17ea3c1e4f1ee38b859e99dd1e",
     ),
     "sweep": (
@@ -804,6 +804,11 @@ INTEGRATE_COMMANDS = {
         ]
         for rule in ["unbiased-loser:lambda=uniform", "yardsale:lambda=uniform"]
     },
+    # a uniform initial density, whose mean is corrected on the grid
+    "integrate-yardsale-0.5-init-uniform": [
+        "integrate", "--rule", "yardsale:lambda=0.5", "--grid", "log:1e-3:200:96",
+        "--init", "uniform:0:2", "--dt", "5", "--t-end", "40",
+    ],
 }
 
 GOLDEN_SHA256.update({
@@ -816,12 +821,16 @@ GOLDEN_SHA256.update({
         "fd9aa38a5335cca299de5f29ce10f4f0c9578ed38636a7d24a5be027da1f3c6c",
     ),
     "integrate-unbiased-loser-uniform": (
-        "2bc5b49d1770b784fbbeca6e462645967a38dffc53aaa8054f43245ba83e2b71",
+        "28619df37ad7ea62543d8d53297b744d30a7dd49184e2dddfce99c673cbce219",
         "ab58b6bd25a20b0761676e8a3c631c9bf638fe8283cd50d27c1d08b27474ae86",
     ),
     "integrate-yardsale-uniform": (
-        "6bca522fa69a03cf171ab1546ae5f58f8244f1e5a053fdf90809026fd5824464",
+        "85634c4ff07c08c8d0c7155e61efea69e209e4c30d6bcb607743b5f05762b807",
         "9bbf72137dd1605f0676bab874160a97cace2491dc93d4af7204828e70e1182c",
+    ),
+    "integrate-yardsale-0.5-init-uniform": (
+        "02b0e49ce4344e1f27964f33b394d5f4d30c3279649f6892d5989ad7dadd5ed6",
+        "3b4074793c9096eb6ed5f3902f01103240e3473fedc3281be70c1d6de25c1856",
     ),
     "simulate-n8192-yardsale-0.5": (
         "47caa1195c37621805e74c3f1590e9529830f3209951a14dd5de50c756d85443",

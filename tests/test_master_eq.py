@@ -385,6 +385,20 @@ class TestBuildKernel:
             assert array.dtype == other.dtype, name
             assert array.tobytes() == other.tobytes(), name
 
+    @pytest.mark.parametrize("rule", [YS(0.5), YS(UNIFORM_LAMBDA)], ids=format_rule)
+    def test_one_law_evaluation_per_node_and_block(self, rule, monkeypatch):
+        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
+        laws, blocks = [], []
+        law, block = master_eq.two_point_law, master_eq._block_entries
+        monkeypatch.setattr(master_eq, "two_point_law",
+                            lambda *args: laws.append(1) or law(*args))
+        monkeypatch.setattr(master_eq, "_block_entries",
+                            lambda *args: blocks.append(1) or block(*args))
+        monkeypatch.setattr(master_eq, "BLOCK_BYTES", 2**18)
+        build_kernel(rule, grid)
+        assert len(blocks) > 1
+        assert len(laws) == len(_lambda_mixture(rule)) * len(blocks)
+
     @pytest.mark.parametrize("rule", [YS(0.5), UL(UNIFORM_LAMBDA)], ids=format_rule)
     def test_trunc_coef_is_the_atoms_overshoot(self, rule):
         # sum of p * max(c_a + delta - c_top, 0) over the kernel's atoms, in

@@ -59,7 +59,7 @@ class TestGiniPopulation:
         for n in [2, 3, 128, 4096, 65536] * 2:
             pop = Population(gen.exponential(1.0, size=n))
             x = np.sort(pop.wealth)
-            inline = float(np.dot(2.0 * np.arange(n) - (n - 1), x) / (n * pop.total))
+            inline = float(((2.0 * np.arange(n) - (n - 1)) * x).sum() / (n * pop.total))
             assert gini_population(pop).hex() == inline.hex(), n
 
     def test_cached_coefficients_are_read_only(self):
