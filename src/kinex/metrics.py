@@ -47,7 +47,7 @@ def gini_population(pop: Population) -> float:
         raise ValueError("degenerate: zero total wealth")
     x = np.sort(pop.wealth)
     n = x.size
-    return float((_gini_coefficients(n) * x).sum() / (n * pop.total))
+    return float(np.multiply(_gini_coefficients(n), x, out=x).sum() / (n * pop.total))
 
 
 @functools.lru_cache(maxsize=8)

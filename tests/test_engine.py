@@ -270,6 +270,16 @@ class TestCompiledSweepChecksItsArguments:
             compiled_sweep().sweep(0, np.ones(2))
 
 
+def run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    kinex, and assert that it exits 0."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestCompiledSweepCache:
     """``_load`` builds the module into the user's cache once; later
     processes load that file."""
@@ -333,11 +343,7 @@ class TestCompiledSweepCache:
             "import kinex.engine as engine\n"
             "assert engine._load() is not None\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code, tmp_path)
 
 
 class TestDrawLayout:
@@ -422,11 +428,7 @@ class TestCompiledDraw:
             "want = engine._draw_exchanges(128, rule, np.random.default_rng(1))\n"
             "assert all(map(np.array_equal, draw(), want))\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code, tmp_path)
 
     @pytest.mark.parametrize("rule", ALL_RULES, ids=format_rule)
     @pytest.mark.parametrize(
