@@ -20,8 +20,8 @@
      lams is None, and returns the sum of |delta|. kind is 0 classic loser,
      1 yard-sale, 2 unbiased loser or 3 Iglesias-Almeida. As in
      engine._sweep_scalar, one loop serves every rule: the rule sets agent
-     i's gain on a win, its loss on a loss and the win test, one place
-     applies them, and both give bitwise one result for the same draws.
+     i's gain on a win, its loss on a loss and the win test, and one place
+     applies them.
 
    pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out
      writes the product of master_eq's pair-row operator at the masses m
@@ -29,36 +29,40 @@
      cell down, each pair row i is summed as scipy's csr_array product sums
      it, 0.0 plus data[j] * x[indices[j]] over the row's entries in stored
      order, times m[row_a[i]], and added into out[row_k[i]], which starts at
-     0.0, in row order. That is master_eq's numpy fallback, the product then
-     np.bincount, bitwise for every output that is not NaN; where a cell's
-     sum meets two NaNs, each may keep a different one. indptr, indices,
-     row_a and row_k hold int32, data, m and out float64, in
-     one-dimensional C-contiguous buffers; row_a and row_k have one item
-     per row, out one per cell of m. Each call checks the formats, these
-     lengths, the ends of indptr (0 and len(data)) and that indptr does
-     not decrease; the caller, master_eq.PairRows, checks
-     once that every index lies in [0, 2 len(m)) and every row cell in
-     [0, len(m)). A bad argument raises TypeError or ValueError and leaves
-     out as it was. It allocates 2 len(m) floats, for x.
+     0.0, in row order: master_eq's numpy fallback, the product then
+     np.bincount. indptr, indices, row_a and row_k hold int32, data, m and
+     out float64; row_a and row_k have one item per row, out one per cell
+     of m. Each call checks these lengths, the ends of indptr (0 and
+     len(data)) and that indptr does not decrease; the caller,
+     master_eq.PairRows, checks once that every index lies in [0, 2 len(m))
+     and every row cell in [0, len(m)). It allocates 2 len(m) floats, for x.
    gini_sums(m, c, r) -> (M0, M1, pair, phi_r)
      the sums of metrics._gini_sums over the masses m at the sorted points
      c, in index order: M0 = sum m_k, M1 = sum m_k c_k, the half pair sum
      sum_k m_k (c_k P_k - Q_k) with P_k and Q_k the sums of m_j and m_j c_j
      over j < k, and phi_r = sum_k phi'_k r_k for master_eq.gini_rate's
      shifted phi'_k = 2 (c_k (P_k + m_k - m_0) - (Q_k + m_k c_k)), or None
-     where r is None. Each sum starts at its first term, as np.cumsum's do,
-     so it gives the numpy fallback's bits. m, c and r are float64 of one
-     equal length, at least 1.
+     where r is None. Each sum starts at its first term, as the numpy
+     fallback's np.cumsum does. m, c and r are float64 of one equal length,
+     at least 1.
 
    The draws: ii, jj int64 agent indices (for sweep, in [0, len(w)) and
    ii[k] != jj[k]), lams float64 lambdas or None, coins int64 or, for the
-   unbiased loser rule, float64 uniforms, one of each per exchange, in
-   one-dimensional C-contiguous buffers. Arguments are checked in full
-   first: a bad one raises TypeError or ValueError and leaves w, or the
-   generator, as it was. */
+   unbiased loser rule, float64 uniforms, one of each per exchange.
+
+   Each function and its Python twin (engine._draw_exchanges,
+   engine._sweep_scalar, the numpy paths of master_eq.PairRows.product and
+   metrics._gini_sums) give the same bits on every output that is not NaN,
+   and NaN in the same cells; which NaN, its sign and payload, is not
+   promised. Every function takes its arguments through take_vectors: their
+   number first, then each array as a one-dimensional C-contiguous buffer
+   of its item format, writable where the function writes it. A bad
+   argument raises TypeError or ValueError before anything is written or
+   drawn, and leaves w, out or the generator as it was. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <ctype.h>
 #include <float.h>
 #include <stdint.h>
 
@@ -74,42 +78,6 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* Take a one-dimensional C-contiguous buffer of `name` with items of
-   format `want` ('d' float64, 'q' int64, 'i' int32, or 0 for float64 or
-   int64); its format character on success, 0 with an exception set
-   otherwise. */
-static char
-get_vector(PyObject *obj, Py_buffer *view, char want, int writable,
-           const char *name)
-{
-    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS;
-    if (writable)
-        flags |= PyBUF_WRITABLE;
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return 0;
-    const char *fmt = view->format ? view->format : "B";
-    if (*fmt == '@')
-        fmt++;
-    char got = fmt[0] == '\0' || fmt[1] != '\0' ? 0
-        : view->itemsize == 4 ? (fmt[0] == 'i' ? 'i' : 0)
-        : view->itemsize != 8 ? 0
-        : fmt[0] == 'd' ? 'd'
-        : fmt[0] == 'q' || fmt[0] == 'l' ? 'q' : 0;
-    if (!got || (want ? got != want : got == 'i')) {
-        PyErr_Format(PyExc_TypeError, "%s must hold %s, not format '%s'",
-                     name, want == 'd' ? "float64" : want == 'q' ? "int64"
-                     : want ? "int32" : "float64 or int64", view->format);
-        got = 0;
-    }
-    else if (view->ndim != 1) {
-        PyErr_Format(PyExc_ValueError, "%s must be one-dimensional", name);
-        got = 0;
-    }
-    if (!got)
-        PyBuffer_Release(view);
-    return got;
-}
-
 static void
 release_vectors(Py_buffer *views, int count)
 {
@@ -118,30 +86,75 @@ release_vectors(Py_buffer *views, int count)
             PyBuffer_Release(&views[k]);
 }
 
-/* Take the draws ii, jj, lams (or None) and coins of `args` into `views`,
-   zeroed by the caller, who releases them, with coins of format `*coin`
-   (0 for either, set to the one taken); the number of exchanges, or -1
-   with an exception set. */
-static Py_ssize_t
-take_draws(PyObject *const *args, Py_buffer *views, int writable, char *coin)
+/* The one argument gate. Check that `func` got one argument per character
+   of `kinds`, then take each argument k named names[k] into views[k],
+   zeroed by the caller, who releases them all, by kinds[k]: '-' not a
+   buffer (the caller reads it), 'd' float64, 'q' int64, 'i' int32, 'x'
+   float64 or int64, 'n' float64 or None (None leaves views[k].obj NULL),
+   in upper case where it must be writable, as a one-dimensional
+   C-contiguous buffer; got[k], where got is not NULL, receives the format
+   taken ('d', 'q' or 'i'). 1 on success, 0 with an exception set. */
+static int
+take_vectors(const char *func, PyObject *const *args, Py_ssize_t nargs,
+             const char *kinds, const char *const *names, Py_buffer *views,
+             char *got)
 {
-    static const char *names[] = {"ii", "jj", "lams", "coins"};
-    const char wants[] = {'q', 'q', 'd', *coin};
-    for (int k = 0; k < 4; k++) {
-        if (k == 2 && args[k] == Py_None)
+    Py_ssize_t count = (Py_ssize_t)strlen(kinds);
+    if (nargs != count) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                     func, count, nargs);
+        return 0;
+    }
+    for (Py_ssize_t k = 0; k < count; k++) {
+        char kind = (char)tolower(kinds[k]);
+        if (kind == '-' || (kind == 'n' && args[k] == Py_None))
             continue;
-        char got = get_vector(args[k], &views[k], wants[k], writable, names[k]);
-        if (!got)
-            return -1;
-        if (k == 3)
-            *coin = got;
-        if (views[k].len != views[0].len) {
-            PyErr_SetString(PyExc_ValueError,
-                            "ii, jj, lams and coins must have equal lengths");
-            return -1;
+        Py_buffer *view = &views[k];
+        int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS;
+        if (kind != kinds[k])
+            flags |= PyBUF_WRITABLE;
+        if (PyObject_GetBuffer(args[k], view, flags) < 0)
+            return 0;
+        const char *fmt = view->format ? view->format : "B";
+        if (*fmt == '@')
+            fmt++;
+        char f = fmt[0] == '\0' || fmt[1] != '\0' ? 0
+            : view->itemsize == 4 ? (fmt[0] == 'i' ? 'i' : 0)
+            : view->itemsize != 8 ? 0
+            : fmt[0] == 'd' ? 'd'
+            : fmt[0] == 'q' || fmt[0] == 'l' ? 'q' : 0;
+        if (got)
+            got[k] = f;
+        char want = kind == 'n' ? 'd' : kind;
+        if (want == 'x' ? f != 'd' && f != 'q' : f != want) {
+            PyErr_Format(PyExc_TypeError, "%s must hold %s, not format '%s'",
+                         names[k], want == 'd' ? "float64"
+                         : want == 'q' ? "int64" : want == 'i' ? "int32"
+                         : "float64 or int64", view->format);
+            return 0;
+        }
+        if (view->ndim != 1) {
+            PyErr_Format(PyExc_ValueError, "%s must be one-dimensional",
+                         names[k]);
+            return 0;
         }
     }
-    return views[0].len / 8;
+    return 1;
+}
+
+/* The number of exchanges of the draws ii, jj, lams (or None) and coins
+   in `views`; -1 with an exception set where their lengths differ. */
+static Py_ssize_t
+draws_length(const Py_buffer *views)
+{
+    Py_ssize_t len = views[0].len;
+    if (views[1].len != len || (views[2].obj && views[2].len != len)
+        || views[3].len != len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "ii, jj, lams and coins must have equal lengths");
+        return -1;
+    }
+    return len / 8;
 }
 
 /* s integers in [0, b) as numpy's Generator.integers(0, b) draws them for
@@ -167,74 +180,75 @@ static PyObject *
 draw(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "draw takes 6 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
+    static const char *const names[] = {"bitgen", "n", "ii", "jj", "lams",
+                                        "coins"};
+    Py_buffer views[6] = {{0}};
+    char got[6] = {0};
+    PyObject *result = NULL;
+    if (!take_vectors("draw", args, nargs, "--QQNX", names, views, got))
+        goto done;
+    Py_ssize_t s = draws_length(views + 2);
+    if (s < 0)
+        goto done;
     bitgen_t *bitgen = PyCapsule_GetPointer(args[0], "BitGenerator");
     if (bitgen == NULL)
-        return NULL;
+        goto done;
     int overflow;
     long long n = PyLong_AsLongLongAndOverflow(args[1], &overflow);
     if (n == -1 && PyErr_Occurred())
-        return NULL;
+        goto done;
     if (overflow || n < 2 || n > (long long)UINT32_MAX) {
         PyErr_SetString(PyExc_ValueError, "n must be >= 2 and < 2**32");
-        return NULL;
+        goto done;
     }
-    Py_buffer views[4] = {{0}};
-    char coin = 0;
-    Py_ssize_t s = take_draws(args + 2, views, 1, &coin);
-    long long *ii = views[0].buf, *jj = views[1].buf;
-    double *lams = views[2].buf, *uniforms = views[3].buf;
-    if (s >= 0) {
-        fill_bounded(bitgen, (uint32_t)n, ii, s);
-        fill_bounded(bitgen, (uint32_t)(n - 1), jj, s);
-        for (Py_ssize_t k = 0; k < s; k++)
-            jj[k] += jj[k] >= ii[k];
-        for (Py_ssize_t k = 0; lams && k < s; k++)
-            lams[k] = bitgen->next_double(bitgen->state);
-        if (coin == 'q')
-            fill_bounded(bitgen, 2, views[3].buf, s);
-        for (Py_ssize_t k = 0; coin == 'd' && k < s; k++)
-            uniforms[k] = bitgen->next_double(bitgen->state);
-    }
-    release_vectors(views, 4);
-    return s < 0 ? NULL : PyTuple_Pack(4, args[2], args[3], args[4], args[5]);
+    long long *ii = views[2].buf, *jj = views[3].buf;
+    double *lams = views[4].buf, *uniforms = views[5].buf;
+    fill_bounded(bitgen, (uint32_t)n, ii, s);
+    fill_bounded(bitgen, (uint32_t)(n - 1), jj, s);
+    for (Py_ssize_t k = 0; k < s; k++)
+        jj[k] += jj[k] >= ii[k];
+    for (Py_ssize_t k = 0; lams && k < s; k++)
+        lams[k] = bitgen->next_double(bitgen->state);
+    if (got[5] == 'q')
+        fill_bounded(bitgen, 2, views[5].buf, s);
+    for (Py_ssize_t k = 0; got[5] == 'd' && k < s; k++)
+        uniforms[k] = bitgen->next_double(bitgen->state);
+    result = PyTuple_Pack(4, args[2], args[3], args[4], args[5]);
+done:
+    release_vectors(views, 6);
+    return result;
 }
 
 static PyObject *
 sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError, "sweep takes 7 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    long kind = PyLong_AsLong(args[0]);
+    static const char *const names[] = {"kind", "w", "lam", "ii", "jj", "lams",
+                                        "coins"};
+    /* the kind, read before the gate, sets the coins' format: float64
+       uniforms for the unbiased loser; a wrong count is the gate's */
+    long kind = nargs == 7 ? PyLong_AsLong(args[0]) : CLASSIC_LOSER;
     if (kind == -1 && PyErr_Occurred())
         return NULL;
     if (kind < CLASSIC_LOSER || kind > IGLESIAS_ALMEIDA) {
         PyErr_Format(PyExc_ValueError, "unknown rule kind %ld", kind);
         return NULL;
     }
+    Py_buffer views[7] = {{0}};
+    PyObject *result = NULL;
+    if (!take_vectors("sweep", args, nargs,
+                      kind == UNBIASED_LOSER ? "-D-qqnd" : "-D-qqnq", names,
+                      views, NULL))
+        goto done;
     double fixed_lam = PyFloat_AsDouble(args[2]);
     if (fixed_lam == -1.0 && PyErr_Occurred())
-        return NULL;
-
-    Py_buffer bw, views[4] = {{0}};
-    PyObject *result = NULL;
-    if (!get_vector(args[1], &bw, 'd', 1, "w"))
-        return NULL;
-    char coin = kind == UNBIASED_LOSER ? 'd' : 'q';
-    Py_ssize_t n = bw.len / 8, s = take_draws(args + 3, views, 0, &coin);
+        goto done;
+    Py_ssize_t n = views[1].len / 8, s = draws_length(views + 3);
     if (s < 0)
         goto done;
-    double *w = bw.buf;
-    const long long *ii = views[0].buf, *jj = views[1].buf;
-    const double *lams = views[2].buf;
+    double *w = views[1].buf;
+    const long long *ii = views[3].buf, *jj = views[4].buf;
+    const double *lams = views[5].buf;
     for (Py_ssize_t k = 0; k < s; k++) {
         if (ii[k] < 0 || ii[k] >= n || jj[k] < 0 || jj[k] >= n
             || ii[k] == jj[k]) {
@@ -246,8 +260,8 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
 
     /* agent i wins on its coin, or, unbiased, on a uniform below p_plus */
-    const long long *bits = views[3].buf;
-    const double *uniforms = views[3].buf;
+    const long long *bits = views[6].buf;
+    const double *uniforms = views[6].buf;
     double sum_abs = 0.0;
     for (Py_ssize_t k = 0; k < s; k++) {
         double lam = lams ? lams[k] : fixed_lam;
@@ -286,44 +300,20 @@ sweep(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     result = PyFloat_FromDouble(sum_abs);
 done:
-    release_vectors(views, 4);
-    PyBuffer_Release(&bw);
+    release_vectors(views, 7);
     return result;
-}
-
-/* Take the arguments named `names` into `views`, zeroed by the caller,
-   as one-dimensional C-contiguous buffers of the kinds `wants`: 'd'
-   float64, 'i' int32, 'w' writable float64, 'n' float64 or None (None
-   leaves its view's obj NULL). 1 on success, 0 with an exception set. */
-static int
-take_vectors(PyObject *const *args, Py_buffer *views, int count,
-             const char *wants, const char *const *names)
-{
-    for (int k = 0; k < count; k++) {
-        if (wants[k] == 'n' && args[k] == Py_None)
-            continue;
-        char want = wants[k] == 'i' ? 'i' : 'd';
-        if (!get_vector(args[k], &views[k], want, wants[k] == 'w', names[k]))
-            return 0;
-    }
-    return 1;
 }
 
 static PyObject *
 pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError,
-                     "pair_rhs takes 7 arguments (%zd given)", nargs);
-        return NULL;
-    }
     static const char *const names[] = {"indptr", "indices", "data", "row_a",
                                         "row_k", "m", "out"};
     Py_buffer views[7] = {{0}};
     PyObject *result = NULL;
     double *x = NULL;
-    if (!take_vectors(args, views, 7, "iidiidw", names))
+    if (!take_vectors("pair_rhs", args, nargs, "iidiidD", names, views, NULL))
         goto done;
     const int *indptr = views[0].buf, *indices = views[1].buf;
     const int *row_a = views[3].buf, *row_k = views[4].buf;
@@ -387,15 +377,10 @@ static PyObject *
 gini_sums(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "gini_sums takes 3 arguments (%zd given)", nargs);
-        return NULL;
-    }
     static const char *const names[] = {"m", "c", "r"};
     Py_buffer views[3] = {{0}};
     PyObject *result = NULL;
-    if (!take_vectors(args, views, 3, "ddn", names))
+    if (!take_vectors("gini_sums", args, nargs, "ddn", names, views, NULL))
         goto done;
     const double *m = views[0].buf, *c = views[1].buf, *r = views[2].buf;
     Py_ssize_t n = views[0].len / 8;

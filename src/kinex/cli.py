@@ -355,6 +355,8 @@ def _cmd_sweep(args) -> int:
     if args.replicas:
         worker_count()  # a bad KINEX_THREADS fails the command, not each row
     base = _sim_config(args)
+    if base.record_every > base.max_sweeps:  # every row reads its last record
+        raise ConfigError("--record-every must not exceed --sweeps")
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:
         if args.param == "lambda":

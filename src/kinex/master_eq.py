@@ -25,9 +25,9 @@ pair rows and each row's (a, k). Its one product is ``_sweep.c``'s
 forms [m; S], sums each pair row from 0.0 in stored order, as scipy's
 ``csr_array`` product does, weights it by m_a and adds it into cell k, in
 one pass. Where the module does not load, it is numpy's product and
-``bincount`` over the same arrays, adding in the same order, so both give
-the same bits for every output that is not NaN; where a cell's sum meets
-two NaNs, each may keep a different one. Each integrator step makes one
+``bincount`` over the same arrays, adding in the same order. Each compiled
+function and its numpy twin give the same bits on every output that is
+not NaN, and NaN in the same cells. Each integrator step makes one
 compiled call per seam: ``_rhs_masses`` and ``_trunc_rate`` one
 ``pair_rhs`` each, and ``_weighted_gini`` and ``_gini_rate_masses`` one
 ``gini_sums`` each, the prefix sums of the grid Gini and its rate in index
@@ -367,9 +367,9 @@ class PairRows:
     load, ``np.bincount`` of ``x[indices] * data`` by row, times m_a, and
     ``np.bincount`` of that by k. Both sum each row from 0.0 in stored order,
     as scipy's product does, and add the rows into each k in row order, so
-    they give the same bits for every output that is not NaN; where a
-    cell's sum meets two NaNs, each may keep a different one. Any other m,
-    strided ones included, raises ValueError on both paths. The arrays are checked here, once:
+    they give the same bits on every output that is not NaN, and NaN in the
+    same cells. Any other m, strided ones included, raises ValueError on
+    both paths. The arrays are checked here, once:
     ``pair_rhs`` trusts that every column lies in [0, 2 cells) and every row
     cell in [0, cells), so all but ``data``, which stays writable, are then
     made read-only. Raises ValueError on arrays that do not form such an
@@ -416,12 +416,7 @@ class PairRows:
         rows = self.shape[0]
         # like pair_rhs and scipy it stays quiet on overflow and NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            xs = _with_suffix_sums(m)[self.indices]
-            terms = xs * self.data
-            # of two NaNs numpy keeps the first below 9 items and the
-            # second from 9 on; pair_rhs and scipy keep x's, quieted
-            nan = np.isnan(xs)
-            terms[nan] = xs[nan] * 1.0
+            terms = _with_suffix_sums(m)[self.indices] * self.data
             row = np.repeat(np.arange(rows), np.diff(self.indptr))
             pair_rows = np.bincount(row, weights=terms, minlength=rows) * m[self.row_a]
         out = np.bincount(self.row_k, weights=pair_rows, minlength=n)

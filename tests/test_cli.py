@@ -649,6 +649,24 @@ class TestSweepCommand:
         assert (code, err) == (2, "kinex: config error: --replicas must be 0 or >= 2\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("replicas", ["0", "2"])
+    def test_record_every_above_sweeps_exits_2(self, replicas, tmp_path):
+        # each row reads its run's last record; simulate and ensemble
+        # write a header-only CSV instead
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.1,0.5",
+            "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "5",
+            "--record-every", "10", "--replicas", replicas, "--out", str(out),
+        )
+        assert (code, err) == (2, "kinex: config error: --record-every must not exceed --sweeps\n")
+        assert not out.exists()
+        code, _, _ = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "5",
+            "--record-every", "10", "--out", str(out),
+        )
+        assert code == 0 and len(out.read_text().splitlines()) == 1
+
     @pytest.mark.parametrize("replicas", [None, "0", "2"])
     def test_ensemble_mode_records_its_replicas(self, replicas, tmp_path):
         out = tmp_path / "sweep.csv"

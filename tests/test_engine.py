@@ -582,6 +582,15 @@ class TestCompiledDrawChecksItsArguments:
         self.call(np.ones(2))
 
 
+@pytest.mark.parametrize("name, count", [("draw", 6), ("sweep", 7), ("pair_rhs", 7),
+                                         ("gini_sums", 3)])
+def test_compiled_functions_count_their_arguments_first(name, count):
+    function = getattr(compiled_sweep(), name)
+    for given in (0, count - 1, count + 1):
+        with pytest.raises(TypeError, match=rf"^{name} takes {count} arguments \({given} given\)$"):
+            function(*[None] * given)
+
+
 class TestRunBasics:
     def test_two_agent_condensation_in_one_sweep(self):
         cfg = SimConfig(

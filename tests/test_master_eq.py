@@ -474,11 +474,10 @@ def bits(array):
     return np.asarray(array, dtype=np.float64).view(np.int64).tolist()
 
 
-def bits_nan_pooled(values, pooled):
-    """``bits``, with every NaN in a cell where ``pooled`` is true counted
-    as one."""
-    values = np.asarray(values, dtype=np.float64)
-    return bits(np.where(pooled & np.isnan(values), math.nan, values))
+def bits_any_nan(values):
+    """``bits``, with every NaN counted as one: the sign and payload of a
+    NaN made by arithmetic depend on the instructions that made it."""
+    return bits([math.nan if math.isnan(v) else v for v in values])
 
 
 # floats whose products and sums round in every special way; a product of
@@ -511,8 +510,8 @@ def pair_rows_and_masses(draw):
 class TestPairRowProduct:
     """``PairRows.product``, ``_sweep.c``'s ``pair_rhs`` or numpy's
     ``bincount``, gives scipy's ``csr_array`` product with [m; S], times m_a
-    and summed per k by ``bincount``, bit for bit; only where a compiled
-    sum meets two NaNs may it keep the other one."""
+    and summed per k by ``bincount``, bit for bit on every output that is
+    not NaN, and NaN in the same cells."""
 
     # three rows of three cells: (0, 1), (2, 1) empty and (1, 0)
     SMALL = dict(data=np.array([0.5, -1.0, 2.0]), indices=np.array([1, 3, 5], np.int32),
@@ -537,9 +536,8 @@ class TestPairRowProduct:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays=pair_rows_and_masses())
-    # nine NaN x NaN terms, one row into each of nine cells: x = S_0 =
-    # inf - inf is the default NaN, not data's; from 9 items on, numpy's
-    # multiply keeps the second operand's NaN, pair_rhs and scipy x's
+    # nine NaN x NaN terms, one row into each of nine cells, x = S_0 =
+    # inf - inf: NaN in every cell on both paths
     @example(arrays=(np.full(9, math.nan), np.full(9, 9, np.int32),
                      np.arange(10, dtype=np.int32), np.full(9, 2, np.int32),
                      np.arange(9, dtype=np.int32), np.array([math.inf, -math.inf] + [1.0] * 7)))
@@ -548,23 +546,11 @@ class TestPairRowProduct:
         matrix = PairRows(*arrays[:5], m.size)
         with np.errstate(all="ignore"):
             want = scipy_product(matrix, m)
-            pair_rows = (scipy_csr(matrix) @ _with_suffix_sums(m)) * m[row_a]
         got = matrix.product(m)
         assert got.dtype == np.float64
+        assert bits_any_nan(got) == bits_any_nan(want)
         if product_path == "numpy":
-            # the fallback is scipy_product's own multiply and bincount
-            assert bits(got) == bits(want)
             return
-        # of two NaNs, the one a compiled sum keeps depends on the order
-        # the compiler gives its operands: where a cell's sum can meet two,
-        # from NaN pair rows or one made by inf - inf, any NaN counts there
-        def rows_per_cell(where):
-            return np.bincount(row_k, weights=where, minlength=m.size)
-
-        pooled = (rows_per_cell(np.isnan(pair_rows))
-                  + ((rows_per_cell(pair_rows == math.inf) > 0)
-                     & (rows_per_cell(pair_rows == -math.inf) > 0))) >= 2
-        assert bits_nan_pooled(got, pooled) == bits_nan_pooled(want, pooled)
         out = np.full(m.size, 7.0)
         assert compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
                                            m, out) is out
@@ -741,12 +727,6 @@ def gini_sums_loop(m, c, r):
             phi_r = term if phi_r is None else phi_r + term
         before_m, before_mc = through_m, through_mc
     return through_m, through_mc, pair, phi_r
-
-
-def bits_any_nan(values):
-    """``bits``, with every NaN counted as one: the sign and payload of a
-    NaN made by arithmetic depend on the instructions that made it."""
-    return bits([math.nan if math.isnan(v) else v for v in values])
 
 
 def random_masses(gen, cells):
