@@ -161,7 +161,7 @@ def _load_config_file(path: str) -> list[str]:
     return flags
 
 
-def _sim_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+def _mc_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--rule", required=True, help="rule spec, e.g. yardsale:lambda=0.5")
     p.add_argument("--n", type=int, required=True, help="number of agents")
@@ -170,11 +170,6 @@ def _sim_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=1, metavar="K")
     p.add_argument("--init", default="equal", help="equal | uniform | file:<path>")
     p.add_argument("--out", required=True, help="metrics CSV path")
-    p.add_argument("--snapshot-every", type=int, default=0, metavar="K")
-    p.add_argument("--snapshot-dir", default=None)
-    p.add_argument("--stop-gini-gap", type=float, default=None)
-    p.add_argument("--stop-liquidity", type=float, default=None)
-    p.add_argument("--eps-zero", type=float, default=DEFAULT_EPS_ZERO)
     p.add_argument("--config", default=None, help="flat key=value config file")
     return p
 
@@ -187,9 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kinex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _sim_parser(sub, "simulate", "run one finite-N trajectory")
+    pm = _mc_parser(sub, "simulate", "run one finite-N trajectory")
+    pm.add_argument("--snapshot-every", type=int, default=0, metavar="K")
+    pm.add_argument("--snapshot-dir", default=None)
+    pm.add_argument("--stop-gini-gap", type=float, default=None)
+    pm.add_argument("--stop-liquidity", type=float, default=None)
+    pm.add_argument("--eps-zero", type=float, default=DEFAULT_EPS_ZERO)
 
-    pe = _sim_parser(sub, "ensemble", "run independent replicas and aggregate")
+    pe = _mc_parser(sub, "ensemble", "run independent replicas and aggregate")
     pe.add_argument("--replicas", type=int, required=True)
 
     pi = sub.add_parser("integrate", help="integrate the master equation")
@@ -210,15 +210,26 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--grid", required=True)
     pk.add_argument("--config", default=None)
 
-    ps = _sim_parser(sub, "sweep", "run one configuration per parameter value")
+    ps = _mc_parser(sub, "sweep", "run one configuration per parameter value")
     ps.add_argument("--param", required=True, choices=["lambda", "N", "rule"])
     ps.add_argument("--values", required=True, help="comma-separated value list")
     ps.add_argument("--replicas", type=int, default=0)
+    ps.add_argument("--stop-gini-gap", type=float, default=None)
+    ps.add_argument("--stop-liquidity", type=float, default=None)
 
     pg = sub.add_parser("gini", help="Gini index of a population snapshot file")
     pg.add_argument("snapshot", help="population snapshot path")
 
     return parser
+
+
+# SimConfig's optional float settings; each command has those it reads
+_SIM_FLOATS = ("stop_gini_gap", "stop_liquidity", "eps_zero")
+
+
+def _set_floats(args, names, convert=float) -> dict:
+    """The float settings among ``names`` that the command has and are set."""
+    return {k: convert(getattr(args, k)) for k in names if getattr(args, k, None) is not None}
 
 
 def _sim_config(args) -> SimConfig:
@@ -229,9 +240,7 @@ def _sim_config(args) -> SimConfig:
         seed=args.seed,
         initial=parse_initial(args.init),
         record_every=args.record_every,
-        stop_gini_gap=args.stop_gini_gap,
-        stop_liquidity=args.stop_liquidity,
-        eps_zero=args.eps_zero,
+        **_set_floats(args, _SIM_FLOATS),
     )
 
 
@@ -243,12 +252,8 @@ def _sim_params(args, extra: dict | None = None) -> dict:
         "seed": args.seed,
         "record_every": args.record_every,
         "init": args.init,
-        "eps_zero": format_float(args.eps_zero),
+        **_set_floats(args, _SIM_FLOATS, format_float),
     }
-    if args.stop_gini_gap is not None:
-        params["stop_gini_gap"] = format_float(args.stop_gini_gap)
-    if args.stop_liquidity is not None:
-        params["stop_liquidity"] = format_float(args.stop_liquidity)
     if extra:
         params.update(extra)
     return params
@@ -258,15 +263,17 @@ def _cmd_simulate(args) -> int:
     config = _sim_config(args)
     if args.snapshot_every and not args.snapshot_dir:
         raise ConfigError("--snapshot-every requires --snapshot-dir")
+    if args.snapshot_dir and not args.snapshot_every:
+        raise ConfigError("--snapshot-dir requires --snapshot-every")
     traj = run(config, snapshot_every=args.snapshot_every)
-    gap_max = (config.n - 1) / config.n
-    rows = [(*astuple(r), gap_max - r.gini) for r in traj.records]
-    _write_result(args, _sim_params(args), SIM_COLUMNS, rows)
-    if args.snapshot_dir:
+    if args.snapshot_dir:  # before the CSV, so a bad destination writes nothing
         os.makedirs(args.snapshot_dir, exist_ok=True)
         for t, wealth in traj.snapshots:
             path = os.path.join(args.snapshot_dir, f"population_t{t}.txt")
             write_snapshot(path, Population(wealth), t=t)
+    gap_max = (config.n - 1) / config.n
+    rows = [(*astuple(r), gap_max - r.gini) for r in traj.records]
+    _write_result(args, _sim_params(args), SIM_COLUMNS, rows)
     print(f"stop_reason={traj.stop_reason.value} records={len(traj.records)}")
     return 0
 
@@ -296,26 +303,21 @@ def _cmd_integrate(args) -> int:
         stop_liquidity=args.stop_liquidity,
         snapshot_every=args.snapshot_every,
     )
-    params = {
-        "rule": format_rule(rule),
-        "grid": args.grid,
-        "init": args.init,
-        "dt": format_float(args.dt),
-        "t_end": format_float(args.t_end),
-        "interaction_rate": "1 per unit time",
-    }
-    if args.stop_gini is not None:
-        params["stop_gini"] = format_float(args.stop_gini)
-    if args.stop_liquidity is not None:
-        params["stop_liquidity"] = format_float(args.stop_liquidity)
-    columns = IntegrationReport.COLUMNS
-    _write_result(args, params, columns, zip(*(getattr(report, c) for c in columns)))
-    if args.snapshots:
+    if args.snapshots:  # before the report, so a bad destination writes nothing
         snap_rows = []
         for t, g in snapshots:
             for center, mass in zip(g.centers, g.masses):
                 snap_rows.append((t, center, mass))
         _write_csv(args.snapshots, "t,cell_center,mass", snap_rows)
+    params = {
+        "rule": format_rule(rule),
+        "grid": args.grid,
+        "init": args.init,
+        "interaction_rate": "1 per unit time",
+        **_set_floats(args, ("dt", "t_end", "stop_gini", "stop_liquidity"), format_float),
+    }
+    columns = IntegrationReport.COLUMNS
+    _write_result(args, params, columns, zip(*(getattr(report, c) for c in columns)))
     if report.non_conservative:
         print(
             f"warning: truncated wealth {format_float(report.truncated_wealth)} "
@@ -352,6 +354,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     if args.replicas == 1 or args.replicas < 0:
         raise ConfigError("--replicas must be 0 or >= 2")
+    if args.replicas and (args.stop_gini_gap, args.stop_liquidity) != (None, None):
+        raise ConfigError("stop thresholds need --replicas 0: an ensemble runs to --sweeps")
     if args.replicas:
         worker_count()  # a bad KINEX_THREADS fails the command, not each row
     base = _sim_config(args)

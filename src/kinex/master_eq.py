@@ -274,11 +274,12 @@ def build_grid(scheme, density) -> WealthGrid:
     """
     edges, centers = _grid_axes(scheme)
     # the points of a grid at a nominal factor of 1e5 differ by it give or
-    # take a few ulps
-    if np.any(centers[2:] > MAX_POINT_RATIO * (1.0 + 1e-12) * centers[1:-1]):
-        raise ValueError(
-            f"neighbouring grid points lie more than {MAX_POINT_RATIO:g} times apart"
-        )
+    # take a few ulps; a bound that overflows to inf exceeds every point
+    with np.errstate(over="ignore"):
+        if np.any(centers[2:] > MAX_POINT_RATIO * (1.0 + 1e-12) * centers[1:-1]):
+            raise ValueError(
+                f"neighbouring grid points lie more than {MAX_POINT_RATIO:g} times apart"
+            )
     target_mean = _density_mean(density)
     if not 0.0 < target_mean < math.inf:
         raise ValueError("initial density must have a positive finite mean")

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from kinex import (
     run,
     write_snapshot,
 )
-from kinex.cli import emit_metadata, ExperimentConfig, main
+from kinex.cli import _build_parser, emit_metadata, ExperimentConfig, main
 from kinex.core import format_float
 from kinex.engine import _sweep
 
@@ -219,6 +221,40 @@ class TestConfigErrors:
         assert (code, err) == (2, f"kinex: config error: {message}\n")
         assert not out.exists()
 
+    def test_snapshot_dir_needs_an_interval(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "8",
+            "--sweeps", "4", "--snapshot-dir", "d", "--out", str(out),
+        )
+        message = "--snapshot-dir requires --snapshot-every"
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        assert not out.exists() and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "8", "--sweeps", "4", "--snapshot-every", "1",
+             "--snapshot-dir", "{blocker}"),
+            ("integrate", "--grid", "log:1e-3:1e3:40", "--init", "point:1",
+             "--dt", "1", "--t-end", "3", "--snapshots", "{blocker}/s.csv"),
+        ],
+        ids=["simulate", "integrate"],
+    )
+    def test_unusable_snapshot_destination_writes_nothing(self, argv, tmp_path):
+        # a file where a directory must be: the run completes, then the
+        # destination fails before the output and its sidecar are written
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            *[a.format(blocker=blocker) for a in argv],
+            "--rule", "yardsale:lambda=0.5", "--out", str(out),
+        )
+        assert code == 2 and err.startswith("kinex: config error:")
+        assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -330,6 +366,136 @@ class TestConfigFile:
         )
         assert code == 2
         assert "config" in err
+
+
+MC_FLAGS = {"--rule", "--n", "--sweeps", "--seed", "--record-every", "--init",
+            "--out", "--config"}
+STOP_FLAGS = {"--stop-gini-gap", "--stop-liquidity"}
+COMMAND_FLAGS = {
+    "simulate": MC_FLAGS | STOP_FLAGS | {"--snapshot-every", "--snapshot-dir", "--eps-zero"},
+    "ensemble": MC_FLAGS | {"--replicas"},
+    "sweep": MC_FLAGS | STOP_FLAGS | {"--param", "--values", "--replicas"},
+}
+COMMAND_ARGV = {
+    "simulate": ["simulate"],
+    "ensemble": ["ensemble", "--replicas", "2"],
+    "sweep": ["sweep", "--param", "lambda", "--values", "0.3"],
+}
+# flags of simulate that ensemble and sweep would not read
+REMOVED_FLAGS = [
+    (command, flag, value)
+    for command, flags in [
+        ("ensemble", [("--snapshot-every", "1"), ("--snapshot-dir", "d"),
+                      ("--stop-gini-gap", "0.5"), ("--stop-liquidity", "0.5"),
+                      ("--eps-zero", "1e-9")]),
+        ("sweep", [("--snapshot-every", "1"), ("--snapshot-dir", "d"),
+                   ("--eps-zero", "1e-9")]),
+    ]
+    for flag, value in flags
+]
+
+
+def _command_flags(command):
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = sub.choices[command]._actions
+    return {o for a in actions for o in a.option_strings} - {"-h", "--help"}
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_takes_the_flags_it_reads(self, command):
+        assert _command_flags(command) == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, value", REMOVED_FLAGS,
+        ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS],
+    )
+    def test_flag_the_command_lacks_exits_2(self, command, flag, value, via,
+                                            tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if via == "flag":
+            extra = [flag, value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{flag[2:]}={value}\n")
+            extra = ["--config", "run.cfg"]
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*COMMAND_ARGV[command], "--rule", "yardsale:lambda=0.5",
+                  "--n", "8", "--sweeps", "4", *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if via == "flag" else ["run.cfg"]
+        )
+
+    @pytest.mark.parametrize("flag", sorted(STOP_FLAGS))
+    def test_sweep_ensemble_rows_take_no_stop_threshold(self, flag, tmp_path):
+        # run_ensemble runs every replica to --sweeps
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.3", "--replicas", "2",
+            "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "4",
+            flag, "0.5", "--out", str(out),
+        )
+        message = "stop thresholds need --replicas 0: an ensemble runs to --sweeps"
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["simulate"], {"eps_zero"}),
+            (["simulate", "--stop-gini-gap", "0.1", "--eps-zero", "0"],
+             {"eps_zero", "stop_gini_gap"}),
+            (["simulate", "--stop-liquidity", "0.1"], {"eps_zero", "stop_liquidity"}),
+            (COMMAND_ARGV["ensemble"], {"replicas"}),
+            (COMMAND_ARGV["sweep"], {"param", "values"}),
+            (COMMAND_ARGV["sweep"] + ["--stop-gini-gap", "0.1"],
+             {"param", "values", "stop_gini_gap"}),
+            (COMMAND_ARGV["sweep"] + ["--replicas", "2"], {"param", "values", "replicas"}),
+        ],
+        ids=["simulate", "simulate-gap", "simulate-liquidity", "ensemble", "sweep",
+             "sweep-gap", "sweep-replicas"],
+    )
+    def test_metadata_records_the_settings_that_shaped_the_output(
+        self, argv, keys, tmp_path
+    ):
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            *argv, "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "4",
+            "--out", str(out),
+        )
+        assert code == 0
+        params = json.loads((tmp_path / "x.csv.meta.json").read_text())["parameters"]
+        common = {"rule", "n", "sweeps", "seed", "record_every", "init"}
+        assert set(params) == common | keys
+
+
+def _readme_commands():
+    """Each ``kinex ...`` command of the README's CLI block, as argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    joined = re.sub(r"\\\n\s*", " ", block)
+    return [
+        line.replace("[", "").replace("]", "").split()[1:]
+        for line in joined.splitlines()
+        if line.startswith("kinex ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_parse(argv):
+    args = _build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in _readme_commands()} == {
+        "simulate", "ensemble", "integrate", "kernel-check", "sweep", "gini"
+    }
 
 
 class TestEnsembleCommand:
@@ -763,7 +929,7 @@ GOLDEN_SHA256 = {
     ),
     "ensemble": (
         "a462615b397aedc29b4819b890bd1b7cddb74288dc12de2f0a22b61a8f2a4cb0",
-        "4531e2517b7b302844ab24a9968a1dfd79046693b258658cfc18a5b775636c33",
+        "be82429f7b778ed646c6886cb8c7c63aee4479cecea3b9c4426beb2682c1f592",
     ),
     "integrate": (
         "0af8e95cb30b7d02887eb5f49fd44533808f4bbbcb562b443ad202dd88f87f83",
@@ -771,7 +937,7 @@ GOLDEN_SHA256 = {
     ),
     "sweep": (
         "5f8c788aa33cc874bb797ee677c209c0eefa529816c95c8a3745bee52c48ea84",
-        "bdd8df570a2f6490cc6beb8b44779a48a187ef5625d6417936d2c9d0f0b6412d",
+        "eb8d72109baccecddab5f988c6cf05f21a220334fc254ccc76e663d5d498ef7a",
     ),
 }
 
@@ -880,7 +1046,7 @@ GOLDEN_SHA256.update({
     ),
     "ensemble-n8192": (
         "3aa0ff3548c80c6cc0844771abbc4476cf5cc4c63977d7a512e2b8d11bbb8bf3",
-        "7c8d0f2ebc2b68304cb91ff0cc7670925cc190e902d8a742badbe36bce9a2325",
+        "f11ff07f27f51814ffeda4b5f601b77480bcdfdf845c650276396d7c7aaaa1bc",
     ),
 })
 

@@ -194,6 +194,9 @@ class TestBuildGrid:
         assert grid.centers[0] == 0.0
         assert grid.edges[0] == 0.0
         assert grid.cells == 65  # 64 log cells plus the dedicated zero cell
+        # the neighbour-ratio bound of the top points overflows, silently
+        grid = build_grid(LogScheme(1e-3, 1e308, 96), PointMass(1.0))
+        assert grid.centers[0] == 0.0 and grid.cells == 97
 
     def test_exponential_matches_analytic_gini(self):
         grid = build_grid(LinearScheme(20.0, 400), Exponential(1.0))
