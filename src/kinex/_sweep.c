@@ -4,9 +4,9 @@
    kinex.engine builds this file on first use (see engine._load) with -O2
    -ffp-contract=off, so that no fused multiply-add changes a rounding. The
    Monte Carlo runs call draw() then sweep() once per sweep; each step of
-   the master-equation integrator calls pair_rhs() twice, for dm/dt and the
-   truncation rate, and gini_sums() twice, for the Gini rate and the Gini
-   check.
+   the master-equation integrator calls pair_rhs() twice, for dm/dt with
+   the mobility and for the truncation rate, and gini_sums() twice, for the
+   Gini rate and the Gini check.
 
    draw(bitgen, n, ii, jj, lams, coins) -> (ii, jj, lams, coins)
      fills the draws with engine._draw_exchanges' for n agents, 2 <= n <
@@ -23,16 +23,17 @@
      i's gain on a win, its loss on a loss and the win test, and one place
      applies them.
 
-   pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out
+   pair_rhs(indptr, indices, data, row_a, row_k, dist, m, out, l) -> (out, l)
      writes the product of master_eq's pair-row operator at the masses m
-     into out: with x = [m; S], S_a = sum_{b >= a} m_b summed from the top
-     cell down, each pair row i is summed as scipy's csr_array product sums
-     it, 0.0 plus data[j] * x[indices[j]] over the row's entries in stored
-     order, times m[row_a[i]], and added into out[row_k[i]], which starts at
-     0.0, in row order: master_eq's numpy fallback, the product then
-     np.bincount. indptr, indices, row_a and row_k hold int32, data, m and
-     out float64; row_a and row_k have one item per row, out one per cell
-     of m. Each call checks these lengths, the ends of indptr (0 and
+     into out and the mobility into l: with x = [m; S], S_a = sum_{b >= a}
+     m_b summed from the top cell down, each pair row i is summed as scipy's
+     csr_array product sums it, 0.0 plus data[j] * x[indices[j]] over the
+     row's entries in stored order, and added times m[row_a[i]] into
+     out[row_k[i]] and times dist[i], its |c_k - c_a|, into l[row_a[i]],
+     from 0.0 in row order: master_eq's numpy fallback, the product then
+     np.bincount. indptr, indices, row_a and row_k hold int32, the rest
+     float64; row_a, row_k and dist have one item per row, out and l one per
+     cell of m. Each call checks these lengths, the ends of indptr (0 and
      len(data)) and that indptr does not decrease; the caller,
      master_eq.PairRows, checks once that every index lies in [0, 2 len(m))
      and every row cell in [0, len(m)). It allocates 2 len(m) floats, for x.
@@ -309,18 +310,18 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     static const char *const names[] = {"indptr", "indices", "data", "row_a",
-                                        "row_k", "m", "out"};
-    Py_buffer views[7] = {{0}};
+                                        "row_k", "dist", "m", "out", "l"};
+    Py_buffer views[9] = {{0}};
     PyObject *result = NULL;
     double *x = NULL;
-    if (!take_vectors("pair_rhs", args, nargs, "iidiidD", names, views, NULL))
+    if (!take_vectors("pair_rhs", args, nargs, "iidiiddDD", names, views, NULL))
         goto done;
     const int *indptr = views[0].buf, *indices = views[1].buf;
     const int *row_a = views[3].buf, *row_k = views[4].buf;
-    const double *data = views[2].buf, *m = views[5].buf;
-    double *out = views[6].buf;
+    const double *data = views[2].buf, *dist = views[5].buf, *m = views[6].buf;
+    double *out = views[7].buf, *l = views[8].buf;
     Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
-    Py_ssize_t n = views[5].len / 8;
+    Py_ssize_t n = views[6].len / 8;
     if (views[2].len / 8 != nnz) {
         PyErr_SetString(PyExc_ValueError,
                         "indices and data must have equal lengths");
@@ -337,13 +338,15 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    if (views[3].len / 4 != rows || views[4].len / 4 != rows) {
-        PyErr_SetString(PyExc_ValueError, "row_a and row_k must have one "
-                        "item per row, len(indptr) - 1");
+    if (views[3].len / 4 != rows || views[4].len / 4 != rows
+        || views[5].len / 8 != rows) {
+        PyErr_SetString(PyExc_ValueError, "row_a, row_k and dist must have "
+                        "one item per row, len(indptr) - 1");
         goto done;
     }
-    if (views[6].len / 8 != n) {
-        PyErr_SetString(PyExc_ValueError, "out must have one item per cell of m");
+    if (views[7].len / 8 != n || views[8].len / 8 != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "out and l must have one item per cell of m");
         goto done;
     }
     x = PyMem_Malloc((size_t)(2 * n + 1) * sizeof(double));
@@ -359,17 +362,18 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         x[n + a] = suffix += m[a];
     }
     for (Py_ssize_t k = 0; k < n; k++)
-        out[k] = 0.0;
+        out[k] = l[k] = 0.0;
     for (Py_ssize_t i = 0; i < rows; i++) {
         double row = 0.0;
         for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
             row += data[j] * x[indices[j]];
         out[row_k[i]] += row * m[row_a[i]];
+        l[row_a[i]] += row * dist[i];
     }
-    result = Py_NewRef(args[6]);
+    result = PyTuple_Pack(2, args[7], args[8]);
 done:
     PyMem_Free(x);
-    release_vectors(views, 7);
+    release_vectors(views, 9);
     return result;
 }
 
@@ -423,9 +427,10 @@ static PyMethodDef methods[] = {
      "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
     {"pair_rhs", (PyCFunction)(void (*)(void))pair_rhs, METH_FASTCALL,
-     "pair_rhs(indptr, indices, data, row_a, row_k, m, out) -> out: write "
-     "the product of the pair-row operator (indptr, indices, data) at masses "
-     "m into out, as master_eq's numpy product and bincount sum it."},
+     "pair_rhs(indptr, indices, data, row_a, row_k, dist, m, out, l) -> "
+     "(out, l): write the product of the pair-row operator (indptr, indices, "
+     "data) at masses m into out and its rows' moment about c_a into l, as "
+     "master_eq's numpy product and bincounts sum them."},
     {"gini_sums", (PyCFunction)(void (*)(void))gini_sums, METH_FASTCALL,
      "gini_sums(m, c, r) -> (M0, M1, pair, phi_r): the grid Gini's and its "
      "rate's prefix sums over masses m at sorted points c, in index order; "

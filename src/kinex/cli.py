@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -161,10 +161,10 @@ def _load_config_file(path: str) -> list[str]:
     return flags
 
 
-def _mc_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+def _mc_parser(sub, name: str, help_text: str, required=True) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
-    p.add_argument("--rule", required=True, help="rule spec, e.g. yardsale:lambda=0.5")
-    p.add_argument("--n", type=int, required=True, help="number of agents")
+    p.add_argument("--rule", required=required, help="rule spec, e.g. yardsale:lambda=0.5")
+    p.add_argument("--n", type=int, required=required, help="number of agents")
     p.add_argument("--sweeps", type=int, required=True, help="maximum sweeps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--record-every", type=int, default=1, metavar="K")
@@ -210,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--grid", required=True)
     pk.add_argument("--config", default=None)
 
-    ps = _mc_parser(sub, "sweep", "run one configuration per parameter value")
+    # --rule and --n are required unless --param sets them per row
+    ps = _mc_parser(sub, "sweep", "run one configuration per parameter value", False)
     ps.add_argument("--param", required=True, choices=["lambda", "N", "rule"])
     ps.add_argument("--values", required=True, help="comma-separated value list")
     ps.add_argument("--replicas", type=int, default=0)
@@ -220,6 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gini", help="Gini index of a population snapshot file")
     pg.add_argument("snapshot", help="population snapshot path")
 
+    for p in sub.choices.values():  # to report input errors in its own usage
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -245,18 +248,34 @@ def _sim_config(args) -> SimConfig:
 
 
 def _sim_params(args, extra: dict | None = None) -> dict:
+    """The settings of a Monte Carlo command; the one ``sweep --param`` sets
+    per row is not given, and its ``values`` stand for it."""
     params = {
-        "rule": format_rule(parse_rule(args.rule)),
+        "rule": None if args.rule is None else format_rule(parse_rule(args.rule)),
         "n": args.n,
         "sweeps": args.sweeps,
         "seed": args.seed,
         "record_every": args.record_every,
         "init": args.init,
         **_set_floats(args, _SIM_FLOATS, format_float),
+        **(extra or {}),
     }
-    if extra:
-        params.update(extra)
-    return params
+    return {k: v for k, v in params.items() if v is not None}
+
+
+def _check_destinations(files, tree=None) -> None:
+    """Before a run, so that a bad destination writes nothing: each output
+    file's directory exists and the file is not a directory, and ``tree``
+    is a directory or its nearest existing ancestor is one."""
+    for path in filter(None, files):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+    if tree:
+        ancestor = os.path.abspath(tree)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"cannot make directory {tree}: {ancestor} is not a directory")
 
 
 def _cmd_simulate(args) -> int:
@@ -265,6 +284,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--snapshot-every requires --snapshot-dir")
     if args.snapshot_dir and not args.snapshot_every:
         raise ConfigError("--snapshot-dir requires --snapshot-every")
+    _check_destinations([args.out], args.snapshot_dir)
     traj = run(config, snapshot_every=args.snapshot_every)
     if args.snapshot_dir:  # before the CSV, so a bad destination writes nothing
         os.makedirs(args.snapshot_dir, exist_ok=True)
@@ -280,6 +300,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     config = _sim_config(args)
+    _check_destinations([args.out])
     summary = run_ensemble(config, args.replicas)
     params = _sim_params(args, {"replicas": args.replicas})
     rows = zip(*(getattr(summary, c) for c in ENSEMBLE_COLUMNS))
@@ -293,6 +314,7 @@ def _cmd_integrate(args) -> int:
         raise ConfigError("--snapshot-every requires --snapshots")
     rule = parse_rule(args.rule)
     grid = build_grid(parse_grid_scheme(args.grid), parse_density(args.init))
+    _check_destinations([args.out, args.snapshots])
     kernel = build_kernel(rule, grid)
     snapshots, report = integrate(
         grid,
@@ -358,18 +380,24 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("stop thresholds need --replicas 0: an ensemble runs to --sweeps")
     if args.replicas:
         worker_count()  # a bad KINEX_THREADS fails the command, not each row
-    base = _sim_config(args)
-    if base.record_every > base.max_sweeps:  # every row reads its last record
-        raise ConfigError("--record-every must not exceed --sweeps")
+    swept = {"N": "n", "rule": "rule"}.get(args.param)
+    if swept and getattr(args, swept) is not None:
+        raise ConfigError(f"--param {args.param} takes no --{swept}: each row sets it")
+    missing = [f"--{k}" for k in ("rule", "n") if k != swept and getattr(args, k) is None]
+    if missing:
+        args.command_parser.error(f"the following arguments are required: {', '.join(missing)}")
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:
         if args.param == "lambda":
-            cfg = replace(base, rule=parse_rule(f"{base.rule.kind.value}:lambda={v}"))
+            setting = {"rule": f"{parse_rule(args.rule).kind.value}:lambda={v}"}
         elif args.param == "N":
-            cfg = replace(base, n=int(v))
+            setting = {"n": int(v)}
         else:
-            cfg = replace(base, rule=parse_rule(v))
-        parsed.append((v, cfg))
+            setting = {"rule": v}
+        parsed.append((v, _sim_config(argparse.Namespace(**{**vars(args), **setting}))))
+    if args.record_every > args.sweeps:  # every row reads its last record
+        raise ConfigError("--record-every must not exceed --sweeps")
+    _check_destinations([args.out])
 
     rows = []
     for value, cfg in parsed:
@@ -442,7 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         argv = _apply_config_file(list(argv))
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # in the command's usage, as a missing flag is reported
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
         handler = _COMMANDS[args.command]
         return handler(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -14,25 +14,28 @@ outcome (yard-sale: delta = +-lambda min(c_a, c_b) = +-lambda c_a), those
 entries are stored once, in suffix column n + a, which multiplies
 S_a = sum_{b >= a} m_b. So one sparse product with [m; S] followed by a
 weighted bincount over the rows gives dm/dt, and the Gini rate is a dot
-product with it. The operator is built in blocks of tagged cells a whose
-temporaries fit ``BLOCK_BYTES``, each block's rows appended to the
-kernel's own arrays.
+product with it. A winner's atom lands at or above the grid point c_a and
+a loser's at or below it, so pair (a, b)'s E|delta| is
+sum_k |c_k - c_a| N[k, (a, b)], and the same pass gives the mobility l_a
+as the first absolute moment about c_a of the row sums (a, k). The
+operator is built in blocks of tagged cells a whose temporaries fit
+``BLOCK_BYTES``, each block's rows appended to the kernel's own arrays.
 
 The kernel holds both sparse operators, ``gain`` and the truncation rate
 ``trunc_coef``, in ``PairRows``: the compressed-sparse-row arrays of the
 pair rows and each row's (a, k). Its one product is ``_sweep.c``'s
 ``pair_rhs``, loaded through ``engine._load`` at the first product, which
 forms [m; S], sums each pair row from 0.0 in stored order, as scipy's
-``csr_array`` product does, weights it by m_a and adds it into cell k, in
-one pass. Where the module does not load, it is numpy's product and
-``bincount`` over the same arrays, adding in the same order. Each compiled
-function and its numpy twin give the same bits on every output that is
-not NaN, and NaN in the same cells. Each integrator step makes one
-compiled call per seam: ``_rhs_masses`` and ``_trunc_rate`` one
-``pair_rhs`` each, and ``_weighted_gini`` and ``_gini_rate_masses`` one
-``gini_sums`` each, the prefix sums of the grid Gini and its rate in index
-order, whose numpy fallback (``metrics._gini_sums``' ``cumsum``) adds in
-the same order.
+``csr_array`` product does, and adds it times m_a into cell k and times
+|c_k - c_a| into the mobility of cell a, in one pass. Where the module
+does not load, it is numpy's product and ``bincount`` over the same
+arrays, adding in the same order. Each compiled function and its numpy
+twin give the same bits on every output that is not NaN, and NaN in the
+same cells. Each integrator step makes one compiled call per seam:
+``_rhs_masses`` and ``_trunc_rate`` one ``pair_rhs`` each, and
+``_weighted_gini`` and ``_gini_rate_masses`` one ``gini_sums`` each, the
+prefix sums of the grid Gini and its rate in index order, whose numpy
+fallback (``metrics._gini_sums``' ``cumsum``) adds in the same order.
 
 Time stepping is explicit Euler. The step is capped so at most 10% of
 total mass moves per step and halved whenever a cell mass would go
@@ -47,6 +50,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -356,21 +360,24 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
 
 class PairRows:
     """A sparse operator A on [m; S], S_a = sum_{b >= a} m_b, of a grid of
-    ``cells`` cells, laid out by pair rows: row i is pair row (``row_a[i]``,
-    ``row_k[i]``) and holds ``data[j]`` in column ``indices[j]`` for
-    ``indptr[i] <= j < indptr[i + 1]``, in compressed sparse row form with
-    int32 ``indices``, ``indptr``, ``row_a`` and ``row_k`` and float64
-    ``data``; ``shape`` is (rows, 2 cells).
+    float64 points ``centers``, laid out by pair rows: row i is pair row
+    (``row_a[i]``, ``row_k[i]``) and holds ``data[j]`` in column
+    ``indices[j]`` for ``indptr[i] <= j < indptr[i + 1]``, in compressed
+    sparse row form with int32 ``indices``, ``indptr``, ``row_a`` and
+    ``row_k`` and float64 ``data``; ``shape`` is (rows, 2 cells), and
+    ``dist`` holds each row's |c_k - c_a|, made once here.
 
     Its one product, ``product(m)`` at C-contiguous float64 masses m of
-    ``cells`` items, is out[k] = sum over rows (a, k) of m_a (A [m; S])_(a, k):
-    ``_sweep.c``'s ``pair_rhs``, or, where the compiled module does not
-    load, ``np.bincount`` of ``x[indices] * data`` by row, times m_a, and
-    ``np.bincount`` of that by k. Both sum each row from 0.0 in stored order,
-    as scipy's product does, and add the rows into each k in row order, so
-    they give the same bits on every output that is not NaN, and NaN in the
-    same cells. Any other m, strided ones included, raises ValueError on
-    both paths. The arrays are checked here, once:
+    ``cells`` items, is (out, l) with s_(a, k) = (A [m; S])_(a, k),
+    out[k] = sum over rows (a, k) of m_a s_(a, k) and l[a] = sum over rows
+    (a, k) of |c_k - c_a| s_(a, k): ``_sweep.c``'s ``pair_rhs``, or, where
+    the compiled module does not load, ``np.bincount`` of
+    ``x[indices] * data`` by row, then ``np.bincount`` of the sums times
+    m_a by k and times ``dist`` by a. Both sum each row from 0.0 in stored
+    order, as scipy's product does, and add the rows into each cell in row
+    order, so they give the same bits on every output that is not NaN, and
+    NaN in the same cells. Any other m, strided ones included, raises
+    ValueError on both paths. The arrays are checked here, once:
     ``pair_rhs`` trusts that every column lies in [0, 2 cells) and every row
     cell in [0, cells), so all but ``data``, which stays writable, are then
     made read-only. Raises ValueError on arrays that do not form such an
@@ -378,11 +385,13 @@ class PairRows:
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 row_a: np.ndarray, row_k: np.ndarray, cells: int):
+                 row_a: np.ndarray, row_k: np.ndarray, centers: np.ndarray):
         rows = row_a.size
+        cells = centers.size
         index_arrays = (indices, indptr, row_a, row_k)
-        if data.dtype != np.float64 or any(x.dtype != np.int32 for x in index_arrays):
-            raise ValueError("pair-row arrays must be float64 data and int32 indices")
+        if (data.dtype, centers.dtype) != (np.float64,) * 2 or any(
+                x.dtype != np.int32 for x in index_arrays):
+            raise ValueError("pair-row arrays must be float64 data and points and int32 indices")
         if (
             data.ndim != 1 or indices.shape != data.shape or indptr.shape != (rows + 1,)
             or not row_a.shape == row_k.shape == (rows,)
@@ -394,7 +403,8 @@ class PairRows:
         if rows and not (0 <= min(row_a.min(), row_k.min())
                          and max(row_a.max(), row_k.max()) < cells):
             raise ValueError(f"row cells outside [0, {cells})")
-        for x in index_arrays:
+        self.dist = np.abs(centers[row_k] - centers[row_a])
+        for x in (*index_arrays, self.dist):
             x.flags.writeable = False
         self.data = data
         self.indices = indices
@@ -405,7 +415,7 @@ class PairRows:
         self.shape = (rows, 2 * cells)
         self.nnz = data.size
 
-    def product(self, m: np.ndarray) -> np.ndarray:
+    def product(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.cells
         if m.shape != (n,) or m.dtype != np.float64 or not m.flags.c_contiguous:
             raise ValueError(f"{m.dtype} masses of shape {m.shape} for {n} cells: "
@@ -413,15 +423,17 @@ class PairRows:
         module = _load()
         if module is not None:
             return module.pair_rhs(self.indptr, self.indices, self.data, self.row_a,
-                                   self.row_k, m, np.empty(n))
+                                   self.row_k, self.dist, m, np.empty(n), np.empty(n))
         rows = self.shape[0]
         # like pair_rhs and scipy it stays quiet on overflow and NaN
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _with_suffix_sums(m)[self.indices] * self.data
             row = np.repeat(np.arange(rows), np.diff(self.indptr))
-            pair_rows = np.bincount(row, weights=terms, minlength=rows) * m[self.row_a]
-        out = np.bincount(self.row_k, weights=pair_rows, minlength=n)
-        return out.astype(np.float64, copy=False)  # integer zeros where no row is
+            sums = np.bincount(row, weights=terms, minlength=rows)
+            weighted = ((self.row_k, sums * m[self.row_a]), (self.row_a, sums * self.dist))
+        # integer zeros where no row is
+        return tuple(np.bincount(cell, weights=w, minlength=n).astype(np.float64, copy=False)
+                     for cell, w in weighted)
 
 
 class DiscreteKernel:
@@ -434,15 +446,17 @@ class DiscreteKernel:
       same law at every lambda node, row (a, k) stores the partners b < a
       in their columns and N[k, (a, a)], which stands for each b >= a, in
       column n + a alone. Other rows leave the suffix columns empty. dm/dt
-      is then ``gain.product(m)``, the operator's only product. G sends
-      the pair's mass to the cells where the tagged agent lands: each
-      delta atom splits the agent's post-wealth between the two grid
-      points bracketing it. L[a, (a, b)] = 1 removes the agent
+      and the mobility are then ``gain.product(m)``, the operator's only
+      product. G sends the pair's mass to the cells where the tagged agent
+      lands: each delta atom splits the agent's post-wealth between the
+      two grid points bracketing it. L[a, (a, b)] = 1 removes the agent
       from its source cell. A pair's entries sum to zero to rounding; for a
       pair that transfers nothing the tagged agent's entries cancel the -1
       exactly and the pair stores nothing.
     - ``abs_delta`` is the per-pair expected |delta|, the mobility
-      integrand, a dense n x n array indexed [a, b].
+      integrand, a dense n x n array indexed [a, b]: derived from ``gain``
+      when first read, as sum_k |c_k - c_a| N[k, (a, b)]. The integrator
+      and the CLI never read it.
     - ``trunc_coef`` is the wealth lost past the top cell per unit pair mass
       and time, tau_ab, a ``PairRows`` with one row (a, a) per cell a whose
       pairs truncate, each holding those partners b in column b: the
@@ -457,7 +471,7 @@ class DiscreteKernel:
     """
 
     def __init__(self, rule: RuleSpec, centers: np.ndarray, gain: PairRows,
-                 abs_delta: np.ndarray, trunc_coef: PairRows):
+                 trunc_coef: PairRows):
         n = centers.size
         if gain.shape[1] != 2 * n or trunc_coef.shape[1] != 2 * n:
             raise ValueError(f"operators of shapes {gain.shape} and "
@@ -466,8 +480,12 @@ class DiscreteKernel:
         self.centers = centers
         self.cells = n
         self.gain = gain
-        self.abs_delta = abs_delta
         self.trunc_coef = trunc_coef
+
+    @cached_property
+    def abs_delta(self) -> np.ndarray:
+        gain = self.gain
+        return _pair_sums(gain, gain.data * np.repeat(gain.dist, np.diff(gain.indptr)))
 
 
 def _append(buf: np.ndarray, part: np.ndarray) -> None:
@@ -484,7 +502,7 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
+def _block_entries(rule, nodes, c, a0, a1, trunc):
     """Summed entries of the pair rows (a, k), a0 <= a < a1, of N.
 
     Returns (key, value) of every non-zero entry in (a, k, column) order,
@@ -495,13 +513,13 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     same entries, so a suffix cell forms only its pairs b < a, in columns
     b, and pair (a, a), in column n + a, which stands for every b >= a; any
     other cell forms its pairs in columns b. Then one node loop adds the
-    |delta| terms to ``abs_delta`` and the truncation, the winner's
-    overshoot past the top point, to ``trunc`` (rows a0..a1 only), and
-    forms the atoms. Each entry sums its contributions in one order: per
-    node, the winner's atom then the loser's, each at its lower point then
-    its upper one, and the loss -1 last; a stable sort of the keys keeps
-    that order and ``np.add.reduceat`` sums each run of equal keys. Every
-    pair lies in one block, so the sums do not depend on the block size.
+    truncation, the winner's overshoot past the top point, to ``trunc``
+    (rows a0..a1 only), and forms the atoms. Each entry sums its
+    contributions in one order: per node, the winner's atom then the
+    loser's, each at its lower point then its upper one, and the loss -1
+    last; a stable sort of the keys keeps that order and ``np.add.reduceat``
+    sums each run of equal keys. Every pair lies in one block, so the sums
+    do not depend on the block size.
     """
     n = c.size
     width = 2 * n
@@ -532,14 +550,7 @@ def _block_entries(rule, nodes, c, a0, a1, abs_delta, trunc):
     end = 0
     for (_, wnode), (d_plus, p_plus, d_minus) in zip(nodes, laws):
         p_win = p_plus * wnode
-        over = np.maximum(ca + d_plus - c[-1], 0.0)  # d_minus <= 0 never passes
-        abs_delta += p_win * np.abs(np.where(over > 0.0, c[-1] - ca, d_plus))
-        trunc += p_win * over
-        del over
-        if rule.unbiased:
-            abs_delta += p_win * d_plus
-        else:
-            abs_delta += (1.0 - p_plus) * wnode * np.abs(d_minus)
+        trunc += p_win * np.maximum(ca + d_plus - c[-1], 0.0)  # d_minus <= 0 never passes
         for d, p in ((d_plus, p_win), (d_minus, (1.0 - p_plus) * wnode)):
             q = np.flatnonzero(formed & (p != 0.0))  # the atom's pairs (a - a0) * n + b
             p = p.ravel()[q]
@@ -577,22 +588,16 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     Per block, ``two_point_law`` is evaluated once per node of the rule's
     lambda mixture on the block's pairs ``c[a0:a1, None], c[None, :]`` and
     kept: the suffix cells are found over those arrays first, then one loop
-    over the nodes sums ``abs_delta`` and the truncation and forms the atoms
-    of the pairs ``gain`` stores. Each of the node's two delta atoms maps the
-    tagged agent's post-exchange wealth to grid cells by the mean-exact
-    two-point split, so per-pair normalization is exact and the represented
-    expected gain is zero to rounding error for the unbiased rules.
+    over the nodes sums the truncation and forms the atoms of the pairs
+    ``gain`` stores. Each of the node's two delta atoms maps the tagged
+    agent's post-exchange wealth to grid cells by the mean-exact two-point
+    split, so per-pair normalization is exact and the represented expected
+    gain is zero to rounding error for the unbiased rules.
     Post-wealths above the top representative point are assigned to the top
     cell; the resulting wealth loss is tracked by the integrator and flags
     the run non-conservative beyond 1e-8 relative. A block's summed entries,
     a run of whole pair rows of ``gain``, are appended to arrays the kernel
     owns, which grow by exactly that run; no block's entries outlive it.
-
-    ``abs_delta`` sums each node's |delta| terms from the law's arrays. The
-    winner's gain is the one truncated at the top cell, as in ``gain``. For
-    an unbiased rule the loser's atom carries the winner's |delta| mass,
-    (1 - p_plus) |d_minus| = p_plus d_plus, and is taken from the winner:
-    1 - p_plus cancels at extreme wealth ratios of the unbiased loser rule.
     """
     c = grid.centers.copy()
     n = c.size
@@ -604,7 +609,6 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     # k = 0, its masks and its loss key (24 bytes).
     pair_bytes = 28 * (4 * len(nodes) + 1) + 24 * len(nodes) + 8 * 16 + 24
     step = max(1, BLOCK_BYTES // (pair_bytes * n))
-    abs_delta = np.zeros((n, n))
     gain = _new_rows()
     # Wealth lost by the evolved density per unit (pair-mass * time), the
     # tagged agent's overshoot alone (the partner's outcome of pair (a, b)
@@ -613,7 +617,7 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     for a0 in range(0, n, step):
         a1 = min(a0 + step, n)
         trunc = np.zeros((a1 - a0, n))
-        key, val = _block_entries(rule, nodes, c, a0, a1, abs_delta[a0:a1], trunc)
+        key, val = _block_entries(rule, nodes, c, a0, a1, trunc)
         rows = key // (2 * n)  # (a - a0) * n + k
         key -= rows * (2 * n)
         _append_rows(gain, rows, key, val, a0, n)
@@ -622,15 +626,15 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         _append_rows(trunc_coef, a * (n + 1) + a0, b, trunc[a, b], a0, n)
         del trunc, a, b
 
-    gain = _pair_rows(gain, n)
-    trunc_coef = _pair_rows(trunc_coef, n)
+    gain = _pair_rows(gain, c)
+    trunc_coef = _pair_rows(trunc_coef, c)
     if trunc_coef.nnz:
         log.debug(
             "kernel truncates wealth at the top cell for %d of %d pairs",
             trunc_coef.nnz,
             n * n,
         )
-    return DiscreteKernel(rule, c, gain, abs_delta, trunc_coef)
+    return DiscreteKernel(rule, c, gain, trunc_coef)
 
 
 def _new_rows() -> list[np.ndarray]:
@@ -653,11 +657,22 @@ def _append_rows(parts, rows, cols, vals, a0, n) -> None:
     _append(row_k, rows % n)
 
 
-def _pair_rows(parts, n) -> PairRows:
-    """The ``PairRows`` of the arrays ``parts`` of ``_new_rows``."""
+def _pair_rows(parts, c) -> PairRows:
+    """The ``PairRows`` on points ``c`` of the arrays ``parts`` of ``_new_rows``."""
     data, indices, row_nnz, row_a, row_k = parts
     indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
-    return PairRows(data, indices, indptr, row_a, row_k, n)
+    return PairRows(data, indices, indptr, row_a, row_k, c)
+
+
+def _pair_sums(gain: PairRows, weights: np.ndarray) -> np.ndarray:
+    """The n x n [a, b] sums of ``weights``, one per entry of ``gain``, over
+    each pair's entries: by (a, column), then suffix column n + a added to
+    each b >= a; a column without entries adds 0.0."""
+    n = gain.cells
+    pair = np.repeat(gain.row_a * np.int64(2 * n), np.diff(gain.indptr)) + gain.indices
+    sums = np.bincount(pair, weights=weights, minlength=2 * n * n).reshape(n, 2 * n)
+    a = np.arange(n)
+    return sums[:, :n] + np.triu(np.broadcast_to(sums[a, n + a][:, None], (n, n)))
 
 
 @dataclass
@@ -683,10 +698,11 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     b >= a, suffix column n + a, hold the pair's atoms split onto the grid
     minus one unit at c_a, so their sum is the pair's normalization error
     and their first moment sum_k c_k N[k, (a, b)] is the represented
-    expected gain (the bias). Both are formed per stored column and the
-    suffix column's sums are expanded over its pairs b >= a, so the
-    reports are n x n as for the pairs stored one by one; of those pairs,
-    (a, a) has the smallest bias scale, so the gate is no looser. Passes
+    expected gain (the bias). Both are ``_pair_sums``, as
+    ``DiscreteKernel.abs_delta`` is: formed per stored column, the suffix
+    column's sums expanded over its pairs b >= a, so the reports are n x n
+    as for the pairs stored one by one; of those pairs, (a, a) has the
+    smallest bias scale, so the gate is no looser. Passes
     iff every pair is normalized within 1e-12 and, for unbiased rules, the
     bias is within 1e-10 * (x_k + x_k') of zero on every pair whose
     post-wealths fit the grid. Pairs truncated at the top cell are
@@ -694,23 +710,10 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     report, and their wealth loss is tracked by the integrator. The classic
     loser rule reports its bias but is exempt from the bias gate.
     """
-    n = kernel.cells
     c = kernel.centers
     gain = kernel.gain
-    row_nnz = np.diff(gain.indptr)
-    pair = np.repeat(gain.row_a * np.int64(2 * n), row_nnz) + gain.indices
-    moment = gain.data * np.repeat(c[gain.row_k], row_nnz)
-    a = np.arange(n)
-
-    def by_pair(weights):
-        # sums by (a, column), then column n + a added to each b >= a; where
-        # a column holds no entry its sum is 0.0, which adds nothing
-        sums = np.bincount(pair, weights=weights, minlength=2 * n * n).reshape(n, 2 * n)
-        return sums[:, :n] + np.triu(np.broadcast_to(sums[a, n + a][:, None], (n, n)))
-
-    norm_error = np.abs(by_pair(gain.data))
-    bias = by_pair(moment)
-    del pair, moment
+    norm_error = np.abs(_pair_sums(gain, gain.data))
+    bias = _pair_sums(gain, gain.data * np.repeat(c[gain.row_k], np.diff(gain.indptr)))
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
     passed = bool(norm_error.max() <= KernelCheckReport.NORM_TOL)
@@ -745,7 +748,7 @@ def rhs(grid: WealthGrid, kernel: DiscreteKernel) -> np.ndarray:
     to one) and total wealth is zero within 1e-12 relative for unbiased
     kernels (mean-exact splitting).
     """
-    return _rhs_masses(kernel, grid.masses)
+    return _rhs_masses(kernel, grid.masses)[0]
 
 
 def _with_suffix_sums(m: np.ndarray) -> np.ndarray:
@@ -753,15 +756,16 @@ def _with_suffix_sums(m: np.ndarray) -> np.ndarray:
     return np.concatenate((m, np.cumsum(m[::-1])[::-1]))
 
 
-def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> np.ndarray:
-    """``rhs`` at the C-contiguous float64 masses ``m``: ``gain``'s product."""
+def _rhs_masses(kernel: DiscreteKernel, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``rhs``, mobility l_a = sum_b E|delta|(a, b) m_b) at the C-contiguous
+    float64 masses ``m``: ``gain``'s product."""
     return kernel.gain.product(m)
 
 
 def _trunc_rate(kernel: DiscreteKernel, m: np.ndarray) -> float:
     """Wealth lost past the top cell per unit time at masses ``m``,
     sum_a m_a sum_b tau_ab m_b: the sum of ``trunc_coef``'s product."""
-    return float(kernel.trunc_coef.product(m).sum())
+    return float(kernel.trunc_coef.product(m)[0].sum())
 
 
 def gini_rate(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -826,13 +830,11 @@ def _grid_sums(m: np.ndarray, c: np.ndarray, r: np.ndarray | None) -> tuple:
     return _gini_sums(m, c, r) if module is None else module.gini_sums(m, c, r)
 
 
-def _mobility_ratios(
-    kernel: DiscreteKernel, m: np.ndarray, two_mean: float
-) -> tuple[float, float]:
-    """(liquidity, bound ratio) of masses ``m``: the mass-weighted mobility
-    and the largest mobility max_k l(x_k), each over ``two_mean`` = 2 <x>."""
-    l = kernel.abs_delta @ m
-    return float(np.dot(m, l)) / two_mean, float(l.max()) / two_mean
+def _mobility_ratios(m: np.ndarray, l: np.ndarray, two_mean: float) -> tuple[float, float]:
+    """(liquidity, bound ratio) of masses ``m`` with mobility ``l``: the
+    mass-weighted mobility, summed by numpy's pairwise sum, and the largest
+    mobility max_k l(x_k), each over ``two_mean`` = 2 <x>."""
+    return float((m * l).sum()) / two_mean, float(l.max()) / two_mean
 
 
 def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
@@ -840,7 +842,8 @@ def mobility_bound_check(grid: WealthGrid, kernel: DiscreteKernel) -> float:
     Raises ValueError when the mean wealth is zero."""
     if grid.mean <= 0.0:
         raise ValueError("degenerate: zero mean wealth")
-    return _mobility_ratios(kernel, grid.masses, 2.0 * grid.mean)[1]
+    l = _rhs_masses(kernel, grid.masses)[1]
+    return _mobility_ratios(grid.masses, l, 2.0 * grid.mean)[1]
 
 
 class IntegrationAbort(RuntimeError):
@@ -934,6 +937,7 @@ def integrate(
     mean_prev = mean0
     stop_hit = False
     step_no = 0
+    r, _ = _rhs_masses(kernel, m)  # then one per state a step reaches
 
     # every exit, an abort included, fills the report in the finally block
     try:
@@ -942,7 +946,6 @@ def integrate(
                 raise IntegrationAbort(f"step budget {MAX_STEPS} exceeded", report)
             step_no += 1
 
-            r = _rhs_masses(kernel, m)
             trunc_rate = _trunc_rate(kernel, m)
             rate = _gini_rate_masses(kernel, m, r, trunc_rate)
 
@@ -999,7 +1002,9 @@ def integrate(
                     report,
                 )
 
-            liquidity, bound_ratio = _mobility_ratios(kernel, m, two_mean0)
+            # the next step's dm/dt, and the mobility of this step's row
+            r, l = _rhs_masses(kernel, m)
+            liquidity, bound_ratio = _mobility_ratios(m, l, two_mean0)
             drifts = ((mass - mass0) / mass0, (mean - mean0) / mean0)
             rows.append((t, dt_eff, g_new, rate, liquidity, bound_ratio, *drifts))
             if snapshot_every and step_no % snapshot_every == 0:

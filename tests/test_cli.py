@@ -243,8 +243,8 @@ class TestConfigErrors:
         ids=["simulate", "integrate"],
     )
     def test_unusable_snapshot_destination_writes_nothing(self, argv, tmp_path):
-        # a file where a directory must be: the run completes, then the
-        # destination fails before the output and its sidecar are written
+        # a file where a directory must be: the destination fails before the
+        # run, and the output and its sidecar are not written
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         out = tmp_path / "x.csv"
@@ -254,6 +254,43 @@ class TestConfigErrors:
         )
         assert code == 2 and err.startswith("kinex: config error:")
         assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "4",
+             "--snapshot-every", "2", "--snapshot-dir", "snaps"),
+            ("integrate", "--rule", "yardsale:lambda=0.5", "--grid", "log:1e-3:1e3:40",
+             "--init", "point:1", "--dt", "1", "--t-end", "3",
+             "--snapshots", "snap.csv", "--snapshot-every", "1"),
+            ("ensemble", "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "4",
+             "--replicas", "2"),
+            ("sweep", "--param", "N", "--values", "8", "--rule", "yardsale:lambda=0.5",
+             "--sweeps", "4"),
+        ],
+        ids=["simulate", "integrate", "ensemble", "sweep"],
+    )
+    @pytest.mark.parametrize("out", ["no/such/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unusable_out_fails_before_the_run(self, argv, out, tmp_path, monkeypatch):
+        # every destination is checked before the run: no snapshot is left
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("kinex.cli.run", None)
+        monkeypatch.setattr("kinex.cli.run_ensemble", None)
+        monkeypatch.setattr("kinex.cli.build_kernel", None)
+        code, _, err = run_cli(*argv, "--out", out)
+        assert code == 2 and err.startswith(f"kinex: config error: cannot write {out}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_snapshot_dir_may_be_made_below_a_missing_one(self, tmp_path):
+        snaps = tmp_path / "a" / "b"
+        code, _, _ = run_cli(
+            "simulate", "--rule", "yardsale:lambda=0.5", "--n", "8", "--sweeps", "2",
+            "--snapshot-every", "1", "--snapshot-dir", str(snaps),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert sorted(p.name for p in snaps.iterdir()) == ["population_t1.txt",
+                                                          "population_t2.txt"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -426,7 +463,9 @@ class TestFlagSets:
             main([*COMMAND_ARGV[command], "--rule", "yardsale:lambda=0.5",
                   "--n", "8", "--sweeps", "4", *extra, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: kinex {command} ")
+        assert f"unrecognized arguments: {flag} {value}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             [] if via == "flag" else ["run.cfg"]
         )
@@ -591,11 +630,11 @@ class TestIntegrateCommand:
         inner = master_eq._rhs_masses
 
         def shifted(kernel, m):
-            r = inner(kernel, m)
+            r, l = inner(kernel, m)
             k = int(m.argmax())
             r[k] -= 1e-6
             r[k + 1] += 1e-6
-            return r
+            return r, l
 
         monkeypatch.setattr(master_eq, "_rhs_masses", shifted)
         code, _, err = run_cli(
@@ -618,9 +657,9 @@ class TestIntegrateCommand:
         inner = master_eq._rhs_masses
 
         def leaking(kernel, m):
-            r = inner(kernel, m)
+            r, l = inner(kernel, m)
             r[0] += 1e-6
-            return r
+            return r, l
 
         monkeypatch.setattr(master_eq, "_rhs_masses", leaking)
         code, _, err = run_cli(
@@ -642,10 +681,10 @@ class TestIntegrateCommand:
         calls = itertools.count(1)
 
         def poisoned(kernel, m):
-            r = inner(kernel, m)
+            r, l = inner(kernel, m)
             if next(calls) == 3:
                 r[5] = float("nan")
-            return r
+            return r, l
 
         monkeypatch.setattr(master_eq, "_rhs_masses", poisoned)
         out = tmp_path / "x.csv"
@@ -769,7 +808,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         run_cli(
             "sweep", "--param", "N", "--values", "64,128,256",
-            "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "10",
+            "--rule", "yardsale:lambda=0.5", "--sweeps", "10",
             "--record-every", "5", "--out", str(out),
         )
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
@@ -781,7 +820,7 @@ class TestSweepCommand:
         code, _, _ = run_cli(
             "sweep", "--param", "rule",
             "--values", "yardsale:lambda=0.5,iglesias-almeida",
-            "--rule", "yardsale:lambda=0.5", "--n", "16", "--sweeps", "10",
+            "--n", "16", "--sweeps", "10",
             "--init", "file:/nonexistent/pop.txt", "--out", str(out),
         )
         assert code == 0
@@ -789,6 +828,49 @@ class TestSweepCommand:
         assert len(lines) == 3
         for ln in lines[1:]:
             assert "No such file" in ln or "nonexistent" in ln
+
+    @pytest.mark.parametrize(
+        "param, values, flags, swept, meta",
+        [
+            ("N", "8,16", ("--rule", "yardsale:lambda=0.5"), "n", {"rule", "lambda"}),
+            ("rule", "yardsale:lambda=0.5,iglesias-almeida", ("--n", "8"), "rule", set()),
+        ],
+        ids=["N", "rule"],
+    )
+    def test_swept_setting_is_recorded_as_its_values(
+        self, param, values, flags, swept, meta, tmp_path
+    ):
+        out = tmp_path / "sweep.csv"
+        argv = ("sweep", "--param", param, "--values", values, *flags, "--sweeps", "4",
+                "--out", str(out))
+        assert run_cli(*argv)[0] == 0
+        written = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert set(written["parameters"]) == (
+            {"rule", "n", "sweeps", "seed", "record_every", "init", "param", "values"}
+            - {swept}
+        )
+        assert (written["parameters"]["param"], written["parameters"]["values"]) == (param, values)
+        assert {"rule", "lambda"} & set(written) == meta
+        # the swept flag given anyway is a setting the command would not read
+        out.unlink()
+        given = {"n": ("--n", "8"), "rule": ("--rule", "iglesias-almeida")}[swept]
+        code, _, err = run_cli(*argv, *given)
+        message = f"--param {param} takes no --{swept}: each row sets it"
+        assert (code, err) == (2, f"kinex: config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, missing", [
+        ("lambda", "--rule, --n"), ("N", "--rule"), ("rule", "--n"),
+    ])
+    def test_other_settings_stay_required(self, param, missing, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", param, "--values", "8", "--sweeps", "4",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kinex sweep ")
+        assert err.endswith(f"the following arguments are required: {missing}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_engine_bug_propagates(self, tmp_path, monkeypatch):
         def broken_run(cfg):
@@ -997,7 +1079,7 @@ INTEGRATE_COMMANDS = {
 
 GOLDEN_SHA256.update({
     "integrate-yardsale-0.5-condense": (
-        "fa9ef3fd04bb71f477e770ad6f0437112084183755ab4b15db41a64b9bc1fcce",
+        "6b4b22ca86bea00ce4dd3c14f0fead9f137e13a09a388f7fac089bbaf3ed9bd4",
         "329d2d2919cdd576ecfb7356352d5d633a396d4e56c3f924af2f159c054b0718",
     ),
     "integrate-loser-0.5": (

@@ -148,7 +148,8 @@ def test_integrate_calls_gini_hooks_once_per_step(monkeypatch, tmp_path):
     gini = _count_calls(monkeypatch, "kinex.master_eq._weighted_gini")
     rate = _count_calls(monkeypatch, "kinex.master_eq._gini_rate_masses")
     # the product with the gain operator has no hook of its own: the
-    # compiled path reads gain's arrays inside _rhs_masses
+    # compiled path reads gain's arrays inside _rhs_masses, once for the
+    # initial state and once for each state a step reaches
     products = _count_calls(monkeypatch, "kinex.master_eq._rhs_masses")
     out = tmp_path / "i.csv"
     code = kinex.cli.main([
@@ -160,4 +161,4 @@ def test_integrate_calls_gini_hooks_once_per_step(monkeypatch, tmp_path):
     assert steps >= 5
     assert len(gini) == 1 + steps
     assert len(rate) == steps
-    assert len(products) == steps
+    assert len(products) == 1 + steps

@@ -46,6 +46,7 @@ from kinex.master_eq import (
     parse_density,
     parse_grid_scheme,
 )
+import kinex.cli
 import kinex.master_eq as master_eq
 from kinex.metrics import _gini_sums
 
@@ -85,11 +86,12 @@ def scipy_csr(matrix):
 
 
 def scipy_product(matrix, m):
-    """``matrix.product(m)`` from scipy's product with [m; S], times m_a and
-    summed per k by ``np.bincount``: the sums in the order the product
-    takes them."""
-    pair_rows = (scipy_csr(matrix) @ _with_suffix_sums(m)) * m[matrix.row_a]
-    return np.bincount(matrix.row_k, weights=pair_rows, minlength=matrix.shape[1] // 2)
+    """``matrix.product(m)`` from scipy's product with [m; S]: its row sums
+    times m_a summed per k, and times |c_k - c_a| summed per a, by
+    ``np.bincount``: the sums in the order the product takes them."""
+    sums = scipy_csr(matrix) @ _with_suffix_sums(m)
+    weighted = ((matrix.row_k, sums * m[matrix.row_a]), (matrix.row_a, sums * matrix.dist))
+    return tuple(np.bincount(cell, weights=w, minlength=m.size) for cell, w in weighted)
 
 
 def trunc_matrix(kernel):
@@ -156,12 +158,13 @@ def kernel_arrays(kernel):
         "gain.indptr": kernel.gain.indptr,
         "gain.row_a": kernel.gain.row_a,
         "gain.row_k": kernel.gain.row_k,
-        "abs_delta": kernel.abs_delta,
+        "gain.dist": kernel.gain.dist,
         "trunc_coef.data": kernel.trunc_coef.data,
         "trunc_coef.indices": kernel.trunc_coef.indices,
         "trunc_coef.indptr": kernel.trunc_coef.indptr,
         "trunc_coef.row_a": kernel.trunc_coef.row_a,
         "trunc_coef.row_k": kernel.trunc_coef.row_k,
+        "trunc_coef.dist": kernel.trunc_coef.dist,
         "centers": kernel.centers,
     }
 
@@ -491,10 +494,11 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
 
 @st.composite
 def pair_rows_and_masses(draw):
-    """(data, indices, indptr, row_a, row_k, m) of a random pair-row
-    operator on up to 4 cells, some of its rows empty, its columns unsorted
-    or repeated and its row cells in any order, and masses m of its cells,
-    with -0.0, subnormals, infinities and NaN among the values."""
+    """(data, indices, indptr, row_a, row_k, centers, m) of a random
+    pair-row operator on up to 4 cells, some of its rows empty, its columns
+    unsorted or repeated and its row cells in any order, its grid points
+    and masses m of its cells, with -0.0, subnormals, infinities and NaN
+    among the values."""
     value = st.floats(width=64) | st.sampled_from(SPECIAL)
     cells = draw(st.integers(1, 4))
     cell = st.integers(0, cells - 1)
@@ -506,8 +510,60 @@ def pair_rows_and_masses(draw):
     data = np.array([v for _, v in flat], dtype=np.float64)
     row_a = np.array([a for a, _, _ in rows], dtype=np.int32)
     row_k = np.array([k for _, k, _ in rows], dtype=np.int32)
-    m = np.array(draw(st.lists(value, min_size=cells, max_size=cells)), dtype=np.float64)
-    return data, indices, indptr, row_a, row_k, m
+    centers, m = (np.array(draw(st.lists(value, min_size=cells, max_size=cells)),
+                           dtype=np.float64) for _ in range(2))
+    return data, indices, indptr, row_a, row_k, centers, m
+
+
+def check_dense_mobility(matrix, m, l):
+    """Check the mobility l of ``matrix.product(m)`` against the dense
+    sum_b |Delta|_ab m_b in rationals, |Delta|_ab = sum over rows (a, k) of
+    dist times the row's entry of pair b, a suffix column n + j standing for
+    every b >= j; returns the number of cells checked. A cell is checked
+    where its rows, their dist and every mass are finite and no sum of
+    absolute values reaches the overflow range. Each product rounds by u
+    relative and 2^-1075 absolute, each sum by u relative: the row's terms
+    carry the suffix sum's n - 1 roundings and their own, the row sum
+    len - 1, its weight one and the sum over the R_a rows R_a - 1, so
+    |l_a - exact_a| <= 1.01 (n + L + R_a + 2) u mag_a plus 2^-1075 per
+    product, dist-weighted: mag_a is sum_rows dist sum_j |data_j| |x|_j,
+    |x| = [|m|; sums of |m| over b >= j], and L the longest row."""
+    from fractions import Fraction
+
+    n = m.size
+    if not np.isfinite(m).all():
+        return 0
+    exact_x = [Fraction(v) for v in m.tolist()]
+    exact_x += [sum(exact_x[j:], Fraction(0)) for j in range(n)]
+    abs_x = [abs(v) for v in exact_x[:n]]
+    abs_x += [sum(abs_x[j:], Fraction(0)) for j in range(n)]
+    lengths = np.diff(matrix.indptr)
+    longest = int(lengths.max(initial=0))
+    eta, u = Fraction(2) ** -1075, Fraction(2) ** -53
+    limit = Fraction(np.finfo(np.float64).max) / 2
+    checked = 0
+    for a in range(n):
+        rows = np.flatnonzero(matrix.row_a == a)
+        entries = [slice(matrix.indptr[i], matrix.indptr[i + 1]) for i in rows]
+        if not all(np.isfinite(matrix.data[e]).all() for e in entries) or not np.isfinite(
+                matrix.dist[rows]).all():
+            continue
+        exact = mag = tiny = Fraction(0)
+        too_large = abs_x[n] > limit
+        for i, e in zip(rows, entries):
+            dist = Fraction(matrix.dist[i])
+            pairs = list(zip(matrix.data[e].tolist(), matrix.indices[e].tolist()))
+            row_mag = sum((abs(Fraction(d)) * abs_x[j] for d, j in pairs), Fraction(0))
+            exact += dist * sum((Fraction(d) * exact_x[j] for d, j in pairs), Fraction(0))
+            mag += dist * row_mag
+            tiny += eta * (dist * len(pairs) + 1)
+            too_large |= row_mag > limit
+        if too_large or mag > limit:
+            continue
+        bound = Fraction(101, 100) * (n + longest + rows.size + 2) * u * mag + tiny
+        assert math.isfinite(l[a]) and abs(Fraction(l[a]) - exact) <= bound, (a, l[a], exact)
+        checked += 1
+    return checked
 
 
 class TestPairRowProduct:
@@ -543,33 +599,43 @@ class TestPairRowProduct:
     # inf - inf: NaN in every cell on both paths
     @example(arrays=(np.full(9, math.nan), np.full(9, 9, np.int32),
                      np.arange(10, dtype=np.int32), np.full(9, 2, np.int32),
-                     np.arange(9, dtype=np.int32), np.array([math.inf, -math.inf] + [1.0] * 7)))
+                     np.arange(9, dtype=np.int32), np.arange(9.0),
+                     np.array([math.inf, -math.inf] + [1.0] * 7)))
+    # finite rows of every kind: a suffix column, a repeated one, a row
+    # (a, a) of dist 0 and an empty row
+    @example(arrays=(np.array([0.5, -1.0, 3.0, 2.0, 1e-3]), np.array([4, 0, 4, 1, 2], np.int32),
+                     np.array([0, 3, 3, 4, 5], np.int32), np.array([1, 0, 1, 2], np.int32),
+                     np.array([2, 1, 1, 0], np.int32), np.array([0.0, 0.3, 7.0]),
+                     np.array([0.25, 0.5, 0.25])))
     def test_random_products_match_scipy(self, product_path, arrays):
-        data, indices, indptr, row_a, row_k, m = arrays
-        matrix = PairRows(*arrays[:5], m.size)
-        with np.errstate(all="ignore"):
+        data, indices, indptr, row_a, row_k, centers, m = arrays
+        with np.errstate(all="ignore"):  # inf - inf among the points
+            matrix = PairRows(data, indices, indptr, row_a, row_k, centers)
             want = scipy_product(matrix, m)
-        got = matrix.product(m)
-        assert got.dtype == np.float64
-        assert bits_any_nan(got) == bits_any_nan(want)
+            got = matrix.product(m)
+            assert all(x.dtype == np.float64 for x in got)
+            assert bits_any_nan(np.concatenate(got)) == bits_any_nan(np.concatenate(want))
+            check_dense_mobility(matrix, m, got[1])
         if product_path == "numpy":
             return
-        out = np.full(m.size, 7.0)
-        assert compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
-                                           m, out) is out
-        assert bits(out) == bits(got)
+        out, l = np.full(m.size, 7.0), np.full(m.size, 7.0)
+        result = compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
+                                             matrix.dist, m, out, l)
+        assert result[0] is out and result[1] is l
+        assert bits(np.concatenate(result)) == bits(np.concatenate(got))
 
     def call(self, **given):
-        """Call ``pair_rhs`` on the SMALL operator, masses and out with the
-        arguments ``given`` in place of its own; it must raise and leave out
-        as it was."""
+        """Call ``pair_rhs`` on the SMALL operator, its distances, masses, out
+        and l with the arguments ``given`` in place of its own; it must raise
+        and leave out and l as they were."""
         args = {**{name: self.SMALL[name] for name in
                    ("indptr", "indices", "data", "row_a", "row_k")},
-                "m": np.ones(3), "out": np.full(3, 7.0), **given}
-        before = bits(args["out"])
+                "dist": np.ones(3), "m": np.ones(3), "out": np.full(3, 7.0),
+                "l": np.full(3, 7.0), **given}
+        before = bits(np.concatenate((args["out"], args["l"])))
         with pytest.raises((TypeError, ValueError)) as err:
             compiled_product().pair_rhs(*args.values())
-        assert bits(args["out"]) == before
+        assert bits(np.concatenate((args["out"], args["l"]))) == before
         return str(err.value)
 
     def test_malformed_calls_raise_before_writing(self):
@@ -579,28 +645,36 @@ class TestPairRowProduct:
         assert "float64" in self.call(m=np.ones(3, np.float32))
         assert "one-dimensional" in self.call(m=np.ones((3, 1)))
         self.call(m=np.ones(6)[::2])
+        assert "float64" in self.call(dist=np.ones(3, np.int32))
         frozen = np.full(3, 7.0)
         frozen.flags.writeable = False
         self.call(out=frozen)
+        self.call(l=frozen)
         assert "one item per cell" in self.call(out=np.full(4, 7.0))
+        assert "one item per cell" in self.call(l=np.full(2, 7.0))
         assert "one item per cell" in self.call(m=np.ones(4))
         assert "one item per row" in self.call(row_a=np.array([0, 2], np.int32))
+        assert "one item per row" in self.call(dist=np.ones(4))
         assert "equal lengths" in self.call(data=np.ones(2))
         assert "decreases" in self.call(indptr=np.array([0, 3, 2, 3], np.int32))
         assert "from 0" in self.call(indptr=np.array([0, 2, 2, 2], np.int32))
         assert "from 0" in self.call(indptr=np.array([1, 2, 2, 3], np.int32))
-        with pytest.raises(TypeError, match="7 arguments"):
+        with pytest.raises(TypeError, match="9 arguments"):
             compiled_product().pair_rhs(*self.SMALL.values())
 
     def test_container_checks_its_arrays_once(self, product_path):
-        matrix = PairRows(**{name: x.copy() for name, x in self.SMALL.items()}, cells=3)
+        centers = np.array([0.0, 1.0, 3.0])
+        matrix = PairRows(**{name: x.copy() for name, x in self.SMALL.items()},
+                          centers=centers)
         assert matrix.nnz == 3 and matrix.shape == (3, 6)
-        for name in ("indices", "indptr", "row_a", "row_k"):
+        for name in ("indices", "indptr", "row_a", "row_k", "dist"):
             assert not getattr(matrix, name).flags.writeable, name
         assert matrix.data.flags.writeable
+        assert bits(matrix.dist) == bits([1.0, 2.0, 1.0])
         # x = [m; S] = [1, 2, 4, 7, 6, 4]: row (0, 1) is 0.5 * 2 - 7, times
-        # m_0, and row (1, 0) 2 * 4, times m_1
-        assert bits(matrix.product(np.array([1.0, 2.0, 4.0]))) == bits([16.0, -6.0, 0.0])
+        # m_0 or |c_1 - c_0| = 1, and row (1, 0) 2 * 4, times m_1 or 1
+        assert bits(matrix.product(np.array([1.0, 2.0, 4.0]))) == bits(
+            [[16.0, -6.0, 0.0], [-6.0, 8.0, 0.0]])
         # one ValueError on both paths: strided masses are rejected, not copied
         for m in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
                   np.ones(3, np.float32), np.ones(6)[::2]):
@@ -618,14 +692,15 @@ class TestPairRowProduct:
             ("row_a", [0, 2], "form"),
             ("row_k", np.array([1, 1, 0], np.int64), "int32"),
             ("indices", np.array([1, 3, 5], np.int64), "int32"),
+            ("centers", np.array([0, 1, 3]), "float64"),
         ]:
+            arrays = {**self.SMALL, "centers": centers,
+                      name: np.asarray(bad, getattr(bad, "dtype", np.int32))}
             with pytest.raises(ValueError, match=match):
-                PairRows(**{**self.SMALL, name: np.asarray(bad, getattr(bad, "dtype", np.int32))},
-                         cells=3)
+                PairRows(**arrays)
         kernel = build_kernel(YS(0.5), small_grid())
         with pytest.raises(ValueError, match="shapes"):
-            DiscreteKernel(kernel.rule, kernel.centers[1:], kernel.gain,
-                           kernel.abs_delta, kernel.trunc_coef)
+            DiscreteKernel(kernel.rule, kernel.centers[1:], kernel.gain, kernel.trunc_coef)
 
 
 def rhs_longdouble(kernel, m):
@@ -754,6 +829,7 @@ class TestStepSeams:
         gen = np.random.Generator(np.random.PCG64(23))
         for _ in range(8):
             m = random_masses(gen, grid.cells)
+            # dm/dt and the mobility l_a = sum_b E|delta|(a, b) m_b
             want = scipy_product(kernel.gain, m)
             assert bits(master_eq._rhs_masses(kernel, m)) == bits(want)
 
@@ -765,7 +841,7 @@ class TestStepSeams:
         gen = np.random.Generator(np.random.PCG64(29))
         for _ in range(8):
             m = random_masses(gen, grid.cells)
-            r = master_eq._rhs_masses(kernel, m)
+            r = master_eq._rhs_masses(kernel, m)[0]
             trunc_rate = master_eq._trunc_rate(kernel, m)
             mass, mean, pair, phi_r = gini_sums_loop(m, c, r)
             assert bits(master_eq._grid_sums(m, c, r)) == bits([mass, mean, pair, phi_r])
@@ -818,7 +894,7 @@ class TestStepSeams:
         for _ in range(8):
             m = random_masses(gen, grid.cells)
             rate = master_eq._trunc_rate(kernel, m)
-            assert bits([rate]) == bits([scipy_product(trunc, m).sum()])
+            assert bits([rate]) == bits([scipy_product(trunc, m)[0].sum()])
             exact = math.fsum((tau * np.outer(m, m)).ravel().tolist())
             assert abs(rate - exact) <= bound * exact
             rates.append(rate)
@@ -1004,7 +1080,7 @@ class TestMobilityBound:
     def test_zero_cell_ratio_zero(self):
         grid = small_grid()
         kernel = build_kernel(YS(1.0), grid)
-        l = kernel.abs_delta @ grid.masses
+        l = master_eq._rhs_masses(kernel, grid.masses)[1]
         assert l[0] == 0.0
 
     def test_internal_mobility_matches_metrics(self):
@@ -1039,42 +1115,56 @@ def test_all_mass_at_zero_is_degenerate(check):
 
 
 class TestAbsDelta:
-    """``abs_delta``, the per-pair E|delta| behind liquidity and bound_ratio."""
+    """``abs_delta``, the per-pair E|delta| behind liquidity and bound_ratio,
+    derived from ``gain`` as sum_k |c_k - c_a| N[k, (a, b)]."""
 
-    @pytest.mark.parametrize("rule", [YS(0.5), CL(0.5), UL(0.5), IA], ids=format_rule)
+    @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
     def test_matches_expected_abs_delta(self, rule):
-        # at (77283, 1.05e-4) the unbiased loser's 1 - p_plus keeps 8 digits;
-        # summing the loser's |delta| from it was off by 4.9e-8 relative
+        # against the closed form averaged over the rule's lambda nodes, on
+        # the pairs whose post-wealths fit the grid. Per atom of probability
+        # p and shift d, split between points lo and hi: the post-wealth
+        # c_a + d rounds by u c_hi, the split weight by 2 u of the gap
+        # c_hi - c_lo, p and its product with the weight by 2 u p, and
+        # 1 - p_plus of the unbiased loser by u absolute, u |d| in the
+        # moment; the sums over atoms, entries and nodes add up to 8 u per
+        # atom of the reference, whose own rounding is 8 u.
         grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
         c = grid.centers
+        n = grid.cells
         kernel = build_kernel(rule, grid)
-        exact = expected_abs_delta(rule, c[:, None], c[None, :])
-        faithful = ~truncated(kernel)
-        np.testing.assert_allclose(
-            kernel.abs_delta[faithful], exact[faithful], rtol=1e-15, atol=0.0
-        )
-        a, b = np.argmin(abs(c - 77283.0)), np.argmin(abs(c - 1.05e-4))
-        assert faithful[a, b]
-        assert kernel.abs_delta[a, b] == exact[a, b]
-
-    @pytest.mark.parametrize(
-        "rule", [YS(0.5), YS(UNIFORM_LAMBDA), CL(0.5), CL(UNIFORM_LAMBDA), IA],
-        ids=format_rule,
-    )
-    def test_other_rules_keep_the_atom_sum(self, rule):
-        # the sum of p |represented delta| over the kernel's atoms, in atom
-        # order, bitwise: these rules have no cancellation to avoid
-        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
-        c = grid.centers
+        exact = sum(w * expected_abs_delta(rule, c[:, None], c[None, :], lam=lam)
+                    for lam, w in _lambda_mixture(rule))
         pair_a, pair_b, delta, prob = pair_atoms(rule, c)
-        represented = np.where(c[pair_a] + delta > c[-1], c[-1] - c[pair_a], delta)
-        atom_sum = np.zeros((grid.cells, grid.cells))
-        np.add.at(atom_sum, (pair_a, pair_b), prob * np.abs(represented))
-        kernel = build_kernel(rule, grid)
-        assert kernel.trunc_coef.nnz
-        np.testing.assert_array_equal(
-            kernel.abs_delta.view(np.int64), atom_sum.view(np.int64)
-        )
+        lo, hi, _ = _split_points(c, c[pair_a] + delta)
+        u = 2.0**-53
+        per_atom = u * (prob * (c[hi] + 2.0 * (c[hi] - c[lo]) + 2.0 * np.abs(delta))
+                        + np.abs(delta))
+        bound = np.bincount(pair_a * n + pair_b, weights=per_atom, minlength=n * n)
+        atoms = np.bincount(pair_a * n + pair_b, minlength=n * n)
+        bound = (bound + 8.0 * u * (atoms + 1) * exact.ravel()).reshape(n, n)
+        faithful = ~truncated(kernel)
+        error = np.abs(kernel.abs_delta - exact)
+        assert faithful.sum() > n * n // 2
+        assert np.all(error[faithful] <= bound[faithful])
+        # clipping at the top cell can only lower it
+        assert np.all(kernel.abs_delta <= exact + bound)
+
+    def test_integrator_never_reads_it(self, monkeypatch, tmp_path):
+        def unread(kernel):
+            raise AssertionError("abs_delta read")
+
+        monkeypatch.setattr(DiscreteKernel, "abs_delta", property(unread))
+        grid = build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0))
+        kernel = build_kernel(YS(0.5), grid)
+        with pytest.raises(AssertionError, match="abs_delta read"):
+            kernel.abs_delta
+        assert 0.0 < mobility_bound_check(grid, kernel) <= 1.0
+        _, report = integrate(grid, kernel, dt=50.0, t_end=500.0)
+        assert report.steps > 5 and np.all(report.liquidity > 0.0)
+        out = tmp_path / "i.csv"
+        assert kinex.cli.main(["integrate", "--rule", "yardsale:lambda=0.5",
+                               "--grid", "log:1e-3:1e3:40", "--init", "point:1",
+                               "--dt", "1", "--t-end", "5", "--out", str(out)]) == 0
 
 
 class TestIntegrate:
@@ -1134,10 +1224,10 @@ class TestIntegrate:
         calls = itertools.count(1)
 
         def leaking(kernel, m):
-            r = inner(kernel, m)
+            r, l = inner(kernel, m)
             if next(calls) == 3:
                 r[0] += 1e-6
-            return r
+            return r, l
 
         monkeypatch.setattr(master_eq, "_rhs_masses", leaking)
         grid = build_grid(LogScheme(1e-3, 1e3, 64), Exponential(1.0))
@@ -1155,10 +1245,10 @@ class TestIntegrate:
         calls = itertools.count(1)
 
         def poisoned(kernel, m):
-            r = inner(kernel, m)
+            r, l = inner(kernel, m)
             if next(calls) == 3:
                 r[5] = math.nan
-            return r
+            return r, l
 
         monkeypatch.setattr(master_eq, "_rhs_masses", poisoned)
         grid = build_grid(LogScheme(1e-3, 1e3, 64), Exponential(1.0))
