@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -519,20 +520,18 @@ def check_dense_mobility(matrix, m, l):
     """Check the mobility l of ``matrix.product(m)`` against the dense
     sum_b |Delta|_ab m_b in rationals, |Delta|_ab = sum over rows (a, k) of
     dist times the row's entry of pair b, a suffix column n + j standing for
-    every b >= j; returns the number of cells checked. A cell is checked
-    where its rows, their dist and every mass are finite and no sum of
-    absolute values reaches the overflow range. Each product rounds by u
-    relative and 2^-1075 absolute, each sum by u relative: the row's terms
+    every b >= j. A cell is checked where its rows, their dist and every
+    mass are finite and no sum of absolute values reaches the overflow
+    range. Each product rounds by u relative and 2^-1075 absolute, each sum
+    by u relative: the row's terms
     carry the suffix sum's n - 1 roundings and their own, the row sum
     len - 1, its weight one and the sum over the R_a rows R_a - 1, so
     |l_a - exact_a| <= 1.01 (n + L + R_a + 2) u mag_a plus 2^-1075 per
     product, dist-weighted: mag_a is sum_rows dist sum_j |data_j| |x|_j,
     |x| = [|m|; sums of |m| over b >= j], and L the longest row."""
-    from fractions import Fraction
-
     n = m.size
     if not np.isfinite(m).all():
-        return 0
+        return
     exact_x = [Fraction(v) for v in m.tolist()]
     exact_x += [sum(exact_x[j:], Fraction(0)) for j in range(n)]
     abs_x = [abs(v) for v in exact_x[:n]]
@@ -541,7 +540,6 @@ def check_dense_mobility(matrix, m, l):
     longest = int(lengths.max(initial=0))
     eta, u = Fraction(2) ** -1075, Fraction(2) ** -53
     limit = Fraction(np.finfo(np.float64).max) / 2
-    checked = 0
     for a in range(n):
         rows = np.flatnonzero(matrix.row_a == a)
         entries = [slice(matrix.indptr[i], matrix.indptr[i + 1]) for i in rows]
@@ -562,8 +560,6 @@ def check_dense_mobility(matrix, m, l):
             continue
         bound = Fraction(101, 100) * (n + longest + rows.size + 2) * u * mag + tiny
         assert math.isfinite(l[a]) and abs(Fraction(l[a]) - exact) <= bound, (a, l[a], exact)
-        checked += 1
-    return checked
 
 
 class TestPairRowProduct:
