@@ -23,20 +23,26 @@
      i's gain on a win, its loss on a loss and the win test, and one place
      applies them.
 
-   pair_rhs(indptr, indices, data, row_a, row_k, dist, m, out, l) -> (out, l)
+   pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, dist, m, out,
+            l) -> (out, l)
      writes the product of master_eq's pair-row operator at the masses m
-     into out and the mobility into l: with x = [m; S], S_a = sum_{b >= a}
+     into out and the mobility into l. Row i holds the runs r,
+     row_runs[i] <= r < row_runs[i + 1], and run r the entries j,
+     run_start[r] <= j < run_start[r + 1], in the consecutive columns
+     run_col[r] + (j - run_start[r]). With x = [m; S], S_a = sum_{b >= a}
      m_b summed from the top cell down, each pair row i is summed as scipy's
-     csr_array product sums it, 0.0 plus data[j] * x[indices[j]] over the
-     row's entries in stored order, and added times m[row_a[i]] into
-     out[row_k[i]] and times dist[i], its |c_k - c_a|, into l[row_a[i]],
-     from 0.0 in row order: master_eq's numpy fallback, the product then
-     np.bincount. indptr, indices, row_a and row_k hold int32, the rest
-     float64; row_a, row_k and dist have one item per row, out and l one per
-     cell of m. Each call checks these lengths, the ends of indptr (0 and
-     len(data)) and that indptr does not decrease; the caller,
-     master_eq.PairRows, checks once that every index lies in [0, 2 len(m))
-     and every row cell in [0, len(m)). It allocates 2 len(m) floats, for x.
+     csr_array product sums it, 0.0 plus data[j] times x at j's column over
+     the row's entries in stored order, run by run, and added times
+     m[row_a[i]] into out[row_k[i]] and times dist[i], its |c_k - c_a|, into
+     l[row_a[i]], from 0.0 in row order: master_eq's numpy fallback, the
+     product then np.bincount. run_col, run_start, row_runs, row_a and row_k
+     hold int32, the rest float64; run_start has one item per run and one
+     more, row_runs one per row and one more, row_a, row_k and dist one per
+     row, out and l one per cell of m. Each call checks these lengths, that
+     run_start runs from 0 to len(data) and row_runs from 0 to the run
+     count, and that neither decreases; the caller, master_eq.PairRows,
+     checks once that every run lies in [0, 2 len(m)) and every row cell in
+     [0, len(m)). It allocates 2 len(m) floats, for x.
    gini_sums(m, c, r) -> (M0, M1, pair, phi_r)
      the sums of metrics._gini_sums over the masses m at the sorted points
      c, in index order: M0 = sum m_k, M1 = sum m_k c_k, the half pair sum
@@ -305,46 +311,59 @@ done:
     return result;
 }
 
+/* 1 where the n + 1 offsets `at` run from 0 to `end` and do not decrease;
+   0 with a ValueError naming them otherwise. */
+static int
+check_offsets(const char *name, const int *at, Py_ssize_t n, Py_ssize_t end)
+{
+    if (n < 0 || at[0] != 0 || at[n] != end) {
+        PyErr_Format(PyExc_ValueError, "%s must run from 0 to %zd", name, end);
+        return 0;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (at[i + 1] < at[i]) {
+            PyErr_Format(PyExc_ValueError, "%s decreases at %zd", name, i);
+            return 0;
+        }
+    }
+    return 1;
+}
+
 static PyObject *
 pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    static const char *const names[] = {"indptr", "indices", "data", "row_a",
-                                        "row_k", "dist", "m", "out", "l"};
-    Py_buffer views[9] = {{0}};
+    static const char *const names[] = {"run_col", "run_start", "row_runs",
+                                        "data", "row_a", "row_k", "dist", "m",
+                                        "out", "l"};
+    Py_buffer views[10] = {{0}};
     PyObject *result = NULL;
     double *x = NULL;
-    if (!take_vectors("pair_rhs", args, nargs, "iidiiddDD", names, views, NULL))
+    if (!take_vectors("pair_rhs", args, nargs, "iiidiiddDD", names, views,
+                      NULL))
         goto done;
-    const int *indptr = views[0].buf, *indices = views[1].buf;
-    const int *row_a = views[3].buf, *row_k = views[4].buf;
-    const double *data = views[2].buf, *dist = views[5].buf, *m = views[6].buf;
-    double *out = views[7].buf, *l = views[8].buf;
-    Py_ssize_t rows = views[0].len / 4 - 1, nnz = views[1].len / 4;
-    Py_ssize_t n = views[6].len / 8;
-    if (views[2].len / 8 != nnz) {
+    const int *run_col = views[0].buf, *run_start = views[1].buf;
+    const int *row_runs = views[2].buf, *row_a = views[4].buf;
+    const int *row_k = views[5].buf;
+    const double *data = views[3].buf, *dist = views[6].buf, *m = views[7].buf;
+    double *out = views[8].buf, *l = views[9].buf;
+    Py_ssize_t runs = views[0].len / 4, rows = views[2].len / 4 - 1;
+    Py_ssize_t n = views[7].len / 8;
+    if (views[1].len / 4 != runs + 1) {
         PyErr_SetString(PyExc_ValueError,
-                        "indices and data must have equal lengths");
+                        "run_start must have one item per run, and one more");
         goto done;
     }
-    if (rows < 0 || indptr[0] != 0 || indptr[rows] != nnz) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indptr must run from 0 to len(data)");
+    if (!check_offsets("run_start", run_start, runs, views[3].len / 8)
+        || !check_offsets("row_runs", row_runs, rows, runs))
         goto done;
-    }
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        if (indptr[i + 1] < indptr[i]) {
-            PyErr_Format(PyExc_ValueError, "indptr decreases at row %zd", i);
-            goto done;
-        }
-    }
-    if (views[3].len / 4 != rows || views[4].len / 4 != rows
-        || views[5].len / 8 != rows) {
+    if (views[4].len / 4 != rows || views[5].len / 4 != rows
+        || views[6].len / 8 != rows) {
         PyErr_SetString(PyExc_ValueError, "row_a, row_k and dist must have "
-                        "one item per row, len(indptr) - 1");
+                        "one item per row, len(row_runs) - 1");
         goto done;
     }
-    if (views[7].len / 8 != n || views[8].len / 8 != n) {
+    if (views[8].len / 8 != n || views[9].len / 8 != n) {
         PyErr_SetString(PyExc_ValueError,
                         "out and l must have one item per cell of m");
         goto done;
@@ -365,15 +384,19 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         out[k] = l[k] = 0.0;
     for (Py_ssize_t i = 0; i < rows; i++) {
         double row = 0.0;
-        for (int j = indptr[i], end = indptr[i + 1]; j < end; j++)
-            row += data[j] * x[indices[j]];
+        for (int r = row_runs[i]; r < row_runs[i + 1]; r++) {
+            /* entry j of run r is in column run_col[r] + (j - run_start[r]) */
+            int start = run_start[r], len = run_start[r + 1] - start;
+            for (int t = 0; t < len; t++)
+                row += data[start + t] * x[run_col[r] + t];
+        }
         out[row_k[i]] += row * m[row_a[i]];
         l[row_a[i]] += row * dist[i];
     }
-    result = PyTuple_Pack(2, args[7], args[8]);
+    result = PyTuple_Pack(2, args[8], args[9]);
 done:
     PyMem_Free(x);
-    release_vectors(views, 9);
+    release_vectors(views, 10);
     return result;
 }
 
@@ -427,10 +450,10 @@ static PyMethodDef methods[] = {
      "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
     {"pair_rhs", (PyCFunction)(void (*)(void))pair_rhs, METH_FASTCALL,
-     "pair_rhs(indptr, indices, data, row_a, row_k, dist, m, out, l) -> "
-     "(out, l): write the product of the pair-row operator (indptr, indices, "
-     "data) at masses m into out and its rows' moment about c_a into l, as "
-     "master_eq's numpy product and bincounts sum them."},
+     "pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, dist, m, "
+     "out, l) -> (out, l): write the product of the pair-row operator, its "
+     "columns in runs, at masses m into out and its rows' moment about c_a "
+     "into l, as master_eq's numpy product and bincounts sum them."},
     {"gini_sums", (PyCFunction)(void (*)(void))gini_sums, METH_FASTCALL,
      "gini_sums(m, c, r) -> (M0, M1, pair, phi_r): the grid Gini's and its "
      "rate's prefix sums over masses m at sorted points c, in index order; "

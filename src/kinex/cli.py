@@ -93,7 +93,9 @@ def emit_metadata(config: ExperimentConfig) -> dict:
         "parameters": dict(sorted(config.params.items())),
     }
     rule_text = config.params.get("rule")
-    if rule_text:
+    if config.params.get("param") == "lambda":  # each row sets lambda
+        meta["rule"] = rule_text
+    elif rule_text:
         rule = parse_rule(rule_text)
         meta["rule"] = format_rule(rule)
         meta["lambda"] = "uniform[0,1]" if rule.random_lambda else (
@@ -420,6 +422,8 @@ def _cmd_sweep(args) -> int:
             gini, liquidity, t_cond, error = "", "", -1, str(exc)
         rows.append((args.param, value, gini, liquidity, gini_max, t_cond, error))
     params = _sim_params(args, {"param": args.param, "values": args.values})
+    if args.param == "lambda":
+        params["rule"] = parse_rule(args.rule).kind.value
     if args.replicas:
         params["replicas"] = args.replicas
     _write_result(args, params, SWEEP_COLUMNS, rows)

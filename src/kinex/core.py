@@ -165,8 +165,9 @@ class WealthGrid:
 
     @property
     def mean(self) -> float:
-        """First moment, <x> = sum(mass * representative point)."""
-        return float(np.dot(self.masses, self.centers))
+        """First moment, <x> = sum(mass * representative point), summed in
+        index order as the integrator sums it (``metrics._gini_sums``' M1)."""
+        return float(np.cumsum(self.masses * self.centers)[-1])
 
     def total_mass(self) -> float:
         return math.fsum(self.masses)

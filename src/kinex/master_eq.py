@@ -22,10 +22,11 @@ operator is built in blocks of tagged cells a whose temporaries fit
 ``BLOCK_BYTES``, each block's rows appended to the kernel's own arrays.
 
 The kernel holds both sparse operators, ``gain`` and the truncation rate
-``trunc_coef``, in ``PairRows``: the compressed-sparse-row arrays of the
-pair rows and each row's (a, k). Its one product is ``_sweep.c``'s
-``pair_rhs``, loaded through ``engine._load`` at the first product, which
-forms [m; S], sums each pair row from 0.0 in stored order, as scipy's
+``trunc_coef``, in ``PairRows``: the entries of the pair rows, their
+columns stored as runs of consecutive columns, and each row's (a, k). Its
+one product is ``_sweep.c``'s ``pair_rhs``, loaded through
+``engine._load`` at the first product, which forms [m; S], reads it run
+by run and sums each pair row from 0.0 in stored order, as scipy's
 ``csr_array`` product does, and adds it times m_a into cell k and times
 |c_k - c_a| into the mobility of cell a, in one pass. Where the module
 does not load, it is numpy's product and ``bincount`` over the same
@@ -361,11 +362,16 @@ def _lambda_mixture(rule: RuleSpec) -> list[tuple[float, float]]:
 class PairRows:
     """A sparse operator A on [m; S], S_a = sum_{b >= a} m_b, of a grid of
     float64 points ``centers``, laid out by pair rows: row i is pair row
-    (``row_a[i]``, ``row_k[i]``) and holds ``data[j]`` in column
-    ``indices[j]`` for ``indptr[i] <= j < indptr[i + 1]``, in compressed
-    sparse row form with int32 ``indices``, ``indptr``, ``row_a`` and
-    ``row_k`` and float64 ``data``; ``shape`` is (rows, 2 cells), and
-    ``dist`` holds each row's |c_k - c_a|, made once here.
+    (``row_a[i]``, ``row_k[i]``) and holds the entries ``data[j]`` of its
+    runs r, ``row_runs[i] <= r < row_runs[i + 1]``. Run r holds the entries
+    ``run_start[r] <= j < run_start[r + 1]``, in the consecutive columns
+    ``run_col[r] + (j - run_start[r])``. ``data`` is float64, the other
+    arrays int32; ``shape`` is (rows, 2 cells), and ``dist`` holds each
+    row's |c_k - c_a|, made once here. ``_column_runs`` gives the runs of
+    any columns. In compressed sparse row form the operator is ``data``,
+    ``indices`` and ``indptr``, each entry's column and each row's first
+    entry, derived from the runs when first read; the compiled product
+    reads neither.
 
     Its one product, ``product(m)`` at C-contiguous float64 masses m of
     ``cells`` items, is (out, l) with s_(a, k) = (A [m; S])_(a, k),
@@ -378,28 +384,32 @@ class PairRows:
     order, so they give the same bits on every output that is not NaN, and
     NaN in the same cells. Any other m, strided ones included, raises
     ValueError on both paths. The arrays are checked here, once:
-    ``pair_rhs`` trusts that every column lies in [0, 2 cells) and every row
+    ``pair_rhs`` trusts that every run lies in [0, 2 cells) and every row
     cell in [0, cells), so all but ``data``, which stays writable, are then
     made read-only. Raises ValueError on arrays that do not form such an
     operator.
     """
 
-    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 row_a: np.ndarray, row_k: np.ndarray, centers: np.ndarray):
+    def __init__(self, data: np.ndarray, run_col: np.ndarray, run_start: np.ndarray,
+                 row_runs: np.ndarray, row_a: np.ndarray, row_k: np.ndarray,
+                 centers: np.ndarray):
         rows = row_a.size
         cells = centers.size
-        index_arrays = (indices, indptr, row_a, row_k)
+        index_arrays = (run_col, run_start, row_runs, row_a, row_k)
         if (data.dtype, centers.dtype) != (np.float64,) * 2 or any(
                 x.dtype != np.int32 for x in index_arrays):
             raise ValueError("pair-row arrays must be float64 data and points and int32 indices")
         if (
-            data.ndim != 1 or indices.shape != data.shape or indptr.shape != (rows + 1,)
-            or not row_a.shape == row_k.shape == (rows,)
-            or indptr[0] != 0 or indptr[-1] != data.size or np.any(np.diff(indptr) < 0)
+            data.ndim != 1 or run_start.shape != (run_col.size + 1,)
+            or row_runs.shape != (rows + 1,) or not row_a.shape == row_k.shape == (rows,)
+            or (run_start[0], run_start[-1], row_runs[0], row_runs[-1]) != (
+                0, data.size, 0, run_col.size)
+            or np.any(np.diff(run_start) < 0) or np.any(np.diff(row_runs) < 0)
         ):
             raise ValueError(f"pair-row arrays do not form {rows} rows of {data.size} entries")
-        if data.size and not 0 <= indices.min() <= indices.max() < 2 * cells:
-            raise ValueError(f"column indices outside [0, {2 * cells})")
+        if run_col.size and not (0 <= run_col.min() and np.max(
+                run_col + np.diff(run_start).astype(np.int64)) <= 2 * cells):
+            raise ValueError(f"column runs outside [0, {2 * cells})")
         if rows and not (0 <= min(row_a.min(), row_k.min())
                          and max(row_a.max(), row_k.max()) < cells):
             raise ValueError(f"row cells outside [0, {cells})")
@@ -407,13 +417,27 @@ class PairRows:
         for x in (*index_arrays, self.dist):
             x.flags.writeable = False
         self.data = data
-        self.indices = indices
-        self.indptr = indptr
+        self.run_col = run_col
+        self.run_start = run_start
+        self.row_runs = row_runs
         self.row_a = row_a
         self.row_k = row_k
         self.cells = cells
         self.shape = (rows, 2 * cells)
         self.nnz = data.size
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        indices = np.arange(self.nnz, dtype=np.int32) + np.repeat(
+            self.run_col - self.run_start[:-1], np.diff(self.run_start))
+        indices.flags.writeable = False
+        return indices
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        indptr = self.run_start[self.row_runs]
+        indptr.flags.writeable = False
+        return indptr
 
     def product(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.cells
@@ -422,8 +446,9 @@ class PairRows:
                              "need contiguous float64")
         module = _load()
         if module is not None:
-            return module.pair_rhs(self.indptr, self.indices, self.data, self.row_a,
-                                   self.row_k, self.dist, m, np.empty(n), np.empty(n))
+            return module.pair_rhs(self.run_col, self.run_start, self.row_runs, self.data,
+                                   self.row_a, self.row_k, self.dist, m, np.empty(n),
+                                   np.empty(n))
         rows = self.shape[0]
         # like pair_rhs and scipy it stays quiet on overflow and NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -445,7 +470,9 @@ class DiscreteKernel:
       order. Where every partner b >= a of a cell a < n - 1 has bitwise the
       same law at every lambda node, row (a, k) stores the partners b < a
       in their columns and N[k, (a, a)], which stands for each b >= a, in
-      column n + a alone. Other rows leave the suffix columns empty. dm/dt
+      column n + a alone. Other rows leave the suffix columns empty. A
+      row's columns are stored as runs of consecutive columns, and the
+      per-entry ``indices`` are derived only when read. dm/dt
       and the mobility are then ``gain.product(m)``, the operator's only
       product. G sends the pair's mass to the cells where the tagged agent
       lands: each delta atom splits the agent's post-wealth between the
@@ -638,20 +665,35 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
 
 
 def _new_rows() -> list[np.ndarray]:
-    """Empty growing arrays of a ``PairRows``: data, indices, row lengths,
-    row_a and row_k."""
-    return [np.empty(0)] + [np.empty(0, dtype=np.int32) for _ in range(4)]
+    """Empty growing arrays of a ``PairRows``: data, run columns, run
+    lengths, runs per row, row_a and row_k."""
+    return [np.empty(0)] + [np.empty(0, dtype=np.int32) for _ in range(5)]
+
+
+def _column_runs(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``PairRows``' int32 (run_col, run_start, row_runs) of the columns
+    ``cols`` of rows whose entries start at ``indptr``, rows + 1 items: a
+    run starts at each row's first entry and wherever a column is not the
+    previous column + 1."""
+    starts = np.ones(cols.size, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1] + 1, out=starts[1:])
+    starts[indptr[:-1][np.diff(indptr) > 0]] = True
+    starts = np.flatnonzero(starts)
+    return tuple(x.astype(np.int32) for x in (
+        cols[starts], np.append(starts, cols.size), np.searchsorted(starts, indptr)))
 
 
 def _append_rows(parts, rows, cols, vals, a0, n) -> None:
     """Append to the arrays ``parts`` of ``_new_rows`` the entries ``vals`` in
     columns ``cols`` of the pair rows ``rows`` = (a - a0) * n + k, given in
     (row, column) order."""
-    data, indices, row_nnz, row_a, row_k = parts
+    data, run_col, run_len, row_nruns, row_a, row_k = parts
     _append(data, vals)
-    _append(indices, cols)
     first = _run_starts(rows)
-    _append(row_nnz, np.diff(first, append=rows.size))
+    cols, run_start, row_runs = _column_runs(np.append(first, rows.size), cols)
+    _append(run_col, cols)
+    _append(run_len, np.diff(run_start))
+    _append(row_nruns, np.diff(row_runs))
     rows = rows[first]
     _append(row_a, rows // n + a0)
     _append(row_k, rows % n)
@@ -659,9 +701,10 @@ def _append_rows(parts, rows, cols, vals, a0, n) -> None:
 
 def _pair_rows(parts, c) -> PairRows:
     """The ``PairRows`` on points ``c`` of the arrays ``parts`` of ``_new_rows``."""
-    data, indices, row_nnz, row_a, row_k = parts
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)), dtype=np.int32)
-    return PairRows(data, indices, indptr, row_a, row_k, c)
+    data, run_col, run_len, row_nruns, row_a, row_k = parts
+    run_start, row_runs = (np.concatenate(([0], np.cumsum(x)), dtype=np.int32)
+                           for x in (run_len, row_nruns))
+    return PairRows(data, run_col, run_start, row_runs, row_a, row_k, c)
 
 
 def _pair_sums(gain: PairRows, weights: np.ndarray) -> np.ndarray:

@@ -126,20 +126,22 @@ def _gini_of_sums(sums: tuple) -> float:
 def mobility_profile(grid: WealthGrid, rule: RuleSpec) -> np.ndarray:
     """Mobility l(x_k) at every representative point.
 
-    l(x_k) = sum_k' mass(k') * E[|delta|](x_k, x_k'). Rules with random
-    lambda use the exact Uniform[0,1] average (lambda -> 1/2 in the
-    linear-in-lambda closed forms).
+    l(x_k) = sum_k' mass(k') * E[|delta|](x_k, x_k'), each row summed by
+    numpy's pairwise sum, not through BLAS. Rules with random lambda use the
+    exact Uniform[0,1] average (lambda -> 1/2 in the linear-in-lambda closed
+    forms).
     """
     _require_normalized(grid)
     c = grid.centers
     e_abs = expected_abs_delta(rule, c[:, None], c[None, :], lam=metrics_lambda(rule))
-    return e_abs @ grid.masses
+    return (e_abs * grid.masses).sum(axis=1)
 
 
 def liquidity_grid(grid: WealthGrid, rule: RuleSpec) -> float:
-    """Liquidity L = (1/(2<x>)) * sum_k mass(k) * l(x_k); lies in [0, 1]."""
+    """Liquidity L = (1/(2<x>)) * sum_k mass(k) * l(x_k), summed by numpy's
+    pairwise sum; lies in [0, 1]."""
     mean = grid.mean
     if mean <= 0.0:
         raise ValueError("degenerate: zero mean wealth")
     l = mobility_profile(grid, rule)
-    return float(np.dot(grid.masses, l) / (2.0 * mean))
+    return float((grid.masses * l).sum() / (2.0 * mean))

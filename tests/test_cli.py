@@ -512,6 +512,23 @@ class TestFlagSets:
         common = {"rule", "n", "sweeps", "seed", "record_every", "init"}
         assert set(params) == common | keys
 
+    @pytest.mark.parametrize("rule", ["yardsale:lambda=0.5", "loser:lambda=uniform"])
+    def test_lambda_sweep_records_the_rule_kind_alone(self, rule, tmp_path):
+        # each row runs its own lambda, so the sidecar names none
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.1,1.0", "--rule", rule,
+            "--n", "16", "--sweeps", "3", "--out", str(out),
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        kind = rule.split(":")[0]
+        assert set(meta) == {"tool", "version", "command", "time_convention",
+                             "parameters", "rule"}
+        assert meta["rule"] == meta["parameters"]["rule"] == kind
+        assert (meta["parameters"]["param"], meta["parameters"]["values"]) == (
+            "lambda", "0.1,1.0")
+
 
 def _readme_commands():
     """Each ``kinex ...`` command of the README's CLI block, as argv."""
@@ -1019,7 +1036,7 @@ GOLDEN_SHA256 = {
     ),
     "sweep": (
         "5f8c788aa33cc874bb797ee677c209c0eefa529816c95c8a3745bee52c48ea84",
-        "eb8d72109baccecddab5f988c6cf05f21a220334fc254ccc76e663d5d498ef7a",
+        "9bc47f7fcbbfa594ba0640d997445c99b579b6e97002923e004177d7a5c1356d",
     ),
 }
 

@@ -582,7 +582,7 @@ class TestCompiledDrawChecksItsArguments:
         self.call(np.ones(2))
 
 
-@pytest.mark.parametrize("name, count", [("draw", 6), ("sweep", 7), ("pair_rhs", 9),
+@pytest.mark.parametrize("name, count", [("draw", 6), ("sweep", 7), ("pair_rhs", 10),
                                          ("gini_sums", 3)])
 def test_compiled_functions_count_their_arguments_first(name, count):
     function = getattr(compiled_sweep(), name)

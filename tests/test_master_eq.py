@@ -40,6 +40,7 @@ from kinex.master_eq import (
     TRUNCATION_TOL,
     PointMass,
     UniformBand,
+    _column_runs,
     _grid_axes,
     _lambda_mixture,
     _split_points,
@@ -151,21 +152,15 @@ def full_net_gain(rule, c):
     return key[first][keep], val[keep]
 
 
+STORED = ("data", "run_col", "run_start", "row_runs", "row_a", "row_k", "dist")
+
+
 def kernel_arrays(kernel):
-    """Every array a kernel keeps, by name."""
+    """Every array a kernel keeps, by name: the derived ``indices`` and
+    ``indptr`` of its operators are not kept."""
     return {
-        "gain.data": kernel.gain.data,
-        "gain.indices": kernel.gain.indices,
-        "gain.indptr": kernel.gain.indptr,
-        "gain.row_a": kernel.gain.row_a,
-        "gain.row_k": kernel.gain.row_k,
-        "gain.dist": kernel.gain.dist,
-        "trunc_coef.data": kernel.trunc_coef.data,
-        "trunc_coef.indices": kernel.trunc_coef.indices,
-        "trunc_coef.indptr": kernel.trunc_coef.indptr,
-        "trunc_coef.row_a": kernel.trunc_coef.row_a,
-        "trunc_coef.row_k": kernel.trunc_coef.row_k,
-        "trunc_coef.dist": kernel.trunc_coef.dist,
+        **{f"{name}.{array}": getattr(getattr(kernel, name), array)
+           for name in ("gain", "trunc_coef") for array in STORED},
         "centers": kernel.centers,
     }
 
@@ -473,7 +468,14 @@ class TestBuildKernel:
         kept = sum(a.nbytes for a in kernel_arrays(kernel).values())
         assert kept <= retained <= kept + 2**16
         assert peak <= retained + master_eq.BLOCK_BYTES
-        assert kernel.gain.nnz == 1_129_906
+        gain = kernel.gain
+        rows, runs = gain.shape[0], gain.run_col.size
+        assert (gain.nnz, rows, runs) == (1_129_906, 33_775, 36_977)
+        # past data, no per-entry array: row_runs, row_a, row_k and dist per
+        # row, run_col and run_start per run, and the last item of each
+        # offset array
+        assert sum(getattr(gain, name).nbytes for name in STORED[1:]) <= (
+            20 * rows + 8 * runs + 8)
 
 
 def bits(array):
@@ -562,16 +564,23 @@ def check_dense_mobility(matrix, m, l):
         assert math.isfinite(l[a]) and abs(Fraction(l[a]) - exact) <= bound, (a, l[a], exact)
 
 
+def pair_rows(data, indices, indptr, row_a, row_k, centers):
+    """The ``PairRows`` of compressed sparse row arrays: ``data`` with the
+    runs of the columns ``indices`` of the rows that ``indptr`` bounds."""
+    return PairRows(data, *_column_runs(indptr, indices), row_a, row_k, centers)
+
+
 class TestPairRowProduct:
     """``PairRows.product``, ``_sweep.c``'s ``pair_rhs`` or numpy's
     ``bincount``, gives scipy's ``csr_array`` product with [m; S], times m_a
     and summed per k by ``bincount``, bit for bit on every output that is
     not NaN, and NaN in the same cells."""
 
-    # three rows of three cells: (0, 1), (2, 1) empty and (1, 0)
-    SMALL = dict(data=np.array([0.5, -1.0, 2.0]), indices=np.array([1, 3, 5], np.int32),
-                 indptr=np.array([0, 2, 2, 3], np.int32), row_a=np.array([0, 2, 1], np.int32),
-                 row_k=np.array([1, 1, 0], np.int32))
+    # three rows of three cells, in pair_rhs' order: (0, 1) with one run,
+    # columns 1 and 2, (2, 1) empty and (1, 0) with column 5
+    SMALL = dict(run_col=np.array([1, 5], np.int32), run_start=np.array([0, 2, 3], np.int32),
+                 row_runs=np.array([0, 1, 1, 2], np.int32), data=np.array([0.5, -1.0, 2.0]),
+                 row_a=np.array([0, 2, 1], np.int32), row_k=np.array([1, 1, 0], np.int32))
 
     @pytest.mark.parametrize("cells", [200, 800])
     @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
@@ -597,16 +606,16 @@ class TestPairRowProduct:
                      np.arange(10, dtype=np.int32), np.full(9, 2, np.int32),
                      np.arange(9, dtype=np.int32), np.arange(9.0),
                      np.array([math.inf, -math.inf] + [1.0] * 7)))
-    # finite rows of every kind: a suffix column, a repeated one, a row
-    # (a, a) of dist 0 and an empty row
-    @example(arrays=(np.array([0.5, -1.0, 3.0, 2.0, 1e-3]), np.array([4, 0, 4, 1, 2], np.int32),
+    # finite rows of every kind: a suffix column, a repeated one, a run of
+    # two, a row (a, a) of dist 0 and an empty row
+    @example(arrays=(np.array([0.5, -1.0, 3.0, 2.0, 1e-3]), np.array([4, 0, 1, 1, 2], np.int32),
                      np.array([0, 3, 3, 4, 5], np.int32), np.array([1, 0, 1, 2], np.int32),
                      np.array([2, 1, 1, 0], np.int32), np.array([0.0, 0.3, 7.0]),
                      np.array([0.25, 0.5, 0.25])))
     def test_random_products_match_scipy(self, product_path, arrays):
         data, indices, indptr, row_a, row_k, centers, m = arrays
         with np.errstate(all="ignore"):  # inf - inf among the points
-            matrix = PairRows(data, indices, indptr, row_a, row_k, centers)
+            matrix = pair_rows(data, indices, indptr, row_a, row_k, centers)
             want = scipy_product(matrix, m)
             got = matrix.product(m)
             assert all(x.dtype == np.float64 for x in got)
@@ -615,18 +624,65 @@ class TestPairRowProduct:
         if product_path == "numpy":
             return
         out, l = np.full(m.size, 7.0), np.full(m.size, 7.0)
-        result = compiled_product().pair_rhs(indptr, indices, data, row_a, row_k,
+        result = compiled_product().pair_rhs(matrix.run_col, matrix.run_start,
+                                             matrix.row_runs, data, row_a, row_k,
                                              matrix.dist, m, out, l)
         assert result[0] is out and result[1] is l
         assert bits(np.concatenate(result)) == bits(np.concatenate(got))
+
+    @given(arrays=pair_rows_and_masses())
+    # runs cut by a row's end, a repeat, a step down and a gap, and a run
+    # of four
+    @example(arrays=(np.arange(11.0), np.array([3, 4, 5, 5, 6, 2, 3, 7, 0, 1, 2], np.int32),
+                     np.array([0, 2, 2, 7, 11], np.int32), np.zeros(4, np.int32),
+                     np.zeros(4, np.int32), np.zeros(8), np.zeros(8)))
+    def test_runs_give_back_the_columns(self, arrays):
+        data, indices, indptr, row_a, row_k, centers, _ = arrays
+        with np.errstate(all="ignore"):  # inf - inf among the points
+            matrix = pair_rows(data, indices, indptr, row_a, row_k, centers)
+        # a run starts at each row's first entry and at each column that is
+        # not the previous one + 1: (column, length) of each, row by row
+        runs = [[] for _ in range(indptr.size - 1)]
+        for i, row in enumerate(runs):
+            for j in range(indptr[i], indptr[i + 1]):
+                if row and indices[j] == indices[j - 1] + 1:
+                    row[-1][1] += 1
+                else:
+                    row.append([int(indices[j]), 1])
+        flat = [run for row in runs for run in row]
+        assert matrix.run_col.tolist() == [col for col, _ in flat]
+        assert np.diff(matrix.run_start).tolist() == [length for _, length in flat]
+        assert np.diff(matrix.row_runs).tolist() == [len(row) for row in runs]
+        assert "indices" not in vars(matrix) and "indptr" not in vars(matrix)
+        for name, want in (("indices", indices), ("indptr", indptr)):
+            got = getattr(matrix, name)
+            assert got.dtype == np.int32 and not got.flags.writeable, name
+            assert got.tolist() == want.tolist(), name
+            assert vars(matrix)[name] is got, name  # derived once
+
+    def test_integrate_never_forms_the_per_entry_columns(self, monkeypatch, tmp_path):
+        compiled_product()
+        grid = build_grid(LogScheme(1e-3, 200.0, 96), Exponential(1.0))
+        kernels = [build_kernel(YS(0.5), grid)]
+        integrate(grid, kernels[0], 5.0, 40.0)
+        build = kinex.cli.build_kernel
+        monkeypatch.setattr(kinex.cli, "build_kernel",
+                            lambda *args: kernels.append(build(*args)) or kernels[-1])
+        assert kinex.cli.main([
+            "integrate", "--rule", "yardsale:lambda=0.5", "--grid", "log:1e-3:200:96",
+            "--init", "exp:1", "--dt", "5", "--t-end", "40",
+            "--out", str(tmp_path / "int.csv")]) == 0
+        assert len(kernels) == 2
+        for kernel in kernels:
+            for matrix in (kernel.gain, kernel.trunc_coef):
+                assert matrix.nnz > 0
+                assert not {"indices", "indptr"} & set(vars(matrix))
 
     def call(self, **given):
         """Call ``pair_rhs`` on the SMALL operator, its distances, masses, out
         and l with the arguments ``given`` in place of its own; it must raise
         and leave out and l as they were."""
-        args = {**{name: self.SMALL[name] for name in
-                   ("indptr", "indices", "data", "row_a", "row_k")},
-                "dist": np.ones(3), "m": np.ones(3), "out": np.full(3, 7.0),
+        args = {**self.SMALL, "dist": np.ones(3), "m": np.ones(3), "out": np.full(3, 7.0),
                 "l": np.full(3, 7.0), **given}
         before = bits(np.concatenate((args["out"], args["l"])))
         with pytest.raises((TypeError, ValueError)) as err:
@@ -635,9 +691,8 @@ class TestPairRowProduct:
         return str(err.value)
 
     def test_malformed_calls_raise_before_writing(self):
-        assert "int32" in self.call(indices=np.array([1, 3, 5], np.int64))
-        assert "int32" in self.call(indptr=np.array([0, 2, 2, 3], np.int64))
-        assert "int32" in self.call(row_k=np.array([1, 1, 0], np.int64))
+        for name in ("run_col", "run_start", "row_runs", "row_k"):
+            assert "int32" in self.call(**{name: self.SMALL[name].astype(np.int64)}), name
         assert "float64" in self.call(m=np.ones(3, np.float32))
         assert "one-dimensional" in self.call(m=np.ones((3, 1)))
         self.call(m=np.ones(6)[::2])
@@ -651,11 +706,21 @@ class TestPairRowProduct:
         assert "one item per cell" in self.call(m=np.ones(4))
         assert "one item per row" in self.call(row_a=np.array([0, 2], np.int32))
         assert "one item per row" in self.call(dist=np.ones(4))
-        assert "equal lengths" in self.call(data=np.ones(2))
-        assert "decreases" in self.call(indptr=np.array([0, 3, 2, 3], np.int32))
-        assert "from 0" in self.call(indptr=np.array([0, 2, 2, 2], np.int32))
-        assert "from 0" in self.call(indptr=np.array([1, 2, 2, 3], np.int32))
-        with pytest.raises(TypeError, match="9 arguments"):
+        assert "one item per run" in self.call(run_col=np.array([1, 5, 5], np.int32))
+        for given, message in [
+            ({"run_start": [0, 4, 3]}, "run_start decreases at 1"),
+            ({"run_start": [0, 2, 2]}, "run_start must run from 0 to 3"),
+            ({"run_start": [1, 2, 3]}, "run_start must run from 0 to 3"),
+            ({"data": np.ones(2)}, "run_start must run from 0 to 2"),
+            ({"row_runs": [0, 2, 1, 2]}, "row_runs decreases at 1"),
+            ({"row_runs": [0, 1, 1, 1]}, "row_runs must run from 0 to 2"),
+            ({"row_runs": [], "row_a": [], "row_k": [], "dist": np.ones(0)},
+             "row_runs must run from 0 to 2"),
+        ]:
+            given = {name: np.asarray(x, getattr(x, "dtype", np.int32))
+                     for name, x in given.items()}
+            assert message in self.call(**given), given
+        with pytest.raises(TypeError, match="10 arguments"):
             compiled_product().pair_rhs(*self.SMALL.values())
 
     def test_container_checks_its_arrays_once(self, product_path):
@@ -663,31 +728,40 @@ class TestPairRowProduct:
         matrix = PairRows(**{name: x.copy() for name, x in self.SMALL.items()},
                           centers=centers)
         assert matrix.nnz == 3 and matrix.shape == (3, 6)
-        for name in ("indices", "indptr", "row_a", "row_k", "dist"):
+        for name in (*STORED[1:], "indices", "indptr"):
             assert not getattr(matrix, name).flags.writeable, name
         assert matrix.data.flags.writeable
         assert bits(matrix.dist) == bits([1.0, 2.0, 1.0])
-        # x = [m; S] = [1, 2, 4, 7, 6, 4]: row (0, 1) is 0.5 * 2 - 7, times
+        assert matrix.indices.tolist() == [1, 2, 5]
+        assert matrix.indptr.tolist() == [0, 2, 2, 3]
+        # x = [m; S] = [1, 2, 4, 7, 6, 4]: row (0, 1) is 0.5 * 2 - 4, times
         # m_0 or |c_1 - c_0| = 1, and row (1, 0) 2 * 4, times m_1 or 1
         assert bits(matrix.product(np.array([1.0, 2.0, 4.0]))) == bits(
-            [[16.0, -6.0, 0.0], [-6.0, 8.0, 0.0]])
+            [[16.0, -3.0, 0.0], [-3.0, 8.0, 0.0]])
         # one ValueError on both paths: strided masses are rejected, not copied
         for m in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
                   np.ones(3, np.float32), np.ones(6)[::2]):
             with pytest.raises(ValueError, match="3 cells: need contiguous float64"):
                 matrix.product(m)
         for name, bad, match in [
-            ("indices", [1, 3, 6], "outside"),
-            ("indices", [1, -1, 2], "outside"),
+            ("run_col", [5, 5], "outside"),  # its first run reaches column 6
+            ("run_col", [1, 6], "outside"),
+            ("run_col", [-1, 5], "outside"),
             ("row_k", [1, 1, 3], "outside"),
             ("row_a", [0, -1, 1], "outside"),
-            ("indptr", [0, 3, 2, 3], "form"),
-            ("indptr", [0, 2, 2, 2], "form"),
-            ("indptr", [1, 2, 2, 3], "form"),
-            ("indptr", [0, 2, 3], "form"),
+            ("run_start", [0, 3, 2], "form"),
+            ("run_start", [0, 2, 2], "form"),
+            ("run_start", [1, 2, 3], "form"),
+            ("run_start", [0, 3], "form"),
+            ("row_runs", [0, 2, 1, 2], "form"),
+            ("row_runs", [0, 1, 1, 1], "form"),
+            ("row_runs", [1, 1, 1, 2], "form"),
+            ("row_runs", [0, 1, 2], "form"),
             ("row_a", [0, 2], "form"),
             ("row_k", np.array([1, 1, 0], np.int64), "int32"),
-            ("indices", np.array([1, 3, 5], np.int64), "int32"),
+            ("run_col", np.array([1, 5], np.int64), "int32"),
+            ("run_start", np.array([0, 2, 3], np.int64), "int32"),
+            ("row_runs", np.array([0, 1, 1, 2], np.int64), "int32"),
             ("centers", np.array([0, 1, 3]), "float64"),
         ]:
             arrays = {**self.SMALL, "centers": centers,

@@ -16,7 +16,12 @@ from kinex import (
 )
 from kinex.engine import _record
 from kinex.master_eq import Exponential, LinearScheme, build_grid
-from kinex.metrics import DEFAULT_EPS_ZERO, _gini_coefficients, gini_population_bruteforce
+from kinex.metrics import (
+    DEFAULT_EPS_ZERO,
+    _gini_coefficients,
+    _gini_sums,
+    gini_population_bruteforce,
+)
 
 from conftest import make_grid
 
@@ -142,6 +147,19 @@ class TestGiniGrid:
         grid = make_grid(values, [0.25] * 4)
         pop = Population(values)
         assert gini_grid(grid) == pytest.approx(gini_population(pop), rel=1e-14)
+
+
+class TestGridMean:
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_index_order_first_moment(self, cells, seed):
+        # the integrator's M1, bit for bit: no BLAS kernel picks the order
+        gen = np.random.Generator(np.random.PCG64(seed))
+        c = np.concatenate(([0.0], np.cumsum(gen.exponential(size=cells - 1))))
+        grid = make_grid(c, gen.dirichlet(np.ones(cells)))
+        mean = grid.mean
+        assert type(mean) is float
+        assert mean == _gini_sums(grid.masses, grid.centers)[1]
 
 
 class TestMobilityProfile:
