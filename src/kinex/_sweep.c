@@ -23,8 +23,8 @@
      i's gain on a win, its loss on a loss and the win test, and one place
      applies them.
 
-   pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, dist, m, out,
-            l) -> (out, l)
+   pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, c, m, out, l)
+            -> (out, l)
      writes the product of master_eq's pair-row operator at the masses m
      into out and the mobility into l. Row i holds the runs r,
      row_runs[i] <= r < row_runs[i + 1], and run r the entries j,
@@ -33,16 +33,16 @@
      m_b summed from the top cell down, each pair row i is summed as scipy's
      csr_array product sums it, 0.0 plus data[j] times x at j's column over
      the row's entries in stored order, run by run, and added times
-     m[row_a[i]] into out[row_k[i]] and times dist[i], its |c_k - c_a|, into
-     l[row_a[i]], from 0.0 in row order: master_eq's numpy fallback, the
-     product then np.bincount. run_col, run_start, row_runs, row_a and row_k
-     hold int32, the rest float64; run_start has one item per run and one
-     more, row_runs one per row and one more, row_a, row_k and dist one per
-     row, out and l one per cell of m. Each call checks these lengths, that
-     run_start runs from 0 to len(data) and row_runs from 0 to the run
+     m[row_a[i]] into out[row_k[i]] and times |c_k - c_a| at the grid points
+     c into l[row_a[i]], from 0.0 in row order: master_eq's numpy fallback,
+     the product then np.bincount. run_col, run_start, row_runs, row_a and
+     row_k hold int32, the rest float64; run_start has one item per run and
+     one more, row_runs one per row and one more, row_a and row_k one per
+     row, c, out and l one per cell of m. Each call checks these lengths,
+     that run_start runs from 0 to len(data) and row_runs from 0 to the run
      count, and that neither decreases; the caller, master_eq.PairRows,
      checks once that every run lies in [0, 2 len(m)) and every row cell in
-     [0, len(m)). It allocates 2 len(m) floats, for x.
+     [0, len(m)), and freezes c. It allocates 2 len(m) floats, for x.
    gini_sums(m, c, r) -> (M0, M1, pair, phi_r)
      the sums of metrics._gini_sums over the masses m at the sorted points
      c, in index order: M0 = sum m_k, M1 = sum m_k c_k, the half pair sum
@@ -71,6 +71,7 @@
 #include <Python.h>
 #include <ctype.h>
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 
 /* the order of kinex.core.RuleKind */
@@ -334,7 +335,7 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     static const char *const names[] = {"run_col", "run_start", "row_runs",
-                                        "data", "row_a", "row_k", "dist", "m",
+                                        "data", "row_a", "row_k", "c", "m",
                                         "out", "l"};
     Py_buffer views[10] = {{0}};
     PyObject *result = NULL;
@@ -345,7 +346,7 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     const int *run_col = views[0].buf, *run_start = views[1].buf;
     const int *row_runs = views[2].buf, *row_a = views[4].buf;
     const int *row_k = views[5].buf;
-    const double *data = views[3].buf, *dist = views[6].buf, *m = views[7].buf;
+    const double *data = views[3].buf, *c = views[6].buf, *m = views[7].buf;
     double *out = views[8].buf, *l = views[9].buf;
     Py_ssize_t runs = views[0].len / 4, rows = views[2].len / 4 - 1;
     Py_ssize_t n = views[7].len / 8;
@@ -357,15 +358,15 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (!check_offsets("run_start", run_start, runs, views[3].len / 8)
         || !check_offsets("row_runs", row_runs, rows, runs))
         goto done;
-    if (views[4].len / 4 != rows || views[5].len / 4 != rows
-        || views[6].len / 8 != rows) {
-        PyErr_SetString(PyExc_ValueError, "row_a, row_k and dist must have "
+    if (views[4].len / 4 != rows || views[5].len / 4 != rows) {
+        PyErr_SetString(PyExc_ValueError, "row_a and row_k must have "
                         "one item per row, len(row_runs) - 1");
         goto done;
     }
-    if (views[8].len / 8 != n || views[9].len / 8 != n) {
+    if (views[6].len / 8 != n || views[8].len / 8 != n
+        || views[9].len / 8 != n) {
         PyErr_SetString(PyExc_ValueError,
-                        "out and l must have one item per cell of m");
+                        "c, out and l must have one item per cell of m");
         goto done;
     }
     x = PyMem_Malloc((size_t)(2 * n + 1) * sizeof(double));
@@ -391,7 +392,7 @@ pair_rhs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 row += data[start + t] * x[run_col[r] + t];
         }
         out[row_k[i]] += row * m[row_a[i]];
-        l[row_a[i]] += row * dist[i];
+        l[row_a[i]] += row * fabs(c[row_k[i]] - c[row_a[i]]);
     }
     result = PyTuple_Pack(2, args[8], args[9]);
 done:
@@ -450,10 +451,10 @@ static PyMethodDef methods[] = {
      "sweep(kind, w, lam, ii, jj, lams, coins) -> float: run one sweep's "
      "exchanges on w in place; returns the sum of |delta| over them."},
     {"pair_rhs", (PyCFunction)(void (*)(void))pair_rhs, METH_FASTCALL,
-     "pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, dist, m, "
+     "pair_rhs(run_col, run_start, row_runs, data, row_a, row_k, c, m, "
      "out, l) -> (out, l): write the product of the pair-row operator, its "
-     "columns in runs, at masses m into out and its rows' moment about c_a "
-     "into l, as master_eq's numpy product and bincounts sum them."},
+     "columns in runs, at masses m into out and its rows' moment about c_a, "
+     "at grid points c, into l, as master_eq's numpy product sums them."},
     {"gini_sums", (PyCFunction)(void (*)(void))gini_sums, METH_FASTCALL,
      "gini_sums(m, c, r) -> (M0, M1, pair, phi_r): the grid Gini's and its "
      "rate's prefix sums over masses m at sorted points c, in index order; "

@@ -24,6 +24,7 @@ from . import __version__
 from .core import (
     ContractViolation,
     Population,
+    RuleKind,
     WealthGrid,
     format_float,
     read_snapshot,
@@ -372,6 +373,15 @@ def _cmd_kernel_check(args) -> int:
     return 0 if report.passed else 3
 
 
+def _lambda_sweep_kind(text: str) -> str:
+    """The rule kind of a lambda sweep's ``--rule``: a bare kind, as the
+    metadata records it, or a rule string whose lambda each row replaces."""
+    kind = next((k for k in RuleKind if k.value == text.strip()), None) or parse_rule(text).kind
+    if kind is RuleKind.IGLESIAS_ALMEIDA:
+        raise ConfigError("iglesias-almeida has no lambda to sweep")
+    return kind.value
+
+
 def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -388,10 +398,13 @@ def _cmd_sweep(args) -> int:
     missing = [f"--{k}" for k in ("rule", "n") if k != swept and getattr(args, k) is None]
     if missing:
         args.command_parser.error(f"the following arguments are required: {', '.join(missing)}")
+    kind = None
+    if args.param == "lambda":  # each row sets lambda; the rule kind stays
+        kind, args.rule = _lambda_sweep_kind(args.rule), None
     parsed: list[tuple[str, SimConfig]] = []
     for v in values:
-        if args.param == "lambda":
-            setting = {"rule": f"{parse_rule(args.rule).kind.value}:lambda={v}"}
+        if kind:
+            setting = {"rule": f"{kind}:lambda={v}"}
         elif args.param == "N":
             setting = {"n": int(v)}
         else:
@@ -422,8 +435,8 @@ def _cmd_sweep(args) -> int:
             gini, liquidity, t_cond, error = "", "", -1, str(exc)
         rows.append((args.param, value, gini, liquidity, gini_max, t_cond, error))
     params = _sim_params(args, {"param": args.param, "values": args.values})
-    if args.param == "lambda":
-        params["rule"] = parse_rule(args.rule).kind.value
+    if kind:
+        params["rule"] = kind
     if args.replicas:
         params["replicas"] = args.replicas
     _write_result(args, params, SWEEP_COLUMNS, rows)

@@ -23,9 +23,10 @@ operator is built in blocks of tagged cells a whose temporaries fit
 
 The kernel holds both sparse operators, ``gain`` and the truncation rate
 ``trunc_coef``, in ``PairRows``: the entries of the pair rows, their
-columns stored as runs of consecutive columns, and each row's (a, k). Its
-one product is ``_sweep.c``'s ``pair_rhs``, loaded through
-``engine._load`` at the first product, which forms [m; S], reads it run
+columns stored as runs of consecutive columns, each row's (a, k), and the
+grid points both share, the kernel's one record of its geometry. Its one
+product is ``_sweep.c``'s ``pair_rhs``, loaded through ``engine._load`` at
+the first product, which forms [m; S], reads it run
 by run and sums each pair row from 0.0 in stored order, as scipy's
 ``csr_array`` product does, and adds it times m_a into cell k and times
 |c_k - c_a| into the mobility of cell a, in one pass. Where the module
@@ -366,12 +367,12 @@ class PairRows:
     runs r, ``row_runs[i] <= r < row_runs[i + 1]``. Run r holds the entries
     ``run_start[r] <= j < run_start[r + 1]``, in the consecutive columns
     ``run_col[r] + (j - run_start[r])``. ``data`` is float64, the other
-    arrays int32; ``shape`` is (rows, 2 cells), and ``dist`` holds each
-    row's |c_k - c_a|, made once here. ``_column_runs`` gives the runs of
-    any columns. In compressed sparse row form the operator is ``data``,
-    ``indices`` and ``indptr``, each entry's column and each row's first
-    entry, derived from the runs when first read; the compiled product
-    reads neither.
+    arrays int32; ``shape`` is (rows, 2 cells). No array holds a row's
+    |c_k - c_a|: each product forms it from ``centers``, one contiguous item
+    per cell. ``_column_runs`` gives the runs of any columns. In compressed
+    sparse row form the operator is ``data``, ``indices`` and ``indptr``,
+    each entry's column and each row's first entry, derived from the runs
+    when first read; the compiled product reads neither.
 
     Its one product, ``product(m)`` at C-contiguous float64 masses m of
     ``cells`` items, is (out, l) with s_(a, k) = (A [m; S])_(a, k),
@@ -379,15 +380,15 @@ class PairRows:
     (a, k) of |c_k - c_a| s_(a, k): ``_sweep.c``'s ``pair_rhs``, or, where
     the compiled module does not load, ``np.bincount`` of
     ``x[indices] * data`` by row, then ``np.bincount`` of the sums times
-    m_a by k and times ``dist`` by a. Both sum each row from 0.0 in stored
+    m_a by k and times |c_k - c_a| by a. Both sum each row from 0.0 in stored
     order, as scipy's product does, and add the rows into each cell in row
     order, so they give the same bits on every output that is not NaN, and
     NaN in the same cells. Any other m, strided ones included, raises
     ValueError on both paths. The arrays are checked here, once:
     ``pair_rhs`` trusts that every run lies in [0, 2 cells) and every row
     cell in [0, cells), so all but ``data``, which stays writable, are then
-    made read-only. Raises ValueError on arrays that do not form such an
-    operator.
+    made read-only, ``centers`` too. Raises ValueError on arrays that do not
+    form such an operator.
     """
 
     def __init__(self, data: np.ndarray, run_col: np.ndarray, run_start: np.ndarray,
@@ -396,9 +397,10 @@ class PairRows:
         rows = row_a.size
         cells = centers.size
         index_arrays = (run_col, run_start, row_runs, row_a, row_k)
-        if (data.dtype, centers.dtype) != (np.float64,) * 2 or any(
-                x.dtype != np.int32 for x in index_arrays):
-            raise ValueError("pair-row arrays must be float64 data and points and int32 indices")
+        if (data.dtype, centers.dtype, centers.ndim) != (np.float64, np.float64, 1) or any(
+                x.dtype != np.int32 for x in index_arrays) or not centers.flags.c_contiguous:
+            raise ValueError("pair-row arrays must be float64 data, 1-D contiguous float64 "
+                             "points and int32 indices")
         if (
             data.ndim != 1 or run_start.shape != (run_col.size + 1,)
             or row_runs.shape != (rows + 1,) or not row_a.shape == row_k.shape == (rows,)
@@ -413,8 +415,7 @@ class PairRows:
         if rows and not (0 <= min(row_a.min(), row_k.min())
                          and max(row_a.max(), row_k.max()) < cells):
             raise ValueError(f"row cells outside [0, {cells})")
-        self.dist = np.abs(centers[row_k] - centers[row_a])
-        for x in (*index_arrays, self.dist):
+        for x in (*index_arrays, centers):
             x.flags.writeable = False
         self.data = data
         self.run_col = run_col
@@ -422,6 +423,7 @@ class PairRows:
         self.row_runs = row_runs
         self.row_a = row_a
         self.row_k = row_k
+        self.centers = centers
         self.cells = cells
         self.shape = (rows, 2 * cells)
         self.nnz = data.size
@@ -447,7 +449,7 @@ class PairRows:
         module = _load()
         if module is not None:
             return module.pair_rhs(self.run_col, self.run_start, self.row_runs, self.data,
-                                   self.row_a, self.row_k, self.dist, m, np.empty(n),
+                                   self.row_a, self.row_k, self.centers, m, np.empty(n),
                                    np.empty(n))
         rows = self.shape[0]
         # like pair_rhs and scipy it stays quiet on overflow and NaN
@@ -455,7 +457,8 @@ class PairRows:
             terms = _with_suffix_sums(m)[self.indices] * self.data
             row = np.repeat(np.arange(rows), np.diff(self.indptr))
             sums = np.bincount(row, weights=terms, minlength=rows)
-            weighted = ((self.row_k, sums * m[self.row_a]), (self.row_a, sums * self.dist))
+            dist = np.abs(self.centers[self.row_k] - self.centers[self.row_a])
+            weighted = ((self.row_k, sums * m[self.row_a]), (self.row_a, sums * dist))
         # integer zeros where no row is
         return tuple(np.bincount(cell, weights=w, minlength=n).astype(np.float64, copy=False)
                      for cell, w in weighted)
@@ -489,6 +492,8 @@ class DiscreteKernel:
       pairs truncate, each holding those partners b in column b: the
       kernel's one record of truncation. Its product at m holds
       m_a sum_b tau_ab m_b in cell a.
+    - ``centers`` is ``gain.centers``, the kernel's one frozen array of
+      grid points; ValueError where ``trunc_coef`` was made on another.
 
     The build forms the atoms one lambda node and one block of tagged cells
     at a time and keeps none of them. The partner's post-wealth needs no
@@ -497,22 +502,19 @@ class DiscreteKernel:
     covers.
     """
 
-    def __init__(self, rule: RuleSpec, centers: np.ndarray, gain: PairRows,
-                 trunc_coef: PairRows):
-        n = centers.size
-        if gain.shape[1] != 2 * n or trunc_coef.shape[1] != 2 * n:
-            raise ValueError(f"operators of shapes {gain.shape} and "
-                             f"{trunc_coef.shape} for {n} cells")
+    def __init__(self, rule: RuleSpec, gain: PairRows, trunc_coef: PairRows):
+        if trunc_coef.centers is not gain.centers:
+            raise ValueError("gain and trunc_coef were made on other grid points")
         self.rule = rule
-        self.centers = centers
-        self.cells = n
+        self.centers = gain.centers
+        self.cells = gain.cells
         self.gain = gain
         self.trunc_coef = trunc_coef
 
     @cached_property
     def abs_delta(self) -> np.ndarray:
-        gain = self.gain
-        return _pair_sums(gain, gain.data * np.repeat(gain.dist, np.diff(gain.indptr)))
+        c, gain = self.centers, self.gain
+        return _pair_sums(gain, np.abs(c[gain.row_k] - c[gain.row_a]))
 
 
 def _append(buf: np.ndarray, part: np.ndarray) -> None:
@@ -623,8 +625,9 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
     Post-wealths above the top representative point are assigned to the top
     cell; the resulting wealth loss is tracked by the integrator and flags
     the run non-conservative beyond 1e-8 relative. A block's summed entries,
-    a run of whole pair rows of ``gain``, are appended to arrays the kernel
-    owns, which grow by exactly that run; no block's entries outlive it.
+    a run of whole pair rows of ``gain``, and its offsets are appended to
+    arrays the kernel owns, which grow by exactly that run; no block's
+    entries outlive it.
     """
     c = grid.centers.copy()
     n = c.size
@@ -653,21 +656,18 @@ def build_kernel(rule: RuleSpec, grid: WealthGrid) -> DiscreteKernel:
         _append_rows(trunc_coef, a * (n + 1) + a0, b, trunc[a, b], a0, n)
         del trunc, a, b
 
-    gain = _pair_rows(gain, c)
-    trunc_coef = _pair_rows(trunc_coef, c)
+    gain = PairRows(*gain, c)
+    trunc_coef = PairRows(*trunc_coef, c)
     if trunc_coef.nnz:
-        log.debug(
-            "kernel truncates wealth at the top cell for %d of %d pairs",
-            trunc_coef.nnz,
-            n * n,
-        )
-    return DiscreteKernel(rule, c, gain, trunc_coef)
+        log.debug("kernel truncates wealth at the top cell for %d of %d pairs",
+                  trunc_coef.nnz, n * n)
+    return DiscreteKernel(rule, gain, trunc_coef)
 
 
 def _new_rows() -> list[np.ndarray]:
-    """Empty growing arrays of a ``PairRows``: data, run columns, run
-    lengths, runs per row, row_a and row_k."""
-    return [np.empty(0)] + [np.empty(0, dtype=np.int32) for _ in range(5)]
+    """Growing arrays of a ``PairRows`` of no rows: data, run_col,
+    run_start, row_runs, row_a and row_k."""
+    return [np.empty(0)] + [np.zeros(x, dtype=np.int32) for x in (0, 1, 1, 0, 0)]
 
 
 def _column_runs(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -687,32 +687,27 @@ def _append_rows(parts, rows, cols, vals, a0, n) -> None:
     """Append to the arrays ``parts`` of ``_new_rows`` the entries ``vals`` in
     columns ``cols`` of the pair rows ``rows`` = (a - a0) * n + k, given in
     (row, column) order."""
-    data, run_col, run_len, row_nruns, row_a, row_k = parts
+    data, run_col, run_start, row_runs, row_a, row_k = parts
     _append(data, vals)
     first = _run_starts(rows)
-    cols, run_start, row_runs = _column_runs(np.append(first, rows.size), cols)
+    cols, starts, runs = _column_runs(np.append(first, rows.size), cols)
     _append(run_col, cols)
-    _append(run_len, np.diff(run_start))
-    _append(row_nruns, np.diff(row_runs))
+    # the block's offsets after its first, past the entries and runs before it
+    _append(run_start, starts[1:] + run_start[-1])
+    _append(row_runs, runs[1:] + row_runs[-1])
     rows = rows[first]
     _append(row_a, rows // n + a0)
     _append(row_k, rows % n)
 
 
-def _pair_rows(parts, c) -> PairRows:
-    """The ``PairRows`` on points ``c`` of the arrays ``parts`` of ``_new_rows``."""
-    data, run_col, run_len, row_nruns, row_a, row_k = parts
-    run_start, row_runs = (np.concatenate(([0], np.cumsum(x)), dtype=np.int32)
-                           for x in (run_len, row_nruns))
-    return PairRows(data, run_col, run_start, row_runs, row_a, row_k, c)
-
-
-def _pair_sums(gain: PairRows, weights: np.ndarray) -> np.ndarray:
-    """The n x n [a, b] sums of ``weights``, one per entry of ``gain``, over
-    each pair's entries: by (a, column), then suffix column n + a added to
-    each b >= a; a column without entries adds 0.0."""
+def _pair_sums(gain: PairRows, row_weights: np.ndarray) -> np.ndarray:
+    """The n x n [a, b] sums of ``gain``'s entries, each times its row's
+    ``row_weights``, over each pair: by (a, column), then suffix column
+    n + a added to each b >= a; a column without entries adds 0.0."""
     n = gain.cells
-    pair = np.repeat(gain.row_a * np.int64(2 * n), np.diff(gain.indptr)) + gain.indices
+    per_row = np.diff(gain.indptr)
+    pair = np.repeat(gain.row_a * np.int64(2 * n), per_row) + gain.indices
+    weights = gain.data * np.repeat(row_weights, per_row)
     sums = np.bincount(pair, weights=weights, minlength=2 * n * n).reshape(n, 2 * n)
     a = np.arange(n)
     return sums[:, :n] + np.triu(np.broadcast_to(sums[a, n + a][:, None], (n, n)))
@@ -755,8 +750,8 @@ def check_kernel(kernel: DiscreteKernel) -> KernelCheckReport:
     """
     c = kernel.centers
     gain = kernel.gain
-    norm_error = np.abs(_pair_sums(gain, gain.data))
-    bias = _pair_sums(gain, gain.data * np.repeat(c[gain.row_k], np.diff(gain.indptr)))
+    norm_error = np.abs(_pair_sums(gain, np.ones(gain.shape[0])))
+    bias = _pair_sums(gain, c[gain.row_k])
     scale = np.maximum(c[:, None] + c[None, :], 1e-300)
     bias_rel = np.abs(bias) / scale
     passed = bool(norm_error.max() <= KernelCheckReport.NORM_TOL)

@@ -529,6 +529,43 @@ class TestFlagSets:
         assert (meta["parameters"]["param"], meta["parameters"]["values"]) == (
             "lambda", "0.1,1.0")
 
+    @pytest.mark.parametrize("rule", ["yardsale:lambda=0.5", "loser:lambda=uniform"])
+    def test_lambda_sweep_sidecar_replays(self, rule, tmp_path):
+        # the recorded parameters, given back as a config file, run the same
+        # sweep: its rule kind alone is a valid --rule
+        out = tmp_path / "x.csv"
+        meta = tmp_path / "x.csv.meta.json"
+        argv = ("sweep", "--param", "lambda", "--values", "0.1,1.0", "--rule", rule,
+                "--n", "16", "--sweeps", "3", "--out", str(out))
+        assert run_cli(*argv)[0] == 0
+        first = out.read_bytes(), meta.read_bytes()
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value
+                               in json.loads(first[1])["parameters"].items()))
+        out.unlink()
+        meta.unlink()
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out))[0] == 0
+        assert (out.read_bytes(), meta.read_bytes()) == first
+
+    def test_lambda_sweep_takes_a_bare_rule_kind(self, tmp_path):
+        outputs = []
+        for rule in ("yardsale", "yardsale:lambda=0.5"):
+            out = tmp_path / f"{len(outputs)}.csv"
+            code, _, _ = run_cli(
+                "sweep", "--param", "lambda", "--values", "0.1,1.0", "--rule", rule,
+                "--n", "16", "--sweeps", "3", "--out", str(out))
+            assert code == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.meta.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        # a rule without lambda has none to sweep, and writes nothing
+        out = tmp_path / "ia.csv"
+        code, _, err = run_cli(
+            "sweep", "--param", "lambda", "--values", "0.1", "--rule", "iglesias-almeida",
+            "--n", "16", "--sweeps", "3", "--out", str(out))
+        assert (code, err) == (
+            2, "kinex: config error: iglesias-almeida has no lambda to sweep\n")
+        assert not out.exists()
+
 
 def _readme_commands():
     """Each ``kinex ...`` command of the README's CLI block, as argv."""

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -92,8 +93,16 @@ def scipy_product(matrix, m):
     times m_a summed per k, and times |c_k - c_a| summed per a, by
     ``np.bincount``: the sums in the order the product takes them."""
     sums = scipy_csr(matrix) @ _with_suffix_sums(m)
-    weighted = ((matrix.row_k, sums * m[matrix.row_a]), (matrix.row_a, sums * matrix.dist))
+    weighted = ((matrix.row_k, sums * m[matrix.row_a]),
+                (matrix.row_a, sums * row_dist(matrix)))
     return tuple(np.bincount(cell, weights=w, minlength=m.size) for cell, w in weighted)
+
+
+def row_dist(matrix):
+    """Each row's |c_k - c_a|, from the grid points of the ``PairRows``
+    ``matrix``."""
+    c = matrix.centers
+    return np.abs(c[matrix.row_k] - c[matrix.row_a])
 
 
 def trunc_matrix(kernel):
@@ -152,7 +161,7 @@ def full_net_gain(rule, c):
     return key[first][keep], val[keep]
 
 
-STORED = ("data", "run_col", "run_start", "row_runs", "row_a", "row_k", "dist")
+STORED = ("data", "run_col", "run_start", "row_runs", "row_a", "row_k")
 
 
 def kernel_arrays(kernel):
@@ -282,6 +291,48 @@ def small_grid(rule_safe=True):
     return make_grid(centers, masses)
 
 
+# sha256 of the little-endian float64 bytes of check_kernel's norm_error and
+# bias and of abs_delta, per rule variant on log:1e-4:1e5:200: the per-pair
+# sums over gain's entries, each weight and each sum pinned bit for bit
+PAIR_SUMS_SHA256 = {
+    "yardsale:lambda=0.5": (
+        "73f8496fd22451bd4e03e6d585cfee121ed76e6dde49a11ea49e26d9f95c2e23",
+        "a87e992b8bac1f15abcd88f8759f5e256fbd3583ac2944812f32730feed7587b",
+        "154f7ceee7268d830f1c7af3008a72685d10caae75490f22efc7006f7e061a75",
+    ),
+    "yardsale:lambda=uniform": (
+        "9d8d0502871944ca801ef64683fdde71d3eea31151f87dfe7b28a317860d984d",
+        "af4ce4b8470776be67592e8bc9e8a6ab66722d48c60bee0c042824f78e57f510",
+        "a39a6998e1925ddae2dedc54983d9fc2e22ea5a8a37a222dd7b2e560e7b5967c",
+    ),
+    "unbiased-loser:lambda=0.5": (
+        "8da609408d3233b9f59f081f19324cf69a9584b3a916b0663fd205271a75a409",
+        "2964c934a818009be006eb998e8a4555cc626eaa8f45534978732661b2469660",
+        "fdd6a90cdb0f1ef39ac705e5bd81b03ba3a77db57322ce3c50559e14520fb956",
+    ),
+    "unbiased-loser:lambda=uniform": (
+        "c66eff71131fa3007d87336ea196205d4dfc5166c71a6f6d6c84732ffa9871df",
+        "3340605098da29acd16c7326de92c6844bdb1ab4575b39f8b4a94cfe46ecac02",
+        "f0ae78154e52326376a42c77a30655c5c88ec0b976ccb96b613bbb8fb0b7459f",
+    ),
+    "loser:lambda=0.5": (
+        "6b27441fad0447f8bae873d3e8a24f231816bb8282ff9e125f490c68baa44aea",
+        "3c14e2da966ff78e382dca1cdd4492584d30fce9e2fa6a80dae4f90979323a5d",
+        "789ec52c410f7b8f48c5a3113b347b1f42dac7346bf83245782623bcfed3b473",
+    ),
+    "loser:lambda=uniform": (
+        "18d546299b7fa2b6cdaf070daabbd5c2b5ddf75db6dca229e1506032af6bbeef",
+        "68f2b8424a23888130fc8fd246718d73d838474d19d46cbd873391f8c1143633",
+        "e623fe5cb79eea72baa0abc7e4463cd45bcfd28a4d56b5f14d522bfd1efa399a",
+    ),
+    "iglesias-almeida": (
+        "66a2ab08470ea617f0bbf4e32e96d00757f4db89cf94f1831a6166565fead3e3",
+        "ca9144838dac30809fa2221cad33c9272504f3caf2b4f2d52c9a352d33a62b86",
+        "d4b9c1c771e018f6c70cee9607a71f5e08628b06c416293f1b55898584dd041a",
+    ),
+}
+
+
 class TestBuildKernel:
     def test_rows_sum_to_one_and_unbiased(self):
         grid = small_grid()
@@ -289,6 +340,14 @@ class TestBuildKernel:
             report = check_kernel(build_kernel(rule, grid))
             assert report.max_norm_error <= 1e-12
             assert report.passed
+
+    @pytest.mark.parametrize("rule", RULE_VARIANTS, ids=format_rule)
+    def test_pair_sums_keep_their_bytes(self, rule):
+        kernel = build_kernel(rule, build_grid(LogScheme(1e-4, 1e5, 200), PointMass(1.0)))
+        report = check_kernel(kernel)
+        digests = tuple(hashlib.sha256(np.asarray(x, "<f8").tobytes()).hexdigest()
+                        for x in (report.norm_error, report.bias, kernel.abs_delta))
+        assert digests == PAIR_SUMS_SHA256[format_rule(rule)]
 
     def test_yard_sale_pair_atoms(self):
         # Eq. atoms at (x=1, x'=3): +/-0.5 with probability 1/2 each
@@ -471,11 +530,11 @@ class TestBuildKernel:
         gain = kernel.gain
         rows, runs = gain.shape[0], gain.run_col.size
         assert (gain.nnz, rows, runs) == (1_129_906, 33_775, 36_977)
-        # past data, no per-entry array: row_runs, row_a, row_k and dist per
-        # row, run_col and run_start per run, and the last item of each
-        # offset array
+        # past data, no per-entry array and no per-row float: row_runs, row_a
+        # and row_k per row, run_col and run_start per run, and the last item
+        # of each offset array
         assert sum(getattr(gain, name).nbytes for name in STORED[1:]) <= (
-            20 * rows + 8 * runs + 8)
+            12 * rows + 8 * runs + 8)
 
 
 def bits(array):
@@ -521,19 +580,20 @@ def pair_rows_and_masses(draw):
 def check_dense_mobility(matrix, m, l):
     """Check the mobility l of ``matrix.product(m)`` against the dense
     sum_b |Delta|_ab m_b in rationals, |Delta|_ab = sum over rows (a, k) of
-    dist times the row's entry of pair b, a suffix column n + j standing for
-    every b >= j. A cell is checked where its rows, their dist and every
-    mass are finite and no sum of absolute values reaches the overflow
-    range. Each product rounds by u relative and 2^-1075 absolute, each sum
-    by u relative: the row's terms
-    carry the suffix sum's n - 1 roundings and their own, the row sum
-    len - 1, its weight one and the sum over the R_a rows R_a - 1, so
+    dist = |c_k - c_a| times the row's entry of pair b, a suffix column n + j
+    standing for every b >= j. A cell is checked where its rows, their dist
+    and every mass are finite and no sum of absolute values reaches the
+    overflow range. Each product rounds by u relative and 2^-1075 absolute,
+    each sum by u relative: the row's terms carry the suffix sum's n - 1
+    roundings and their own, the row sum len - 1, its weight one and the
+    sum over the R_a rows R_a - 1 (dist is taken as rounded), so
     |l_a - exact_a| <= 1.01 (n + L + R_a + 2) u mag_a plus 2^-1075 per
     product, dist-weighted: mag_a is sum_rows dist sum_j |data_j| |x|_j,
     |x| = [|m|; sums of |m| over b >= j], and L the longest row."""
     n = m.size
     if not np.isfinite(m).all():
         return
+    dists = row_dist(matrix)
     exact_x = [Fraction(v) for v in m.tolist()]
     exact_x += [sum(exact_x[j:], Fraction(0)) for j in range(n)]
     abs_x = [abs(v) for v in exact_x[:n]]
@@ -546,12 +606,12 @@ def check_dense_mobility(matrix, m, l):
         rows = np.flatnonzero(matrix.row_a == a)
         entries = [slice(matrix.indptr[i], matrix.indptr[i + 1]) for i in rows]
         if not all(np.isfinite(matrix.data[e]).all() for e in entries) or not np.isfinite(
-                matrix.dist[rows]).all():
+                dists[rows]).all():
             continue
         exact = mag = tiny = Fraction(0)
         too_large = abs_x[n] > limit
         for i, e in zip(rows, entries):
-            dist = Fraction(matrix.dist[i])
+            dist = Fraction(dists[i])
             pairs = list(zip(matrix.data[e].tolist(), matrix.indices[e].tolist()))
             row_mag = sum((abs(Fraction(d)) * abs_x[j] for d, j in pairs), Fraction(0))
             exact += dist * sum((Fraction(d) * exact_x[j] for d, j in pairs), Fraction(0))
@@ -626,7 +686,7 @@ class TestPairRowProduct:
         out, l = np.full(m.size, 7.0), np.full(m.size, 7.0)
         result = compiled_product().pair_rhs(matrix.run_col, matrix.run_start,
                                              matrix.row_runs, data, row_a, row_k,
-                                             matrix.dist, m, out, l)
+                                             matrix.centers, m, out, l)
         assert result[0] is out and result[1] is l
         assert bits(np.concatenate(result)) == bits(np.concatenate(got))
 
@@ -638,8 +698,7 @@ class TestPairRowProduct:
                      np.zeros(4, np.int32), np.zeros(8), np.zeros(8)))
     def test_runs_give_back_the_columns(self, arrays):
         data, indices, indptr, row_a, row_k, centers, _ = arrays
-        with np.errstate(all="ignore"):  # inf - inf among the points
-            matrix = pair_rows(data, indices, indptr, row_a, row_k, centers)
+        matrix = pair_rows(data, indices, indptr, row_a, row_k, centers)
         # a run starts at each row's first entry and at each column that is
         # not the previous one + 1: (column, length) of each, row by row
         runs = [[] for _ in range(indptr.size - 1)]
@@ -679,10 +738,10 @@ class TestPairRowProduct:
                 assert not {"indices", "indptr"} & set(vars(matrix))
 
     def call(self, **given):
-        """Call ``pair_rhs`` on the SMALL operator, its distances, masses, out
-        and l with the arguments ``given`` in place of its own; it must raise
-        and leave out and l as they were."""
-        args = {**self.SMALL, "dist": np.ones(3), "m": np.ones(3), "out": np.full(3, 7.0),
+        """Call ``pair_rhs`` on the SMALL operator, its grid points, masses,
+        out and l with the arguments ``given`` in place of its own; it must
+        raise and leave out and l as they were."""
+        args = {**self.SMALL, "c": np.arange(3.0), "m": np.ones(3), "out": np.full(3, 7.0),
                 "l": np.full(3, 7.0), **given}
         before = bits(np.concatenate((args["out"], args["l"])))
         with pytest.raises((TypeError, ValueError)) as err:
@@ -696,7 +755,8 @@ class TestPairRowProduct:
         assert "float64" in self.call(m=np.ones(3, np.float32))
         assert "one-dimensional" in self.call(m=np.ones((3, 1)))
         self.call(m=np.ones(6)[::2])
-        assert "float64" in self.call(dist=np.ones(3, np.int32))
+        assert "float64" in self.call(c=np.arange(3, dtype=np.int32))
+        assert "float64" in self.call(c=np.arange(3.0, dtype=np.float32))
         frozen = np.full(3, 7.0)
         frozen.flags.writeable = False
         self.call(out=frozen)
@@ -705,7 +765,9 @@ class TestPairRowProduct:
         assert "one item per cell" in self.call(l=np.full(2, 7.0))
         assert "one item per cell" in self.call(m=np.ones(4))
         assert "one item per row" in self.call(row_a=np.array([0, 2], np.int32))
-        assert "one item per row" in self.call(dist=np.ones(4))
+        assert "one item per cell" in self.call(c=np.arange(4.0))
+        assert "one item per cell" in self.call(c=np.arange(2.0))
+        assert "one-dimensional" in self.call(c=np.zeros((3, 1)))
         assert "one item per run" in self.call(run_col=np.array([1, 5, 5], np.int32))
         for given, message in [
             ({"run_start": [0, 4, 3]}, "run_start decreases at 1"),
@@ -714,7 +776,7 @@ class TestPairRowProduct:
             ({"data": np.ones(2)}, "run_start must run from 0 to 2"),
             ({"row_runs": [0, 2, 1, 2]}, "row_runs decreases at 1"),
             ({"row_runs": [0, 1, 1, 1]}, "row_runs must run from 0 to 2"),
-            ({"row_runs": [], "row_a": [], "row_k": [], "dist": np.ones(0)},
+            ({"row_runs": [], "row_a": [], "row_k": []},
              "row_runs must run from 0 to 2"),
         ]:
             given = {name: np.asarray(x, getattr(x, "dtype", np.int32))
@@ -728,16 +790,21 @@ class TestPairRowProduct:
         matrix = PairRows(**{name: x.copy() for name, x in self.SMALL.items()},
                           centers=centers)
         assert matrix.nnz == 3 and matrix.shape == (3, 6)
-        for name in (*STORED[1:], "indices", "indptr"):
+        # the caller's points are kept, not copied, and frozen
+        assert matrix.centers is centers
+        for name in (*STORED[1:], "centers", "indices", "indptr"):
             assert not getattr(matrix, name).flags.writeable, name
         assert matrix.data.flags.writeable
-        assert bits(matrix.dist) == bits([1.0, 2.0, 1.0])
         assert matrix.indices.tolist() == [1, 2, 5]
         assert matrix.indptr.tolist() == [0, 2, 2, 3]
         # x = [m; S] = [1, 2, 4, 7, 6, 4]: row (0, 1) is 0.5 * 2 - 4, times
         # m_0 or |c_1 - c_0| = 1, and row (1, 0) 2 * 4, times m_1 or 1
         assert bits(matrix.product(np.array([1.0, 2.0, 4.0]))) == bits(
             [[16.0, -3.0, 0.0], [-3.0, 8.0, 0.0]])
+        # each product reads the distances from the points: on [0, 4, 9]
+        # both rows' |c_k - c_a| is 4
+        other = PairRows(**self.SMALL, centers=np.array([0.0, 4.0, 9.0]))
+        assert bits(other.product(np.array([1.0, 2.0, 4.0]))[1]) == bits([-12.0, 32.0, 0.0])
         # one ValueError on both paths: strided masses are rejected, not copied
         for m in (np.ones(4), np.ones((3, 1)), np.ones(3, np.int64),
                   np.ones(3, np.float32), np.ones(6)[::2]):
@@ -763,14 +830,21 @@ class TestPairRowProduct:
             ("run_start", np.array([0, 2, 3], np.int64), "int32"),
             ("row_runs", np.array([0, 1, 1, 2], np.int64), "int32"),
             ("centers", np.array([0, 1, 3]), "float64"),
+            ("centers", np.array([0.0, 1.0, 3.0], np.float32), "float64"),
+            ("centers", np.zeros((3, 1)), "1-D contiguous float64 points"),
+            ("centers", np.arange(6.0)[::2], "1-D contiguous float64 points"),
         ]:
             arrays = {**self.SMALL, "centers": centers,
                       name: np.asarray(bad, getattr(bad, "dtype", np.int32))}
             with pytest.raises(ValueError, match=match):
                 PairRows(**arrays)
+        # a kernel's operators share one array of points, which it keeps
         kernel = build_kernel(YS(0.5), small_grid())
-        with pytest.raises(ValueError, match="shapes"):
-            DiscreteKernel(kernel.rule, kernel.centers[1:], kernel.gain, kernel.trunc_coef)
+        assert kernel.centers is kernel.gain.centers is kernel.trunc_coef.centers
+        for grid in (small_grid(), build_grid(LinearScheme(10.0, 16), Exponential(1.0))):
+            other = build_kernel(YS(0.5), grid)
+            with pytest.raises(ValueError, match="other grid points"):
+                DiscreteKernel(kernel.rule, kernel.gain, other.trunc_coef)
 
 
 def rhs_longdouble(kernel, m):
